@@ -40,20 +40,25 @@ import numpy as np
 
 from .canon import _search, degree_cells, refine
 from .criticality import _is_critical_fast, _is_edge_maximal_fast
-from .graph import Graph, _articulation_mask, bits
+# _articulation_mask is no longer called here (the child cut table replaces
+# it) but stays a module attribute: bench/layers.py traces it by name.
+from .graph import Graph, _articulation_mask, bits  # noqa: F401
 
 MAX_ENUM_N = 11
 
-_SUBSET_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_SHIFTS = np.arange(MAX_ENUM_N, dtype=np.int64)
+
+_SUBSET_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nonempty subset masks of range(k) plus their popcounts."""
+def _tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All nonempty subset masks of range(k), their popcounts, and their
+    bits as a 0/1 matrix with one row per mask."""
     t = _SUBSET_TABLES.get(k)
     if t is None:
         masks = np.arange(1, 1 << k, dtype=np.int64)
-        pc = np.array([m.bit_count() for m in range(1, 1 << k)], dtype=np.int64)
-        _SUBSET_TABLES[k] = t = (masks, pc)
+        bitmat = masks[:, None] >> _SHIFTS[:k] & 1
+        _SUBSET_TABLES[k] = t = (masks, bitmat.sum(axis=1), bitmat)
     return t
 
 
@@ -84,6 +89,43 @@ def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> np.ndarray:
     return rep
 
 
+def _components_without(adj: tuple[int, ...], k: int, u: int) -> list[int]:
+    """Vertex masks of the components of the parent minus u."""
+    rest = ((1 << k) - 1) & ~(1 << u)
+    comps = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            nb = 0
+            for v in bits(frontier):
+                nb |= adj[v]
+            frontier = nb & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def _child_cut_table(adj: tuple[int, ...], k: int, cut_mask: int) -> np.ndarray:
+    """Cut-vertex mask of every child of a connected parent on k vertices,
+    indexed by S - 1 where S is the new vertex's neighbourhood.
+
+    The new vertex is never a cut vertex (deleting it leaves the parent).
+    A parent vertex u is one iff S = {u} (for k >= 2: the new vertex is
+    left isolated), or u is a cut vertex of the parent and S misses some
+    component of the parent minus u (Hopcroft and Tarjan, CACM 1973,
+    applied to one added vertex).
+    """
+    masks, pc, _ = _tables(k)
+    table = np.where(pc == 1, masks, 0) if k >= 2 else np.zeros_like(masks)
+    for u in bits(cut_mask):
+        missed = np.zeros(len(masks), dtype=bool)
+        for comp in _components_without(adj, k, u):
+            missed |= (masks & comp) == 0
+        table[missed] |= 1 << u
+    return table
+
+
 # A node of the augmentation tree: adjacency rows, stable equitable cells,
 # cut-vertex mask, and automorphism generators (None = not yet computed,
 # [] = known trivial).
@@ -94,34 +136,17 @@ _ROOT: _State = ((0,), [1], 0, [])
 
 def _child_states(state: _State, k: int) -> Iterator[_State]:
     adj, cells, cut_mask, gens = state
-    full = (1 << k) - 1
-    noncut = full & ~cut_mask
-    d1 = -1
-    second = -1
-    topmask = 0
-    for u in bits(noncut):
-        d = adj[u].bit_count()
-        if d > d1:
-            second = d1
-            d1, topmask = d, 1 << u
-        elif d == d1:
-            topmask |= 1 << u
-        elif d > second:
-            second = d
+    masks, pc, bitmat = _tables(k)
+    ccut = _child_cut_table(adj, k, cut_mask)
 
-    # The new vertex, of degree |S|, stays deletable in every child; a
-    # parent vertex u deletable in the parent stays deletable in the
-    # child unless S = {u} (the new vertex would end up isolated).  The
-    # child can only put the new vertex canonically last among deletable
-    # vertices if its degree is at least every such vertex's degree, and
-    # u's child degree is its parent degree plus one when u is in S.
-    masks, pc = _tables(k)
-    ok = (pc >= 2) & ((pc > d1) | ((pc == d1) & ((masks & topmask) == 0)))
-    unique_top = topmask.bit_count() == 1
-    for u in range(k):
-        cap = second if unique_top and topmask >> u & 1 else d1
-        if cap <= 1:
-            ok[(1 << u) - 1] = True
+    # Rule (b) needs the new vertex, of degree |S|, at least as late in
+    # degree order as every deletable vertex of the child, so |S| must be
+    # at least the child degree of every deletable parent vertex u: its
+    # parent degree, plus one when u is in S.
+    deletable = (ccut[:, None] >> _SHIFTS[:k] & 1) == 0
+    deg = np.array([a.bit_count() for a in adj], dtype=np.int64)
+    need = np.where(deletable, deg + bitmat, 0).max(axis=1)
+    ok = pc >= need
 
     if gens is None:
         if all(c & (c - 1) == 0 for c in cells):
@@ -135,6 +160,7 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
 
     newbit = 1 << k
     nch = k + 1
+    cfull = (1 << nch) - 1
     kn_box = [0]
 
     def aborted(cs: list[int]) -> bool:
@@ -147,7 +173,7 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
                 after = True
         return False
 
-    for s in masks[ok].tolist():
+    for s, ccut_s in zip(masks[ok].tolist(), ccut[ok].tolist()):
         child_adj = list(adj)
         m = s
         while m:
@@ -155,16 +181,12 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
             child_adj[low.bit_length() - 1] |= newbit
             m ^= low
         child_adj.append(s)
-        if s & (s - 1):
-            kn_box[0] = noncut | newbit
-        else:
-            kn_box[0] = (noncut & ~s) | newbit
+        cnon = cfull & ~ccut_s
+        kn_box[0] = cnon
 
         stable = refine(child_adj, degree_cells(child_adj, nch), aborted)
         if stable is None:
             continue
-        ccut = _articulation_mask(child_adj, nch)
-        cnon = ((1 << nch) - 1) & ~ccut
         last = 0
         for cell in reversed(stable):
             if cell & cnon:
@@ -187,7 +209,7 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
                     break
             if orep[wstar] != orep[k]:
                 continue
-        yield tuple(child_adj), stable, ccut, child_gens
+        yield tuple(child_adj), stable, ccut_s, child_gens
 
 
 def _iter_adj(
