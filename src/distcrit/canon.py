@@ -50,49 +50,62 @@ def refine(adj, cells, abort=None):
 
     Scans cells in order for a splitter that distinguishes some cell by
     adjacency count, applies all its splits (fragments ascend by count),
-    and restarts.  The scan order depends only on the partition structure,
-    so relabeling a graph permutes the result cellwise.
+    and rescans from the first cell.  The scan order depends only on the
+    partition structure, so relabeling a graph permutes the result
+    cellwise.
+
+    A scanned splitter is inert from then on: every cell is uniform
+    towards it once its splits are applied (or when it had none), and so
+    is every cell of every finer partition.  The rescan skips inert
+    masks, which leaves the first splitter that splits, and so every
+    partition along the way, the same as a rescan of every cell.
 
     abort, if given, is called after each applied splitter; a true return
     stops early and makes refine return None (used by the enumeration
     filters to reject candidates before the partition stabilizes).
     """
     cells = list(cells)
-    while True:
-        progressed = False
-        for s in range(len(cells)):
-            splitter = cells[s]
-            new_cells = []
-            any_split = False
-            for cell in cells:
-                if cell & (cell - 1) == 0:
-                    new_cells.append(cell)
-                    continue
-                buckets: dict[int, int] = {}
-                m = cell
-                while m:
-                    low = m & -m
-                    v = low.bit_length() - 1
-                    m ^= low
-                    c = (adj[v] & splitter).bit_count()
-                    if c in buckets:
-                        buckets[c] |= low
-                    else:
-                        buckets[c] = low
-                if len(buckets) == 1:
-                    new_cells.append(cell)
-                else:
-                    any_split = True
-                    for c in sorted(buckets):
-                        new_cells.append(buckets[c])
-            if any_split:
-                cells = new_cells
-                if abort is not None and abort(cells):
-                    return None
-                progressed = True
-                break
-        if not progressed:
-            return cells
+    inert: set[int] = set()
+    s = 0
+    while s < len(cells):
+        splitter = cells[s]
+        s += 1
+        if splitter in inert:
+            continue
+        inert.add(splitter)
+        new_cells = []
+        any_split = False
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                new_cells.append(cell)
+                continue
+            low = cell & -cell
+            c0 = (adj[low.bit_length() - 1] & splitter).bit_count()
+            m = cell ^ low
+            while m:
+                low = m & -m
+                if (adj[low.bit_length() - 1] & splitter).bit_count() != c0:
+                    break
+                m ^= low
+            if not m:
+                new_cells.append(cell)
+                continue
+            any_split = True
+            buckets: dict[int, int] = {}
+            m = cell
+            while m:
+                low = m & -m
+                m ^= low
+                c = (adj[low.bit_length() - 1] & splitter).bit_count()
+                buckets[c] = buckets.get(c, 0) | low
+            for c in sorted(buckets):
+                new_cells.append(buckets[c])
+        if any_split:
+            cells = new_cells
+            if abort is not None and abort(cells):
+                return None
+            s = 0
+    return cells
 
 
 def _search(adj: tuple[int, ...], n: int):
