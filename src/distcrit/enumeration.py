@@ -64,29 +64,23 @@ def _tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> np.ndarray:
     """Boolean array over masks 1..2^k-1: True iff the mask is the least
-    member of its orbit under the group generated by gens."""
-    size = 1 << k
-    rep = np.zeros(size - 1, dtype=bool)
-    seen = bytearray(size)
-    for m in range(1, size):
-        if seen[m]:
-            continue
-        rep[m - 1] = True
-        stack = [m]
-        seen[m] = 1
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = 0
-                xx = x
-                while xx:
-                    low = xx & -xx
-                    y |= 1 << g[low.bit_length() - 1]
-                    xx ^= low
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-    return rep
+    member of its orbit under the group generated by gens.
+
+    The images of all masks under every generator come from one product
+    of the mask bit matrix with the generators' bit values.  Orbit minima
+    follow by least = min(least, least[image]) over the generators and
+    pointer jumping (least = least[least]), repeated until stable."""
+    masks, _, bitmat = _tables(k)
+    images = np.zeros((len(gens), 1 << k), dtype=np.int64)
+    images[:, 1:] = (bitmat @ (1 << np.array(gens, dtype=np.int64).T)).T
+    least = np.arange(1 << k, dtype=np.int64)
+    while True:
+        prev = least
+        for img in images:
+            least = np.minimum(least, least[img])
+        least = least[least]
+        if np.array_equal(least, prev):
+            return least[1:] == masks
 
 
 def _components_without(adj: tuple[int, ...], k: int, u: int) -> list[int]:
