@@ -6,11 +6,15 @@ by ascending degree, refine it to the coarsest equitable partition (cells
 split by adjacency counts against every cell, fragments ordered by
 ascending count), and branch on the first non-singleton cell by
 individualizing each of its vertices in turn.  Every discrete partition
-reached this way is a candidate labeling; the canonical form is the
-lexicographically least upper-triangle row-major adjacency bit-string over
-those candidates.  Because the whole procedure only consults the abstract
-(graph, ordered partition) structure, isomorphic graphs get identical
-forms and non-isomorphic graphs of equal order get distinct ones.
+reached this way (a leaf of the refinement search tree) is a candidate
+labeling; the canonical form is the lexicographically least upper-triangle
+row-major adjacency bit-string over the leaves of that tree.  Because the
+whole procedure only consults the abstract (graph, ordered partition)
+structure, isomorphic graphs get identical forms and non-isomorphic graphs
+of equal order get distinct ones.  The form is not in general the least
+over all relabelings: from six vertices on, the least relabeling may not
+be a leaf (edges 01 02 03 14 25 35 get 000100101101001, although
+000010110110001 is a relabeling).
 
 Two classic prunings keep symmetric inputs feasible: when a leaf ties the
 current best, the pair of labelings yields an automorphism, and the search

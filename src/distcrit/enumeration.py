@@ -1,27 +1,35 @@
 """Isomorph-free enumeration of connected graphs, with criticality tallies.
 
 Connected graphs are generated one per isomorphism class by canonical
-augmentation: every graph on k + 1 vertices arises from a parent on k
+augmentation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26, 1998): every graph on k + 1 vertices arises from a parent on k
 vertices by attaching a new vertex (numbered k) to a nonempty subset S of
 the parent.  A candidate child is kept iff
 
   (a) S is the numerically least subset in its orbit under the parent's
-      automorphism group, and
+      automorphism group (McKay's lower-object rule), and
   (b) the new vertex is, in the child, automorphic to the canonically last
       deletable vertex, where deletable means removal keeps the child
-      connected (parents must stay connected).
+      connected (parents must stay connected; McKay's upper-object rule).
 
 Each accepted child therefore certifies a unique (parent, extension) pair,
 and induction over k yields every connected class exactly once with no
 global isomorphism store.
 
-Rule (b) is decided cheaply for almost all candidates: the equitable
-partition is refined with an abort hook that rejects as soon as some
-deletable vertex is forced after the new vertex in cell order, and when
-the last deletable cell of the stable partition is the new vertex alone,
-acceptance follows without computing a canonical form at all.  Before any
-of that, a vectorized degree filter discards subsets whose size cannot
-dominate the deletable degrees.
+The deletable vertices of every child come from the parent, without a
+search per child: the new vertex is never a cut vertex, and a parent
+vertex u is a cut vertex of the child iff S = {u} (for k >= 2), or u is a
+cut vertex of the parent and S misses some component of the parent minus
+u.  One numpy table per parent holds the child cut mask for all 2^k - 1
+subsets.
+
+Rule (b) is decided cheaply for almost all candidates.  First an exact
+degree filter: the new vertex, of degree |S|, can only come last if |S|
+is at least the child degree of every deletable parent vertex.  Then the
+equitable partition is refined with an abort hook that rejects as soon as
+some deletable vertex is forced after the new vertex in cell order, and
+when the last deletable cell of the stable partition is the new vertex
+alone, acceptance follows without computing a canonical form at all.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier; node f (in deterministic generation order) belongs to shard s of

@@ -13,12 +13,32 @@ import pytest
 
 from distcrit import Graph, is_distance_critical, iter_all_graphs, iter_connected
 from distcrit.constructions import regular_extremal
+from distcrit.enumeration import _ROOT, _child_states
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def augmentation_nodes(max_k: int, state=_ROOT, k: int = 1):
+    """(k, state) for every node of the augmentation tree with k <= max_k,
+    in generation order."""
+    yield k, state
+    if k < max_k:
+        for child in _child_states(state, k):
+            yield from augmentation_nodes(max_k, child, k + 1)
+
+
+def child_adjacencies(adj: tuple[int, ...], k: int):
+    """(S, child adjacency) for every nonempty neighbourhood S of a new
+    vertex k attached to the parent adj."""
+    for s in range(1, 1 << k):
+        child = [row | (1 << k) if s >> v & 1 else row
+                 for v, row in enumerate(adj)]
+        child.append(s)
+        yield s, child
 
 
 @pytest.fixture(scope="session")

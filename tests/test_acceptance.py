@@ -39,6 +39,7 @@ from distcrit.products import ProductKind, product
 
 TABLE_CRITICAL = {5: 1, 6: 1, 7: 4, 8: 15, 9: 168, 10: 2252}
 TABLE_MAXIMAL = {5: 1, 6: 1, 7: 2, 8: 4, 9: 14, 10: 82}
+TABLE_CONNECTED = {8: 11117, 9: 261080, 10: 11716571}  # OEIS A001349
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,13 @@ def test_criterion_1_critical_counts(announce, small_tallies, run9, run10):
     for n, want in TABLE_CRITICAL.items():
         if counts[n] != want:
             failures.append(f"n={n}: got {counts[n]}, want {want}")
+    connected = {8: small_tallies[8].connected_count,
+                 9: run9[0].connected_count,
+                 10: run10[0].connected_count}
+    for n, want in TABLE_CONNECTED.items():
+        if connected[n] != want:
+            failures.append(
+                f"n={n}: {connected[n]} connected classes, want {want}")
     if run9[0].elapsed >= 30.0:
         failures.append(f"n=9 took {run9[0].elapsed:.1f}s (budget 30s)")
     tally10, jobs = run10

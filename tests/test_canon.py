@@ -14,8 +14,10 @@ from distcrit import (
     canonical_form,
     canonical_labeling,
     graph_from_form,
+    iter_all_graphs,
 )
-from conftest import random_graph
+from distcrit.canon import degree_cells, refine
+from conftest import augmentation_nodes, child_adjacencies, random_graph
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -32,6 +34,55 @@ def pack_labeled_bits(g: Graph) -> bytes:
                 out[k >> 3] |= 1 << (7 - (k & 7))
             k += 1
     return bytes(out)
+
+
+def refine_rescan_all(adj, cells, abort=None):
+    """Equitable refinement that rescans every cell from the first after
+    each split, the implementation the inert-splitter refine replaced."""
+    cells = list(cells)
+    while True:
+        for splitter in cells:
+            new_cells = []
+            for cell in cells:
+                buckets: dict[int, int] = {}
+                for v in range(len(adj)):
+                    if cell >> v & 1:
+                        c = (adj[v] & splitter).bit_count()
+                        buckets[c] = buckets.get(c, 0) | 1 << v
+                new_cells.extend(buckets[c] for c in sorted(buckets))
+            if len(new_cells) > len(cells):
+                cells = new_cells
+                if abort is not None and abort(cells):
+                    return None
+                break
+        else:
+            return cells
+
+
+def least_leaf_bits(g: Graph) -> bytes:
+    """Least packed form over every leaf of the unpruned refinement tree:
+    refine, individualize each vertex of the first non-singleton cell in
+    turn, recurse."""
+    best = None
+
+    def walk(cells):
+        nonlocal best
+        cells = refine_rescan_all(g.adj, cells)
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if target is None:
+            pos = {cell.bit_length() - 1: i for i, cell in enumerate(cells)}
+            leaf = pack_labeled_bits(relabel(g, [pos[v] for v in range(g.n)]))
+            if best is None or leaf < best:
+                best = leaf
+            return
+        cell = cells[target]
+        for v in range(g.n):
+            if cell >> v & 1:
+                walk(cells[:target] + [1 << v, cell ^ 1 << v]
+                     + cells[target + 1:])
+
+    walk(degree_cells(g.adj, g.n))
+    return best
 
 
 def brute_orbit_reps(g: Graph) -> tuple[int, ...]:
@@ -71,7 +122,9 @@ class TestCanonicalForm:
             assert len(forms) == count == len(connected_by_n[n])
 
     def test_form_is_lexicographically_least(self):
-        # the packed bit-string must be the minimum over all relabelings
+        # for n <= 5 the least leaf of the refinement tree is also the
+        # minimum over all relabelings (not so from n = 6 on; see
+        # test_form_is_not_the_global_minimum)
         rng = random.Random(202)
         for _ in range(40):
             g = random_graph(rng.randint(2, 5), rng.choice([0.3, 0.6]), rng)
@@ -80,6 +133,23 @@ class TestCanonicalForm:
                 pack_labeled_bits(relabel(g, list(p)))
                 for p in itertools.permutations(range(g.n)))
             assert cf.bits == least
+
+    def test_form_is_least_refinement_leaf(self):
+        # the documented contract, on every class with 6 and 7 vertices
+        for n in (6, 7):
+            for g in iter_all_graphs(n):
+                assert canonical_form(g).bits == least_leaf_bits(g)
+
+    def test_form_is_not_the_global_minimum(self):
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5),
+                                 (3, 5)])
+        global_least = min(
+            pack_labeled_bits(relabel(g, list(p)))
+            for p in itertools.permutations(range(6)))
+        assert global_least == (0b000010110110001 << 1).to_bytes(2, "big")
+        assert canonical_form(g).bits == \
+            (0b000100101101001 << 1).to_bytes(2, "big")
+        assert canonical_form(g).bits == least_leaf_bits(g)
 
     def test_labeling_produces_the_form(self):
         rng = random.Random(55)
@@ -111,6 +181,57 @@ class TestCanonicalForm:
             {frozenset((p[x], p[y])) for x, y in a.edges()} == edges
             for p in itertools.permutations(range(n)))
         assert same_form == iso
+
+
+class TestRefine:
+    """refine against the rescan-everything oracle: same result and the
+    same partitions, in the same order, at every abort check."""
+
+    @staticmethod
+    def assert_same_run(adj, cells):
+        seen, want = [], []
+        got = refine(adj, cells, lambda cs: seen.append(list(cs)) or False)
+        expect = refine_rescan_all(
+            adj, cells, lambda cs: want.append(list(cs)) or False)
+        assert got == expect
+        assert seen == want
+
+    def test_random_graphs_and_partitions(self):
+        rng = random.Random(606)
+        for _ in range(400):
+            g = random_graph(rng.randint(1, 24),
+                             rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
+            cells = degree_cells(g.adj, g.n)
+            idx = rng.randrange(len(cells))
+            if cells[idx] & (cells[idx] - 1) and rng.random() < 0.5:
+                low = cells[idx] & -cells[idx]
+                cells[idx:idx + 1] = [low, cells[idx] ^ low]
+            self.assert_same_run(g.adj, cells)
+
+    def test_every_augmentation_child_to_seven(self):
+        for k, (adj, _, _, _) in augmentation_nodes(6):
+            for _, child in child_adjacencies(adj, k):
+                self.assert_same_run(child, degree_cells(child, k + 1))
+
+    def test_abort_stops_at_the_same_partition(self):
+        rng = random.Random(707)
+        for _ in range(100):
+            g = random_graph(rng.randint(4, 20), 0.3, rng)
+            cells = degree_cells(g.adj, g.n)
+            steps: list[list[int]] = []
+            refine_rescan_all(g.adj, cells,
+                              lambda cs: steps.append(list(cs)) or False)
+            if not steps:
+                continue
+            stop = rng.randrange(len(steps))
+            calls: list[list[int]] = []
+
+            def abort(cs):
+                calls.append(list(cs))
+                return len(calls) > stop
+
+            assert refine(g.adj, cells, abort) is None
+            assert calls == steps[:stop + 1]
 
 
 class TestAutomorphisms:

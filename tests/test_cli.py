@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
@@ -237,6 +238,15 @@ class TestEnumerate:
             assert g.n == 7 and is_distance_critical_pairs(g).verdict
         tally = json.loads(err.splitlines()[0])
         assert tally["critical_count"] == 4
+
+    def test_emit_graph6_n8_is_pinned(self, capsys):
+        # the hash was taken before the child cut table, inert splitters
+        # and numpy orbit table went in
+        code, out, _ = invoke(capsys, ["enumerate", "-n", "8",
+                                       "--emit", "graph6"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "eb8e61d96534aee86a66d2ba076666720baf6070a8bfad8f0e32518906a96a24")
 
     def test_sharding_partitions_the_count(self, capsys, schema):
         total = 0

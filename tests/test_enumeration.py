@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from distcrit import (
@@ -18,12 +20,43 @@ from distcrit import (
     run_enumeration,
     tally_levels,
 )
-from distcrit.enumeration import MAX_ENUM_N
+from distcrit.canon import _search
+from distcrit.enumeration import MAX_ENUM_N, _child_cut_table, _subset_reps
+from distcrit.graph import _articulation_mask
+from distcrit.graph6 import encode_graph6
+from conftest import augmentation_nodes, child_adjacencies
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CRITICAL_COUNTS = {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 1, 7: 4, 8: 15}
 MAXIMAL_COUNTS = {5: 1, 6: 1, 7: 2, 8: 4}
+
+
+def subset_reps_dfs(k: int, gens) -> np.ndarray:
+    """Least orbit members by a depth-first walk of each orbit, the
+    implementation the numpy orbit table replaced."""
+    size = 1 << k
+    rep = np.zeros(size - 1, dtype=bool)
+    seen = bytearray(size)
+    for m in range(1, size):
+        if seen[m]:
+            continue
+        rep[m - 1] = True
+        stack = [m]
+        seen[m] = 1
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = 0
+                xx = x
+                while xx:
+                    low = xx & -xx
+                    y |= 1 << g[low.bit_length() - 1]
+                    xx ^= low
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return rep
 
 
 def brute_connected_forms(n: int) -> set:
@@ -64,6 +97,44 @@ class TestConnectedCensus:
         seen = []
         total = enumerate_connected(5, seen.append)
         assert total == 21 == len(seen)
+
+
+    def test_graph6_output_is_pinned(self):
+        # graph6 lines of every class on 7 and then 8 vertices, in
+        # generation order; the hash was taken before the child cut table,
+        # inert splitters and numpy orbit table went in
+        digest = hashlib.sha256()
+        for n in (7, 8):
+            for g in iter_connected(n):
+                digest.update(encode_graph6(g).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "5bdebe7a10afd84a7f9df64401f9df8091f672205dd07fa31ae7055ae1efed12")
+
+
+class TestAugmentationSteps:
+    """Each fast step of the child test against the code it replaced."""
+
+    def test_child_cut_table_matches_tarjan(self):
+        children = 0
+        for k, (adj, _, cut_mask, _) in augmentation_nodes(7):
+            table = _child_cut_table(adj, k, cut_mask).tolist()
+            for s, child in child_adjacencies(adj, k):
+                assert table[s - 1] == _articulation_mask(child, k + 1)
+                children += 1
+        assert children == 116146
+
+    def test_subset_reps_match_orbit_dfs(self):
+        checked = 0
+        for k, (adj, cells, _, gens) in augmentation_nodes(8):
+            if gens is None:
+                gens = _search(adj, k)[3]
+            if not gens:
+                continue
+            got = _subset_reps(k, gens)
+            assert got.dtype == bool
+            assert np.array_equal(got, subset_reps_dfs(k, gens))
+            checked += 1
+        assert checked == 8408
 
 
 class TestCriticalTallies:
