@@ -149,7 +149,6 @@ class TestCanonicalForm:
         assert global_least == (0b000010110110001 << 1).to_bytes(2, "big")
         assert canonical_form(g).bits == \
             (0b000100101101001 << 1).to_bytes(2, "big")
-        assert canonical_form(g).bits == least_leaf_bits(g)
 
     def test_labeling_produces_the_form(self):
         rng = random.Random(55)

@@ -98,7 +98,6 @@ class TestConnectedCensus:
         total = enumerate_connected(5, seen.append)
         assert total == 21 == len(seen)
 
-
     def test_graph6_output_is_pinned(self):
         # graph6 lines of every class on 7 and then 8 vertices, in
         # generation order; the hash was taken before the child cut table,
