@@ -41,9 +41,6 @@ from .criticality import (
 )
 from .enumeration import (
     EnumerationTally,
-    count_distance_critical,
-    count_edge_maximal,
-    enumerate_connected,
     iter_all_graphs,
     iter_connected,
     run_enumeration,
@@ -96,8 +93,6 @@ __all__ = [
     "canonical_labeling",
     "check_product_lemmas",
     "common_neighbors",
-    "count_distance_critical",
-    "count_edge_maximal",
     "cycle",
     "cycle_power",
     "decode_graph6",
@@ -105,7 +100,6 @@ __all__ = [
     "disjoint_union",
     "embed_host",
     "encode_graph6",
-    "enumerate_connected",
     "gamma",
     "girth",
     "graham_pollak_determinant",

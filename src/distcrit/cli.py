@@ -184,13 +184,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.lemma == "all":
-        if args.jobs > 1:
-            from multiprocessing import get_context
-            with get_context("fork").Pool(args.jobs) as pool:
-                checks = pool.starmap(
-                    run_lemma, [(lid, args.n_cap) for lid in LEMMA_IDS])
-        else:
-            checks = run_all_lemmas(args.n_cap)
+        checks = run_all_lemmas(args.n_cap)
     else:
         checks = [run_lemma(args.lemma, args.n_cap)]
     code = 0
@@ -305,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=LEMMA_IDS + ("all",))
     p.add_argument("--n-cap", type=int, required=True, dest="n_cap")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="numeric summary")

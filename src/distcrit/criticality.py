@@ -16,6 +16,7 @@ independent check of the same predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graph import Graph, all_pairs_distances, bits
 
@@ -27,6 +28,29 @@ def common_neighbors(g: Graph, a: int, b: int) -> tuple[int, ...]:
     return tuple(bits(g.adj[a] & g.adj[b]))
 
 
+def _pairs_at(adj, v: int) -> Iterator[tuple[int, int]]:
+    """Determining pairs of v in lexicographic order.
+
+    A nonadjacent pair whose unique common neighbor is c is yielded for
+    v = c and for no other v, so a sweep over all v meets each determining
+    pair of the graph once.
+    """
+    bit_v = 1 << v
+    later = adj[v]
+    while later:
+        low = later & -later
+        later ^= low
+        a = low.bit_length() - 1
+        ra = adj[a]
+        rest = later & ~ra  # neighbors of v after a, not adjacent to a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            if ra & adj[b] == bit_v:
+                yield a, b
+
+
 def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
     """All determining pairs of v, sorted lexicographically.
 
@@ -35,41 +59,33 @@ def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    adj = g.adj
-    bit_v = 1 << v
-    nb = list(bits(adj[v]))
-    out = []
-    for i, a in enumerate(nb):
-        ra = adj[a]
-        for b in nb[i + 1:]:
-            if not ra >> b & 1 and ra & adj[b] == bit_v:
-                out.append((a, b))
-    return out
+    return list(_pairs_at(g.adj, v))
 
 
 def _witness_for(adj, v: int) -> tuple[int, int] | None:
-    bit_v = 1 << v
-    nb = list(bits(adj[v]))
-    for i, a in enumerate(nb):
-        ra = adj[a]
-        for b in nb[i + 1:]:
-            if not ra >> b & 1 and ra & adj[b] == bit_v:
-                return (a, b)
-    return None
+    return next(_pairs_at(adj, v), None)
+
+
+def _pair_scan(
+    adj, n: int
+) -> tuple[tuple[tuple[int, int] | None, ...], tuple[int, ...]]:
+    """Least determining pair of every vertex (or None), and the involved
+    set, from one sweep over all determining pairs."""
+    witnesses = []
+    involved = 0
+    for v in range(n):
+        first = None
+        for a, b in _pairs_at(adj, v):
+            if first is None:
+                first = (a, b)
+            involved |= (1 << a) | (1 << b)
+        witnesses.append(first)
+    return tuple(witnesses), tuple(bits(involved))
 
 
 def involved_set(g: Graph) -> tuple[int, ...]:
     """Vertices occurring as an endpoint of some determining pair."""
-    adj = g.adj
-    s = 0
-    for a in range(g.n):
-        ra = adj[a]
-        for b in range(a + 1, g.n):
-            if not ra >> b & 1:
-                c = ra & adj[b]
-                if c and c & (c - 1) == 0:
-                    s |= (1 << a) | (1 << b)
-    return tuple(bits(s))
+    return _pair_scan(g.adj, g.n)[1]
 
 
 @dataclass(frozen=True)
@@ -105,15 +121,29 @@ class CriticalityReport:
 
 def is_distance_critical_pairs(g: Graph) -> CriticalityReport:
     """Determining-pair test with witnesses; no distance recomputation."""
-    witnesses = tuple(_witness_for(g.adj, v) for v in range(g.n))
+    witnesses, involved = _pair_scan(g.adj, g.n)
     verdict = g.n > 0 and all(w is not None for w in witnesses)
     return CriticalityReport(
         n=g.n,
         verdict=verdict,
         method="pairs",
         witnesses=witnesses,
-        involved=involved_set(g),
+        involved=involved,
     )
+
+
+def _deletion_changes_distances(g: Graph, base, v: int) -> bool:
+    """Does deleting v change a distance between two other vertices?
+
+    base holds the distance rows of g.  The comparison stops at the first
+    surviving vertex whose row of distances changed.
+    """
+    sub = all_pairs_distances(g.delete_vertex(v)).rows
+    for x, row in enumerate(sub):
+        before = base[x if x < v else x + 1]
+        if before[:v] + before[v + 1:] != row:
+            return True
+    return False
 
 
 def is_distance_critical_direct(g: Graph) -> bool:
@@ -121,24 +151,7 @@ def is_distance_critical_direct(g: Graph) -> bool:
     if g.n == 0:
         return False
     base = all_pairs_distances(g).rows
-    for v in range(g.n):
-        h = g.delete_vertex(v)
-        sub = all_pairs_distances(h).rows
-        changed = False
-        for x in range(h.n):
-            gx = x if x < v else x + 1
-            row_b = base[gx]
-            row_s = sub[x]
-            for y in range(x + 1, h.n):
-                gy = y if y < v else y + 1
-                if row_b[gy] != row_s[y]:
-                    changed = True
-                    break
-            if changed:
-                break
-        if not changed:
-            return False
-    return True
+    return all(_deletion_changes_distances(g, base, v) for v in range(g.n))
 
 
 def _girth_exceeds_4(adj, n: int) -> bool:

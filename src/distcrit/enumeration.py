@@ -258,22 +258,6 @@ def iter_connected(n: int, *, shards: int = 1, shard: int = 0) -> Iterator[Graph
         yield Graph(n, adj, check=False)
 
 
-def enumerate_connected(
-    n: int,
-    visitor: Callable[[Graph], None],
-    *,
-    shards: int = 1,
-    shard: int = 0,
-) -> int:
-    """Feed every connected class on n vertices to visitor (serially, in
-    deterministic order); returns the number of graphs visited."""
-    count = 0
-    for g in iter_connected(n, shards=shards, shard=shard):
-        visitor(g)
-        count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class EnumerationTally:
     """Census of one enumeration run (possibly one shard of one).
@@ -377,25 +361,6 @@ def run_enumeration(
         elapsed=time.perf_counter() - t0,
     )
     return tally, hits
-
-
-def count_distance_critical(
-    n: int, *, shards: int = 1, shard: int = 0, jobs: int = 1
-) -> EnumerationTally:
-    """Tally of connected and distance-critical classes on n vertices."""
-    tally, _ = run_enumeration(n, shards=shards, shard=shard, jobs=jobs)
-    return tally
-
-
-def count_edge_maximal(
-    n: int, *, shards: int = 1, shard: int = 0, jobs: int = 1
-) -> EnumerationTally:
-    """Like count_distance_critical, also tallying edge-maximal criticals
-    (critical graphs where adding any missing edge breaks criticality)."""
-    tally, _ = run_enumeration(
-        n, shards=shards, shard=shard, jobs=jobs, edge_maximal=True
-    )
-    return tally
 
 
 def tally_levels(n: int, *, edge_maximal: bool = False) -> dict[int, EnumerationTally]:

@@ -170,13 +170,6 @@ class DistanceTable:
         self.n = n
         self.rows = rows
 
-    def dist(self, x: int, y: int) -> int:
-        return self.rows[x][y]
-
-    def __getitem__(self, xy: tuple[int, int]) -> int:
-        x, y = xy
-        return self.rows[x][y]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DistanceTable)

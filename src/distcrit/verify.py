@@ -2,12 +2,14 @@
 
 Every law about distance-critical graphs that the rest of the package
 relies on is restated here as a finite, exhaustively checkable property
-over an enumerated universe (all connected graphs, all critical graphs,
-all edge-maximal critical graphs, ... up to a vertex cap) or over a
-constructed family.  A check returns the number of hypothesis-satisfying
-instances examined and a list of graph6 certificates for violations; any
-violation means an implementation bug or a genuine counterexample, and
-both must surface loudly.
+over an enumerated universe (critical graphs, edge-maximal critical
+graphs, connected graphs of girth > 4, ... up to a vertex cap) or over a
+constructed family.  The universe is one sweep over the connected graphs
+on 1..cap vertices, made once per run and read by every lemma; it keeps
+only the graphs some lemma quantifies over.  A check returns the number
+of hypothesis-satisfying instances examined and a list of graph6
+certificates for violations; any violation means an implementation bug
+or a genuine counterexample, and both must surface loudly.
 
 The determinant utilities cover the classic tree fact: the determinant of
 the n x n distance matrix of any tree on n >= 2 vertices is
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 from .constructions import cycle, regular_extremal
 from .criticality import (
+    _deletion_changes_distances,
     _is_critical_fast,
     _is_edge_maximal_fast,
     _witness_for,
@@ -87,32 +90,37 @@ class LemmaCheck:
 
 
 class _Universe:
-    """Shared, lazily built catalogs for the lemma sweeps."""
+    """Every catalog the lemma sweeps read, from one pass over the
+    connected graphs on 1..n_cap vertices.
+
+    criticals[k] and maximal[k] hold the critical and the edge-maximal
+    critical classes on k vertices; girth5 holds the connected graphs with
+    minimum degree >= 2 and girth > 4, the hypothesis set of GIRTH.  All
+    connected graphs are seen once and only these few are kept.
+    """
 
     def __init__(self, n_cap: int):
+        if not 1 <= n_cap <= MAX_LEMMA_CAP:
+            raise ValueError(f"n_cap must be in 1..{MAX_LEMMA_CAP}")
         self.n_cap = n_cap
-        self._criticals: dict[int, list[Graph]] = {}
-        self._maximal: dict[int, list[Graph]] = {}
-
-    def criticals(self, k: int) -> list[Graph]:
-        got = self._criticals.get(k)
-        if got is None:
-            got = [g for g in iter_connected(k)
-                   if _is_critical_fast(g.adj, k)]
-            self._criticals[k] = got
-        return got
+        self.criticals: dict[int, list[Graph]] = {}
+        self.maximal: dict[int, list[Graph]] = {}
+        self.girth5: list[Graph] = []
+        for k in range(1, n_cap + 1):
+            crit = self.criticals[k] = []
+            for g in iter_connected(k):
+                if _is_critical_fast(g.adj, k):
+                    crit.append(g)
+                if g.min_degree() >= 2:
+                    gg = girth(g)
+                    if gg is not None and gg > 4:
+                        self.girth5.append(g)
+            self.maximal[k] = [g for g in crit
+                               if _is_edge_maximal_fast(g.adj, k)]
 
     def iter_criticals(self, lo: int = 1):
         for k in range(lo, self.n_cap + 1):
-            yield from self.criticals(k)
-
-    def maximal(self, k: int) -> list[Graph]:
-        got = self._maximal.get(k)
-        if got is None:
-            got = [g for g in self.criticals(k)
-                   if _is_edge_maximal_fast(g.adj, k)]
-            self._maximal[k] = got
-        return got
+            yield from self.criticals[k]
 
     def iter_criticals_with_disconnected(self, k: int):
         """Every critical class on exactly k vertices, connected or not.
@@ -121,8 +129,7 @@ class _Universe:
         disconnected classes are multiset unions of smaller critical
         classes (none exist below 10 vertices: the smallest component
         is the 5-cycle)."""
-        catalogs = {j: self.criticals(j) for j in range(1, k + 1)}
-        return _iter_unions(catalogs, k)
+        return _iter_unions(self.criticals, k)
 
 
 def _on_long_cycle(g: Graph, v: int) -> bool:
@@ -147,16 +154,10 @@ def _on_long_cycle(g: Graph, v: int) -> bool:
 def _check_girth(uni: _Universe):
     checked = 0
     bad = []
-    for k in range(1, uni.n_cap + 1):
-        for g in iter_connected(k):
-            if g.min_degree() < 2:
-                continue
-            gg = girth(g)
-            if gg is None or gg <= 4:
-                continue
-            checked += 1
-            if not _is_critical_fast(g.adj, k):
-                bad.append(encode_graph6(g))
+    for g in uni.girth5:
+        checked += 1
+        if not _is_critical_fast(g.adj, g.n):
+            bad.append(encode_graph6(g))
     return "connected graphs with min degree >= 2 and girth > 4", checked, bad
 
 
@@ -317,7 +318,7 @@ def _check_nonedge_s(uni: _Universe):
     checked = 0
     bad = []
     for k in range(1, uni.n_cap + 1):
-        for g in uni.maximal(k):
+        for g in uni.maximal[k]:
             checked += 1
             s = 0
             for v in involved_set(g):
@@ -336,9 +337,10 @@ def _check_t_clique(uni: _Universe):
     checked = 0
     bad = []
     for k in range(1, uni.n_cap + 1):
-        for g in uni.maximal(k):
+        for g in uni.maximal[k]:
             checked += 1
-            t = [v for v in range(k) if v not in set(involved_set(g))]
+            inv = set(involved_set(g))
+            t = [v for v in range(k) if v not in inv]
             ok = all(g.has_edge(x, y)
                      for i, x in enumerate(t) for y in t[i + 1:])
             if not ok:
@@ -383,10 +385,8 @@ def run_lemma(lemma_id: str, n_cap: int, _uni: "_Universe | None" = None) -> Lem
     if lemma_id not in _HANDLERS:
         raise ValueError(f"unknown lemma id {lemma_id!r}; "
                          f"known: {', '.join(LEMMA_IDS)}")
-    if not 1 <= n_cap <= MAX_LEMMA_CAP:
-        raise ValueError(f"n_cap must be in 1..{MAX_LEMMA_CAP}")
-    uni = _uni if _uni is not None and _uni.n_cap == n_cap else _Universe(n_cap)
     t0 = time.perf_counter()
+    uni = _uni if _uni is not None else _Universe(n_cap)
     desc, checked, bad = _HANDLERS[lemma_id](uni)
     return LemmaCheck(
         id=lemma_id,
@@ -398,7 +398,7 @@ def run_lemma(lemma_id: str, n_cap: int, _uni: "_Universe | None" = None) -> Lem
 
 
 def run_all_lemmas(n_cap: int) -> list[LemmaCheck]:
-    """Run every lemma check, sharing one universe cache."""
+    """Run every lemma check over one shared universe sweep."""
     uni = _Universe(n_cap)
     return [run_lemma(lid, n_cap, uni) for lid in LEMMA_IDS]
 
@@ -446,13 +446,4 @@ def pendant_deletion_check(t: Graph) -> bool:
     if not leaves:
         raise ValueError("tree has no leaf")
     base = all_pairs_distances(t).rows
-    for v in leaves:
-        h = t.delete_vertex(v)
-        sub = all_pairs_distances(h).rows
-        for x in range(h.n):
-            gx = x if x < v else x + 1
-            for y in range(x + 1, h.n):
-                gy = y if y < v else y + 1
-                if base[gx][gy] != sub[x][y]:
-                    return False
-    return True
+    return not any(_deletion_changes_distances(t, base, v) for v in leaves)

@@ -296,6 +296,12 @@ class TestVerify:
         assert len(records) == 14
         assert all(r["ok"] for r in records)
 
+    def test_jobs_option_is_gone(self, capsys):
+        code, out, _ = invoke(capsys, ["verify", "--lemma", "all",
+                                       "--n-cap", "5", "--jobs", "2"])
+        assert code == 2
+        assert out == ""
+
     def test_unknown_lemma(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "--lemma", "BOGUS",
                                        "--n-cap", "6"])

@@ -29,7 +29,7 @@ def deletion_changes_some_distance(g: Graph, v: int) -> bool:
     after = all_pairs_distances(g.delete_vertex(v))
     keep = [u for u in range(g.n) if u != v]
     return any(
-        before[keep[i], keep[j]] != after[i, j]
+        before.rows[keep[i]][keep[j]] != after.rows[i][j]
         for i in range(len(keep)) for j in range(i + 1, len(keep)))
 
 
@@ -115,6 +115,29 @@ class TestWitnesses:
                                 common_neighbors(g, a, b) == (v,):
                             want.add((a, b))
                 assert pairs == want
+
+    def test_pair_scan_against_oracle(self, all_graphs_by_n):
+        # Oracle: every nonadjacent pair with exactly one common neighbor,
+        # found by testing each third vertex; pairs come in lex order.
+        for n in range(1, 8):
+            for g in all_graphs_by_n[n]:
+                pairs: dict[int, list] = {v: [] for v in range(n)}
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        if g.has_edge(a, b):
+                            continue
+                        common = [c for c in range(n)
+                                  if g.has_edge(a, c) and g.has_edge(b, c)]
+                        if len(common) == 1:
+                            pairs[common[0]].append((a, b))
+                rep = is_distance_critical_pairs(g)
+                assert rep.witnesses == tuple(
+                    p[0] if p else None for p in pairs.values())
+                involved = {x for p in pairs.values() for ab in p for x in ab}
+                assert rep.involved == involved_set(g) == \
+                    tuple(sorted(involved))
+                for v in range(n):
+                    assert determining_pairs_of(g, v) == pairs[v]
 
     def test_involved_set_on_cycles(self):
         assert involved_set(cycle(5)) == (0, 1, 2, 3, 4)

@@ -11,9 +11,6 @@ import pytest
 from distcrit import (
     Graph,
     canonical_form,
-    count_distance_critical,
-    count_edge_maximal,
-    enumerate_connected,
     is_connected,
     iter_all_graphs,
     iter_connected,
@@ -93,11 +90,6 @@ class TestConnectedCensus:
         second = [canonical_form(g) for g in iter_connected(6)]
         assert first == second
 
-    def test_enumerate_connected_visitor(self):
-        seen = []
-        total = enumerate_connected(5, seen.append)
-        assert total == 21 == len(seen)
-
     def test_graph6_output_is_pinned(self):
         # graph6 lines of every class on 7 and then 8 vertices, in
         # generation order; the hash was taken before the child cut table,
@@ -139,7 +131,7 @@ class TestAugmentationSteps:
 class TestCriticalTallies:
     def test_table_of_critical_counts(self):
         for n in range(1, 9):
-            tally = count_distance_critical(n)
+            tally = run_enumeration(n)[0]
             assert tally.n == n
             assert tally.connected_count == CONNECTED_COUNTS[n]
             assert tally.critical_count == CRITICAL_COUNTS[n]
@@ -147,7 +139,7 @@ class TestCriticalTallies:
 
     def test_table_of_maximal_counts(self):
         for n in range(5, 9):
-            tally = count_edge_maximal(n)
+            tally = run_enumeration(n, edge_maximal=True)[0]
             assert tally.critical_count == CRITICAL_COUNTS[n]
             assert tally.maximal_count == MAXIMAL_COUNTS[n]
 
@@ -168,10 +160,10 @@ class TestCriticalTallies:
                 {canonical_form(g) for g in criticals_by_n[n]}
 
     def test_json_shape(self):
-        d = count_distance_critical(5).to_json_dict()
+        d = run_enumeration(5)[0].to_json_dict()
         assert d == {"n": 5, "connected_count": 21, "critical_count": 1,
                      "partition": [0, 1]}
-        d = count_edge_maximal(5).to_json_dict()
+        d = run_enumeration(5, edge_maximal=True)[0].to_json_dict()
         assert d["maximal_count"] == 1
 
 
@@ -190,16 +182,17 @@ class TestSharding:
         assert sizes[0] > 0
 
     def test_sharded_tallies_sum(self):
-        whole = count_edge_maximal(7)
-        parts = [count_edge_maximal(7, shards=3, shard=s) for s in range(3)]
+        whole = run_enumeration(7, edge_maximal=True)[0]
+        parts = [run_enumeration(7, shards=3, shard=s, edge_maximal=True)[0]
+                 for s in range(3)]
         assert sum(p.connected_count for p in parts) == whole.connected_count
         assert sum(p.critical_count for p in parts) == whole.critical_count
         assert sum(p.maximal_count for p in parts) == whole.maximal_count
         assert [p.partition for p in parts] == [(0, 3), (1, 3), (2, 3)]
 
     def test_jobs_parallel_equals_serial(self):
-        serial = count_distance_critical(7)
-        parallel = count_distance_critical(7, jobs=2)
+        serial = run_enumeration(7)[0]
+        parallel = run_enumeration(7, jobs=2)[0]
         assert (serial.connected_count, serial.critical_count) == \
             (parallel.connected_count, parallel.critical_count)
 

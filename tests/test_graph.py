@@ -111,8 +111,8 @@ class TestDistances:
     def test_unreachable_on_disconnected(self):
         g = disjoint_union(Graph.from_edges(2, [(0, 1)]),
                            Graph.from_edges(1, []))
-        t = all_pairs_distances(g)
-        assert t[0, 1] == 1 and t[0, 2] == UNREACHABLE and t[2, 2] == 0
+        t = all_pairs_distances(g).rows
+        assert t[0][1] == 1 and t[0][2] == UNREACHABLE and t[2][2] == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -122,22 +122,22 @@ class TestDistances:
         picked = data.draw(st.lists(st.sampled_from(pairs), unique=True)
                            ) if pairs else []
         g = Graph.from_edges(n, picked)
-        t = all_pairs_distances(g)
+        t = all_pairs_distances(g).rows
         for i in range(n):
-            assert t[i, i] == 0
+            assert t[i][i] == 0
             for j in range(n):
-                assert t[i, j] == t[j, i]
-                if i != j and t[i, j] != UNREACHABLE:
-                    assert t[i, j] >= 1
+                assert t[i][j] == t[j][i]
+                if i != j and t[i][j] != UNREACHABLE:
+                    assert t[i][j] >= 1
                 for k in range(n):
-                    if (t[i, k] != UNREACHABLE and t[k, j] != UNREACHABLE
-                            and t[i, j] != UNREACHABLE):
-                        assert t[i, j] <= t[i, k] + t[k, j]
+                    if (t[i][k] != UNREACHABLE and t[k][j] != UNREACHABLE
+                            and t[i][j] != UNREACHABLE):
+                        assert t[i][j] <= t[i][k] + t[k][j]
 
     def test_distance_table_indexing(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         t = all_pairs_distances(g)
-        assert t.dist(0, 2) == 2 == t[0, 2]
+        assert t.rows[0][2] == 2
         assert t == all_pairs_distances(g)
 
 

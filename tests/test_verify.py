@@ -16,7 +16,15 @@ from distcrit import (
     run_all_lemmas,
     run_lemma,
 )
+from distcrit import verify
 from distcrit.constructions import cycle
+
+CHECKED_AT_7 = {
+    "GIRTH": 4, "CYCLE5": 6, "NO_DOM": 6, "EDGE_ADD": 0, "DEG3": 1,
+    "S_SIZE": 6, "DPSTAR": 125, "ANTICHAIN": 6, "MIN_EDGES": 9,
+    "MAX_DEG": 5, "REG_BOUND": 6, "NONEDGE_S": 4, "T_CLIQUE": 4,
+    "MAXL_CONN": 6,
+}
 
 
 def cofactor_determinant(matrix: list[list[int]]) -> int:
@@ -63,6 +71,24 @@ class TestLemmaHarness:
         assert [c.id for c in checks] == list(LEMMA_IDS)
         for c in checks:
             assert c.ok and c.violations == ()
+        assert {c.id: c.checked for c in checks} == CHECKED_AT_7
+
+    def test_each_lemma_alone_checks_the_same_instances(self):
+        for lid, want in CHECKED_AT_7.items():
+            check = run_lemma(lid, 7)
+            assert check.ok and check.checked == want
+
+    def test_one_sweep_feeds_every_lemma(self, monkeypatch):
+        levels = []
+        real = verify.iter_connected
+
+        def counting(k):
+            levels.append(k)
+            return real(k)
+
+        monkeypatch.setattr(verify, "iter_connected", counting)
+        run_all_lemmas(7)
+        assert levels == list(range(1, 8))
 
     def test_no_dominating_vertex_instance_count(self):
         # 21 distance-critical graphs exist up to 8 vertices
