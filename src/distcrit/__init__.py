@@ -59,10 +59,11 @@ from .graph import (
     is_two_connected,
 )
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, to_dot
-from .products import ProductKind, ProductLemmaReport, check_product_lemmas, product
+from .products import ProductKind, product
 from .verify import (
     LEMMA_IDS,
     LemmaCheck,
+    check_product_lemmas,
     graham_pollak_determinant,
     pendant_deletion_check,
     run_all_lemmas,
@@ -83,7 +84,6 @@ __all__ = [
     "LemmaCheck",
     "MAX_VERTICES",
     "ProductKind",
-    "ProductLemmaReport",
     "UNREACHABLE",
     "all_pairs_distances",
     "articulation_points",

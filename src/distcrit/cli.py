@@ -41,7 +41,7 @@ from .criticality import (
     is_distance_critical_direct,
     is_distance_critical_pairs,
 )
-from .enumeration import MAX_ENUM_N, run_enumeration
+from .enumeration import run_enumeration
 from .graph import Graph, girth, is_connected, is_two_connected
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .products import ProductKind, product
@@ -156,14 +156,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if not 1 <= args.n <= MAX_ENUM_N:
-        return _fail(f"n must be in 1..{MAX_ENUM_N}")
     if args.n >= 11 and not args.allow_long_run:
         return _fail("n = 11 takes hours; pass --allow-long-run to confirm")
-    if args.shard >= args.shards or args.shard < 0 or args.shards < 1:
-        return _fail("need 0 <= shard < shards")
-    if args.jobs < 1:
-        return _fail("jobs must be >= 1")
     tally, hits = run_enumeration(
         args.n,
         shards=args.shards,

@@ -157,6 +157,9 @@ def max_degree_extremal(n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+MAX_REGULAR_MATCHING_N = 32
+
+
 def _least_critical_matching(base: Graph) -> Graph:
     """Complete a 2k-regular graph to (2k+1)-regular by a perfect matching.
 
@@ -202,13 +205,20 @@ def regular_extremal(n: int) -> Graph:
     i-k, giving the pair {i-k, i+k} a second common neighbor, and in fact
     no circulant of this degree is distance critical at n = 12 or n = 20.
     Those orders instead use the least perfect matching (in lexicographic
-    edge order) whose addition leaves the graph distance critical.
+    edge order) whose addition leaves the graph distance critical.  That
+    search takes time exponential in n, so multiples of 4 above
+    MAX_REGULAR_MATCHING_N are refused up front.
     """
     if n < 5:
         raise ValueError("regular family needs n >= 5")
     r = n % 4
     if r != 0:
         return cycle_power(n, (n - r) // 4)
+    if n > MAX_REGULAR_MATCHING_N:
+        raise ValueError(
+            f"regular family for n divisible by 4 is limited to "
+            f"n <= {MAX_REGULAR_MATCHING_N} (the matching search is "
+            f"exponential)")
     base = cycle_power(n, (n - 4) // 4)
     antipodal = base
     for i in range(n // 2):

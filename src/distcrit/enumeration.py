@@ -421,7 +421,6 @@ def _iter_unions(catalogs: dict[int, list[Graph]], n: int) -> Iterator[Graph]:
 
 def iter_all_graphs(n: int) -> Iterator[Graph]:
     """Every graph on n vertices up to isomorphism, connected or not."""
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be in 1..{MAX_ENUM_N}")
+    _check_args(n, 1, 0)
     catalogs = {k: list(iter_connected(k)) for k in range(1, n + 1)}
     return _iter_unions(catalogs, n)

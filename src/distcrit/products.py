@@ -1,4 +1,4 @@
-"""Cartesian, tensor and strong graph products, plus product-lemma sweeps.
+"""Cartesian, tensor and strong graph products.
 
 Vertices of a product of g (order p) and h (order q) are the pairs (x, y)
 with x in V(g), y in V(h), numbered row-major as x * q + y.  Adjacency:
@@ -6,14 +6,15 @@ with x in V(g), y in V(h), numbered row-major as x * q + y.  Adjacency:
   cartesian: (x,y) ~ (x',y')  iff  x = x' and y ~ y', or y = y' and x ~ x'
   tensor:    (x,y) ~ (x',y')  iff  x ~ x' and y ~ y'
   strong:    distinct pairs with (x = x' or x ~ x') and (y = y' or y ~ y')
+
+The laws that these products preserve distance criticality are checked
+on the lemma harness, by verify.check_product_lemmas.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-from .criticality import _is_critical_fast
 from .graph import MAX_VERTICES, Graph, bits
 
 
@@ -50,60 +51,3 @@ def product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
                     m |= closed << (xp * q)
             adj[base + y] = m
     return Graph(n, adj, check=False)
-
-
-@dataclass
-class ProductLemmaReport:
-    """Exhaustive small-order check of the three product criticality laws.
-
-    Laws: a cartesian product with a distance-critical factor is distance
-    critical whatever the other factor; tensor and strong products of two
-    distance-critical factors are distance critical.  violations lists
-    (kind value, graph6 of g, graph6 of h) for every failed instance.
-    """
-
-    n_cap: int
-    cartesian_checked: int = 0
-    tensor_checked: int = 0
-    strong_checked: int = 0
-    violations: list[tuple[str, str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_product_lemmas(n_cap: int) -> ProductLemmaReport:
-    """Check the product laws over all connected graphs up to n_cap vertices."""
-    from .enumeration import iter_connected
-    from .graph6 import encode_graph6
-
-    if not 1 <= n_cap <= 6:
-        raise ValueError("n_cap must be in 1..6 (product orders stay modest)")
-    connected: list[Graph] = []
-    for k in range(1, n_cap + 1):
-        connected.extend(iter_connected(k))
-    criticals = [g for g in connected if _is_critical_fast(g.adj, g.n)]
-
-    report = ProductLemmaReport(n_cap=n_cap)
-    for g in criticals:
-        for h in connected:
-            report.cartesian_checked += 1
-            p = product(ProductKind.CARTESIAN, g, h)
-            if not _is_critical_fast(p.adj, p.n):
-                report.violations.append(
-                    ("cartesian", encode_graph6(g), encode_graph6(h))
-                )
-    for g in criticals:
-        for h in criticals:
-            for kind in (ProductKind.TENSOR, ProductKind.STRONG):
-                p = product(kind, g, h)
-                if kind is ProductKind.TENSOR:
-                    report.tensor_checked += 1
-                else:
-                    report.strong_checked += 1
-                if not _is_critical_fast(p.adj, p.n):
-                    report.violations.append(
-                        (kind.value, encode_graph6(g), encode_graph6(h))
-                    )
-    return report

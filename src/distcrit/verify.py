@@ -6,10 +6,16 @@ over an enumerated universe (critical graphs, edge-maximal critical
 graphs, connected graphs of girth > 4, ... up to a vertex cap) or over a
 constructed family.  The universe is one sweep over the connected graphs
 on 1..cap vertices, made once per run and read by every lemma; it keeps
-only the graphs some lemma quantifies over.  A check returns the number
-of hypothesis-satisfying instances examined and a list of graph6
-certificates for violations; any violation means an implementation bug
-or a genuine counterexample, and both must surface loudly.
+only the graphs some lemma quantifies over.  The three product laws
+(cartesian, tensor and strong products of critical factors stay
+critical) run on the same harness over their own factor universe.
+
+Every law is one row of an ordered registry: an id, a description of
+its universe and a generator of (graph, holds) instances.  One loop
+turns a row into a LemmaCheck: the number of instances examined and the
+graph6 certificates of the failed ones.  Any violation means an
+implementation bug or a genuine counterexample, and both must surface
+loudly.
 
 The determinant utilities cover the classic tree fact: the determinant of
 the n x n distance matrix of any tree on n >= 2 vertices is
@@ -23,6 +29,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .constructions import cycle, regular_extremal
 from .criticality import (
@@ -44,23 +52,7 @@ from .graph import (
     is_two_connected,
 )
 from .graph6 import encode_graph6
-
-LEMMA_IDS = (
-    "GIRTH",
-    "CYCLE5",
-    "NO_DOM",
-    "EDGE_ADD",
-    "DEG3",
-    "S_SIZE",
-    "DPSTAR",
-    "ANTICHAIN",
-    "MIN_EDGES",
-    "MAX_DEG",
-    "REG_BOUND",
-    "NONEDGE_S",
-    "T_CLIQUE",
-    "MAXL_CONN",
-)
+from .products import ProductKind, product
 
 MAX_LEMMA_CAP = 9
 
@@ -132,6 +124,20 @@ class _Universe:
         return _iter_unions(self.criticals, k)
 
 
+class _Factors:
+    """The factors the product laws range over: every connected graph on
+    1..n_cap vertices and the distance-critical ones among them."""
+
+    def __init__(self, n_cap: int):
+        if not 1 <= n_cap <= 6:
+            raise ValueError("n_cap must be in 1..6 "
+                             "(product orders stay modest)")
+        self.connected = [g for k in range(1, n_cap + 1)
+                          for g in iter_connected(k)]
+        self.criticals = [g for g in self.connected
+                          if _is_critical_fast(g.adj, g.n)]
+
+
 def _on_long_cycle(g: Graph, v: int) -> bool:
     """Is v on a cycle of length >= 5?  Certified by a simple path of at
     least 3 edges between two distinct neighbors of v avoiding v."""
@@ -152,40 +158,22 @@ def _on_long_cycle(g: Graph, v: int) -> bool:
 
 
 def _check_girth(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.girth5:
-        checked += 1
-        if not _is_critical_fast(g.adj, g.n):
-            bad.append(encode_graph6(g))
-    return "connected graphs with min degree >= 2 and girth > 4", checked, bad
+        yield g, _is_critical_fast(g.adj, g.n)
 
 
 def _check_cycle5(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals():
-        if not is_two_connected(g):
-            continue
-        checked += 1
-        if not all(_on_long_cycle(g, v) for v in range(g.n)):
-            bad.append(encode_graph6(g))
-    return "2-connected distance-critical graphs", checked, bad
+        if is_two_connected(g):
+            yield g, all(_on_long_cycle(g, v) for v in range(g.n))
 
 
 def _check_no_dom(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals():
-        checked += 1
-        if any(g.degree(v) == g.n - 1 for v in range(g.n)):
-            bad.append(encode_graph6(g))
-    return "distance-critical graphs", checked, bad
+        yield g, not any(g.degree(v) == g.n - 1 for v in range(g.n))
 
 
 def _check_edge_add(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals():
         dist = all_pairs_distances(g)
         for x in range(g.n):
@@ -193,17 +181,11 @@ def _check_edge_add(uni: _Universe):
                 d = dist.rows[x][y]
                 if d != UNREACHABLE and d <= 3:
                     continue
-                checked += 1
                 h = g.add_edge(x, y)
-                if not _is_critical_fast(h.adj, h.n):
-                    bad.append(encode_graph6(g))
-    return ("(critical graph, vertex pair at distance > 3) instances",
-            checked, bad)
+                yield g, _is_critical_fast(h.adj, h.n)
 
 
 def _check_deg3(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals():
         inv = None
         for v in range(g.n):
@@ -212,29 +194,18 @@ def _check_deg3(uni: _Universe):
             h = g.delete_vertex(v)
             if not _is_critical_fast(h.adj, h.n):
                 continue
-            checked += 1
             if inv is None:
                 inv = set(involved_set(g))
-            if v not in inv:
-                bad.append(encode_graph6(g))
-    return ("(critical graph, degree <= 3 vertex whose deletion stays "
-            "critical) instances", checked, bad)
+            yield g, v in inv
 
 
 def _check_s_size(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals():
-        checked += 1
         s = len(involved_set(g))
-        if s * s <= 2 * g.n:
-            bad.append(encode_graph6(g))
-    return "distance-critical graphs", checked, bad
+        yield g, s * s > 2 * g.n
 
 
 def _check_dpstar(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals():
         for x in range(g.n):
             for y in range(x + 1, g.n):
@@ -244,50 +215,29 @@ def _check_dpstar(uni: _Universe):
                 for z in range(g.n):
                     if _witness_for(h.adj, z) is not None:
                         continue
-                    checked += 1
                     pairs = determining_pairs_of(g, z)
-                    if not all(x in p or y in p for p in pairs):
-                        bad.append(encode_graph6(g))
-    return ("(critical graph, added non-edge, vertex losing all "
-            "determining pairs) instances", checked, bad)
+                    yield g, all(x in p or y in p for p in pairs)
 
 
 def _check_antichain(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals():
-        checked += 1
         rows = g.adj
         n = g.n
-        if any(rows[x] & ~rows[z] == 0
-               for x in range(n) for z in range(n) if x != z):
-            bad.append(encode_graph6(g))
-    return "distance-critical graphs (neighborhood antichain)", checked, bad
+        yield g, not any(rows[x] & ~rows[z] == 0
+                         for x in range(n) for z in range(n) if x != z)
 
 
 def _check_min_edges(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals():
-        checked += 1
-        if g.edge_count() < g.n:
-            bad.append(encode_graph6(g))
+        yield g, g.edge_count() >= g.n
     for n in range(5, uni.n_cap + 1):
-        checked += 1
         c = cycle(n)
-        if not (_is_critical_fast(c.adj, n) and c.edge_count() == n):
-            bad.append(encode_graph6(c))
-    return "distance-critical graphs, plus witness cycles", checked, bad
+        yield c, _is_critical_fast(c.adj, n) and c.edge_count() == n
 
 
 def _check_max_deg(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals(lo=6):
-        checked += 1
-        if g.max_degree() > g.n - 4:
-            bad.append(encode_graph6(g))
-    return "distance-critical graphs on >= 6 vertices", checked, bad
+        yield g, g.max_degree() <= g.n - 4
 
 
 def _reg_bound(n: int) -> int:
@@ -295,112 +245,150 @@ def _reg_bound(n: int) -> int:
 
 
 def _check_reg_bound(uni: _Universe):
-    checked = 0
-    bad = []
     for g in uni.iter_criticals():
-        if not g.is_regular():
-            continue
-        checked += 1
-        if g.degree(0) > _reg_bound(g.n):
-            bad.append(encode_graph6(g))
+        if g.is_regular():
+            yield g, g.degree(0) <= _reg_bound(g.n)
     for n in range(5, uni.n_cap + 1):
-        checked += 1
         w = regular_extremal(n)
-        good = (w.is_regular() and w.degree(0) == _reg_bound(n)
-                and _is_critical_fast(w.adj, n))
-        if not good:
-            bad.append(encode_graph6(w))
-    return "regular distance-critical graphs, plus extremal witnesses", \
-        checked, bad
+        yield w, (w.is_regular() and w.degree(0) == _reg_bound(n)
+                  and _is_critical_fast(w.adj, n))
 
 
 def _check_nonedge_s(uni: _Universe):
-    checked = 0
-    bad = []
     for k in range(1, uni.n_cap + 1):
         for g in uni.maximal[k]:
-            checked += 1
             s = 0
             for v in involved_set(g):
                 s |= 1 << v
-            ok = all(
+            yield g, all(
                 s >> x & 1 or s >> y & 1
                 for x in range(k) for y in range(x + 1, k)
                 if not g.has_edge(x, y)
             )
-            if not ok:
-                bad.append(encode_graph6(g))
-    return "edge-maximal distance-critical graphs", checked, bad
 
 
 def _check_t_clique(uni: _Universe):
-    checked = 0
-    bad = []
     for k in range(1, uni.n_cap + 1):
         for g in uni.maximal[k]:
-            checked += 1
             inv = set(involved_set(g))
             t = [v for v in range(k) if v not in inv]
-            ok = all(g.has_edge(x, y)
-                     for i, x in enumerate(t) for y in t[i + 1:])
-            if not ok:
-                bad.append(encode_graph6(g))
-    return "edge-maximal distance-critical graphs", checked, bad
+            yield g, all(g.has_edge(x, y)
+                         for i, x in enumerate(t) for y in t[i + 1:])
 
 
 def _check_maxl_conn(uni: _Universe):
-    checked = 0
-    bad = []
     for k in range(1, uni.n_cap + 1):
         for g in uni.iter_criticals_with_disconnected(k):
-            checked += 1
-            if is_connected(g):
-                continue
-            if _is_edge_maximal_fast(g.adj, g.n):
-                bad.append(encode_graph6(g))
-    return ("distance-critical graphs including disconnected ones "
-            "(edge-maximal implies connected)", checked, bad)
+            yield g, is_connected(g) or not _is_edge_maximal_fast(g.adj, g.n)
 
 
-_HANDLERS = {
-    "GIRTH": _check_girth,
-    "CYCLE5": _check_cycle5,
-    "NO_DOM": _check_no_dom,
-    "EDGE_ADD": _check_edge_add,
-    "DEG3": _check_deg3,
-    "S_SIZE": _check_s_size,
-    "DPSTAR": _check_dpstar,
-    "ANTICHAIN": _check_antichain,
-    "MIN_EDGES": _check_min_edges,
-    "MAX_DEG": _check_max_deg,
-    "REG_BOUND": _check_reg_bound,
-    "NONEDGE_S": _check_nonedge_s,
-    "T_CLIQUE": _check_t_clique,
-    "MAXL_CONN": _check_maxl_conn,
-}
+def _check_product(kind: ProductKind, fac: _Factors):
+    others = fac.connected if kind is ProductKind.CARTESIAN else fac.criticals
+    for g in fac.criticals:
+        for h in others:
+            p = product(kind, g, h)
+            yield p, _is_critical_fast(p.adj, p.n)
 
 
-def run_lemma(lemma_id: str, n_cap: int, _uni: "_Universe | None" = None) -> LemmaCheck:
-    """Exhaustively check one law over its universe up to n_cap vertices."""
-    if lemma_id not in _HANDLERS:
-        raise ValueError(f"unknown lemma id {lemma_id!r}; "
-                         f"known: {', '.join(LEMMA_IDS)}")
+@dataclass(frozen=True)
+class _Law:
+    """One row of the registry: a law, the universe class it is checked
+    over, and a generator of (graph, holds) instances over that universe.
+    A failed instance is certified by the graph6 of its graph."""
+
+    id: str
+    universe: str
+    over: type
+    instances: Callable
+
+
+_LAWS = (
+    _Law("GIRTH", "connected graphs with min degree >= 2 and girth > 4",
+         _Universe, _check_girth),
+    _Law("CYCLE5", "2-connected distance-critical graphs",
+         _Universe, _check_cycle5),
+    _Law("NO_DOM", "distance-critical graphs", _Universe, _check_no_dom),
+    _Law("EDGE_ADD",
+         "(critical graph, vertex pair at distance > 3) instances",
+         _Universe, _check_edge_add),
+    _Law("DEG3", "(critical graph, degree <= 3 vertex whose deletion stays "
+         "critical) instances", _Universe, _check_deg3),
+    _Law("S_SIZE", "distance-critical graphs", _Universe, _check_s_size),
+    _Law("DPSTAR", "(critical graph, added non-edge, vertex losing all "
+         "determining pairs) instances", _Universe, _check_dpstar),
+    _Law("ANTICHAIN", "distance-critical graphs (neighborhood antichain)",
+         _Universe, _check_antichain),
+    _Law("MIN_EDGES", "distance-critical graphs, plus witness cycles",
+         _Universe, _check_min_edges),
+    _Law("MAX_DEG", "distance-critical graphs on >= 6 vertices",
+         _Universe, _check_max_deg),
+    _Law("REG_BOUND",
+         "regular distance-critical graphs, plus extremal witnesses",
+         _Universe, _check_reg_bound),
+    _Law("NONEDGE_S", "edge-maximal distance-critical graphs",
+         _Universe, _check_nonedge_s),
+    _Law("T_CLIQUE", "edge-maximal distance-critical graphs",
+         _Universe, _check_t_clique),
+    _Law("MAXL_CONN", "distance-critical graphs including disconnected ones "
+         "(edge-maximal implies connected)", _Universe, _check_maxl_conn),
+    _Law("CARTESIAN", "cartesian products of a distance-critical and a "
+         "connected factor", _Factors,
+         partial(_check_product, ProductKind.CARTESIAN)),
+    _Law("TENSOR", "tensor products of two distance-critical factors",
+         _Factors, partial(_check_product, ProductKind.TENSOR)),
+    _Law("STRONG", "strong products of two distance-critical factors",
+         _Factors, partial(_check_product, ProductKind.STRONG)),
+)
+
+LEMMA_IDS = tuple(law.id for law in _LAWS if law.over is _Universe)
+
+
+def _certify(law: _Law, n_cap: int, uni=None) -> LemmaCheck:
+    """Count the law's instances and certify each failed one; the
+    universe is built (and timed) here unless a shared one is passed."""
     t0 = time.perf_counter()
-    uni = _uni if _uni is not None else _Universe(n_cap)
-    desc, checked, bad = _HANDLERS[lemma_id](uni)
+    if uni is None:
+        uni = law.over(n_cap)
+    checked = 0
+    bad = []
+    for g, holds in law.instances(uni):
+        checked += 1
+        if not holds:
+            bad.append(encode_graph6(g))
     return LemmaCheck(
-        id=lemma_id,
-        universe=f"{desc}, n <= {n_cap}",
+        id=law.id,
+        universe=f"{law.universe}, n <= {n_cap}",
         checked=checked,
         violations=tuple(bad),
         elapsed=time.perf_counter() - t0,
     )
 
 
+def run_lemma(lemma_id: str, n_cap: int) -> LemmaCheck:
+    """Exhaustively check one law over its universe up to n_cap vertices."""
+    if lemma_id not in LEMMA_IDS:
+        raise ValueError(f"unknown lemma id {lemma_id!r}; "
+                         f"known: {', '.join(LEMMA_IDS)}")
+    return _certify(next(law for law in _LAWS if law.id == lemma_id), n_cap)
+
+
+def _run_over(over: type, n_cap: int) -> list[LemmaCheck]:
+    uni = over(n_cap)
+    return [_certify(law, n_cap, uni) for law in _LAWS if law.over is over]
+
+
 def run_all_lemmas(n_cap: int) -> list[LemmaCheck]:
     """Run every lemma check over one shared universe sweep."""
-    uni = _Universe(n_cap)
-    return [run_lemma(lid, n_cap, uni) for lid in LEMMA_IDS]
+    return _run_over(_Universe, n_cap)
+
+
+def check_product_lemmas(n_cap: int) -> list[LemmaCheck]:
+    """Check the three product laws over all factors on up to n_cap
+    vertices: a cartesian product with a distance-critical factor is
+    distance critical whatever the connected other factor; tensor and
+    strong products of two distance-critical factors are distance
+    critical.  A violation is certified by the graph6 of the product."""
+    return _run_over(_Factors, n_cap)
 
 
 def _require_tree(t: Graph) -> None:

@@ -158,6 +158,11 @@ class TestConstruct:
         g = decode_graph6(out.strip())
         assert g.degree_sequence() == (5,) * 12
 
+    def test_regular_refuses_long_matching_search(self, capsys):
+        code, out, _ = invoke(capsys, ["construct", "regular", "-n", "36"])
+        assert code == 2
+        assert out == ""
+
     def test_cycle_power(self, capsys):
         code, out, _ = invoke(capsys,
                               ["construct", "cycle-power", "-n", "9",
@@ -271,6 +276,15 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "-n", "0"],
+        ["enumerate", "-n", "6", "--jobs", "0"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, capsys, argv):
+        code, out, _ = invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+
 
 class TestVerify:
     def test_single_lemma_text(self, capsys):
@@ -301,6 +315,14 @@ class TestVerify:
                                        "--n-cap", "5", "--jobs", "2"])
         assert code == 2
         assert out == ""
+
+    def test_all_lemmas_json_n7_is_pinned(self, capsys):
+        # the hash was taken before the lemmas moved onto one registry
+        code, out, _ = invoke(capsys, ["verify", "--lemma", "all",
+                                       "--n-cap", "7", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fc39f67835f48da0c7e0f062baa1cf8e706be578e24ac752cf6378fd01de2c29")
 
     def test_unknown_lemma(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "--lemma", "BOGUS",

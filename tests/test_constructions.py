@@ -188,3 +188,12 @@ class TestRegularExtremal:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             regular_extremal(4)
+
+    def test_matching_search_is_bounded(self):
+        # multiples of 4 above 32 are refused before the exponential
+        # matching search; other residues stay plain cycle powers
+        for n in (36, 40, 1024):
+            with pytest.raises(ValueError, match="n <= 32"):
+                regular_extremal(n)
+        assert regular_extremal(37) == cycle_power(37, 9)
+        assert regular_extremal(1023) == cycle_power(1023, 255)

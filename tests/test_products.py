@@ -108,11 +108,20 @@ class TestCriticalityLemmas:
         assert is_distance_critical(product(ProductKind.CARTESIAN, c5, c4))
 
     def test_lemma_sweep_reports_no_violations(self):
-        report = check_product_lemmas(5)
-        assert report.ok and report.violations == []
+        checks = check_product_lemmas(5)
+        assert all(c.ok and c.violations == () for c in checks)
         # criticals up to n=5: just C5; connected graphs n <= 5: 31
-        assert report.cartesian_checked == 31
-        assert report.tensor_checked == 1 and report.strong_checked == 1
+        assert [(c.id, c.checked) for c in checks] == [
+            ("CARTESIAN", 31), ("TENSOR", 1), ("STRONG", 1)]
+
+    def test_lemma_sweep_at_cap_6(self):
+        # 2 criticals up to n=6 (C5 and one on 6 vertices), 143 connected
+        checks = check_product_lemmas(6)
+        assert all(c.ok for c in checks)
+        assert [(c.id, c.checked) for c in checks] == [
+            ("CARTESIAN", 286), ("TENSOR", 4), ("STRONG", 4)]
+        assert checks[1].universe == (
+            "tensor products of two distance-critical factors, n <= 6")
 
     def test_lemma_sweep_cap_validation(self):
         with pytest.raises(ValueError):

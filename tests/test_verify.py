@@ -90,6 +90,20 @@ class TestLemmaHarness:
         run_all_lemmas(7)
         assert levels == list(range(1, 8))
 
+    def test_one_certificate_per_failed_instance(self, monkeypatch):
+        # with every DPSTAR instance failing, each of its 125 instances
+        # at cap 7 certifies its graph, so the 6 graphs repeat
+        monkeypatch.setattr(verify, "determining_pairs_of",
+                            lambda g, z: [(-1, -1)])
+        check = run_lemma("DPSTAR", 7)
+        assert check.checked == len(check.violations) == 125
+        assert len(set(check.violations)) == 6
+
+    def test_product_laws_are_not_lemmas(self):
+        assert not {"CARTESIAN", "TENSOR", "STRONG"} & set(LEMMA_IDS)
+        with pytest.raises(ValueError):
+            run_lemma("TENSOR", 6)
+
     def test_no_dominating_vertex_instance_count(self):
         # 21 distance-critical graphs exist up to 8 vertices
         check = run_lemma("NO_DOM", 8)
