@@ -65,8 +65,9 @@ def refine(adj, cells, abort=None):
     partition along the way, the same as a rescan of every cell.
 
     abort, if given, is called after each applied splitter; a true return
-    stops early and makes refine return None (used by the enumeration
-    filters to reject candidates before the partition stabilizes).
+    stops early and makes refine return None (the enumeration uses it to
+    decide rule (b) before the partition stabilizes; further refinement
+    only splits cells in place, so such a decision is final).
     """
     cells = list(cells)
     inert: set[int] = set()
@@ -112,13 +113,17 @@ def refine(adj, cells, abort=None):
     return cells
 
 
-def _search(adj: tuple[int, ...], n: int):
+def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     """Core backtracking search.
 
     Returns (form_int, labeling, orbit_rep, generators) where
     labeling[pos] is the original vertex at canonical position pos,
     orbit_rep[v] is the least vertex in v's automorphism orbit, and
     generators are permutation tuples generating the automorphism group.
+
+    stable, if given, must be refine(adj, degree_cells(adj, n)), the root
+    of the search tree; a caller that already holds it saves that
+    refinement.  The result is the same either way.
     """
     if n == 0:
         return 0, (), (), []
@@ -163,7 +168,6 @@ def _search(adj: tuple[int, ...], n: int):
 
     def search(cells: list[int], path: tuple[int, ...]):
         nonlocal best_form, best_lab, best_path
-        cells = refine(adj, cells)
         tgt = -1
         for idx, cell in enumerate(cells):
             if cell & (cell - 1):
@@ -220,12 +224,15 @@ def _search(adj: tuple[int, ...], n: int):
                 if any(l_find(v) == l_find(u) for u in tried):
                     continue
             tried.append(v)
-            res = search(prefix + [low, cell ^ low] + suffix, path + (v,))
+            res = search(refine(adj, prefix + [low, cell ^ low] + suffix),
+                         path + (v,))
             if res is not None and res < len(path):
                 return res
         return None
 
-    search(degree_cells(adj, n), ())
+    if stable is None:
+        stable = refine(adj, degree_cells(adj, n))
+    search(stable, ())
     rep = [0] * n
     for v in range(n):
         rep[v] = o_find(v)

@@ -30,6 +30,17 @@ equitable partition is refined with an abort hook that rejects as soon as
 some deletable vertex is forced after the new vertex in cell order, and
 when the last deletable cell of the stable partition is the new vertex
 alone, acceptance follows without computing a canonical form at all.
+Only the rare remaining candidates need the canonical search, which
+starts from the stable partition already at hand.
+
+At the last level only the verdict is used (those children are never
+expanded), so the work stops as soon as the verdict is known.  If |S| is
+strictly above the child degree of every deletable parent vertex, the
+new vertex's degree cell holds no other deletable vertex and no later
+cell holds one; refinement only splits cells in place, so rule (b) holds
+with no refinement at all.  Otherwise the abort hook also accepts as soon
+as the new vertex is the only deletable vertex of its cell and no later
+cell holds one.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier; node f (in deterministic generation order) belongs to shard s of
@@ -130,13 +141,21 @@ def _child_cut_table(adj: tuple[int, ...], k: int, cut_mask: int) -> np.ndarray:
 
 # A node of the augmentation tree: adjacency rows, stable equitable cells,
 # cut-vertex mask, and automorphism generators (None = not yet computed,
-# [] = known trivial).
-_State = tuple[tuple[int, ...], list[int], int, "list[tuple[int, ...]] | None"]
+# [] = known trivial).  Nodes at the last level are never expanded and
+# carry neither cells nor generators: (adj, None, cut mask, None).
+_State = tuple[tuple[int, ...], "list[int] | None", int,
+               "list[tuple[int, ...]] | None"]
 
 _ROOT: _State = ((0,), [1], 0, [])
 
 
-def _child_states(state: _State, k: int) -> Iterator[_State]:
+def _child_states(state: _State, k: int, *, leaf: bool = False) -> Iterator[_State]:
+    """The accepted children of a node on k vertices, in generation order.
+
+    With leaf set the children are at the last level: only the verdict of
+    rule (b) is used, so a child is accepted as soon as that verdict is
+    known and is yielded without cells or generators.  The accepted
+    adjacencies and their order do not depend on leaf."""
     adj, cells, cut_mask, gens = state
     masks, pc, bitmat = _tables(k)
     ccut = _child_cut_table(adj, k, cut_mask)
@@ -149,12 +168,16 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
     deg = np.array([a.bit_count() for a in adj], dtype=np.int64)
     need = np.where(deletable, deg + bitmat, 0).max(axis=1)
     ok = pc >= need
+    # With |S| above all of them, the new vertex's degree cell holds no
+    # other deletable vertex and no later cell holds one, which refinement
+    # keeps: rule (b) holds outright.
+    lead = pc > need if leaf else np.zeros_like(ok)
 
     if gens is None:
         if all(c & (c - 1) == 0 for c in cells):
             gens = []
         else:
-            gens = _search(adj, k)[3]
+            gens = _search(adj, k, cells)[3]
     if gens:
         # Subset-orbit pruning is exact after the degree filter because
         # automorphisms preserve popcount, degrees and cut vertices.
@@ -163,19 +186,26 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
     newbit = 1 << k
     nch = k + 1
     cfull = (1 << nch) - 1
-    kn_box = [0]
+    cnon = 0
+    accepted = [False]
 
-    def aborted(cs: list[int]) -> bool:
-        kn = kn_box[0]
-        after = False
-        for cell in cs:
-            if after and cell & kn:
-                return True
-            if cell & newbit:
-                after = True
+    def decided(cs: list[int]) -> bool:
+        # The last cell holding a deletable vertex decides rule (b) early:
+        # reject if the new vertex is not in it; at a leaf, accept if the
+        # new vertex is its only deletable vertex.
+        for cell in reversed(cs):
+            if cell & cnon:
+                if not cell & newbit:
+                    accepted[0] = False
+                    return True
+                if leaf and cell & cnon == newbit:
+                    accepted[0] = True
+                    return True
+                return False
         return False
 
-    for s, ccut_s in zip(masks[ok].tolist(), ccut[ok].tolist()):
+    for s, ccut_s, lead_s in zip(masks[ok].tolist(), ccut[ok].tolist(),
+                                 lead[ok].tolist()):
         child_adj = list(adj)
         m = s
         while m:
@@ -183,11 +213,15 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
             child_adj[low.bit_length() - 1] |= newbit
             m ^= low
         child_adj.append(s)
+        if lead_s:
+            yield tuple(child_adj), None, ccut_s, None
+            continue
         cnon = cfull & ~ccut_s
-        kn_box[0] = cnon
 
-        stable = refine(child_adj, degree_cells(child_adj, nch), aborted)
+        stable = refine(child_adj, degree_cells(child_adj, nch), decided)
         if stable is None:
+            if accepted[0]:
+                yield tuple(child_adj), None, ccut_s, None
             continue
         last = 0
         for cell in reversed(stable):
@@ -203,7 +237,7 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
             # is the new vertex alone, rule (b) holds outright.
             child_gens = [] if all(c & (c - 1) == 0 for c in stable) else None
         else:
-            _, lab, orep, child_gens = _search(tuple(child_adj), nch)
+            _, lab, orep, child_gens = _search(tuple(child_adj), nch, stable)
             wstar = -1
             for i in range(nch - 1, -1, -1):
                 if cnon >> lab[i] & 1:
@@ -211,7 +245,10 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
                     break
             if orep[wstar] != orep[k]:
                 continue
-        yield tuple(child_adj), stable, ccut_s, child_gens
+        if leaf:
+            yield tuple(child_adj), None, ccut_s, None
+        else:
+            yield tuple(child_adj), stable, ccut_s, child_gens
 
 
 def _iter_adj(
@@ -235,7 +272,7 @@ def _iter_adj(
             yield k, state[0]
         if k == n:
             return
-        for child in _child_states(state, k):
+        for child in _child_states(state, k, leaf=k + 1 == n):
             yield from rec(child, k + 1)
 
     yield from rec(_ROOT, 1)

@@ -16,7 +16,7 @@ from distcrit import (
     graph_from_form,
     iter_all_graphs,
 )
-from distcrit.canon import degree_cells, refine
+from distcrit.canon import _search, degree_cells, refine
 from conftest import augmentation_nodes, child_adjacencies, random_graph
 
 
@@ -231,6 +231,28 @@ class TestRefine:
 
             assert refine(g.adj, cells, abort) is None
             assert calls == steps[:stop + 1]
+
+
+class TestSearchFromStable:
+    """_search started from a given stable root partition returns the same
+    form, labeling, orbit reps and generators as from the degree cells."""
+
+    @staticmethod
+    def assert_same_search(adj, n):
+        stable = refine(adj, degree_cells(adj, n))
+        assert _search(adj, n, stable) == _search(adj, n)
+
+    def test_every_augmentation_child_to_seven(self):
+        for k, (adj, _, _, _) in augmentation_nodes(6):
+            for _, child in child_adjacencies(adj, k):
+                self.assert_same_search(tuple(child), k + 1)
+
+    def test_random_graphs(self):
+        rng = random.Random(808)
+        for _ in range(300):
+            g = random_graph(rng.randint(1, 24),
+                             rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
+            self.assert_same_search(g.adj, g.n)
 
 
 class TestAutomorphisms:

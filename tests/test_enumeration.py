@@ -17,8 +17,14 @@ from distcrit import (
     run_enumeration,
     tally_levels,
 )
-from distcrit.canon import _search
-from distcrit.enumeration import MAX_ENUM_N, _child_cut_table, _subset_reps
+from distcrit import enumeration
+from distcrit.canon import _search, degree_cells, refine
+from distcrit.enumeration import (
+    MAX_ENUM_N,
+    _child_cut_table,
+    _child_states,
+    _subset_reps,
+)
 from distcrit.graph import _articulation_mask
 from distcrit.graph6 import encode_graph6
 from conftest import augmentation_nodes, child_adjacencies
@@ -126,6 +132,72 @@ class TestAugmentationSteps:
             assert np.array_equal(got, subset_reps_dfs(k, gens))
             checked += 1
         assert checked == 8408
+
+
+def parent_state(adj: tuple[int, ...]):
+    """An augmentation node for the connected graph adj, generators not
+    yet computed."""
+    k = len(adj)
+    return adj, refine(adj, degree_cells(adj, k)), _articulation_mask(adj, k), None
+
+
+def children_by_path(monkeypatch, state, k: int, leaf: bool) -> dict:
+    """Accepted child adjacency -> how rule (b) was decided: "lead" (no
+    refine call), "early" (refine stopped early) or "stable"."""
+    stopped: dict[tuple[int, ...], bool] = {}
+
+    def recording(adj, cells, abort=None):
+        out = refine(adj, cells, abort)
+        stopped[tuple(adj)] = out is None
+        return out
+
+    monkeypatch.setattr(enumeration, "refine", recording)
+    paths = {}
+    for child_adj, *_ in _child_states(state, k, leaf=leaf):
+        if child_adj not in stopped:
+            paths[child_adj] = "lead"
+        else:
+            paths[child_adj] = "early" if stopped[child_adj] else "stable"
+    monkeypatch.undo()
+    return paths
+
+
+class TestLeafDecision:
+    """At the last level rule (b) stops as soon as its verdict is known;
+    the accepted children and their order must not change."""
+
+    def test_leaf_children_match_full_path(self):
+        leaves = 0
+        for k, state in augmentation_nodes(7):
+            full = [child[0] for child in _child_states(state, k)]
+            leaf = list(_child_states(state, k, leaf=True))
+            assert [child[0] for child in leaf] == full
+            assert all(child[1] is None and child[3] is None
+                       for child in leaf)
+            leaves += len(leaf)
+        assert leaves == sum(CONNECTED_COUNTS[n] for n in range(2, 9))
+
+    def test_strict_degree_lead(self, monkeypatch):
+        # star K1,4 with centre 0 and S = {1, 2, 3}: the centre stays a cut
+        # vertex, and |S| = 3 beats the child degree 2 of every leaf
+        state = parent_state((0b11110, 1, 1, 1, 1))
+        s = 0b01110
+        leaf = children_by_path(monkeypatch, state, 5, leaf=True)
+        full = children_by_path(monkeypatch, state, 5, leaf=False)
+        child = next(a for a in leaf if a[-1] == s)
+        assert leaf[child] == "lead"
+        assert full[child] == "stable"
+
+    def test_early_accept(self, monkeypatch):
+        # star K1,3 with centre 0 and S = {1}: the new vertex ties the
+        # leaves 2 and 3 on degree, and the first split, by vertex 1, leaves
+        # it alone in the last deletable cell
+        state = parent_state((0b1110, 1, 1, 1))
+        leaf = children_by_path(monkeypatch, state, 4, leaf=True)
+        full = children_by_path(monkeypatch, state, 4, leaf=False)
+        child = next(a for a in leaf if a[-1] == 0b0010)
+        assert leaf[child] == "early"
+        assert full[child] == "stable"
 
 
 class TestCriticalTallies:
