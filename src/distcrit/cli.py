@@ -13,6 +13,7 @@ One executable, seven subcommands:
 
 Exit codes: 0 success (and, for assertive subcommands, positive verdict);
 1 negative verdict or property violation; 2 usage, parse or input errors.
+A reader that closes stdout early ends the run quietly with exit 1.
 
 Output discipline: results go to stdout and are byte-deterministic for
 identical invocations (fixed key order, no timestamps, no timings);
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .clique import max_clique_size
@@ -317,7 +319,16 @@ def run(argv: "list[str] | None" = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does).  Point stdout
+        # at devnull so the flush at exit cannot fail again (the recipe in
+        # the Python signal docs) and exit 1 with nothing on stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -357,3 +357,17 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["critical"] is True
+
+
+def test_closed_stdout_exits_quietly():
+    # the 87 kB graph6 line overfills the pipe, so the write after the
+    # reader closes it fails with a broken pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "distcrit", "construct", "regular", "-n",
+         "1023"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"~?N~~~~~~~"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
