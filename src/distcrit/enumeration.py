@@ -171,7 +171,7 @@ def _child_states(state: _State, k: int, *, leaf: bool = False) -> Iterator[_Sta
     # With |S| above all of them, the new vertex's degree cell holds no
     # other deletable vertex and no later cell holds one, which refinement
     # keeps: rule (b) holds outright.
-    lead = pc > need if leaf else np.zeros_like(ok)
+    lead = (pc > need) & leaf
 
     if gens is None:
         if all(c & (c - 1) == 0 for c in cells):
@@ -223,13 +223,7 @@ def _child_states(state: _State, k: int, *, leaf: bool = False) -> Iterator[_Sta
             if accepted[0]:
                 yield tuple(child_adj), None, ccut_s, None
             continue
-        last = 0
-        for cell in reversed(stable):
-            if cell & cnon:
-                last = cell
-                break
-        if not last & newbit:
-            continue
+        last = next(cell for cell in reversed(stable) if cell & cnon)
         child_gens: list[tuple[int, ...]] | None
         if last & cnon == newbit:
             # Orbits refine stable cells, and the canonically last
