@@ -44,12 +44,10 @@ from .enumeration import (
     iter_all_graphs,
     iter_connected,
     run_enumeration,
-    tally_levels,
 )
 from .graph import (
     MAX_VERTICES,
     UNREACHABLE,
-    DistanceTable,
     Graph,
     all_pairs_distances,
     articulation_points,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalForm",
     "CriticalityReport",
-    "DistanceTable",
     "EnumerationTally",
     "GammaLayout",
     "Graph",
@@ -122,6 +119,5 @@ __all__ = [
     "run_all_lemmas",
     "run_enumeration",
     "run_lemma",
-    "tally_levels",
     "to_dot",
 ]

@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, dest="n")
     p.add_argument("--edge-maximal", action="store_true")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--emit", choices=("graph6",), default="graph6")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--shard", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)

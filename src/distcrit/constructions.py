@@ -21,9 +21,17 @@ from dataclasses import dataclass
 from .graph import MAX_VERTICES, Graph, bits
 
 
+def _check_order(n: int) -> None:
+    """Refuse an order above MAX_VERTICES before any edge is built: edge
+    lists grow as n^2, so building first costs minutes and gigabytes."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"construction order {n} exceeds {MAX_VERTICES}")
+
+
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    _check_order(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -35,6 +43,7 @@ def cycle_power(n: int, k: int) -> Graph:
         raise ValueError("cycle power needs at least 3 vertices")
     if not 1 <= k < n:
         raise ValueError("power k must satisfy 1 <= k < n")
+    _check_order(n)
     edges = {(min(i, (i + d) % n), max(i, (i + d) % n))
              for i in range(n) for d in range(1, k + 1)}
     return Graph.from_edges(n, sorted(edges))
@@ -59,8 +68,7 @@ def _gamma_on(m: int, pair_labels: list[tuple[int, int]]) -> tuple[Graph, GammaL
     """Shared builder: clique part labelled by the given pairs over range(m)."""
     na = len(pair_labels)
     n = na + 3 * m
-    if n > MAX_VERTICES:
-        raise ValueError(f"construction order {n} exceeds {MAX_VERTICES}")
+    _check_order(n)
     a = {pq: idx for idx, pq in enumerate(pair_labels)}
     b = tuple(na + i for i in range(m))
     c = tuple(na + m + t for t in range(2 * m))
@@ -91,6 +99,7 @@ def gamma(m: int) -> tuple[Graph, GammaLayout]:
     """
     if m < 3:
         raise ValueError("gamma needs m >= 3")
+    _check_order(m * (m + 5) // 2)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     return _gamma_on(m, pairs)
 
@@ -134,6 +143,7 @@ def max_degree_extremal(n: int) -> Graph:
     if n < 6:
         raise ValueError("no distance-critical graph of order below 5; "
                          "extremal family starts at n = 6")
+    _check_order(n)
     if n == 6:
         return cycle(6)
     if n == 7:

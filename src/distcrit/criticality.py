@@ -138,7 +138,7 @@ def _deletion_changes_distances(g: Graph, base, v: int) -> bool:
     base holds the distance rows of g.  The comparison stops at the first
     surviving vertex whose row of distances changed.
     """
-    sub = all_pairs_distances(g.delete_vertex(v)).rows
+    sub = all_pairs_distances(g.delete_vertex(v))
     for x, row in enumerate(sub):
         before = base[x if x < v else x + 1]
         if before[:v] + before[v + 1:] != row:
@@ -150,7 +150,7 @@ def is_distance_critical_direct(g: Graph) -> bool:
     """Delete every vertex and compare all surviving pairwise distances."""
     if g.n == 0:
         return False
-    base = all_pairs_distances(g).rows
+    base = all_pairs_distances(g)
     return all(_deletion_changes_distances(g, base, v) for v in range(g.n))
 
 

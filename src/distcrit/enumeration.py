@@ -25,22 +25,21 @@ subsets.
 
 Rule (b) is decided cheaply for almost all candidates.  First an exact
 degree filter: the new vertex, of degree |S|, can only come last if |S|
-is at least the child degree of every deletable parent vertex.  Then the
-equitable partition is refined with an abort hook that rejects as soon as
-some deletable vertex is forced after the new vertex in cell order, and
-when the last deletable cell of the stable partition is the new vertex
-alone, acceptance follows without computing a canonical form at all.
-Only the rare remaining candidates need the canonical search, which
-starts from the stable partition already at hand.
+is at least the child degree of every deletable parent vertex.  If |S|
+is strictly above all of them, the new vertex's degree cell holds no
+other deletable vertex and no later cell holds one; refinement only
+splits cells in place, so rule (b) holds with no refinement at all.
+Otherwise the equitable partition is refined with an abort hook that
+looks at the last cell holding a deletable vertex: it rejects as soon as
+the new vertex is not in that cell, and accepts as soon as the new
+vertex is its only deletable vertex.  Only the candidates that reach a
+stable partition undecided need the canonical search, which starts from
+that partition.
 
-At the last level only the verdict is used (those children are never
-expanded), so the work stops as soon as the verdict is known.  If |S| is
-strictly above the child degree of every deletable parent vertex, the
-new vertex's degree cell holds no other deletable vertex and no later
-cell holds one; refinement only splits cells in place, so rule (b) holds
-with no refinement at all.  Otherwise the abort hook also accepts as soon
-as the new vertex is the only deletable vertex of its cell and no later
-cell holds one.
+A child accepted early carries neither its stable partition nor its
+automorphism generators.  Both are computed when the child is expanded,
+so children at the last level, which are never expanded, cost no more
+than their verdict.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier; node f (in deterministic generation order) belongs to shard s of
@@ -140,22 +139,20 @@ def _child_cut_table(adj: tuple[int, ...], k: int, cut_mask: int) -> np.ndarray:
 
 
 # A node of the augmentation tree: adjacency rows, stable equitable cells,
-# cut-vertex mask, and automorphism generators (None = not yet computed,
-# [] = known trivial).  Nodes at the last level are never expanded and
-# carry neither cells nor generators: (adj, None, cut mask, None).
+# cut-vertex mask, and automorphism generators ([] = trivial).  A node
+# accepted before its partition is stable carries neither cells nor
+# generators, (adj, None, cut mask, None), until it is expanded.
 _State = tuple[tuple[int, ...], "list[int] | None", int,
                "list[tuple[int, ...]] | None"]
 
 _ROOT: _State = ((0,), [1], 0, [])
 
 
-def _child_states(state: _State, k: int, *, leaf: bool = False) -> Iterator[_State]:
+def _child_states(state: _State, k: int) -> Iterator[_State]:
     """The accepted children of a node on k vertices, in generation order.
 
-    With leaf set the children are at the last level: only the verdict of
-    rule (b) is used, so a child is accepted as soon as that verdict is
-    known and is yielded without cells or generators.  The accepted
-    adjacencies and their order do not depend on leaf."""
+    A child is yielded as soon as rule (b) is decided for it; one accepted
+    before its partition is stable comes without cells or generators."""
     adj, cells, cut_mask, gens = state
     masks, pc, bitmat = _tables(k)
     ccut = _child_cut_table(adj, k, cut_mask)
@@ -171,13 +168,12 @@ def _child_states(state: _State, k: int, *, leaf: bool = False) -> Iterator[_Sta
     # With |S| above all of them, the new vertex's degree cell holds no
     # other deletable vertex and no later cell holds one, which refinement
     # keeps: rule (b) holds outright.
-    lead = (pc > need) & leaf
+    lead = pc > need
 
-    if gens is None:
-        if all(c & (c - 1) == 0 for c in cells):
-            gens = []
-        else:
-            gens = _search(adj, k, cells)[3]
+    if cells is None:
+        cells = refine(adj, degree_cells(adj, k))
+        gens = ([] if all(c & (c - 1) == 0 for c in cells)
+                else _search(adj, k, cells)[3])
     if gens:
         # Subset-orbit pruning is exact after the degree filter because
         # automorphisms preserve popcount, degrees and cut vertices.
@@ -191,14 +187,14 @@ def _child_states(state: _State, k: int, *, leaf: bool = False) -> Iterator[_Sta
 
     def decided(cs: list[int]) -> bool:
         # The last cell holding a deletable vertex decides rule (b) early:
-        # reject if the new vertex is not in it; at a leaf, accept if the
-        # new vertex is its only deletable vertex.
+        # reject if the new vertex is not in it, accept if the new vertex
+        # is its only deletable vertex.
         for cell in reversed(cs):
             if cell & cnon:
                 if not cell & newbit:
                     accepted[0] = False
                     return True
-                if leaf and cell & cnon == newbit:
+                if cell & cnon == newbit:
                     accepted[0] = True
                     return True
                 return False
@@ -223,35 +219,22 @@ def _child_states(state: _State, k: int, *, leaf: bool = False) -> Iterator[_Sta
             if accepted[0]:
                 yield tuple(child_adj), None, ccut_s, None
             continue
-        last = next(cell for cell in reversed(stable) if cell & cnon)
-        child_gens: list[tuple[int, ...]] | None
-        if last & cnon == newbit:
-            # Orbits refine stable cells, and the canonically last
-            # deletable vertex lives in the last deletable cell; if that
-            # is the new vertex alone, rule (b) holds outright.
-            child_gens = [] if all(c & (c - 1) == 0 for c in stable) else None
-        else:
-            _, lab, orep, child_gens = _search(tuple(child_adj), nch, stable)
-            wstar = -1
-            for i in range(nch - 1, -1, -1):
-                if cnon >> lab[i] & 1:
-                    wstar = lab[i]
-                    break
-            if orep[wstar] != orep[k]:
-                continue
-        if leaf:
-            yield tuple(child_adj), None, ccut_s, None
-        else:
+        # The degree filter and the hook saw every partition on the way,
+        # so the last deletable cell of the stable one holds the new
+        # vertex and another deletable vertex: only the canonical
+        # labeling tells them apart.
+        _, lab, orep, child_gens = _search(tuple(child_adj), nch, stable)
+        wstar = next(v for v in reversed(lab) if cnon >> v & 1)
+        if orep[wstar] == orep[k]:
             yield tuple(child_adj), stable, ccut_s, child_gens
 
 
 def _iter_adj(
     n: int,
     owner: "Callable[[int], bool] | None" = None,
-    all_levels: bool = False,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (k, adjacency) for accepted nodes, at level n only unless
-    all_levels is set.  owner gates the frontier at level max(1, n - 2)."""
+    """Yield (n, adjacency) for the accepted nodes on n vertices.  owner
+    gates the frontier at level max(1, n - 2)."""
     frontier = max(1, n - 2)
     counter = 0
 
@@ -262,11 +245,10 @@ def _iter_adj(
             counter += 1
             if not owner(idx):
                 return
-        if all_levels or k == n:
-            yield k, state[0]
         if k == n:
+            yield k, state[0]
             return
-        for child in _child_states(state, k, leaf=k + 1 == n):
+        for child in _child_states(state, k):
             yield from rec(child, k + 1)
 
     yield from rec(_ROOT, 1)
@@ -281,11 +263,10 @@ def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
         raise ValueError("jobs must be >= 1")
 
 
-def iter_connected(n: int, *, shards: int = 1, shard: int = 0) -> Iterator[Graph]:
+def iter_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
-    _check_args(n, shards, shard)
-    owner = None if shards == 1 else (lambda f: f % shards == shard)
-    for _, adj in _iter_adj(n, owner):
+    _check_args(n, 1, 0)
+    for _, adj in _iter_adj(n):
         yield Graph(n, adj, check=False)
 
 
@@ -392,32 +373,6 @@ def run_enumeration(
         elapsed=time.perf_counter() - t0,
     )
     return tally, hits
-
-
-def tally_levels(n: int, *, edge_maximal: bool = False) -> dict[int, EnumerationTally]:
-    """Single unsharded sweep tallying every level 1..n at once."""
-    _check_args(n, 1, 0)
-    t0 = time.perf_counter()
-    counts = {k: [0, 0, 0] for k in range(1, n + 1)}
-    for k, adj in _iter_adj(n, None, all_levels=True):
-        row = counts[k]
-        row[0] += 1
-        if _is_critical_fast(adj, k):
-            row[1] += 1
-            if edge_maximal and _is_edge_maximal_fast(adj, k):
-                row[2] += 1
-    elapsed = time.perf_counter() - t0
-    return {
-        k: EnumerationTally(
-            n=k,
-            connected_count=row[0],
-            critical_count=row[1],
-            maximal_count=row[2] if edge_maximal else None,
-            partition=(0, 1),
-            elapsed=elapsed,
-        )
-        for k, row in counts.items()
-    }
 
 
 def _iter_unions(catalogs: dict[int, list[Graph]], n: int) -> Iterator[Graph]:

@@ -161,26 +161,6 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, adj, check=False)
 
 
-class DistanceTable:
-    """All-pairs distance matrix; entries are hop counts or UNREACHABLE."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
-        self.n = n
-        self.rows = rows
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DistanceTable)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:
-        return f"DistanceTable(n={self.n})"
-
-
 def _bfs_row(adj: tuple[int, ...], n: int, src: int) -> list[int]:
     dist = [UNREACHABLE] * n
     dist[src] = 0
@@ -205,10 +185,10 @@ def _bfs_row(adj: tuple[int, ...], n: int, src: int) -> list[int]:
     return dist
 
 
-def all_pairs_distances(g: Graph) -> DistanceTable:
-    """BFS from every source; O(n * m / wordsize) per source via bitsets."""
-    rows = tuple(tuple(_bfs_row(g.adj, g.n, s)) for s in range(g.n))
-    return DistanceTable(g.n, rows)
+def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Distance rows, rows[u][v] a hop count or UNREACHABLE: BFS from
+    every source, O(n * m / wordsize) per source via bitsets."""
+    return tuple(tuple(_bfs_row(g.adj, g.n, s)) for s in range(g.n))
 
 
 def _reach_mask(adj, start_mask: int) -> int:

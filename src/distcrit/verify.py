@@ -178,7 +178,7 @@ def _check_edge_add(uni: _Universe):
         dist = all_pairs_distances(g)
         for x in range(g.n):
             for y in range(x + 1, g.n):
-                d = dist.rows[x][y]
+                d = dist[x][y]
                 if d != UNREACHABLE and d <= 3:
                     continue
                 h = g.add_edge(x, y)
@@ -404,7 +404,7 @@ def graham_pollak_determinant(t: Graph) -> int:
     the result is exact at any size.
     """
     _require_tree(t)
-    rows = all_pairs_distances(t).rows
+    rows = all_pairs_distances(t)
     m = [list(r) for r in rows]
     n = t.n
     sign = 1
@@ -433,5 +433,5 @@ def pendant_deletion_check(t: Graph) -> bool:
     leaves = [v for v in range(t.n) if t.degree(v) == 1]
     if not leaves:
         raise ValueError("tree has no leaf")
-    base = all_pairs_distances(t).rows
+    base = all_pairs_distances(t)
     return not any(_deletion_changes_distances(t, base, v) for v in leaves)

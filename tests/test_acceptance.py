@@ -280,7 +280,7 @@ def test_criterion_8_determinant(announce):
                 continue
             trees += 1
             det = graham_pollak_determinant(g)
-            rows = [list(r) for r in all_pairs_distances(g).rows]
+            rows = [list(r) for r in all_pairs_distances(g)]
             if det != cofactor_determinant(rows):
                 failures.append(f"n={n}: determinant disagrees with "
                                 "cofactor expansion")

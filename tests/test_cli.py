@@ -193,6 +193,19 @@ class TestConstruct:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["regular", "-n", "100001"],
+        ["cycle-power", "-n", "1000000000", "-k", "1"],
+        ["max-degree", "-n", "1000000000"],
+        ["gamma", "-m", "100000"],
+    ])
+    def test_oversized_order_is_refused_before_building(self, capsys, argv):
+        # each would build far more edges than memory holds before the
+        # vertex limit is checked, if the order were not checked first
+        code, out, _ = invoke(capsys, ["construct", *argv])
+        assert code == 2
+        assert out == ""
+
 
 class TestProduct:
     def test_cartesian_of_criticals(self, capsys):
@@ -233,8 +246,7 @@ class TestEnumerate:
         assert record["maximal_count"] == 2
 
     def test_emit_graph6(self, capsys):
-        code, out, err = invoke(capsys, ["enumerate", "-n", "7",
-                                         "--emit", "graph6"])
+        code, out, err = invoke(capsys, ["enumerate", "-n", "7"])
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 4
@@ -247,11 +259,17 @@ class TestEnumerate:
     def test_emit_graph6_n8_is_pinned(self, capsys):
         # the hash was taken before the child cut table, inert splitters
         # and numpy orbit table went in
-        code, out, _ = invoke(capsys, ["enumerate", "-n", "8",
-                                       "--emit", "graph6"])
+        code, out, _ = invoke(capsys, ["enumerate", "-n", "8"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "eb8e61d96534aee86a66d2ba076666720baf6070a8bfad8f0e32518906a96a24")
+
+    def test_emit_flag_is_gone(self, capsys):
+        # graph6 was its only choice; the hits are printed without it
+        code, out, _ = invoke(capsys, ["enumerate", "-n", "5",
+                                       "--emit", "graph6"])
+        assert code == 2
+        assert out == ""
 
     def test_sharding_partitions_the_count(self, capsys, schema):
         total = 0

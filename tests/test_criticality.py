@@ -29,7 +29,7 @@ def deletion_changes_some_distance(g: Graph, v: int) -> bool:
     after = all_pairs_distances(g.delete_vertex(v))
     keep = [u for u in range(g.n) if u != v]
     return any(
-        before.rows[keep[i]][keep[j]] != after.rows[i][j]
+        before[keep[i]][keep[j]] != after[i][j]
         for i in range(len(keep)) for j in range(i + 1, len(keep)))
 
 

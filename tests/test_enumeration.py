@@ -15,17 +15,17 @@ from distcrit import (
     iter_all_graphs,
     iter_connected,
     run_enumeration,
-    tally_levels,
 )
 from distcrit import enumeration
-from distcrit.canon import _search, degree_cells, refine
+from distcrit.canon import _search, refine
 from distcrit.enumeration import (
     MAX_ENUM_N,
     _child_cut_table,
     _child_states,
+    _iter_adj,
     _subset_reps,
 )
-from distcrit.graph import _articulation_mask
+from distcrit.graph import _articulation_mask, bits
 from distcrit.graph6 import encode_graph6
 from conftest import augmentation_nodes, child_adjacencies
 
@@ -135,13 +135,12 @@ class TestAugmentationSteps:
 
 
 def parent_state(adj: tuple[int, ...]):
-    """An augmentation node for the connected graph adj, generators not
-    yet computed."""
-    k = len(adj)
-    return adj, refine(adj, degree_cells(adj, k)), _articulation_mask(adj, k), None
+    """An augmentation node for the connected graph adj, accepted before
+    its partition was stable: cells and generators not yet computed."""
+    return adj, None, _articulation_mask(adj, len(adj)), None
 
 
-def children_by_path(monkeypatch, state, k: int, leaf: bool) -> dict:
+def children_by_path(monkeypatch, state, k: int) -> dict:
     """Accepted child adjacency -> how rule (b) was decided: "lead" (no
     refine call), "early" (refine stopped early) or "stable"."""
     stopped: dict[tuple[int, ...], bool] = {}
@@ -153,7 +152,7 @@ def children_by_path(monkeypatch, state, k: int, leaf: bool) -> dict:
 
     monkeypatch.setattr(enumeration, "refine", recording)
     paths = {}
-    for child_adj, *_ in _child_states(state, k, leaf=leaf):
+    for child_adj, *_ in _child_states(state, k):
         if child_adj not in stopped:
             paths[child_adj] = "lead"
         else:
@@ -162,42 +161,67 @@ def children_by_path(monkeypatch, state, k: int, leaf: bool) -> dict:
     return paths
 
 
-class TestLeafDecision:
-    """At the last level rule (b) stops as soon as its verdict is known;
-    the accepted children and their order must not change."""
+def least_in_orbit(s: int, gens) -> bool:
+    """Rule (a): s is the least subset in its orbit, by an orbit walk."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = sum(1 << g[v] for v in bits(x))
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return min(seen) == s
 
-    def test_leaf_children_match_full_path(self):
-        leaves = 0
-        for k, state in augmentation_nodes(7):
-            full = [child[0] for child in _child_states(state, k)]
-            leaf = list(_child_states(state, k, leaf=True))
-            assert [child[0] for child in leaf] == full
-            assert all(child[1] is None and child[3] is None
-                       for child in leaf)
-            leaves += len(leaf)
-        assert leaves == sum(CONNECTED_COUNTS[n] for n in range(2, 9))
+
+def new_vertex_comes_last(child: list[int], k: int) -> bool:
+    """Rule (b): the new vertex k is in the orbit of the last non-cut
+    vertex of the child's canonical labeling."""
+    cut = _articulation_mask(child, k + 1)
+    _, lab, orep, _ = _search(tuple(child), k + 1)
+    last = next(v for v in reversed(lab) if not cut >> v & 1)
+    return orep[last] == orep[k]
+
+
+class TestLeafDecision:
+    """Rule (b) is decided as soon as its verdict is known, at every level;
+    the accepted children and their order are those of the definition."""
+
+    def test_children_match_the_definition(self):
+        candidates = accepts = 0
+        for k, state in augmentation_nodes(6):
+            adj = state[0]
+            gens = _search(adj, k)[3]
+            want = [tuple(child) for s, child in child_adjacencies(adj, k)
+                    if least_in_orbit(s, gens)
+                    and new_vertex_comes_last(child, k)]
+            got = list(_child_states(state, k))
+            assert [child[0] for child in got] == want
+            # a child carries both cells and generators, or neither
+            assert all((child[1] is None) == (child[3] is None)
+                       for child in got)
+            candidates += (1 << k) - 1
+            accepts += len(want)
+        assert candidates == 7815
+        assert accepts == sum(CONNECTED_COUNTS[n] for n in range(2, 8)) == 995
 
     def test_strict_degree_lead(self, monkeypatch):
         # star K1,4 with centre 0 and S = {1, 2, 3}: the centre stays a cut
         # vertex, and |S| = 3 beats the child degree 2 of every leaf
         state = parent_state((0b11110, 1, 1, 1, 1))
-        s = 0b01110
-        leaf = children_by_path(monkeypatch, state, 5, leaf=True)
-        full = children_by_path(monkeypatch, state, 5, leaf=False)
-        child = next(a for a in leaf if a[-1] == s)
-        assert leaf[child] == "lead"
-        assert full[child] == "stable"
+        paths = children_by_path(monkeypatch, state, 5)
+        child = next(a for a in paths if a[-1] == 0b01110)
+        assert paths[child] == "lead"
 
     def test_early_accept(self, monkeypatch):
         # star K1,3 with centre 0 and S = {1}: the new vertex ties the
         # leaves 2 and 3 on degree, and the first split, by vertex 1, leaves
         # it alone in the last deletable cell
         state = parent_state((0b1110, 1, 1, 1))
-        leaf = children_by_path(monkeypatch, state, 4, leaf=True)
-        full = children_by_path(monkeypatch, state, 4, leaf=False)
-        child = next(a for a in leaf if a[-1] == 0b0010)
-        assert leaf[child] == "early"
-        assert full[child] == "stable"
+        paths = children_by_path(monkeypatch, state, 4)
+        child = next(a for a in paths if a[-1] == 0b0010)
+        assert paths[child] == "early"
 
 
 class TestCriticalTallies:
@@ -210,19 +234,11 @@ class TestCriticalTallies:
             assert tally.maximal_count is None
 
     def test_table_of_maximal_counts(self):
-        for n in range(5, 9):
+        for n in range(1, 9):
             tally = run_enumeration(n, edge_maximal=True)[0]
-            assert tally.critical_count == CRITICAL_COUNTS[n]
-            assert tally.maximal_count == MAXIMAL_COUNTS[n]
-
-    def test_tally_levels_matches_per_level_runs(self):
-        levels = tally_levels(8, edge_maximal=True)
-        assert set(levels) == set(range(1, 9))
-        for n, tally in levels.items():
             assert tally.connected_count == CONNECTED_COUNTS[n]
             assert tally.critical_count == CRITICAL_COUNTS[n]
-            if n >= 5:
-                assert tally.maximal_count == MAXIMAL_COUNTS.get(n, 0)
+            assert tally.maximal_count == MAXIMAL_COUNTS.get(n, 0)
 
     def test_collected_hits_match_filter(self, criticals_by_n):
         for n in (5, 6, 7):
@@ -241,17 +257,19 @@ class TestCriticalTallies:
 
 class TestSharding:
     def test_shards_partition_the_space(self):
-        full = [canonical_form(g) for g in iter_connected(7)]
-        pieces: list[list] = []
-        for shard in range(4):
-            pieces.append(
-                [canonical_form(g) for g in iter_connected(7, shards=4,
-                                                           shard=shard)])
-        merged = list(itertools.chain.from_iterable(pieces))
-        assert len(merged) == len(full) == 853
-        assert set(merged) == set(full)
-        sizes = sorted(len(p) for p in pieces)
-        assert sizes[0] > 0
+        # frontier node f goes to shard f mod shards, and within it to job
+        # (f div shards) mod jobs, as in run_enumeration
+        full = [adj for _, adj in _iter_adj(7)]
+        assert len(full) == 853
+        for shards, jobs in ((4, 1), (2, 2)):
+            pieces = [
+                [adj for _, adj in _iter_adj(7, lambda f: (
+                    f % shards == shard and (f // shards) % jobs == job))]
+                for shard in range(shards) for job in range(jobs)]
+            assert len(pieces) == 4
+            assert all(pieces)
+            merged = list(itertools.chain.from_iterable(pieces))
+            assert sorted(merged) == sorted(full)
 
     def test_sharded_tallies_sum(self):
         whole = run_enumeration(7, edge_maximal=True)[0]
@@ -287,9 +305,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             list(iter_connected(MAX_ENUM_N + 1))
         with pytest.raises(ValueError):
-            list(iter_connected(5, shards=2, shard=2))
+            run_enumeration(5, shards=2, shard=2)
         with pytest.raises(ValueError):
-            list(iter_connected(5, shards=0))
+            run_enumeration(5, shards=0)
         with pytest.raises(ValueError):
             run_enumeration(5, jobs=0)
         with pytest.raises(ValueError):

@@ -105,13 +105,13 @@ class TestDistances:
         rng = random.Random(5)
         for _ in range(300):
             g = random_graph(rng.randint(1, 7), rng.choice([0.2, 0.5, 0.8]), rng)
-            assert all_pairs_distances(g).rows == tuple(
+            assert all_pairs_distances(g) == tuple(
                 tuple(row) for row in floyd_warshall(g))
 
     def test_unreachable_on_disconnected(self):
         g = disjoint_union(Graph.from_edges(2, [(0, 1)]),
                            Graph.from_edges(1, []))
-        t = all_pairs_distances(g).rows
+        t = all_pairs_distances(g)
         assert t[0][1] == 1 and t[0][2] == UNREACHABLE and t[2][2] == 0
 
     @settings(max_examples=60, deadline=None)
@@ -122,7 +122,7 @@ class TestDistances:
         picked = data.draw(st.lists(st.sampled_from(pairs), unique=True)
                            ) if pairs else []
         g = Graph.from_edges(n, picked)
-        t = all_pairs_distances(g).rows
+        t = all_pairs_distances(g)
         for i in range(n):
             assert t[i][i] == 0
             for j in range(n):
@@ -137,7 +137,7 @@ class TestDistances:
     def test_distance_table_indexing(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         t = all_pairs_distances(g)
-        assert t.rows[0][2] == 2
+        assert t[0][2] == 2
         assert t == all_pairs_distances(g)
 
 

@@ -45,7 +45,7 @@ def cofactor_determinant(matrix: list[list[int]]) -> int:
 
 
 def distance_matrix(g: Graph) -> list[list[int]]:
-    rows = all_pairs_distances(g).rows
+    rows = all_pairs_distances(g)
     return [list(r) for r in rows]
 
 
