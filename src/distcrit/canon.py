@@ -239,6 +239,54 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     return best_form, best_lab, tuple(rep), gens
 
 
+def _automorphism_taking(adj: tuple[int, ...], n: int, stable: list[int],
+                         w: int, u: int) -> "tuple[int, ...] | None":
+    """An automorphism that maps w to u, or None if there is none.
+
+    stable must be refine(adj, degree_cells(adj, n)), with w and u in one
+    of its cells.  Both sides individualize their vertex and refine; the
+    w side then follows one fixed branch (the least vertex of its first
+    non-singleton cell) while the u side tries every vertex of the
+    matching cell, as long as the two partitions have equal cell sizes.
+    A discrete pair is a bijection, returned only if it preserves
+    adjacency, which makes the search sound.  It is complete because
+    refine is label-invariant: an automorphism taking w to u maps every
+    partition on the w branch to one on the u side, cell by cell, and
+    the branch that follows it ends in that automorphism.
+    """
+
+    def split(cells: list[int], t: int, low: int) -> list[int]:
+        return refine(adj, cells[:t] + [low, cells[t] ^ low] + cells[t + 1:])
+
+    def match(pw: list[int], pu: list[int]) -> "tuple[int, ...] | None":
+        if len(pw) != len(pu) or any(
+                a.bit_count() != b.bit_count() for a, b in zip(pw, pu)):
+            return None
+        t = next((i for i, c in enumerate(pw) if c & (c - 1)), -1)
+        if t < 0:
+            perm = [0] * n
+            for a, b in zip(pw, pu):
+                perm[a.bit_length() - 1] = b.bit_length() - 1
+            if all(adj[perm[v]] >> perm[x] & 1
+                   for v in range(n) for x in bits(adj[v])):
+                return tuple(perm)
+            return None
+        pw = split(pw, t, pw[t] & -pw[t])
+        m = pu[t]
+        while m:
+            low = m & -m
+            m ^= low
+            perm = match(pw, split(pu, t, low))
+            if perm is not None:
+                return perm
+        return None
+
+    if w == u:
+        return tuple(range(n))
+    t = next(i for i, c in enumerate(stable) if c >> w & 1)
+    return match(split(stable, t, 1 << w), split(stable, t, 1 << u))
+
+
 def _adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
     perm = list(range(n))
     perm[i], perm[i + 1] = perm[i + 1], perm[i]

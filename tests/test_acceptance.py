@@ -9,6 +9,7 @@ suite.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import time
@@ -18,6 +19,7 @@ import pytest
 from distcrit import (
     Graph,
     all_pairs_distances,
+    encode_graph6,
     graham_pollak_determinant,
     is_distance_critical_direct,
     is_distance_critical_pairs,
@@ -40,6 +42,10 @@ from distcrit.products import ProductKind, product
 TABLE_CRITICAL = {5: 1, 6: 1, 7: 4, 8: 15, 9: 168, 10: 2252}
 TABLE_MAXIMAL = {5: 1, 6: 1, 7: 2, 8: 4, 9: 14, 10: 82}
 TABLE_CONNECTED = {8: 11117, 9: 261080, 10: 11716571}  # OEIS A001349
+# sha256 of the graph6 lines of the 168 critical graphs on 9 vertices, in
+# generation order, taken before the orbit certificate for rule (b)
+RUN9_SHA256 = (
+    "2cab1a4cab41850b166c64b93573ecdd5e10c9b6f8670d01dfed7ea747875030")
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +90,11 @@ def test_criterion_1_critical_counts(announce, small_tallies, run9, run10):
         if connected[n] != want:
             failures.append(
                 f"n={n}: {connected[n]} connected classes, want {want}")
+    digest = hashlib.sha256()
+    for g in run9[1]:
+        digest.update(encode_graph6(g).encode() + b"\n")
+    if digest.hexdigest() != RUN9_SHA256:
+        failures.append(f"n=9 critical graphs hash to {digest.hexdigest()}")
     if run9[0].elapsed >= 30.0:
         failures.append(f"n=9 took {run9[0].elapsed:.1f}s (budget 30s)")
     tally10, jobs = run10

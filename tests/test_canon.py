@@ -16,7 +16,8 @@ from distcrit import (
     graph_from_form,
     iter_all_graphs,
 )
-from distcrit.canon import _search, degree_cells, refine
+from distcrit.canon import _automorphism_taking, _search, degree_cells, refine
+from distcrit.graph import bits
 from conftest import augmentation_nodes, child_adjacencies, random_graph
 
 
@@ -293,6 +294,56 @@ class TestAutomorphisms:
                 min(u for u in range(g.n) if find(u) == find(v))
                 for v in range(g.n))
             assert closure_rep == automorphism_orbits(g)
+
+    @staticmethod
+    def check_automorphism_taking(g: Graph) -> tuple[int, int]:
+        """Every ordered pair (w, u) in one cell of g's stable partition:
+        a permutation iff w and u share an orbit, and then an automorphism
+        taking w to u.  Returns (pairs, permutations found)."""
+        edges = {frozenset(e) for e in g.edges()}
+        orbits = automorphism_orbits(g)
+        stable = refine(g.adj, degree_cells(g.adj, g.n))
+        pairs = found = 0
+        for cell in stable:
+            for w, u in itertools.product(bits(cell), repeat=2):
+                perm = _automorphism_taking(g.adj, g.n, stable, w, u)
+                pairs += 1
+                assert (perm is not None) == (orbits[w] == orbits[u])
+                if perm is None:
+                    continue
+                found += 1
+                assert perm[w] == u
+                assert sorted(perm) == list(range(g.n))
+                assert {frozenset((perm[x], perm[y]))
+                        for x, y in g.edges()} == edges
+        return pairs, found
+
+    def test_automorphism_taking_matches_orbits(self, connected_by_n):
+        pairs = found = 0
+        for n in range(1, 8):
+            for g in connected_by_n[n]:
+                p, f = self.check_automorphism_taking(g)
+                pairs += p
+                found += f
+        assert 0 < found < pairs
+
+    def test_automorphism_taking_branches(self):
+        # hubs 0 and 1 on an edge, each joined to a 6-cycle and two
+        # triangles, listed in opposite orders: refinement cannot tell the
+        # cycle from the triangles, so the least vertex of a hub's cell is
+        # a cycle vertex on one side and a triangle vertex on the other,
+        # and the automorphism swapping the hubs needs a later branch
+        def cycle(vs):
+            return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+        edges = [(0, 1)] + [(0, v) for v in range(2, 14)] \
+            + [(1, v) for v in range(14, 26)]
+        for vs in (range(2, 8), range(8, 11), range(11, 14),
+                   range(14, 17), range(17, 20), range(20, 26)):
+            edges += cycle(vs)
+        g = Graph.from_edges(26, edges)
+        assert automorphism_orbits(g)[:3] == (0, 0, 2)
+        assert self.check_automorphism_taking(g) == (580, 292)
 
     def test_known_groups(self, petersen):
         # vertex-transitive examples collapse to the single representative 0

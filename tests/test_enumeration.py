@@ -17,7 +17,7 @@ from distcrit import (
     run_enumeration,
 )
 from distcrit import enumeration
-from distcrit.canon import _search, refine
+from distcrit.canon import _automorphism_taking, _search, refine
 from distcrit.enumeration import (
     MAX_ENUM_N,
     _child_cut_table,
@@ -141,23 +141,49 @@ def parent_state(adj: tuple[int, ...]):
 
 
 def children_by_path(monkeypatch, state, k: int) -> dict:
-    """Accepted child adjacency -> how rule (b) was decided: "lead" (no
-    refine call), "early" (refine stopped early) or "stable"."""
+    """Candidate child adjacency -> (how rule (b) was decided, accepted),
+    for every candidate that passed rule (a) and the degree filter.  The
+    paths are "lead" (no refine call), "early" (refine stopped early),
+    and at a stable partition "twin" (no search of any kind),
+    "automorphism" (an automorphism search but no canonical search) or
+    "fallback" (the canonical search)."""
     stopped: dict[tuple[int, ...], bool] = {}
+    automorphism_searched: set[tuple[int, ...]] = set()
+    searched: set[tuple[int, ...]] = set()
 
-    def recording(adj, cells, abort=None):
+    def recording_refine(adj, cells, abort=None):
         out = refine(adj, cells, abort)
         stopped[tuple(adj)] = out is None
         return out
 
-    monkeypatch.setattr(enumeration, "refine", recording)
-    paths = {}
-    for child_adj, *_ in _child_states(state, k):
-        if child_adj not in stopped:
-            paths[child_adj] = "lead"
-        else:
-            paths[child_adj] = "early" if stopped[child_adj] else "stable"
+    def recording_automorphism(adj, n, stable, w, u):
+        automorphism_searched.add(adj)
+        return _automorphism_taking(adj, n, stable, w, u)
+
+    def recording_search(adj, n, stable=None):
+        searched.add(adj)
+        return _search(adj, n, stable)
+
+    monkeypatch.setattr(enumeration, "refine", recording_refine)
+    monkeypatch.setattr(enumeration, "_automorphism_taking",
+                        recording_automorphism)
+    monkeypatch.setattr(enumeration, "_search", recording_search)
+    accepted = [child[0] for child in _child_states(state, k)]
     monkeypatch.undo()
+    paths = {}
+    # a parent without cells is refined (and searched) when it is expanded
+    for child_adj in accepted + [a for a in stopped if len(a) == k + 1]:
+        if child_adj not in stopped:
+            path = "lead"
+        elif stopped[child_adj]:
+            path = "early"
+        elif child_adj in searched:
+            path = "fallback"
+        elif child_adj in automorphism_searched:
+            path = "automorphism"
+        else:
+            path = "twin"
+        paths[child_adj] = path, child_adj in accepted
     return paths
 
 
@@ -206,22 +232,58 @@ class TestLeafDecision:
         assert candidates == 7815
         assert accepts == sum(CONNECTED_COUNTS[n] for n in range(2, 8)) == 995
 
+    @staticmethod
+    def child_path(monkeypatch, adj: tuple[int, ...], s: int):
+        """(path, accepted) of the child of parent adj with neighbourhood
+        s, and that child's adjacency."""
+        paths = children_by_path(monkeypatch, parent_state(adj), len(adj))
+        child = next(a for a in paths if a[-1] == s)
+        return paths[child], child
+
     def test_strict_degree_lead(self, monkeypatch):
         # star K1,4 with centre 0 and S = {1, 2, 3}: the centre stays a cut
         # vertex, and |S| = 3 beats the child degree 2 of every leaf
-        state = parent_state((0b11110, 1, 1, 1, 1))
-        paths = children_by_path(monkeypatch, state, 5)
-        child = next(a for a in paths if a[-1] == 0b01110)
-        assert paths[child] == "lead"
+        path, _ = self.child_path(monkeypatch, (0b11110, 1, 1, 1, 1), 0b01110)
+        assert path == ("lead", True)
 
     def test_early_accept(self, monkeypatch):
         # star K1,3 with centre 0 and S = {1}: the new vertex ties the
         # leaves 2 and 3 on degree, and the first split, by vertex 1, leaves
         # it alone in the last deletable cell
-        state = parent_state((0b1110, 1, 1, 1))
-        paths = children_by_path(monkeypatch, state, 4)
-        child = next(a for a in paths if a[-1] == 0b0010)
-        assert paths[child] == "early"
+        path, _ = self.child_path(monkeypatch, (0b1110, 1, 1, 1), 0b0010)
+        assert path == ("early", True)
+
+    def test_twin_accept(self, monkeypatch):
+        # edge 01 and S = {0}: the path 1-0-2 is already equitable, and its
+        # last deletable cell {1, 2} holds twins
+        path, _ = self.child_path(monkeypatch, (0b10, 0b01), 0b01)
+        assert path == ("twin", True)
+
+    def test_automorphism_accept(self, monkeypatch):
+        # path 1-0-2 and S = {1}: in the path 2-0-1-3 the ends 2 and 3 are
+        # not twins, but the reversal of the path swaps them
+        path, _ = self.child_path(monkeypatch, (0b110, 1, 1), 0b010)
+        assert path == ("automorphism", True)
+
+    def test_fallback_accept(self, monkeypatch):
+        # the child is the complement of C3 + C4 (triangle 123, 4-cycle
+        # 0-4-5-6), 4-regular, so its stable partition is one cell; the
+        # new vertex 6 has no automorphism to the triangle, and the
+        # canonical labeling ends on a vertex of its own 4-cycle orbit
+        path, child = self.child_path(
+            monkeypatch, (46, 49, 49, 49, 14, 15), 0b11110)
+        assert path == ("fallback", True)
+        assert new_vertex_comes_last(list(child), 6)
+
+    def test_fallback_reject(self, monkeypatch):
+        # triangles 025 and 146 on the edge 01, and the new vertex 7 on the
+        # path 0-3-7-1: refinement leaves the six degree-2 vertices in one
+        # cell, none of the triangle vertices is automorphic to 7, and the
+        # canonical labeling ends on a triangle vertex
+        path, child = self.child_path(
+            monkeypatch, (46, 81, 33, 1, 66, 5, 18), 0b1010)
+        assert path == ("fallback", False)
+        assert not new_vertex_comes_last(list(child), 7)
 
 
 class TestCriticalTallies:
@@ -259,12 +321,12 @@ class TestSharding:
     def test_shards_partition_the_space(self):
         # frontier node f goes to shard f mod shards, and within it to job
         # (f div shards) mod jobs, as in run_enumeration
-        full = [adj for _, adj in _iter_adj(7)]
+        full = list(_iter_adj(7))
         assert len(full) == 853
         for shards, jobs in ((4, 1), (2, 2)):
             pieces = [
-                [adj for _, adj in _iter_adj(7, lambda f: (
-                    f % shards == shard and (f // shards) % jobs == job))]
+                list(_iter_adj(7, lambda f: (
+                    f % shards == shard and (f // shards) % jobs == job)))
                 for shard in range(shards) for job in range(jobs)]
             assert len(pieces) == 4
             assert all(pieces)
