@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import MAX_VERTICES, Graph, bits
+from .graph import MAX_VERTICES, Graph
 
 
 def _check_order(n: int) -> None:
@@ -167,74 +167,52 @@ def max_degree_extremal(n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-MAX_REGULAR_MATCHING_N = 32
-
-
-def _least_critical_matching(base: Graph) -> Graph:
-    """Complete a 2k-regular graph to (2k+1)-regular by a perfect matching.
-
-    Runs a depth-first search over perfect matchings of the complement in
-    lexicographic edge order (always matching the least uncovered vertex to
-    its least available partner) and returns the first completion that is
-    distance critical.  The order makes the result deterministic.
-    """
-    from .criticality import _is_critical_fast
-
-    n = base.n
-    full = (1 << n) - 1
-    comp = [~base.adj[v] & full & ~(1 << v) for v in range(n)]
-    adj = list(base.adj)
-
-    def extend(uncovered: int) -> bool:
-        if uncovered == 0:
-            return _is_critical_fast(adj, n)
-        v = (uncovered & -uncovered).bit_length() - 1
-        vbit = 1 << v
-        for u in bits(comp[v] & uncovered & ~vbit):
-            ubit = 1 << u
-            adj[v] |= ubit
-            adj[u] |= vbit
-            if extend(uncovered & ~vbit & ~ubit):
-                return True
-            adj[v] &= ~ubit
-            adj[u] &= ~vbit
-        return False
-
-    if not extend(full):
-        raise ValueError("no distance-critical matching completion exists")
-    return Graph(n, tuple(adj), check=False)
+# Chords that complete C_n^{(n-4)/4} to a critical graph where the
+# general pattern of regular_extremal has no room: n = 8, 12 and 16.
+_SMALL_REGULAR_CHORDS = {
+    8: ((0, 4), (1, 5), (2, 6), (3, 7)),
+    12: ((0, 3), (1, 9), (2, 6), (4, 8), (5, 10), (7, 11)),
+    16: ((0, 4), (1, 6), (2, 8), (3, 14), (5, 10), (7, 12), (9, 13),
+         (11, 15)),
+}
 
 
 def regular_extremal(n: int) -> Graph:
     """Regular distance-critical graph of degree floor((n-1)/4) + floor(n/4).
 
     Cycle powers C_n^k with k chosen by n mod 4.  When 4 divides n the
-    degree target (n-2)/2 is odd, so C_n^{(n-4)/4} is completed with a
-    perfect matching.  Antipodal chords i ~ i+n/2 work only for n = 8: for
-    larger multiples of 4 the chord at i+k+n/2 sits within distance k of
-    i-k, giving the pair {i-k, i+k} a second common neighbor, and in fact
-    no circulant of this degree is distance critical at n = 12 or n = 20.
-    Those orders instead use the least perfect matching (in lexicographic
-    edge order) whose addition leaves the graph distance critical.  That
-    search takes time exponential in n, so multiples of 4 above
-    MAX_REGULAR_MATCHING_N are refused up front.
+    degree target (n-2)/2 is odd, so C_n^k with k = (n-4)/4 is completed
+    by a perfect matching of chords.  For n = 4k + 4 >= 20 the chords are
+
+      (i, i+k+1) for 0 <= i <= k-3;
+      (k-2, 2k), (k-1, n-2), (k, 3k+3), (2k-1, 3k+1), (2k+1, 3k+2);
+      (i, i+k+2) for 2k+2 <= i <= 3k-2;
+      (3k-1, n-1) and (3k, n-3);
+
+    n = 8, 12 and 16 use a fixed table.  The chords are not rotation
+    invariant, and cannot all be: no circulant of this degree is critical
+    at n = 12 or 20.  At n = 8 they are the antipodal chords i ~ i+4; for
+    12 <= n <= 32 they are the first critical completion in lexicographic
+    edge order found by a depth-first search over perfect matchings (kept
+    as the test oracle).  Every multiple of 4 from 20 to 1024 was checked
+    regular and critical.
     """
     if n < 5:
         raise ValueError("regular family needs n >= 5")
     r = n % 4
     if r != 0:
         return cycle_power(n, (n - r) // 4)
-    if n > MAX_REGULAR_MATCHING_N:
-        raise ValueError(
-            f"regular family for n divisible by 4 is limited to "
-            f"n <= {MAX_REGULAR_MATCHING_N} (the matching search is "
-            f"exponential)")
-    base = cycle_power(n, (n - 4) // 4)
-    antipodal = base
-    for i in range(n // 2):
-        antipodal = antipodal.add_edge(i, i + n // 2)
-    from .criticality import _is_critical_fast
-
-    if _is_critical_fast(antipodal.adj, n):
-        return antipodal
-    return _least_critical_matching(base)
+    k = (n - 4) // 4
+    if n in _SMALL_REGULAR_CHORDS:
+        chords = _SMALL_REGULAR_CHORDS[n]
+    else:
+        chords = ([(i, i + k + 1) for i in range(k - 2)]
+                  + [(k - 2, 2 * k), (k - 1, n - 2), (k, 3 * k + 3),
+                     (2 * k - 1, 3 * k + 1), (2 * k + 1, 3 * k + 2)]
+                  + [(i, i + k + 2) for i in range(2 * k + 2, 3 * k - 1)]
+                  + [(3 * k - 1, n - 1), (3 * k, n - 3)])
+    adj = list(cycle_power(n, k).adj)
+    for x, y in chords:
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
+    return Graph(n, adj, check=False)

@@ -50,10 +50,10 @@ one.  Only when some u has none does the canonical search, started from
 the stable partition, decide.  In the census to n = 9 that happens for
 221 of the 32,789 candidates that reach a stable partition.
 
-A child accepted before the canonical search carries neither its stable
-partition nor its automorphism generators.  Both are computed when the
-child is expanded, so children at the last level, which are never
-expanded, cost no more than their verdict.
+A node carries only its adjacency and cut-vertex mask.  Its stable
+partition and automorphism generators are computed when it is expanded,
+so children at the last level, which are never expanded, cost no more
+than their verdict.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier; node f (in deterministic generation order) belongs to shard s of
@@ -152,22 +152,17 @@ def _child_cut_table(adj: tuple[int, ...], k: int, cut_mask: int) -> np.ndarray:
     return table
 
 
-# A node of the augmentation tree: adjacency rows, stable equitable cells,
-# cut-vertex mask, and automorphism generators ([] = trivial).  A node
-# accepted without the canonical search carries neither cells nor
-# generators, (adj, None, cut mask, None), until it is expanded.
-_State = tuple[tuple[int, ...], "list[int] | None", int,
-               "list[tuple[int, ...]] | None"]
+# A node of the augmentation tree: adjacency rows and cut-vertex mask.
+_State = tuple[tuple[int, ...], int]
 
-_ROOT: _State = ((0,), [1], 0, [])
+_ROOT: _State = ((0,), 0)
 
 
 def _child_states(state: _State, k: int) -> Iterator[_State]:
     """The accepted children of a node on k vertices, in generation order.
 
-    A child is yielded as soon as rule (b) is decided for it; one accepted
-    without the canonical search comes without cells or generators."""
-    adj, cells, cut_mask, gens = state
+    A child is yielded as soon as rule (b) is decided for it."""
+    adj, cut_mask = state
     masks, pc, bitmat = _tables(k)
     ccut = _child_cut_table(adj, k, cut_mask)
 
@@ -184,10 +179,8 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
     # keeps: rule (b) holds outright.
     lead = pc > need
 
-    if cells is None:
-        cells = refine(adj, degree_cells(adj, k))
-        gens = ([] if all(c & (c - 1) == 0 for c in cells)
-                else _search(adj, k, cells)[3])
+    cells = refine(adj, degree_cells(adj, k))
+    gens = _search(adj, k, cells)[3] if any(c & (c - 1) for c in cells) else []
     if gens:
         # Subset-orbit pruning is exact after the degree filter because
         # automorphisms preserve popcount, degrees and cut vertices.
@@ -232,14 +225,14 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
             m ^= low
         child_adj.append(s)
         if lead_s:
-            yield tuple(child_adj), None, ccut_s, None
+            yield tuple(child_adj), ccut_s
             continue
         cnon = cfull & ~ccut_s
 
         stable = refine(child_adj, degree_cells(child_adj, nch), decided)
         if stable is None:
             if accepted[0]:
-                yield tuple(child_adj), None, ccut_s, None
+                yield tuple(child_adj), ccut_s
             continue
         # The degree filter and the hook saw every partition on the way,
         # so the last deletable cell of the stable one holds the new
@@ -264,12 +257,12 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
             for v, pv in enumerate(perm):
                 orbit[find(v)] = find(pv)
         else:
-            yield child_adj, None, ccut_s, None
+            yield child_adj, ccut_s
             continue
-        _, lab, orep, child_gens = _search(child_adj, nch, stable)
+        _, lab, orep, _ = _search(child_adj, nch, stable)
         wstar = next(v for v in reversed(lab) if cnon >> v & 1)
         if orep[wstar] == orep[k]:
-            yield child_adj, stable, ccut_s, child_gens
+            yield child_adj, ccut_s
 
 
 def _iter_adj(

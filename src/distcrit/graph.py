@@ -22,6 +22,11 @@ MAX_VERTICES = 1024
 UNREACHABLE = -1
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in increasing order."""
     while mask:
@@ -38,8 +43,7 @@ class Graph:
     def __init__(self, n: int, adj: Iterable[int], check: bool = True):
         adj = tuple(adj)
         if check:
-            if not 0 <= n <= MAX_VERTICES:
-                raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+            _check_vertex_count(n)
             if len(adj) != n:
                 raise ValueError(f"adjacency has {len(adj)} rows, expected {n}")
             full = (1 << n) - 1
@@ -60,12 +64,12 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
-        return cls(n, (0,) * n, check=(not 0 <= n <= MAX_VERTICES))
+        _check_vertex_count(n)
+        return cls(n, (0,) * n, check=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        _check_vertex_count(n)
         adj = [0] * n
         for x, y in edges:
             if x == y:

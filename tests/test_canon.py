@@ -209,7 +209,7 @@ class TestRefine:
             self.assert_same_run(g.adj, cells)
 
     def test_every_augmentation_child_to_seven(self):
-        for k, (adj, _, _, _) in augmentation_nodes(6):
+        for k, (adj, _) in augmentation_nodes(6):
             for _, child in child_adjacencies(adj, k):
                 self.assert_same_run(child, degree_cells(child, k + 1))
 
@@ -244,7 +244,7 @@ class TestSearchFromStable:
         assert _search(adj, n, stable) == _search(adj, n)
 
     def test_every_augmentation_child_to_seven(self):
-        for k, (adj, _, _, _) in augmentation_nodes(6):
+        for k, (adj, _) in augmentation_nodes(6):
             for _, child in child_adjacencies(adj, k):
                 self.assert_same_search(tuple(child), k + 1)
 

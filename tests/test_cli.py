@@ -158,10 +158,11 @@ class TestConstruct:
         g = decode_graph6(out.strip())
         assert g.degree_sequence() == (5,) * 12
 
-    def test_regular_refuses_long_matching_search(self, capsys):
+    def test_regular_multiple_of_four_above_32(self, capsys):
         code, out, _ = invoke(capsys, ["construct", "regular", "-n", "36"])
-        assert code == 2
-        assert out == ""
+        assert code == 0
+        g = decode_graph6(out.strip())
+        assert g.degree_sequence() == (17,) * 36
 
     def test_cycle_power(self, capsys):
         code, out, _ = invoke(capsys,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,12 +15,16 @@ from distcrit import (
     cycle,
     cycle_power,
     embed_host,
+    encode_graph6,
     gamma,
     is_distance_critical,
+    is_distance_critical_direct,
     max_clique_size,
     max_degree_extremal,
     regular_extremal,
 )
+from distcrit.criticality import _is_critical_fast
+from distcrit.graph import bits
 from conftest import random_graph
 
 
@@ -189,11 +195,78 @@ class TestRegularExtremal:
         with pytest.raises(ValueError):
             regular_extremal(4)
 
-    def test_matching_search_is_bounded(self):
-        # multiples of 4 above 32 are refused before the exponential
-        # matching search; other residues stay plain cycle powers
-        for n in (36, 40, 1024):
-            with pytest.raises(ValueError, match="n <= 32"):
-                regular_extremal(n)
+    def test_order_limit(self):
+        # every multiple of 4 up to the vertex limit is built; above it,
+        # the order is refused before any edge is built
+        g = regular_extremal(1024)
+        assert g.is_regular() and g.degree(0) == 511
+        with pytest.raises(ValueError, match="exceeds 1024"):
+            regular_extremal(1028)
         assert regular_extremal(37) == cycle_power(37, 9)
         assert regular_extremal(1023) == cycle_power(1023, 255)
+
+
+def least_critical_matching(n: int) -> Graph:
+    """The chord search the closed form replaced: the first perfect
+    matching of the complement of C_n^{(n-4)/4}, in lexicographic edge
+    order (always matching the least uncovered vertex to its least
+    available partner), whose addition is distance critical."""
+    base = cycle_power(n, (n - 4) // 4)
+    full = (1 << n) - 1
+    comp = [~base.adj[v] & full & ~(1 << v) for v in range(n)]
+    adj = list(base.adj)
+
+    def extend(uncovered: int) -> bool:
+        if uncovered == 0:
+            return _is_critical_fast(adj, n)
+        v = (uncovered & -uncovered).bit_length() - 1
+        vbit = 1 << v
+        for u in bits(comp[v] & uncovered & ~vbit):
+            ubit = 1 << u
+            adj[v] |= ubit
+            adj[u] |= vbit
+            if extend(uncovered & ~vbit & ~ubit):
+                return True
+            adj[v] &= ~ubit
+            adj[u] &= ~vbit
+        return False
+
+    assert extend(full)
+    return Graph(n, adj)
+
+
+class TestRegularChords:
+    """The closed-form chords for n divisible by 4."""
+
+    # n = 8 took the antipodal chords before any search
+    # (test_antipodal_chords_at_8)
+    @pytest.mark.parametrize("n", range(12, 29, 4))
+    def test_matches_the_matching_search(self, n):
+        assert regular_extremal(n) == least_critical_matching(n)
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_no_critical_circulant(self, n):
+        # why the chords cannot be rotation invariant: every circulant of
+        # degree n/2 - 1 (the antipodal jump and (n - 4)/4 jump pairs)
+        # fails
+        for jumps in combinations(range(1, n // 2), (n - 4) // 4):
+            offsets = set(jumps) | {n // 2} | {n - x for x in jumps}
+            g = Graph(n, [sum(1 << (v + d) % n for d in offsets)
+                          for v in range(n)])
+            assert not is_distance_critical(g)
+
+    def test_output_pinned(self):
+        # graph6 lines for n = 5..32, taken from the matching search
+        digest = hashlib.sha256()
+        for n in range(5, 33):
+            digest.update(encode_graph6(regular_extremal(n)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "597eacd9d9df2471e16b7ee38d19c84eb9905c5d563ed7b0ad6af3effac58453")
+
+    def test_regular_and_critical_to_400(self):
+        for n in range(8, 401, 4):
+            g = regular_extremal(n)
+            assert g.is_regular() and g.degree(0) == n // 2 - 1, n
+            assert is_distance_critical(g), n
+            if n <= 64:
+                assert is_distance_critical_direct(g), n

@@ -113,7 +113,7 @@ class TestAugmentationSteps:
 
     def test_child_cut_table_matches_tarjan(self):
         children = 0
-        for k, (adj, _, cut_mask, _) in augmentation_nodes(7):
+        for k, (adj, cut_mask) in augmentation_nodes(7):
             table = _child_cut_table(adj, k, cut_mask).tolist()
             for s, child in child_adjacencies(adj, k):
                 assert table[s - 1] == _articulation_mask(child, k + 1)
@@ -122,9 +122,8 @@ class TestAugmentationSteps:
 
     def test_subset_reps_match_orbit_dfs(self):
         checked = 0
-        for k, (adj, cells, _, gens) in augmentation_nodes(8):
-            if gens is None:
-                gens = _search(adj, k)[3]
+        for k, (adj, _) in augmentation_nodes(8):
+            gens = _search(adj, k)[3]
             if not gens:
                 continue
             got = _subset_reps(k, gens)
@@ -135,9 +134,8 @@ class TestAugmentationSteps:
 
 
 def parent_state(adj: tuple[int, ...]):
-    """An augmentation node for the connected graph adj, accepted before
-    its partition was stable: cells and generators not yet computed."""
-    return adj, None, _articulation_mask(adj, len(adj)), None
+    """The augmentation node for the connected graph adj."""
+    return adj, _articulation_mask(adj, len(adj))
 
 
 def children_by_path(monkeypatch, state, k: int) -> dict:
@@ -171,7 +169,7 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     accepted = [child[0] for child in _child_states(state, k)]
     monkeypatch.undo()
     paths = {}
-    # a parent without cells is refined (and searched) when it is expanded
+    # the parent is refined (and searched) when it is expanded
     for child_adj in accepted + [a for a in stopped if len(a) == k + 1]:
         if child_adj not in stopped:
             path = "lead"
@@ -224,9 +222,6 @@ class TestLeafDecision:
                     and new_vertex_comes_last(child, k)]
             got = list(_child_states(state, k))
             assert [child[0] for child in got] == want
-            # a child carries both cells and generators, or neither
-            assert all((child[1] is None) == (child[3] is None)
-                       for child in got)
             candidates += (1 << k) - 1
             accepts += len(want)
         assert candidates == 7815

@@ -60,6 +60,12 @@ class TestConstruction:
             Graph.from_edges(2, [(0, 2)])
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 0)])
+        # checked before the rows are allocated: 10**12 of them would
+        # need terabytes
+        for n in (-1, MAX_VERTICES + 1, 10**12):
+            with pytest.raises(ValueError, match="vertex count"):
+                Graph.empty(n)
+        assert Graph.empty(MAX_VERTICES).edge_count() == 0
 
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
