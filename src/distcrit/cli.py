@@ -159,7 +159,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.n >= 11 and not args.allow_long_run:
-        return _fail("n = 11 takes hours; pass --allow-long-run to confirm")
+        return _fail("n = 11 takes hours, or about 6 minutes with "
+                     "--critical-only --jobs 2; pass --allow-long-run to "
+                     "confirm")
     tally, hits = run_enumeration(
         args.n,
         shards=args.shards,
@@ -167,6 +169,7 @@ def _cmd_enumerate(args) -> int:
         jobs=args.jobs,
         edge_maximal=args.edge_maximal,
         collect=not args.count_only,
+        critical_only=args.critical_only,
     )
     if args.count_only:
         print(_dump(tally.to_json_dict()))
@@ -283,6 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, dest="n")
     p.add_argument("--edge-maximal", action="store_true")
     p.add_argument("--count-only", action="store_true")
+    p.add_argument("--critical-only", action="store_true",
+                   help="generate only the critical classes at the last "
+                        "level (same output; no connected_count)")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--shard", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)

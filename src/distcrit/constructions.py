@@ -44,9 +44,12 @@ def cycle_power(n: int, k: int) -> Graph:
     if not 1 <= k < n:
         raise ValueError("power k must satisfy 1 <= k < n")
     _check_order(n)
-    edges = {(min(i, (i + d) % n), max(i, (i + d) % n))
-             for i in range(n) for d in range(1, k + 1)}
-    return Graph.from_edges(n, sorted(edges))
+    full = (1 << n) - 1
+    # row 0 holds the vertices 1..k and n-k..n-1; row i is row 0 rotated
+    # by i
+    row = (1 << (k + 1)) - 2 | ((1 << k) - 1) << (n - k)
+    return Graph(n, [(row << i | row >> (n - i)) & full for i in range(n)],
+                 check=False)
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,99 @@ def _girth_exceeds_4(adj, n: int) -> bool:
     return True
 
 
+_MASK_SETS: dict[int, tuple[list[int], list[int]]] = {}
+
+
+def _mask_sets(k: int) -> tuple[list[int], list[int]]:
+    """Sets of vertex masks S of range(k) as 2^k-bit ints, bit S standing
+    for S: HAS[a] holds the S that contain a, NONE[X] the S disjoint from
+    X (S = 0 included)."""
+    t = _MASK_SETS.get(k)
+    if t is None:
+        size = 1 << k
+        has = []
+        for a in range(k):
+            half = 1 << a
+            # the upper half of every run of 2^(a + 1) masks contains a
+            repunit = ((1 << size) - 1) // ((1 << 2 * half) - 1)
+            has.append((((1 << half) - 1) << half) * repunit)
+        none = [(1 << size) - 1]
+        for x in range(1, size):
+            low = x & -x
+            none.append(none[x ^ low] & ~has[low.bit_length() - 1])
+        _MASK_SETS[k] = t = (has, none)
+    return t
+
+
+def _balls(adj, k: int) -> list[int]:
+    """The vertices at distance at most 2 from each vertex, itself
+    included."""
+    out = []
+    for a in range(k):
+        m = row = adj[a]
+        ball = row | (1 << a)
+        while m:
+            low = m & -m
+            ball |= adj[low.bit_length() - 1]
+            m ^= low
+        out.append(ball)
+    return out
+
+
+def _extension_table(adj, k: int) -> int:
+    """Which new vertices keep a connected parent critical: bit S
+    (1 <= S < 2^k) is set iff attaching a new vertex w to the neighbourhood
+    S of the parent adj on k vertices gives a distance-critical child.
+
+    The child's common neighbours of two parent vertices are the parent's,
+    plus w when both lie in S, so adding w makes no parent pair
+    determining.  Hence w has a determining pair iff S holds two vertices
+    at parent distance >= 3, and a parent vertex u keeps one iff some
+    determining pair (a, b) of u in the parent does not have both ends in
+    S, or u is in S and some neighbour a of u outside S has N(a) & S = {u}
+    (then (a, w) is a pair of u).  Each condition is a few big-int
+    operations on the HAS and NONE sets of _mask_sets.
+    """
+    has, none = _mask_sets(k)
+    full = (1 << k) - 1
+    table = 0
+    for a, ball in enumerate(_balls(adj, k)):
+        if ball != full:
+            table |= has[a] & ~none[full & ~ball]
+    for u in range(k):
+        if not table:
+            return 0
+        both = -1
+        for a, b in _pairs_at(adj, u):
+            both &= has[a] & has[b]
+            if not both & table:
+                break
+        stuck = table & both
+        if not stuck:
+            continue
+        rescue = 0
+        bit_u = 1 << u
+        for a in bits(adj[u]):
+            rescue |= has[u] & ~has[a] & none[adj[a] & ~bit_u]
+        table &= ~stuck | rescue
+    return table
+
+
+def _girth_table(adj, k: int) -> int:
+    """Bit S (1 <= S < 2^k) is set iff attaching a new vertex to the
+    neighbourhood S of the parent adj on k vertices gives a child of girth
+    > 4 or an acyclic one: the parent is such a graph and the vertices of
+    S are pairwise at parent distance >= 3 (a short cycle through the new
+    vertex closes over two of them)."""
+    if not _girth_exceeds_4(adj, k):
+        return 0
+    has, none = _mask_sets(k)
+    table = (1 << (1 << k)) - 2
+    for a, ball in enumerate(_balls(adj, k)):
+        table &= ~has[a] | none[ball & ~(1 << a)]
+    return table
+
+
 def _is_critical_fast(adj, n: int) -> bool:
     """Pairs test with rejection filters and girth shortcut; verdict only.
 

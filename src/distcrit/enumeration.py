@@ -55,6 +55,20 @@ partition and automorphism generators are computed when it is expanded,
 so children at the last level, which are never expanded, cost no more
 than their verdict.
 
+Critical-first leaves: a census that only needs the critical graphs on
+n vertices passes a keep table to the parents at level n - 1
+(criticality._extension_table, or the lemma universe's table in verify).
+Bit S of it says whether the child with neighbourhood S is critical,
+decided for all S at once from the parent's determining pairs.  A parent
+with an empty table is skipped before its cut table, refinement and
+automorphism search; otherwise the table is ANDed into the candidates
+before rules (a) and (b).  Both rules are decided for each candidate on
+its own (the union-find and the abort hook start afresh per candidate),
+so dropping candidates changes no other verdict: the stream is the full
+stream filtered by the table, in the same order, and the frontier, and
+with it the shard and job split, is unchanged.  At n = 10 only 4,261 of
+the 261,080 parents have a critical child.
+
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier; node f (in deterministic generation order) belongs to shard s of
 S iff f mod S = s, and within a shard to job j of J iff (f div S) mod
@@ -71,7 +85,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .canon import _automorphism_taking, _search, degree_cells, refine
-from .criticality import _is_critical_fast, _is_edge_maximal_fast
+from .criticality import (
+    _extension_table,
+    _is_critical_fast,
+    _is_edge_maximal_fast,
+)
 # _articulation_mask is no longer called here (the child cut table replaces
 # it) but stays a module attribute: bench/layers.py traces it by name.
 from .graph import Graph, _articulation_mask, bits  # noqa: F401
@@ -158,11 +176,23 @@ _State = tuple[tuple[int, ...], int]
 _ROOT: _State = ((0,), 0)
 
 
-def _child_states(state: _State, k: int) -> Iterator[_State]:
+def _child_states(
+    state: _State,
+    k: int,
+    keep: "Callable[[tuple[int, ...], int], int] | None" = None,
+) -> Iterator[_State]:
     """The accepted children of a node on k vertices, in generation order.
 
-    A child is yielded as soon as rule (b) is decided for it."""
+    A child is yielded as soon as rule (b) is decided for it.  keep(adj,
+    k), when given, is an int whose bit S is set iff the child with
+    neighbourhood S may be yielded (as criticality._extension_table); the
+    other candidates are dropped before rules (a) and (b), and a parent
+    with no candidate left is neither refined nor searched."""
     adj, cut_mask = state
+    if keep is not None:
+        kept = keep(adj, k)
+        if not kept:
+            return
     masks, pc, bitmat = _tables(k)
     ccut = _child_cut_table(adj, k, cut_mask)
 
@@ -178,6 +208,13 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
     # other deletable vertex and no later cell holds one, which refinement
     # keeps: rule (b) holds outright.
     lead = pc > need
+    if keep is not None:
+        ok &= np.unpackbits(
+            np.frombuffer(kept.to_bytes(((1 << k) + 7) // 8, "little"),
+                          dtype=np.uint8),
+            bitorder="little")[1:1 << k].astype(bool)
+        if not ok.any():
+            return
 
     cells = refine(adj, degree_cells(adj, k))
     gens = _search(adj, k, cells)[3] if any(c & (c - 1) for c in cells) else []
@@ -268,9 +305,11 @@ def _child_states(state: _State, k: int) -> Iterator[_State]:
 def _iter_adj(
     n: int,
     owner: "Callable[[int], bool] | None" = None,
+    keep: "Callable[[tuple[int, ...], int], int] | None" = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield the adjacency of every accepted node on n vertices.  owner
-    gates the frontier at level max(1, n - 2)."""
+    gates the frontier at level max(1, n - 2); keep filters the candidates
+    of the parents at level n - 1 (see _child_states)."""
     frontier = max(1, n - 2)
     counter = 0
 
@@ -284,7 +323,7 @@ def _iter_adj(
         if k == n:
             yield state[0]
             return
-        for child in _child_states(state, k):
+        for child in _child_states(state, k, keep if k == n - 1 else None):
             yield from rec(child, k + 1)
 
     yield from rec(_ROOT, 1)
@@ -312,22 +351,23 @@ class EnumerationTally:
 
     partition is (shard index, shard total); elapsed is wall time in
     seconds and is deliberately excluded from to_json_dict so identical
-    runs serialize identically.
+    runs serialize identically.  connected_count is None for a
+    critical-only run, which does not visit every connected class, and is
+    then left out of to_json_dict.
     """
 
     n: int
-    connected_count: int
+    connected_count: "int | None"
     critical_count: int
     maximal_count: "int | None"
     partition: tuple[int, int]
     elapsed: float
 
     def to_json_dict(self) -> dict:
-        d: dict = {
-            "n": self.n,
-            "connected_count": self.connected_count,
-            "critical_count": self.critical_count,
-        }
+        d: dict = {"n": self.n}
+        if self.connected_count is not None:
+            d["connected_count"] = self.connected_count
+        d["critical_count"] = self.critical_count
         if self.maximal_count is not None:
             d["maximal_count"] = self.maximal_count
         d["partition"] = list(self.partition)
@@ -342,6 +382,7 @@ def _tally_shard(
     job: int,
     edge_maximal: bool,
     collect: bool,
+    critical_only: bool,
 ) -> tuple[int, int, int, list[tuple[int, ...]]]:
     if shards == 1 and jobs == 1:
         owner = None
@@ -351,7 +392,8 @@ def _tally_shard(
 
     connected = critical = maximal = 0
     hits: list[tuple[int, ...]] = []
-    for adj in _iter_adj(n, owner):
+    keep = _extension_table if critical_only else None
+    for adj in _iter_adj(n, owner, keep):
         connected += 1
         if not _is_critical_fast(adj, n):
             continue
@@ -377,24 +419,28 @@ def run_enumeration(
     jobs: int = 1,
     edge_maximal: bool = False,
     collect: bool = False,
+    critical_only: bool = False,
 ) -> tuple[EnumerationTally, "list[Graph] | None"]:
     """Count (and optionally collect) distance-critical graphs on n
     vertices; with edge_maximal also count/collect the edge-maximal ones.
 
     The collected list holds the critical graphs, or just the edge-maximal
-    ones when edge_maximal is set, in deterministic order.
+    ones when edge_maximal is set, in deterministic order.  critical_only
+    walks only the critical leaves (see the module docstring): the same
+    counts and graphs in the same order, but no connected_count.
     """
     _check_args(n, shards, shard, jobs)
     t0 = time.perf_counter()
     if jobs == 1:
-        parts = [_tally_shard(n, shards, shard, 1, 0, edge_maximal, collect)]
+        parts = [_tally_shard(n, shards, shard, 1, 0, edge_maximal, collect,
+                              critical_only)]
     else:
         ctx = get_context("fork")
-        argv = [(n, shards, shard, jobs, j, edge_maximal, collect)
-                for j in range(jobs)]
+        argv = [(n, shards, shard, jobs, j, edge_maximal, collect,
+                 critical_only) for j in range(jobs)]
         with ctx.Pool(jobs) as pool:
             parts = pool.map(_pool_worker, argv)
-    connected = sum(p[0] for p in parts)
+    connected = None if critical_only else sum(p[0] for p in parts)
     critical = sum(p[1] for p in parts)
     maximal = sum(p[2] for p in parts) if edge_maximal else None
     hits: "list[Graph] | None" = None

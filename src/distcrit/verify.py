@@ -4,8 +4,8 @@ Every law about distance-critical graphs that the rest of the package
 relies on is restated here as a finite, exhaustively checkable property
 over an enumerated universe (critical graphs, edge-maximal critical
 graphs, connected graphs of girth > 4, ... up to a vertex cap) or over a
-constructed family.  The universe is one sweep over the connected graphs
-on 1..cap vertices, made once per run and read by every lemma; it keeps
+constructed family.  The universe is one sweep over the orders 1..cap,
+made once per run and read by every lemma; at each order it generates
 only the graphs some lemma quantifies over.  The three product laws
 (cartesian, tensor and strong products of critical factors stay
 critical) run on the same harness over their own factor universe.
@@ -35,13 +35,15 @@ from typing import Callable
 from .constructions import cycle, regular_extremal
 from .criticality import (
     _deletion_changes_distances,
+    _extension_table,
+    _girth_table,
     _is_critical_fast,
     _is_edge_maximal_fast,
     _witness_for,
     determining_pairs_of,
     involved_set,
 )
-from .enumeration import _iter_unions, iter_connected
+from .enumeration import _iter_adj, _iter_unions, iter_connected
 from .graph import (
     Graph,
     UNREACHABLE,
@@ -54,7 +56,7 @@ from .graph import (
 from .graph6 import encode_graph6
 from .products import ProductKind, product
 
-MAX_LEMMA_CAP = 9
+MAX_LEMMA_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -81,14 +83,25 @@ class LemmaCheck:
         }
 
 
+def _universe_table(adj: tuple[int, ...], k: int) -> int:
+    """The children of adj that some lemma may quantify over: the
+    critical ones and those of girth > 4 (or acyclic).  GIRTH checks that
+    girth > 4 implies criticality, so its graphs must not be drawn from
+    the critical table alone."""
+    return _extension_table(adj, k) | _girth_table(adj, k)
+
+
 class _Universe:
-    """Every catalog the lemma sweeps read, from one pass over the
-    connected graphs on 1..n_cap vertices.
+    """Every catalog the lemma sweeps read, from one walk of the
+    augmentation tree per order k = 1..n_cap.
 
     criticals[k] and maximal[k] hold the critical and the edge-maximal
     critical classes on k vertices; girth5 holds the connected graphs with
-    minimum degree >= 2 and girth > 4, the hypothesis set of GIRTH.  All
-    connected graphs are seen once and only these few are kept.
+    minimum degree >= 2 and girth > 4, the hypothesis set of GIRTH.  The
+    walk to order k tries at its last level only the children that
+    _universe_table admits (critical-first leaves, see the enumeration
+    module), so of the connected classes on k vertices only the critical
+    and girth > 4 ones are generated; each is classified as before.
     """
 
     def __init__(self, n_cap: int):
@@ -100,8 +113,9 @@ class _Universe:
         self.girth5: list[Graph] = []
         for k in range(1, n_cap + 1):
             crit = self.criticals[k] = []
-            for g in iter_connected(k):
-                if _is_critical_fast(g.adj, k):
+            for adj in _iter_adj(k, keep=_universe_table):
+                g = Graph(k, adj, check=False)
+                if _is_critical_fast(adj, k):
                     crit.append(g)
                 if g.min_degree() >= 2:
                     gg = girth(g)

@@ -43,7 +43,8 @@ TABLE_CRITICAL = {5: 1, 6: 1, 7: 4, 8: 15, 9: 168, 10: 2252}
 TABLE_MAXIMAL = {5: 1, 6: 1, 7: 2, 8: 4, 9: 14, 10: 82}
 TABLE_CONNECTED = {8: 11117, 9: 261080, 10: 11716571}  # OEIS A001349
 # sha256 of the graph6 lines of the 168 critical graphs on 9 vertices, in
-# generation order, taken before the orbit certificate for rule (b)
+# generation order, taken before the orbit certificate for rule (b); the
+# critical-only run must give the same lines
 RUN9_SHA256 = (
     "2cab1a4cab41850b166c64b93573ecdd5e10c9b6f8670d01dfed7ea747875030")
 
@@ -63,10 +64,12 @@ def run9():
 
 @pytest.fixture(scope="module")
 def run10():
-    """n = 10 census; worker count capped by the machine."""
+    """n = 10 census with its edge-maximal graphs; worker count capped by
+    the machine."""
     jobs = min(8, os.cpu_count() or 1)
-    tally, _ = run_enumeration(10, edge_maximal=True, jobs=jobs)
-    return tally, jobs
+    tally, hits = run_enumeration(10, edge_maximal=True, jobs=jobs,
+                                  collect=True)
+    return tally, jobs, hits
 
 
 def verdict(announce, label: str, failures: list, detail: str) -> None:
@@ -90,26 +93,36 @@ def test_criterion_1_critical_counts(announce, small_tallies, run9, run10):
         if connected[n] != want:
             failures.append(
                 f"n={n}: {connected[n]} connected classes, want {want}")
-    digest = hashlib.sha256()
-    for g in run9[1]:
-        digest.update(encode_graph6(g).encode() + b"\n")
-    if digest.hexdigest() != RUN9_SHA256:
-        failures.append(f"n=9 critical graphs hash to {digest.hexdigest()}")
+    fast9 = run_enumeration(9, collect=True, critical_only=True)
+    for label, hits in (("", run9[1]), (" (critical-only)", fast9[1])):
+        digest = hashlib.sha256()
+        for g in hits:
+            digest.update(encode_graph6(g).encode() + b"\n")
+        if digest.hexdigest() != RUN9_SHA256:
+            failures.append(f"n=9 critical graphs{label} hash to "
+                            f"{digest.hexdigest()}")
     if run9[0].elapsed >= 30.0:
         failures.append(f"n=9 took {run9[0].elapsed:.1f}s (budget 30s)")
-    tally10, jobs = run10
+    tally10, jobs, maximal10 = run10
     budget10 = 600.0 * 8 / jobs
     if tally10.elapsed >= budget10:
         failures.append(
             f"n=10 took {tally10.elapsed:.1f}s with {jobs} jobs "
             f"(budget {budget10:.0f}s)")
+    fast10 = run_enumeration(10, edge_maximal=True, jobs=jobs, collect=True,
+                             critical_only=True)
+    if (fast10[0].critical_count, fast10[0].maximal_count, fast10[1]) != \
+            (tally10.critical_count, tally10.maximal_count, maximal10):
+        failures.append("n=10 critical-only run differs from the full run")
     if cli_run(["enumerate", "-n", "11", "--count-only"]) != 2:
         failures.append("n=11 ran without --allow-long-run")
     verdict(announce, "criterion 1, critical counts n=5..10",
             failures,
             f"counts {[counts[n] for n in range(5, 11)]}, "
-            f"n=9 {run9[0].elapsed:.1f}s, "
-            f"n=10 {tally10.elapsed:.1f}s/{jobs} jobs")
+            f"n=9 {run9[0].elapsed:.1f}s "
+            f"({fast9[0].elapsed:.1f}s critical-only), "
+            f"n=10 {tally10.elapsed:.1f}s/{jobs} jobs "
+            f"({fast10[0].elapsed:.1f}s critical-only)")
 
 
 def test_criterion_2_edge_maximal_counts(announce, small_tallies, run9,

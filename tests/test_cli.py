@@ -265,6 +265,21 @@ class TestEnumerate:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "eb8e61d96534aee86a66d2ba076666720baf6070a8bfad8f0e32518906a96a24")
 
+    def test_critical_only_n8_prints_the_same_graphs(self, capsys, schema):
+        code, out, err = invoke(capsys, ["enumerate", "-n", "8",
+                                         "--critical-only"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "eb8e61d96534aee86a66d2ba076666720baf6070a8bfad8f0e32518906a96a24")
+        (record,) = check_json_lines(err.splitlines()[0], schema)
+        assert record == {"n": 8, "critical_count": 15, "partition": [0, 1]}
+        code, out, _ = invoke(capsys, ["enumerate", "-n", "8", "--count-only",
+                                       "--critical-only", "--edge-maximal"])
+        assert code == 0
+        (record,) = check_json_lines(out, schema)
+        assert record == {"n": 8, "critical_count": 15, "maximal_count": 4,
+                          "partition": [0, 1]}
+
     def test_emit_flag_is_gone(self, capsys):
         # graph6 was its only choice; the hits are printed without it
         code, out, _ = invoke(capsys, ["enumerate", "-n", "5",
@@ -286,6 +301,10 @@ class TestEnumerate:
     def test_long_run_guard(self, capsys):
         code, out, _ = invoke(capsys, ["enumerate", "-n", "11",
                                        "--count-only"])
+        assert code == 2
+        assert out == ""
+        code, out, _ = invoke(capsys, ["enumerate", "-n", "11",
+                                       "--critical-only"])
         assert code == 2
         assert out == ""
 

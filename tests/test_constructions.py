@@ -41,6 +41,18 @@ class TestCycles:
         assert g.has_edge(0, 2) and not g.has_edge(0, 3)
         assert cycle_power(5, 1) == cycle(5)
 
+    def test_cycle_power_matches_the_definition(self):
+        for n in range(3, 41):
+            for k in range(1, n):
+                g = cycle_power(n, k)
+                assert g.edges() == [
+                    (i, j) for i in range(n) for j in range(i + 1, n)
+                    if min(j - i, n - j + i) <= k]
+        g = cycle_power(1024, 255)
+        assert g.is_regular() and g.degree(0) == 510
+        assert g.neighbors(700) == tuple(sorted(
+            (700 + d) % 1024 for d in range(-255, 256) if d))
+
     def test_cycle_power_saturates_to_complete(self):
         g = cycle_power(6, 3)
         assert g.edge_count() == 15

@@ -17,10 +17,17 @@ from distcrit import (
     is_distance_critical,
     is_distance_critical_direct,
     is_distance_critical_pairs,
+    is_connected,
     is_edge_maximal_critical,
 )
 from distcrit.constructions import cycle
-from conftest import random_graph
+from distcrit.criticality import (
+    _extension_table,
+    _girth_exceeds_4,
+    _girth_table,
+    _is_critical_fast,
+)
+from conftest import augmentation_nodes, child_adjacencies, random_graph
 
 
 def deletion_changes_some_distance(g: Graph, v: int) -> bool:
@@ -167,3 +174,49 @@ class TestEdgeMaximal:
         assert is_edge_maximal_critical(cycle(5))
         assert is_edge_maximal_critical(antipodal_c8)
         assert not is_edge_maximal_critical(cycle(8))
+
+
+class TestExtensionTables:
+    """The per-parent tables against the per-child predicates they
+    replace, on every child of every connected graph up to 7 vertices."""
+
+    def test_tables_match_the_child_predicates(self):
+        children = critical = short_free = 0
+        for k, (adj, _) in augmentation_nodes(7):
+            crit = _extension_table(adj, k)
+            free = _girth_table(adj, k)
+            assert crit >> (1 << k) == free >> (1 << k) == 0
+            assert not crit & 1 and not free & 1
+            for s, child in child_adjacencies(adj, k):
+                want = _is_critical_fast(child, k + 1)
+                assert crit >> s & 1 == want
+                assert free >> s & 1 == _girth_exceeds_4(child, k + 1)
+                children += 1
+                critical += want
+                short_free += free >> s & 1
+        # counted over all (parent, S) pairs, so one class is met many
+        # times
+        assert (children, critical, short_free) == (116146, 91, 367)
+
+    def test_tables_on_ten_vertex_parents(self, petersen):
+        # the largest parents the enumeration builds tables for (n = 11)
+        rng = random.Random(2011)
+        parents = [petersen, cycle(10)]
+        while len(parents) < 60:
+            g = random_graph(10, rng.choice((0.2, 0.3, 0.45)), rng)
+            if is_connected(g):
+                parents.append(g)
+        critical = 0
+        for g in parents:
+            crit = _extension_table(g.adj, 10)
+            free = _girth_table(g.adj, 10)
+            for s, child in child_adjacencies(g.adj, 10):
+                assert crit >> s & 1 == _is_critical_fast(child, 11)
+                assert free >> s & 1 == _girth_exceeds_4(child, 11)
+            critical += crit.bit_count()
+        assert critical > 0
+        # Petersen has girth 5 and diameter 2: no new vertex has a pair at
+        # distance 3, and only a pendant keeps the girth above 4
+        assert _extension_table(petersen.adj, 10) == 0
+        assert _girth_table(petersen.adj, 10) == \
+            sum(1 << (1 << v) for v in range(10))

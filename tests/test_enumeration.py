@@ -18,6 +18,7 @@ from distcrit import (
 )
 from distcrit import enumeration
 from distcrit.canon import _automorphism_taking, _search, refine
+from distcrit.criticality import _extension_table, _is_critical_fast
 from distcrit.enumeration import (
     MAX_ENUM_N,
     _child_cut_table,
@@ -310,6 +311,58 @@ class TestCriticalTallies:
                      "partition": [0, 1]}
         d = run_enumeration(5, edge_maximal=True)[0].to_json_dict()
         assert d["maximal_count"] == 1
+        tally = run_enumeration(5, critical_only=True)[0]
+        assert tally.connected_count is None
+        assert tally.to_json_dict() == {"n": 5, "critical_count": 1,
+                                        "partition": [0, 1]}
+
+
+class TestCriticalFirst:
+    """Candidates filtered by the per-parent criticality table before
+    rules (a) and (b): the critical graphs of the full run, in order."""
+
+    def test_stream_is_the_filtered_full_stream(self, connected_by_n):
+        for n in range(2, 9):
+            want = [g.adj for g in connected_by_n[n]
+                    if _is_critical_fast(g.adj, n)]
+            assert list(_iter_adj(n, keep=_extension_table)) == want
+        for n in range(1, 9):
+            full, hits = run_enumeration(n, edge_maximal=True, collect=True)
+            fast, fast_hits = run_enumeration(n, edge_maximal=True,
+                                              collect=True,
+                                              critical_only=True)
+            assert (fast.critical_count, fast.maximal_count) == \
+                (full.critical_count, full.maximal_count)
+            assert fast_hits == hits
+
+    def test_shards_and_jobs_permute_the_serial_hits(self):
+        serial = run_enumeration(8, collect=True, critical_only=True)[1]
+        assert len(serial) == CRITICAL_COUNTS[8]
+        shards = [run_enumeration(8, shards=3, shard=s, collect=True,
+                                  critical_only=True)
+                  for s in range(3)]
+        assert sum(t.critical_count for t, _ in shards) == len(serial)
+        assert all(t.connected_count is None for t, _ in shards)
+        for hits in ([g for _, gs in shards for g in gs],
+                     run_enumeration(8, jobs=2, collect=True,
+                                     critical_only=True)[1]):
+            assert sorted(g.adj for g in hits) == \
+                sorted(g.adj for g in serial)
+
+    def test_empty_table_skips_the_parent(self, monkeypatch):
+        # a parent with no critical child is never refined, searched or
+        # given a cut table
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an empty table reached the child test")
+
+        empty = [(k, state) for k, state in augmentation_nodes(7)
+                 if not _extension_table(state[0], k)]
+        for name in ("refine", "_search", "_child_cut_table"):
+            monkeypatch.setattr(enumeration, name, unreachable)
+        for k, state in empty:
+            assert list(_child_states(state, k, _extension_table)) == []
+        # 960 of the 996 connected graphs on up to 7 vertices
+        assert len(empty) == 960
 
 
 class TestSharding:

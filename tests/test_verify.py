@@ -11,7 +11,9 @@ from distcrit import (
     LEMMA_IDS,
     all_pairs_distances,
     disjoint_union,
+    girth,
     graham_pollak_determinant,
+    is_distance_critical,
     pendant_deletion_check,
     run_all_lemmas,
     run_lemma,
@@ -80,15 +82,31 @@ class TestLemmaHarness:
 
     def test_one_sweep_feeds_every_lemma(self, monkeypatch):
         levels = []
-        real = verify.iter_connected
+        real = verify._iter_adj
 
-        def counting(k):
-            levels.append(k)
-            return real(k)
+        def counting(k, owner=None, keep=None):
+            levels.append((k, keep))
+            return real(k, owner, keep)
 
-        monkeypatch.setattr(verify, "iter_connected", counting)
+        monkeypatch.setattr(verify, "_iter_adj", counting)
         run_all_lemmas(7)
-        assert levels == list(range(1, 8))
+        assert levels == [(k, verify._universe_table) for k in range(1, 8)]
+
+    def test_universe_is_the_filtered_full_walk(self, connected_by_n,
+                                                monkeypatch):
+        # critical-first leaves keep every catalog graph, in order
+        uni = verify._Universe(8)
+        girth5 = []
+        for k in range(1, 9):
+            assert uni.criticals[k] == [g for g in connected_by_n[k]
+                                        if is_distance_critical(g)]
+            girth5 += [g for g in connected_by_n[k] if g.min_degree() >= 2
+                       and (girth(g) or 0) > 4]
+        assert uni.girth5 == girth5 and len(girth5) == 9
+        # GIRTH's graphs come from their own table, so a criticality table
+        # that missed them could not hide a counterexample
+        monkeypatch.setattr(verify, "_extension_table", lambda adj, k: 0)
+        assert verify._Universe(8).girth5 == girth5
 
     def test_one_certificate_per_failed_instance(self, monkeypatch):
         # with every DPSTAR instance failing, each of its 125 instances
@@ -125,7 +143,7 @@ class TestLemmaHarness:
         with pytest.raises(ValueError):
             run_lemma("GIRTH", 0)
         with pytest.raises(ValueError):
-            run_lemma("GIRTH", 10)
+            run_lemma("GIRTH", 11)
         with pytest.raises(ValueError):
             run_all_lemmas(0)
 
