@@ -9,8 +9,9 @@ input; a graph with no vertices is not distance critical by convention.
 
 The pairs method is the workhorse: it needs no distance recomputation and
 reports, per vertex, the lexicographically least witness pair.  The direct
-method recomputes all-pairs distances after each deletion and exists as an
-independent check of the same predicate.
+method recomputes distances after each deletion, one source at a time up
+to the first changed row, and exists as an independent check of the same
+predicate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, all_pairs_distances, bits
+from .graph import Graph, _bfs_row, all_pairs_distances, bits
 
 
 def common_neighbors(g: Graph, a: int, b: int) -> tuple[int, ...]:
@@ -135,19 +136,20 @@ def is_distance_critical_pairs(g: Graph) -> CriticalityReport:
 def _deletion_changes_distances(g: Graph, base, v: int) -> bool:
     """Does deleting v change a distance between two other vertices?
 
-    base holds the distance rows of g.  The comparison stops at the first
-    surviving vertex whose row of distances changed.
+    base holds the distance rows of g.  The rows of g - v are computed one
+    source at a time, and the test stops at the first surviving vertex
+    whose row of distances changed.
     """
-    sub = all_pairs_distances(g.delete_vertex(v))
-    for x, row in enumerate(sub):
+    sub = g.delete_vertex(v)
+    for x in range(sub.n):
         before = base[x if x < v else x + 1]
-        if before[:v] + before[v + 1:] != row:
+        if list(before[:v] + before[v + 1:]) != _bfs_row(sub.adj, sub.n, x):
             return True
     return False
 
 
 def is_distance_critical_direct(g: Graph) -> bool:
-    """Delete every vertex and compare all surviving pairwise distances."""
+    """Delete every vertex and compare the surviving pairwise distances."""
     if g.n == 0:
         return False
     base = all_pairs_distances(g)

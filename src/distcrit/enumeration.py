@@ -20,19 +20,27 @@ The deletable vertices of every child come from the parent, without a
 search per child: the new vertex is never a cut vertex, and a parent
 vertex u is a cut vertex of the child iff S = {u} (for k >= 2), or u is a
 cut vertex of the parent and S misses some component of the parent minus
-u.  One numpy table per parent holds the child cut mask for all 2^k - 1
-subsets.
+u.
+
+Every per-parent decision over the 2^k - 1 subsets is one big-int set
+operation: a 2^k-bit int whose bit S stands for the subset S, in the HAS
+and NONE form of criticality._mask_sets, plus cached sets of the S with
+|S| >= j.  Per parent vertex u one such int holds the S for which u is a
+cut vertex of the child, and a candidate's cut mask is read from them.
 
 Rule (b) is decided cheaply for almost all candidates.  First an exact
 degree filter: the new vertex, of degree |S|, can only come last if |S|
-is at least the child degree of every deletable parent vertex.  If |S|
-is strictly above all of them, the new vertex's degree cell holds no
-other deletable vertex and no later cell holds one; refinement only
-splits cells in place, so rule (b) holds with no refinement at all.
-Otherwise the equitable partition is refined with an abort hook that
-looks at the last cell holding a deletable vertex: it rejects as soon as
-the new vertex is not in that cell, and accepts as soon as the new
-vertex is its only deletable vertex.
+is at least the child degree of every deletable parent vertex.  As a set
+that is the AND over u of: u is cut, or u is in S and |S| >= d_u + 1, or
+u is not in S and |S| >= d_u.  If |S| is strictly above all of them (the
+same AND with one more), the new vertex's degree cell holds no other
+deletable vertex and no later cell holds one; refinement only splits
+cells in place, so rule (b) holds with no refinement at all.  Rule (a)'s
+orbit minima are ANDed in as one more set, and the candidates are the
+set bits left, in ascending order.  Otherwise the equitable partition is
+refined with an abort hook that looks at the last cell holding a
+deletable vertex: it rejects as soon as the new vertex is not in that
+cell, and accepts as soon as the new vertex is its only deletable vertex.
 
 A candidate that reaches a stable partition undecided first gets an orbit
 certificate.  Let C be the last cell of the stable partition that holds a
@@ -60,7 +68,7 @@ n vertices passes a keep table to the parents at level n - 1
 (criticality._extension_table, or the lemma universe's table in verify).
 Bit S of it says whether the child with neighbourhood S is critical,
 decided for all S at once from the parent's determining pairs.  A parent
-with an empty table is skipped before its cut table, refinement and
+with an empty table is skipped before its cut sets, refinement and
 automorphism search; otherwise the table is ANDed into the candidates
 before rules (a) and (b).  Both rules are decided for each candidate on
 its own (the union-find and the abort hook start afresh per candidate),
@@ -68,6 +76,13 @@ so dropping candidates changes no other verdict: the stream is the full
 stream filtered by the table, in the same order, and the frontier, and
 with it the shard and job split, is unchanged.  At n = 10 only 4,261 of
 the 261,080 parents have a critical child.
+
+Table-decided tally: the census walks the nodes at level n - 1 and builds
+each one's criticality table once.  A leaf is critical iff bit S of its
+parent's table is set, S being the new vertex's row, so no leaf is tested
+on its own; edge-maximality is then tested on the critical leaves.  A
+critical-only census passes the same table on as the keep filter, and
+that is the only difference between the two.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier; node f (in deterministic generation order) belongs to shard s of
@@ -85,52 +100,62 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .canon import _automorphism_taking, _search, degree_cells, refine
-from .criticality import (
-    _extension_table,
-    _is_critical_fast,
-    _is_edge_maximal_fast,
-)
-# _articulation_mask is no longer called here (the child cut table replaces
-# it) but stays a module attribute: bench/layers.py traces it by name.
+from .criticality import _extension_table, _is_edge_maximal_fast, _mask_sets
+# _articulation_mask and _is_critical_fast are no longer called here (the cut
+# sets and the extension table replace them) but stay module attributes:
+# bench/layers.py traces them by name.
+from .criticality import _is_critical_fast  # noqa: F401
 from .graph import Graph, _articulation_mask, bits  # noqa: F401
 
 MAX_ENUM_N = 11
 
-_SHIFTS = np.arange(MAX_ENUM_N, dtype=np.int64)
+_BIT_MATRICES: dict[int, np.ndarray] = {}
 
-_SUBSET_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_SIZE_SETS: dict[int, list[int]] = {}
 
 
-def _tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All nonempty subset masks of range(k), their popcounts, and their
-    bits as a 0/1 matrix with one row per mask."""
-    t = _SUBSET_TABLES.get(k)
+def _bit_matrix(k: int) -> np.ndarray:
+    """The bits of every subset mask S of range(k) as a 0/1 matrix, row S
+    for S = 0..2^k - 1."""
+    t = _BIT_MATRICES.get(k)
     if t is None:
-        masks = np.arange(1, 1 << k, dtype=np.int64)
-        bitmat = masks[:, None] >> _SHIFTS[:k] & 1
-        _SUBSET_TABLES[k] = t = (masks, bitmat.sum(axis=1), bitmat)
+        masks = np.arange(1 << k, dtype=np.int64)
+        _BIT_MATRICES[k] = t = masks[:, None] >> np.arange(k) & 1
     return t
 
 
-def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Boolean array over masks 1..2^k-1: True iff the mask is the least
-    member of its orbit under the group generated by gens.
+def _size_sets(k: int) -> list[int]:
+    """GE[j] for j = 0..k + 2, a 2^k-bit int whose bit S is set iff
+    |S| >= j (S = 0 included for j = 0)."""
+    ge = _SIZE_SETS.get(k)
+    if ge is None:
+        ge = [0] * (k + 3)
+        for s in range(1 << k):
+            ge[s.bit_count()] |= 1 << s
+        for j in range(k, -1, -1):
+            ge[j] |= ge[j + 1]
+        _SIZE_SETS[k] = ge
+    return ge
+
+
+def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> int:
+    """Bit S (1 <= S < 2^k) is set iff the mask S is the least member of
+    its orbit under the group generated by gens.
 
     The images of all masks under every generator come from one product
     of the mask bit matrix with the generators' bit values.  Orbit minima
     follow by least = min(least, least[image]) over the generators and
     pointer jumping (least = least[least]), repeated until stable."""
-    masks, _, bitmat = _tables(k)
-    images = np.zeros((len(gens), 1 << k), dtype=np.int64)
-    images[:, 1:] = (bitmat @ (1 << np.array(gens, dtype=np.int64).T)).T
-    least = np.arange(1 << k, dtype=np.int64)
+    images = (_bit_matrix(k) @ (1 << np.array(gens, dtype=np.int64).T)).T
+    masks = least = np.arange(1 << k, dtype=np.int64)
     while True:
         prev = least
         for img in images:
             least = np.minimum(least, least[img])
         least = least[least]
         if np.array_equal(least, prev):
-            return least[1:] == masks
+            reps = np.packbits(least == masks, bitorder="little")
+            return int.from_bytes(reps.tobytes(), "little") & ~1
 
 
 def _components_without(adj: tuple[int, ...], k: int, u: int) -> list[int]:
@@ -150,9 +175,10 @@ def _components_without(adj: tuple[int, ...], k: int, u: int) -> list[int]:
     return comps
 
 
-def _child_cut_table(adj: tuple[int, ...], k: int, cut_mask: int) -> np.ndarray:
-    """Cut-vertex mask of every child of a connected parent on k vertices,
-    indexed by S - 1 where S is the new vertex's neighbourhood.
+def _cut_sets(adj: tuple[int, ...], k: int, cut_mask: int) -> list[int]:
+    """For each vertex u of a connected parent on k vertices, the
+    neighbourhoods S of a new vertex for which u is a cut vertex of the
+    child, as a 2^k-bit int with bit S standing for S.
 
     The new vertex is never a cut vertex (deleting it leaves the parent).
     A parent vertex u is one iff S = {u} (for k >= 2: the new vertex is
@@ -160,14 +186,35 @@ def _child_cut_table(adj: tuple[int, ...], k: int, cut_mask: int) -> np.ndarray:
     component of the parent minus u (Hopcroft and Tarjan, CACM 1973,
     applied to one added vertex).
     """
-    masks, pc, _ = _tables(k)
-    table = np.where(pc == 1, masks, 0) if k >= 2 else np.zeros_like(masks)
+    none = _mask_sets(k)[1]
+    cuts = [1 << (1 << u) if k >= 2 else 0 for u in range(k)]
     for u in bits(cut_mask):
-        missed = np.zeros(len(masks), dtype=bool)
         for comp in _components_without(adj, k, u):
-            missed |= (masks & comp) == 0
-        table[missed] |= 1 << u
-    return table
+            cuts[u] |= none[comp]
+        cuts[u] &= ~1
+    return cuts
+
+
+def _degree_sets(adj: tuple[int, ...], k: int,
+                 cuts: list[int]) -> tuple[int, int]:
+    """The degree filter of rule (b) for all S at once: (ok, lead) as
+    2^k-bit ints.
+
+    The new vertex, of degree |S|, can come last only if |S| is at least
+    the child degree of every deletable parent vertex u: its parent
+    degree d_u, plus one when u is in S.  ok holds the S that pass, lead
+    those where |S| is strictly above all of them.  Per u that is: u is a
+    cut vertex of the child, or u is in S and |S| >= d_u + 1 (+ 1 for
+    lead), or u is not in S and |S| >= d_u (+ 1 for lead)."""
+    has, none = _mask_sets(k)
+    ge = _size_sets(k)
+    ok = lead = (1 << (1 << k)) - 2
+    for u, cut in enumerate(cuts):
+        d = adj[u].bit_count()
+        inside, outside = has[u], none[1 << u]
+        ok &= cut | inside & ge[d + 1] | outside & ge[d]
+        lead &= cut | inside & ge[d + 2] | outside & ge[d + 1]
+    return ok, lead
 
 
 # A node of the augmentation tree: adjacency rows and cut-vertex mask.
@@ -179,41 +226,23 @@ _ROOT: _State = ((0,), 0)
 def _child_states(
     state: _State,
     k: int,
-    keep: "Callable[[tuple[int, ...], int], int] | None" = None,
+    keep: "int | None" = None,
 ) -> Iterator[_State]:
     """The accepted children of a node on k vertices, in generation order.
 
-    A child is yielded as soon as rule (b) is decided for it.  keep(adj,
-    k), when given, is an int whose bit S is set iff the child with
-    neighbourhood S may be yielded (as criticality._extension_table); the
-    other candidates are dropped before rules (a) and (b), and a parent
-    with no candidate left is neither refined nor searched."""
+    A child is yielded as soon as rule (b) is decided for it.  keep, when
+    given, is an int whose bit S is set iff the child with neighbourhood S
+    may be yielded (as criticality._extension_table); the other candidates
+    are dropped before rules (a) and (b), and a parent with no candidate
+    left is neither refined nor searched."""
+    if keep == 0:
+        return
     adj, cut_mask = state
+    cuts = _cut_sets(adj, k, cut_mask)
+    ok, lead = _degree_sets(adj, k, cuts)
     if keep is not None:
-        kept = keep(adj, k)
-        if not kept:
-            return
-    masks, pc, bitmat = _tables(k)
-    ccut = _child_cut_table(adj, k, cut_mask)
-
-    # Rule (b) needs the new vertex, of degree |S|, at least as late in
-    # degree order as every deletable vertex of the child, so |S| must be
-    # at least the child degree of every deletable parent vertex u: its
-    # parent degree, plus one when u is in S.
-    deletable = (ccut[:, None] >> _SHIFTS[:k] & 1) == 0
-    deg = np.array([a.bit_count() for a in adj], dtype=np.int64)
-    need = np.where(deletable, deg + bitmat, 0).max(axis=1)
-    ok = pc >= need
-    # With |S| above all of them, the new vertex's degree cell holds no
-    # other deletable vertex and no later cell holds one, which refinement
-    # keeps: rule (b) holds outright.
-    lead = pc > need
-    if keep is not None:
-        ok &= np.unpackbits(
-            np.frombuffer(kept.to_bytes(((1 << k) + 7) // 8, "little"),
-                          dtype=np.uint8),
-            bitorder="little")[1:1 << k].astype(bool)
-        if not ok.any():
+        ok &= keep
+        if not ok:
             return
 
     cells = refine(adj, degree_cells(adj, k))
@@ -223,6 +252,10 @@ def _child_states(
         # automorphisms preserve popcount, degrees and cut vertices.
         ok &= _subset_reps(k, gens)
 
+    # the parent cut vertices, with the S for which they stay cut; every
+    # other parent vertex is cut only for the singleton S = {u}
+    parent_cuts = [(1 << u, cuts[u]) for u in bits(cut_mask)]
+    singles = k >= 2
     newbit = 1 << k
     nch = k + 1
     cfull = (1 << nch) - 1
@@ -252,16 +285,22 @@ def _child_states(
             orbit[x] = x = orbit[orbit[x]]
         return x
 
-    for s, ccut_s, lead_s in zip(masks[ok].tolist(), ccut[ok].tolist(),
-                                 lead[ok].tolist()):
+    while ok:
+        low = ok & -ok
+        ok ^= low
+        s = low.bit_length() - 1
+        ccut_s = s if singles and not s & (s - 1) else 0
+        for b, cut in parent_cuts:
+            if cut & low:
+                ccut_s |= b
         child_adj = list(adj)
         m = s
         while m:
-            low = m & -m
-            child_adj[low.bit_length() - 1] |= newbit
-            m ^= low
+            bit = m & -m
+            child_adj[bit.bit_length() - 1] |= newbit
+            m ^= bit
         child_adj.append(s)
-        if lead_s:
+        if lead & low:
             yield tuple(child_adj), ccut_s
             continue
         cnon = cfull & ~ccut_s
@@ -302,31 +341,48 @@ def _child_states(
             yield child_adj, ccut_s
 
 
-def _iter_adj(
+def _iter_parents(
     n: int,
     owner: "Callable[[int], bool] | None" = None,
-    keep: "Callable[[tuple[int, ...], int], int] | None" = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield the adjacency of every accepted node on n vertices.  owner
-    gates the frontier at level max(1, n - 2); keep filters the candidates
-    of the parents at level n - 1 (see _child_states)."""
+) -> Iterator[_State]:
+    """The nodes on n - 1 vertices (n >= 2), in generation order.  owner
+    gates the frontier at level max(1, n - 2)."""
     frontier = max(1, n - 2)
     counter = 0
 
-    def rec(state: _State, k: int) -> Iterator[tuple[int, ...]]:
+    def rec(state: _State, k: int) -> Iterator[_State]:
         nonlocal counter
         if owner is not None and k == frontier:
             idx = counter
             counter += 1
             if not owner(idx):
                 return
-        if k == n:
-            yield state[0]
+        if k == n - 1:
+            yield state
             return
-        for child in _child_states(state, k, keep if k == n - 1 else None):
+        for child in _child_states(state, k):
             yield from rec(child, k + 1)
 
     yield from rec(_ROOT, 1)
+
+
+def _iter_adj(
+    n: int,
+    owner: "Callable[[int], bool] | None" = None,
+    keep: "Callable[[tuple[int, ...], int], int] | None" = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield the adjacency of every accepted node on n vertices.  owner
+    gates the frontier at level max(1, n - 2); keep(adj, k) gives the keep
+    table of each parent at level n - 1 (see _child_states)."""
+    if n == 1:
+        # no parent level: the root is the only node, frontier node 0
+        if owner is None or owner(0):
+            yield _ROOT[0]
+        return
+    for state in _iter_parents(n, owner):
+        kept = None if keep is None else keep(state[0], n - 1)
+        for adj, _ in _child_states(state, n - 1, kept):
+            yield adj
 
 
 def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
@@ -390,20 +446,27 @@ def _tally_shard(
         def owner(f: int) -> bool:
             return f % shards == shard and (f // shards) % jobs == job
 
+    if n == 1:
+        # no parent level: the one-vertex graph, which is not critical
+        return sum(1 for _ in _iter_adj(1, owner)), 0, 0, []
     connected = critical = maximal = 0
     hits: list[tuple[int, ...]] = []
-    keep = _extension_table if critical_only else None
-    for adj in _iter_adj(n, owner, keep):
-        connected += 1
-        if not _is_critical_fast(adj, n):
-            continue
-        critical += 1
-        if edge_maximal:
-            if not _is_edge_maximal_fast(adj, n):
+    for state in _iter_parents(n, owner):
+        # bit S of the parent's table is the verdict on the leaf whose new
+        # vertex has neighbourhood S, its last row
+        table = _extension_table(state[0], n - 1)
+        for adj, _ in _child_states(state, n - 1,
+                                    table if critical_only else None):
+            connected += 1
+            if not table >> adj[-1] & 1:
                 continue
-            maximal += 1
-        if collect:
-            hits.append(adj)
+            critical += 1
+            if edge_maximal:
+                if not _is_edge_maximal_fast(adj, n):
+                    continue
+                maximal += 1
+            if collect:
+                hits.append(adj)
     return connected, critical, maximal, hits
 
 

@@ -19,9 +19,12 @@ from distcrit import (
     is_distance_critical_pairs,
     is_connected,
     is_edge_maximal_critical,
+    pendant_deletion_check,
 )
 from distcrit.constructions import cycle
+from distcrit.graph import UNREACHABLE
 from distcrit.criticality import (
+    _deletion_changes_distances,
     _extension_table,
     _girth_exceeds_4,
     _girth_table,
@@ -93,6 +96,91 @@ class TestDefinition:
         assert not is_distance_critical(c5_plus_isolated)
         c5_plus_k3 = disjoint_union(cycle(5), cycle(3))
         assert not is_distance_critical(c5_plus_k3)
+
+
+def first_changed_row(g: Graph, v: int) -> "int | None":
+    """The least vertex of g - v whose distance row differs from its row
+    in g (both without v), or None."""
+    before = all_pairs_distances(g)
+    after = all_pairs_distances(g.delete_vertex(v))
+    keep = [u for u in range(g.n) if u != v]
+    for i, row in enumerate(after):
+        if any(before[keep[i]][keep[j]] != d for j, d in enumerate(row)):
+            return i
+    return None
+
+
+def random_tree(n: int, rng: random.Random) -> Graph:
+    """Each vertex joins a random earlier one, then labels are shuffled."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(
+        n, [(perm[i], perm[rng.randrange(i)]) for i in range(1, n)])
+
+
+class TestDirectMethod:
+    """The direct method stops at the first changed row of g - v; every
+    deletion verdict against the definition spelled out above."""
+
+    @staticmethod
+    def assert_agrees(g: Graph) -> list:
+        """Check every deletion of g; return the first changed rows."""
+        base = all_pairs_distances(g)
+        firsts = []
+        for v in range(g.n):
+            want = deletion_changes_some_distance(g, v)
+            assert _deletion_changes_distances(g, base, v) == want
+            first = first_changed_row(g, v)
+            assert (first is not None) == want
+            firsts.append(first)
+        assert is_distance_critical_direct(g) == \
+            (g.n > 0 and None not in firsts)
+        return firsts
+
+    def test_disconnected_graphs(self):
+        rng = random.Random(29)
+        graphs = [disjoint_union(cycle(5), Graph.empty(1)),
+                  disjoint_union(Graph.empty(2), cycle(6)),
+                  disjoint_union(cycle(5), cycle(3)),
+                  disjoint_union(cycle(5), cycle(5))]
+        graphs += [random_graph(rng.randint(2, 9), 0.2, rng)
+                   for _ in range(60)]
+        disconnected = 0
+        for g in graphs:
+            if any(UNREACHABLE in row for row in all_pairs_distances(g)):
+                disconnected += 1
+            self.assert_agrees(g)
+        assert disconnected >= 50
+
+    def test_first_changed_row_past_row_0(self, petersen):
+        # in C5 + C5 no row of the first cycle changes when a vertex of
+        # the second is deleted; in C8 deleting the antipode of 0 leaves
+        # row 0 as it was
+        firsts = self.assert_agrees(disjoint_union(cycle(5), cycle(5)))
+        assert all(first >= 5 for first in firsts[5:])
+        assert self.assert_agrees(cycle(8))[4] == 2
+        rng = random.Random(31)
+        late = 0
+        for g in [petersen, disjoint_union(cycle(6), cycle(5))] + [
+                random_graph(rng.randint(4, 9), 0.4, rng)
+                for _ in range(40)]:
+            late += sum(1 for f in self.assert_agrees(g) if f)
+        assert late >= 20
+
+    def test_pendant_deletion_trees(self):
+        rng = random.Random(37)
+        trees = [Graph.from_edges(5, [(i, i + 1) for i in range(4)]),
+                 Graph.from_edges(6, [(0, i) for i in range(1, 6)])]
+        trees += [random_tree(rng.randint(2, 12), rng) for _ in range(40)]
+        for t in trees:
+            firsts = self.assert_agrees(t)
+            # a leaf deletion changes nothing, any other one disconnects
+            assert [f is None for f in firsts] == \
+                [t.degree(v) == 1 for v in range(t.n)]
+            assert pendant_deletion_check(t)
+
+    def test_long_cycle(self):
+        assert is_distance_critical_direct(cycle(512))
 
 
 class TestWitnesses:

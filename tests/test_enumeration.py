@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 
-import numpy as np
 import pytest
 
 from distcrit import (
@@ -18,11 +17,16 @@ from distcrit import (
 )
 from distcrit import enumeration
 from distcrit.canon import _automorphism_taking, _search, refine
-from distcrit.criticality import _extension_table, _is_critical_fast
+from distcrit.criticality import (
+    _extension_table,
+    _is_critical_fast,
+    _is_edge_maximal_fast,
+)
 from distcrit.enumeration import (
     MAX_ENUM_N,
-    _child_cut_table,
     _child_states,
+    _cut_sets,
+    _degree_sets,
     _iter_adj,
     _subset_reps,
 )
@@ -36,16 +40,17 @@ CRITICAL_COUNTS = {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 1, 7: 4, 8: 15}
 MAXIMAL_COUNTS = {5: 1, 6: 1, 7: 2, 8: 4}
 
 
-def subset_reps_dfs(k: int, gens) -> np.ndarray:
+def subset_reps_dfs(k: int, gens) -> int:
     """Least orbit members by a depth-first walk of each orbit, the
-    implementation the numpy orbit table replaced."""
+    implementation the numpy orbit table replaced; bit S set iff S is
+    the least of its orbit."""
     size = 1 << k
-    rep = np.zeros(size - 1, dtype=bool)
+    rep = 0
     seen = bytearray(size)
     for m in range(1, size):
         if seen[m]:
             continue
-        rep[m - 1] = True
+        rep |= 1 << m
         stack = [m]
         seen[m] = 1
         while stack:
@@ -112,14 +117,38 @@ class TestConnectedCensus:
 class TestAugmentationSteps:
     """Each fast step of the child test against the code it replaced."""
 
-    def test_child_cut_table_matches_tarjan(self):
+    def test_child_cut_sets_match_tarjan(self):
         children = 0
         for k, (adj, cut_mask) in augmentation_nodes(7):
-            table = _child_cut_table(adj, k, cut_mask).tolist()
+            # the cut mask each node carries, from its parent's cut sets
+            assert cut_mask == _articulation_mask(adj, k)
+            cuts = _cut_sets(adj, k, cut_mask)
+            assert len(cuts) == k
+            assert all(not c & 1 and not c >> (1 << k) for c in cuts)
             for s, child in child_adjacencies(adj, k):
-                assert table[s - 1] == _articulation_mask(child, k + 1)
+                got = sum(1 << u for u, c in enumerate(cuts) if c >> s & 1)
+                assert got == _articulation_mask(child, k + 1)
                 children += 1
         assert children == 116146
+
+    def test_degree_sets_match_child_degrees(self):
+        # ok: |S| is at least the child degree of every parent vertex that
+        # is not a cut vertex of the child; lead: strictly above all of them
+        children = oks = leads = 0
+        for k, (adj, cut_mask) in augmentation_nodes(7):
+            ok, lead = _degree_sets(adj, k, _cut_sets(adj, k, cut_mask))
+            assert not (ok | lead) & 1 and not (ok | lead) >> (1 << k)
+            for s, child in child_adjacencies(adj, k):
+                cut = _articulation_mask(child, k + 1)
+                need = max((child[u].bit_count() for u in range(k)
+                            if not cut >> u & 1), default=0)
+                assert ok >> s & 1 == (s.bit_count() >= need)
+                assert lead >> s & 1 == (s.bit_count() > need)
+                children += 1
+                oks += ok >> s & 1
+                leads += lead >> s & 1
+        assert children == 116146
+        assert 0 < leads < oks < children
 
     def test_subset_reps_match_orbit_dfs(self):
         checked = 0
@@ -128,8 +157,8 @@ class TestAugmentationSteps:
             if not gens:
                 continue
             got = _subset_reps(k, gens)
-            assert got.dtype == bool
-            assert np.array_equal(got, subset_reps_dfs(k, gens))
+            assert isinstance(got, int)
+            assert got == subset_reps_dfs(k, gens)
             checked += 1
         assert checked == 8408
 
@@ -298,12 +327,15 @@ class TestCriticalTallies:
             assert tally.critical_count == CRITICAL_COUNTS[n]
             assert tally.maximal_count == MAXIMAL_COUNTS.get(n, 0)
 
-    def test_collected_hits_match_filter(self, criticals_by_n):
-        for n in (5, 6, 7):
+    def test_collected_hits_match_filter(self, connected_by_n):
+        # the verdicts read from the parents' tables, in generation order
+        for n in range(1, 9):
+            crit = [g for g in connected_by_n[n] if _is_critical_fast(g.adj, n)]
             tally, hits = run_enumeration(n, collect=True)
-            assert hits is not None and len(hits) == tally.critical_count
-            assert {canonical_form(g) for g in hits} == \
-                {canonical_form(g) for g in criticals_by_n[n]}
+            assert hits == crit and tally.critical_count == len(crit)
+            maximal = [g for g in crit if _is_edge_maximal_fast(g.adj, n)]
+            tally, hits = run_enumeration(n, edge_maximal=True, collect=True)
+            assert hits == maximal and tally.maximal_count == len(maximal)
 
     def test_json_shape(self):
         d = run_enumeration(5)[0].to_json_dict()
@@ -351,16 +383,17 @@ class TestCriticalFirst:
 
     def test_empty_table_skips_the_parent(self, monkeypatch):
         # a parent with no critical child is never refined, searched or
-        # given a cut table
+        # given cut sets
         def unreachable(*args, **kwargs):
             raise AssertionError("an empty table reached the child test")
 
         empty = [(k, state) for k, state in augmentation_nodes(7)
                  if not _extension_table(state[0], k)]
-        for name in ("refine", "_search", "_child_cut_table"):
+        for name in ("refine", "_search", "_cut_sets"):
             monkeypatch.setattr(enumeration, name, unreachable)
         for k, state in empty:
-            assert list(_child_states(state, k, _extension_table)) == []
+            table = _extension_table(state[0], k)
+            assert list(_child_states(state, k, table)) == []
         # 960 of the 996 connected graphs on up to 7 vertices
         assert len(empty) == 960
 
