@@ -9,9 +9,9 @@ input; a graph with no vertices is not distance critical by convention.
 
 The pairs method is the workhorse: it needs no distance recomputation and
 reports, per vertex, the lexicographically least witness pair.  The direct
-method recomputes distances after each deletion, one source at a time up
-to the first changed row, and exists as an independent check of the same
-predicate.
+method recomputes distances after each deletion, one source of the
+deleted vertex's component at a time up to the first changed row, and
+exists as an independent check of the same predicate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, _bfs_row, all_pairs_distances, bits
+from .graph import UNREACHABLE, Graph, _bfs_row, all_pairs_distances, bits
 
 
 def common_neighbors(g: Graph, a: int, b: int) -> tuple[int, ...]:
@@ -136,14 +136,19 @@ def is_distance_critical_pairs(g: Graph) -> CriticalityReport:
 def _deletion_changes_distances(g: Graph, base, v: int) -> bool:
     """Does deleting v change a distance between two other vertices?
 
-    base holds the distance rows of g.  The rows of g - v are computed one
-    source at a time, and the test stops at the first surviving vertex
-    whose row of distances changed.
+    base holds the distance rows of g.  Only the vertices of v's component
+    (those at a finite distance from v) can have a changed row, since no
+    path from any other vertex meets v.  Their rows of g - v are computed
+    one source at a time, and the test stops at the first one that
+    changed.
     """
     sub = g.delete_vertex(v)
-    for x in range(sub.n):
-        before = base[x if x < v else x + 1]
-        if list(before[:v] + before[v + 1:]) != _bfs_row(sub.adj, sub.n, x):
+    for x, d in enumerate(base[v]):
+        if x == v or d == UNREACHABLE:
+            continue
+        before = base[x]
+        row = _bfs_row(sub.adj, sub.n, x if x < v else x - 1)
+        if list(before[:v] + before[v + 1:]) != row:
             return True
     return False
 

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -259,7 +260,7 @@ class TestEnumerate:
 
     def test_emit_graph6_n8_is_pinned(self, capsys):
         # the hash was taken before the child cut table, inert splitters
-        # and numpy orbit table went in
+        # and the table of subset orbit minima went in
         code, out, _ = invoke(capsys, ["enumerate", "-n", "8"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -409,3 +410,19 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait() == 1
     assert err == b""
+
+
+def test_startup_imports_neither_numpy_nor_multiprocessing():
+    # the library has no runtime dependency, and only a process pool
+    # (enumerate --jobs > 1) loads multiprocessing
+    import distcrit
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import distcrit, distcrit.cli\n"
+            "print(sorted(m for m in ('numpy', 'multiprocessing')"
+            " if m in sys.modules))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         str(Path(distcrit.__file__).resolve().parents[1])],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

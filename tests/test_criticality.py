@@ -22,7 +22,8 @@ from distcrit import (
     pendant_deletion_check,
 )
 from distcrit.constructions import cycle
-from distcrit.graph import UNREACHABLE
+from distcrit import criticality
+from distcrit.graph import UNREACHABLE, _bfs_row
 from distcrit.criticality import (
     _deletion_changes_distances,
     _extension_table,
@@ -151,6 +152,28 @@ class TestDirectMethod:
                 disconnected += 1
             self.assert_agrees(g)
         assert disconnected >= 50
+
+    def test_only_rows_of_the_deleted_component_are_computed(
+            self, monkeypatch):
+        # in C5 + C5 + K1, deleting a vertex of the second cycle computes
+        # rows of that cycle only, and deleting the isolated vertex none
+        g = disjoint_union(disjoint_union(cycle(5), cycle(5)),
+                           Graph.empty(1))
+        base = all_pairs_distances(g)
+        sources = []
+
+        def recording_bfs_row(adj, n, src):
+            sources.append(src)
+            return _bfs_row(adj, n, src)
+
+        monkeypatch.setattr(criticality, "_bfs_row", recording_bfs_row)
+        for v in range(5, 10):
+            sources.clear()
+            assert _deletion_changes_distances(g, base, v)
+            assert sources and all(5 <= s < 9 for s in sources)
+        sources.clear()
+        assert not _deletion_changes_distances(g, base, 10)
+        assert sources == []
 
     def test_first_changed_row_past_row_0(self, petersen):
         # in C5 + C5 no row of the first cycle changes when a vertex of

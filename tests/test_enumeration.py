@@ -17,6 +17,7 @@ from distcrit import (
 )
 from distcrit import enumeration
 from distcrit.canon import _automorphism_taking, _search, refine
+from distcrit.constructions import cycle
 from distcrit.criticality import (
     _extension_table,
     _is_critical_fast,
@@ -42,7 +43,7 @@ MAXIMAL_COUNTS = {5: 1, 6: 1, 7: 2, 8: 4}
 
 def subset_reps_dfs(k: int, gens) -> int:
     """Least orbit members by a depth-first walk of each orbit, the
-    implementation the numpy orbit table replaced; bit S set iff S is
+    implementation the table of orbit minima replaced; bit S set iff S is
     the least of its orbit."""
     size = 1 << k
     rep = 0
@@ -105,7 +106,7 @@ class TestConnectedCensus:
     def test_graph6_output_is_pinned(self):
         # graph6 lines of every class on 7 and then 8 vertices, in
         # generation order; the hash was taken before the child cut table,
-        # inert splitters and numpy orbit table went in
+        # inert splitters and the table of subset orbit minima went in
         digest = hashlib.sha256()
         for n in (7, 8):
             for g in iter_connected(n):
@@ -152,6 +153,7 @@ class TestAugmentationSteps:
 
     def test_subset_reps_match_orbit_dfs(self):
         checked = 0
+        keys = set()
         for k, (adj, _) in augmentation_nodes(8):
             gens = _search(adj, k)[3]
             if not gens:
@@ -160,7 +162,44 @@ class TestAugmentationSteps:
             assert isinstance(got, int)
             assert got == subset_reps_dfs(k, gens)
             checked += 1
+            keys.add((k, tuple(gens)))
+        # the calls of the n = 9 census, and the cache keys they share
         assert checked == 8408
+        assert len(keys) == 1645
+
+    def test_subset_reps_on_9_and_10_vertices(self, petersen):
+        # the 512- and 1024-bit tables, on vertex-transitive and
+        # bipartite groups
+        def complete_bipartite(a: int, b: int) -> Graph:
+            return Graph.from_edges(a + b, [(i, a + j) for i in range(a)
+                                            for j in range(b)])
+
+        graphs = [cycle(9), cycle(10), complete_bipartite(4, 5),
+                  complete_bipartite(5, 5), complete_bipartite(1, 9),
+                  petersen]
+        for g in graphs:
+            gens = _search(g.adj, g.n)[3]
+            assert gens
+            assert _subset_reps(g.n, gens) == subset_reps_dfs(g.n, gens)
+
+    def test_subset_reps_cache(self, monkeypatch, petersen):
+        monkeypatch.setattr(enumeration, "_SUBSET_REPS", {})
+        gens = _search(petersen.adj, 10)[3]
+        fresh = _subset_reps(10, gens)
+        assert len(enumeration._SUBSET_REPS) == 1
+        assert _subset_reps(10, list(gens)) is fresh
+        monkeypatch.setattr(enumeration, "_SUBSET_REPS", {})
+        assert _subset_reps(10, gens) == fresh
+
+        # past the bound the cache is cleared, never grown
+        monkeypatch.setattr(enumeration, "_SUBSET_REPS_MAX", 3)
+        nodes = [(k, _search(adj, k)[3]) for k, (adj, _) in
+                 augmentation_nodes(6)]
+        nodes = [(k, gens) for k, gens in nodes if gens]
+        assert len({(k, tuple(gens)) for k, gens in nodes}) > 3
+        for k, gens in nodes:
+            assert _subset_reps(k, gens) == subset_reps_dfs(k, gens)
+            assert 1 <= len(enumeration._SUBSET_REPS) <= 3
 
 
 def parent_state(adj: tuple[int, ...]):
