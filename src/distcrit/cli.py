@@ -39,11 +39,10 @@ from .constructions import (
 )
 from .criticality import (
     determining_pairs_of,
-    involved_set,
     is_distance_critical_direct,
     is_distance_critical_pairs,
 )
-from .enumeration import run_enumeration
+from .enumeration import _check_args, run_enumeration
 from .graph import Graph, girth, is_connected, is_two_connected
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .products import ProductKind, product
@@ -158,6 +157,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    # an out-of-range argument is refused before the long-run gate, which
+    # cannot make it valid
+    _check_args(args.n, args.shards, args.shard, args.jobs)
     if args.n >= 11 and not args.allow_long_run:
         return _fail("n = 11 takes hours, or about 6 minutes with "
                      "--critical-only --jobs 2; pass --allow-long-run to "

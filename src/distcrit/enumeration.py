@@ -63,26 +63,27 @@ partition and automorphism generators are computed when it is expanded,
 so children at the last level, which are never expanded, cost no more
 than their verdict.
 
-Critical-first leaves: a census that only needs the critical graphs on
-n vertices passes a keep table to the parents at level n - 1
-(criticality._extension_table, or the lemma universe's table in verify).
-Bit S of it says whether the child with neighbourhood S is critical,
-decided for all S at once from the parent's determining pairs.  A parent
-with an empty table is skipped before its cut sets, refinement and
-automorphism search; otherwise the table is ANDed into the candidates
-before rules (a) and (b).  Both rules are decided for each candidate on
-its own (the union-find and the abort hook start afresh per candidate),
-so dropping candidates changes no other verdict: the stream is the full
-stream filtered by the table, in the same order, and the frontier, and
-with it the shard and job split, is unchanged.  At n = 10 only 4,261 of
-the 261,080 parents have a critical child.
+Table-decided leaves: one generator walks the nodes at level n - 1 and
+builds each one's criticality table (criticality._extension_table)
+once.  Bit S of it says whether the child with neighbourhood S is
+critical, decided for all S at once from the parent's determining pairs,
+so a leaf is critical iff bit S of its parent's table is set, S being
+the new vertex's row, and no leaf is tested on its own.  The census and
+the lemma universe in verify both read their leaves from this generator;
+edge-maximality is then tested on the critical leaves.
 
-Table-decided tally: the census walks the nodes at level n - 1 and builds
-each one's criticality table once.  A leaf is critical iff bit S of its
-parent's table is set, S being the new vertex's row, so no leaf is tested
-on its own; edge-maximality is then tested on the critical leaves.  A
-critical-only census passes the same table on as the keep filter, and
-that is the only difference between the two.
+Critical-first leaves: a walk that only needs some leaves passes a keep
+table, computed from the parent and its criticality table, to the
+parent's child test.  The critical-only census keeps exactly the
+criticality table, the lemma universe that table or the girth > 4 one.
+A parent with an empty keep table is skipped before its cut sets,
+refinement and automorphism search; otherwise the table is ANDed into
+the candidates before rules (a) and (b).  Both rules are decided for
+each candidate on its own (the union-find and the abort hook start
+afresh per candidate), so dropping candidates changes no other verdict:
+the stream is the full stream filtered by the table, in the same order,
+and the frontier, and with it the shard and job split, is unchanged.  At
+n = 10 only 4,261 of the 261,080 parents have a critical child.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier; node f (in deterministic generation order) belongs to shard s of
@@ -102,7 +103,7 @@ from .criticality import _extension_table, _is_edge_maximal_fast, _mask_sets
 # sets and the extension table replace them) but stay module attributes:
 # bench/layers.py traces them by name.
 from .criticality import _is_critical_fast  # noqa: F401
-from .graph import Graph, _articulation_mask, bits  # noqa: F401
+from .graph import Graph, _articulation_mask, _reach_mask, bits  # noqa: F401
 
 MAX_ENUM_N = 11
 
@@ -171,13 +172,7 @@ def _components_without(adj: tuple[int, ...], k: int, u: int) -> list[int]:
     rest = ((1 << k) - 1) & ~(1 << u)
     comps = []
     while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            nb = 0
-            for v in bits(frontier):
-                nb |= adj[v]
-            frontier = nb & rest & ~comp
-            comp |= frontier
+        comp = _reach_mask(adj, rest & -rest, rest)
         comps.append(comp)
         rest &= ~comp
     return comps
@@ -374,23 +369,22 @@ def _iter_parents(
     yield from rec(_ROOT, 1)
 
 
-def _iter_adj(
+def _iter_leaves(
     n: int,
     owner: "Callable[[int], bool] | None" = None,
-    keep: "Callable[[tuple[int, ...], int], int] | None" = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield the adjacency of every accepted node on n vertices.  owner
-    gates the frontier at level max(1, n - 2); keep(adj, k) gives the keep
-    table of each parent at level n - 1 (see _child_states)."""
-    if n == 1:
-        # no parent level: the root is the only node, frontier node 0
-        if owner is None or owner(0):
-            yield _ROOT[0]
-        return
+    keep: "Callable[[tuple[int, ...], int, int], int] | None" = None,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (adj, critical) for every accepted node on n >= 2 vertices,
+    in generation order.  Each parent at level n - 1 builds its
+    criticality table once; critical is bit adj[n - 1] of it, adj[n - 1]
+    being the new vertex's neighbourhood, so it is the leaf's verdict.
+    owner gates the frontier at level max(1, n - 2); keep(adj, n - 1,
+    table), when given, is the parent's keep table (see _child_states)."""
     for state in _iter_parents(n, owner):
-        kept = None if keep is None else keep(state[0], n - 1)
+        table = _extension_table(state[0], n - 1)
+        kept = None if keep is None else keep(state[0], n - 1, table)
         for adj, _ in _child_states(state, n - 1, kept):
-            yield adj
+            yield adj, table >> adj[-1] & 1
 
 
 def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
@@ -405,8 +399,12 @@ def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
 def iter_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
     _check_args(n, 1, 0)
-    for adj in _iter_adj(n):
-        yield Graph(n, adj, check=False)
+    if n == 1:
+        yield Graph(1, _ROOT[0], check=False)
+        return
+    for state in _iter_parents(n):
+        for adj, _ in _child_states(state, n - 1):
+            yield Graph(n, adj, check=False)
 
 
 @dataclass(frozen=True)
@@ -455,26 +453,23 @@ def _tally_shard(
             return f % shards == shard and (f // shards) % jobs == job
 
     if n == 1:
-        # no parent level: the one-vertex graph, which is not critical
-        return sum(1 for _ in _iter_adj(1, owner)), 0, 0, []
+        # no parent level: the one-vertex graph, frontier node 0, which is
+        # not critical
+        return int(owner is None or owner(0)), 0, 0, []
     connected = critical = maximal = 0
     hits: list[tuple[int, ...]] = []
-    for state in _iter_parents(n, owner):
-        # bit S of the parent's table is the verdict on the leaf whose new
-        # vertex has neighbourhood S, its last row
-        table = _extension_table(state[0], n - 1)
-        for adj, _ in _child_states(state, n - 1,
-                                    table if critical_only else None):
-            connected += 1
-            if not table >> adj[-1] & 1:
+    keep = (lambda adj, k, table: table) if critical_only else None
+    for adj, is_critical in _iter_leaves(n, owner, keep):
+        connected += 1
+        if not is_critical:
+            continue
+        critical += 1
+        if edge_maximal:
+            if not _is_edge_maximal_fast(adj, n):
                 continue
-            critical += 1
-            if edge_maximal:
-                if not _is_edge_maximal_fast(adj, n):
-                    continue
-                maximal += 1
-            if collect:
-                hits.append(adj)
+            maximal += 1
+        if collect:
+            hits.append(adj)
     return connected, critical, maximal, hits
 
 

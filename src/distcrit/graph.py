@@ -195,7 +195,9 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_bfs_row(g.adj, g.n, s)) for s in range(g.n))
 
 
-def _reach_mask(adj, start_mask: int) -> int:
+def _reach_mask(adj, start_mask: int, within: int = -1) -> int:
+    """The vertices reachable from start_mask through vertices of within
+    (every vertex by default)."""
     seen = frontier = start_mask
     while frontier:
         nxt = 0
@@ -204,7 +206,7 @@ def _reach_mask(adj, start_mask: int) -> int:
             low = m & -m
             nxt |= adj[low.bit_length() - 1]
             m ^= low
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
     return seen
 

@@ -5,8 +5,10 @@ relies on is restated here as a finite, exhaustively checkable property
 over an enumerated universe (critical graphs, edge-maximal critical
 graphs, connected graphs of girth > 4, ... up to a vertex cap) or over a
 constructed family.  The universe is one sweep over the orders 1..cap,
-made once per run and read by every lemma; at each order it generates
-only the graphs some lemma quantifies over.  The three product laws
+made once per run and read by every lemma.  It is the census's own leaf
+walk (enumeration._iter_leaves): every leaf's critical verdict comes
+from its parent's criticality table, and at each order only the graphs
+some lemma quantifies over are generated.  The three product laws
 (cartesian, tensor and strong products of critical factors stay
 critical) run on the same harness over their own factor universe.
 
@@ -35,7 +37,6 @@ from typing import Callable
 from .constructions import cycle, regular_extremal
 from .criticality import (
     _deletion_changes_distances,
-    _extension_table,
     _girth_table,
     _is_critical_fast,
     _is_edge_maximal_fast,
@@ -43,7 +44,7 @@ from .criticality import (
     determining_pairs_of,
     involved_set,
 )
-from .enumeration import _iter_adj, _iter_unions, iter_connected
+from .enumeration import _iter_leaves, _iter_unions, iter_connected
 from .graph import (
     Graph,
     UNREACHABLE,
@@ -83,14 +84,6 @@ class LemmaCheck:
         }
 
 
-def _universe_table(adj: tuple[int, ...], k: int) -> int:
-    """The children of adj that some lemma may quantify over: the
-    critical ones and those of girth > 4 (or acyclic).  GIRTH checks that
-    girth > 4 implies criticality, so its graphs must not be drawn from
-    the critical table alone."""
-    return _extension_table(adj, k) | _girth_table(adj, k)
-
-
 class _Universe:
     """Every catalog the lemma sweeps read, from one walk of the
     augmentation tree per order k = 1..n_cap.
@@ -98,24 +91,28 @@ class _Universe:
     criticals[k] and maximal[k] hold the critical and the edge-maximal
     critical classes on k vertices; girth5 holds the connected graphs with
     minimum degree >= 2 and girth > 4, the hypothesis set of GIRTH.  The
-    walk to order k tries at its last level only the children that
-    _universe_table admits (critical-first leaves, see the enumeration
-    module), so of the connected classes on k vertices only the critical
-    and girth > 4 ones are generated; each is classified as before.
+    walk is the census's (enumeration._iter_leaves): each leaf's critical
+    verdict is read from its parent's table, and the last level tries only
+    the children that table or the girth > 4 table admits.  GIRTH checks
+    that girth > 4 implies criticality, so its graphs must not be drawn
+    from the critical table alone.
     """
 
     def __init__(self, n_cap: int):
         if not 1 <= n_cap <= MAX_LEMMA_CAP:
             raise ValueError(f"n_cap must be in 1..{MAX_LEMMA_CAP}")
         self.n_cap = n_cap
-        self.criticals: dict[int, list[Graph]] = {}
-        self.maximal: dict[int, list[Graph]] = {}
+        # K1 is neither critical nor of minimum degree >= 2
+        self.criticals: dict[int, list[Graph]] = {1: []}
+        self.maximal: dict[int, list[Graph]] = {1: []}
         self.girth5: list[Graph] = []
-        for k in range(1, n_cap + 1):
+        for k in range(2, n_cap + 1):
             crit = self.criticals[k] = []
-            for adj in _iter_adj(k, keep=_universe_table):
+            leaves = _iter_leaves(k, keep=lambda parent, j, table:
+                                  table | _girth_table(parent, j))
+            for adj, critical in leaves:
                 g = Graph(k, adj, check=False)
-                if _is_critical_fast(adj, k):
+                if critical:
                     crit.append(g)
                 if g.min_degree() >= 2:
                     gg = girth(g)
@@ -445,7 +442,5 @@ def pendant_deletion_check(t: Graph) -> bool:
     pairwise distances (it always does; this is the checkable form)."""
     _require_tree(t)
     leaves = [v for v in range(t.n) if t.degree(v) == 1]
-    if not leaves:
-        raise ValueError("tree has no leaf")
     base = all_pairs_distances(t)
     return not any(_deletion_changes_distances(t, base, v) for v in leaves)

@@ -309,6 +309,16 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
 
+    def test_order_above_the_range_is_not_a_long_run(self, capsys):
+        # no flag can make n = 12 valid, so the range error comes first
+        for argv in (["enumerate", "-n", "12"],
+                     ["enumerate", "-n", "12", "--allow-long-run"]):
+            code, out, err = invoke(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert "n must be in 1..11" in err
+            assert "--allow-long-run" not in err
+
     def test_bad_shard_index(self, capsys):
         code, out, _ = invoke(capsys, ["enumerate", "-n", "6", "--shards", "2",
                                        "--shard", "2"])

@@ -28,7 +28,7 @@ from distcrit.enumeration import (
     _child_states,
     _cut_sets,
     _degree_sets,
-    _iter_adj,
+    _iter_leaves,
     _subset_reps,
 )
 from distcrit.graph import _articulation_mask, bits
@@ -394,9 +394,13 @@ class TestCriticalFirst:
 
     def test_stream_is_the_filtered_full_stream(self, connected_by_n):
         for n in range(2, 9):
-            want = [g.adj for g in connected_by_n[n]
-                    if _is_critical_fast(g.adj, n)]
-            assert list(_iter_adj(n, keep=_extension_table)) == want
+            # every leaf with its verdict read from the parent's table,
+            # against the direct test on the connected catalog
+            full = [(g.adj, int(_is_critical_fast(g.adj, n)))
+                    for g in connected_by_n[n]]
+            assert list(_iter_leaves(n)) == full
+            kept = _iter_leaves(n, keep=lambda adj, k, table: table)
+            assert list(kept) == [leaf for leaf in full if leaf[1]]
         for n in range(1, 9):
             full, hits = run_enumeration(n, edge_maximal=True, collect=True)
             fast, fast_hits = run_enumeration(n, edge_maximal=True,
@@ -441,17 +445,25 @@ class TestSharding:
     def test_shards_partition_the_space(self):
         # frontier node f goes to shard f mod shards, and within it to job
         # (f div shards) mod jobs, as in run_enumeration
-        full = list(_iter_adj(7))
+        full = list(_iter_leaves(7))
         assert len(full) == 853
         for shards, jobs in ((4, 1), (2, 2)):
             pieces = [
-                list(_iter_adj(7, lambda f: (
+                list(_iter_leaves(7, lambda f: (
                     f % shards == shard and (f // shards) % jobs == job)))
                 for shard in range(shards) for job in range(jobs)]
             assert len(pieces) == 4
             assert all(pieces)
             merged = list(itertools.chain.from_iterable(pieces))
             assert sorted(merged) == sorted(full)
+
+    def test_one_vertex(self):
+        # K1 is the only node on one vertex and frontier node 0
+        parts = [run_enumeration(1, shards=2, shard=s)[0] for s in range(2)]
+        assert [p.connected_count for p in parts] == [1, 0]
+        assert [p.critical_count for p in parts] == [0, 0]
+        assert run_enumeration(1, jobs=2)[0].connected_count == 1
+        assert list(iter_connected(1)) == [Graph(1, [0])]
 
     def test_sharded_tallies_sum(self):
         whole = run_enumeration(7, edge_maximal=True)[0]

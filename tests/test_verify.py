@@ -18,8 +18,9 @@ from distcrit import (
     run_all_lemmas,
     run_lemma,
 )
-from distcrit import verify
+from distcrit import enumeration, verify
 from distcrit.constructions import cycle
+from distcrit.criticality import _girth_table
 
 CHECKED_AT_7 = {
     "GIRTH": 4, "CYCLE5": 6, "NO_DOM": 6, "EDGE_ADD": 0, "DEG3": 1,
@@ -82,15 +83,25 @@ class TestLemmaHarness:
 
     def test_one_sweep_feeds_every_lemma(self, monkeypatch):
         levels = []
-        real = verify._iter_adj
+        real = verify._iter_leaves
 
         def counting(k, owner=None, keep=None):
-            levels.append((k, keep))
+            levels.append((k, owner, keep))
             return real(k, owner, keep)
 
-        monkeypatch.setattr(verify, "_iter_adj", counting)
+        monkeypatch.setattr(verify, "_iter_leaves", counting)
         run_all_lemmas(7)
-        assert levels == [(k, verify._universe_table) for k in range(1, 8)]
+        assert [(k, owner) for k, owner, _ in levels] == \
+            [(k, None) for k in range(2, 8)]
+        # each walk keeps the critical table or the girth > 4 one: on the
+        # path P4 a new vertex on a single vertex or on {0, 3} leaves
+        # girth > 4
+        path = (0b10, 0b101, 0b1010, 0b100)
+        wide = sum(1 << s for s in (0b1, 0b10, 0b100, 0b1000, 0b1001))
+        assert _girth_table(path, 4) == wide
+        for _, _, keep in levels:
+            assert keep(path, 4, 0) == wide
+            assert keep(path, 4, 1 << 0b110) == wide | 1 << 0b110
 
     def test_universe_is_the_filtered_full_walk(self, connected_by_n,
                                                 monkeypatch):
@@ -105,8 +116,11 @@ class TestLemmaHarness:
         assert uni.girth5 == girth5 and len(girth5) == 9
         # GIRTH's graphs come from their own table, so a criticality table
         # that missed them could not hide a counterexample
-        monkeypatch.setattr(verify, "_extension_table", lambda adj, k: 0)
-        assert verify._Universe(8).girth5 == girth5
+        monkeypatch.setattr(enumeration, "_extension_table",
+                            lambda adj, k: 0)
+        empty = verify._Universe(8)
+        assert not any(empty.criticals.values())
+        assert empty.girth5 == girth5
 
     def test_one_certificate_per_failed_instance(self, monkeypatch):
         # with every DPSTAR instance failing, each of its 125 instances
