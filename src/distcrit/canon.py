@@ -113,6 +113,29 @@ def refine(adj, cells, abort=None):
     return cells
 
 
+def _individualize(adj, cells: list[int], t: int, low: int) -> list[int]:
+    """Individualize one vertex: split the one-bit mask low off cell t,
+    in front of the rest of that cell, and refine."""
+    return refine(adj, cells[:t] + [low, cells[t] ^ low] + cells[t + 1:])
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest parent, halving the path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _union(parent: list[int], a: int, b: int) -> None:
+    """Join the classes of a and b under the smaller root, so every root
+    is the least member of its class."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra < rb:
+        parent[rb] = ra
+    elif rb < ra:
+        parent[ra] = rb
+
+
 def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     """Core backtracking search.
 
@@ -145,19 +168,6 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     gens: list[tuple[int, ...]] = []
     orbit = list(range(n))
 
-    def o_find(x: int) -> int:
-        while orbit[x] != x:
-            orbit[x] = orbit[orbit[x]]
-            x = orbit[x]
-        return x
-
-    def o_union(a: int, b: int) -> None:
-        ra, rb = o_find(a), o_find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            orbit[rb] = ra
-
     def form_of(lab: tuple[int, ...]) -> int:
         f = 0
         for i in range(n):
@@ -186,7 +196,7 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
                 if any(perm[v] != v for v in range(n)):
                     gens.append(tuple(perm))
                     for v in range(n):
-                        o_union(v, perm[v])
+                        _union(orbit, v, perm[v])
                 t = 0
                 limit = min(len(path), len(best_path))
                 while t < limit and path[t] == best_path[t]:
@@ -194,19 +204,10 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
                 return t if t < len(path) else None
             return None
 
-        cell = cells[tgt]
-        prefix, suffix = cells[:tgt], cells[tgt + 1:]
         tried: list[int] = []
         seen_gens = -1
         lroot: list[int] = []
-
-        def l_find(x: int) -> int:
-            while lroot[x] != x:
-                lroot[x] = lroot[lroot[x]]
-                x = lroot[x]
-            return x
-
-        m = cell
+        m = cells[tgt]
         while m:
             low = m & -m
             v = low.bit_length() - 1
@@ -218,14 +219,11 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
                     for g in gens:
                         if all(g[p] == p for p in path):
                             for u in range(n):
-                                ru, rg = l_find(u), l_find(g[u])
-                                if ru != rg:
-                                    lroot[max(ru, rg)] = min(ru, rg)
-                if any(l_find(v) == l_find(u) for u in tried):
+                                _union(lroot, u, g[u])
+                if any(_find(lroot, v) == _find(lroot, u) for u in tried):
                     continue
             tried.append(v)
-            res = search(refine(adj, prefix + [low, cell ^ low] + suffix),
-                         path + (v,))
+            res = search(_individualize(adj, cells, tgt, low), path + (v,))
             if res is not None and res < len(path):
                 return res
         return None
@@ -233,10 +231,8 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     if stable is None:
         stable = refine(adj, degree_cells(adj, n))
     search(stable, ())
-    rep = [0] * n
-    for v in range(n):
-        rep[v] = o_find(v)
-    return best_form, best_lab, tuple(rep), gens
+    rep = tuple(_find(orbit, v) for v in range(n))
+    return best_form, best_lab, rep, gens
 
 
 def _automorphism_taking(adj: tuple[int, ...], n: int, stable: list[int],
@@ -255,9 +251,6 @@ def _automorphism_taking(adj: tuple[int, ...], n: int, stable: list[int],
     the branch that follows it ends in that automorphism.
     """
 
-    def split(cells: list[int], t: int, low: int) -> list[int]:
-        return refine(adj, cells[:t] + [low, cells[t] ^ low] + cells[t + 1:])
-
     def match(pw: list[int], pu: list[int]) -> "tuple[int, ...] | None":
         if len(pw) != len(pu) or any(
                 a.bit_count() != b.bit_count() for a, b in zip(pw, pu)):
@@ -271,12 +264,12 @@ def _automorphism_taking(adj: tuple[int, ...], n: int, stable: list[int],
                    for v in range(n) for x in bits(adj[v])):
                 return tuple(perm)
             return None
-        pw = split(pw, t, pw[t] & -pw[t])
+        pw = _individualize(adj, pw, t, pw[t] & -pw[t])
         m = pu[t]
         while m:
             low = m & -m
             m ^= low
-            perm = match(pw, split(pu, t, low))
+            perm = match(pw, _individualize(adj, pu, t, low))
             if perm is not None:
                 return perm
         return None
@@ -284,7 +277,8 @@ def _automorphism_taking(adj: tuple[int, ...], n: int, stable: list[int],
     if w == u:
         return tuple(range(n))
     t = next(i for i, c in enumerate(stable) if c >> w & 1)
-    return match(split(stable, t, 1 << w), split(stable, t, 1 << u))
+    return match(_individualize(adj, stable, t, 1 << w),
+                 _individualize(adj, stable, t, 1 << u))
 
 
 def _adjacent_transposition(n: int, i: int) -> tuple[int, ...]:

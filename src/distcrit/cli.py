@@ -319,8 +319,6 @@ def run(argv: "list[str] | None" = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except Graph6Error as exc:
-        return _fail(str(exc))
     except ValueError as exc:
         return _fail(str(exc))
 

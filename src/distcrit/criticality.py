@@ -176,13 +176,14 @@ def _girth_exceeds_4(adj, n: int) -> bool:
     return True
 
 
-_MASK_SETS: dict[int, tuple[list[int], list[int]]] = {}
+_MASK_SETS: dict[int, tuple[list[int], list[int], list[int]]] = {}
 
 
-def _mask_sets(k: int) -> tuple[list[int], list[int]]:
+def _mask_sets(k: int) -> tuple[list[int], list[int], list[int]]:
     """Sets of vertex masks S of range(k) as 2^k-bit ints, bit S standing
-    for S: HAS[a] holds the S that contain a, NONE[X] the S disjoint from
-    X (S = 0 included)."""
+    for S (S = 0 included): HAS[a] holds the S that contain a, NONE[X]
+    the S disjoint from X, and GE[j], for j = 0..k + 2, the S with
+    |S| >= j."""
     t = _MASK_SETS.get(k)
     if t is None:
         size = 1 << k
@@ -196,7 +197,12 @@ def _mask_sets(k: int) -> tuple[list[int], list[int]]:
         for x in range(1, size):
             low = x & -x
             none.append(none[x ^ low] & ~has[low.bit_length() - 1])
-        _MASK_SETS[k] = t = (has, none)
+        ge = [0] * (k + 3)
+        for s in range(size):
+            ge[s.bit_count()] |= 1 << s
+        for j in range(k, -1, -1):
+            ge[j] |= ge[j + 1]
+        _MASK_SETS[k] = t = (has, none, ge)
     return t
 
 
@@ -229,7 +235,7 @@ def _extension_table(adj, k: int) -> int:
     (then (a, w) is a pair of u).  Each condition is a few big-int
     operations on the HAS and NONE sets of _mask_sets.
     """
-    has, none = _mask_sets(k)
+    has, none, _ = _mask_sets(k)
     full = (1 << k) - 1
     table = 0
     for a, ball in enumerate(_balls(adj, k)):
@@ -262,7 +268,7 @@ def _girth_table(adj, k: int) -> int:
     vertex closes over two of them)."""
     if not _girth_exceeds_4(adj, k):
         return 0
-    has, none = _mask_sets(k)
+    has, none, _ = _mask_sets(k)
     table = (1 << (1 << k)) - 2
     for a, ball in enumerate(_balls(adj, k)):
         table &= ~has[a] | none[ball & ~(1 << a)]

@@ -23,10 +23,10 @@ cut vertex of the parent and S misses some component of the parent minus
 u.
 
 Every per-parent decision over the 2^k - 1 subsets is one big-int set
-operation: a 2^k-bit int whose bit S stands for the subset S, in the HAS
-and NONE form of criticality._mask_sets, plus cached sets of the S with
-|S| >= j.  Per parent vertex u one such int holds the S for which u is a
-cut vertex of the child, and a candidate's cut mask is read from them.
+operation: a 2^k-bit int whose bit S stands for the subset S, built from
+the cached HAS, NONE and GE sets of criticality._mask_sets.  Per parent
+vertex u one such int holds the S for which u is a cut vertex of the
+child, and a candidate's cut mask is read from them.
 
 Rule (b) is decided cheaply for almost all candidates.  First an exact
 degree filter: the new vertex, of degree |S|, can only come last if |S|
@@ -63,14 +63,17 @@ partition and automorphism generators are computed when it is expanded,
 so children at the last level, which are never expanded, cost no more
 than their verdict.
 
-Table-decided leaves: one generator walks the nodes at level n - 1 and
-builds each one's criticality table (criticality._extension_table)
-once.  Bit S of it says whether the child with neighbourhood S is
-critical, decided for all S at once from the parent's determining pairs,
-so a leaf is critical iff bit S of its parent's table is set, S being
-the new vertex's row, and no leaf is tested on its own.  The census and
-the lemma universe in verify both read their leaves from this generator;
-edge-maximality is then tested on the critical leaves.
+Table-decided leaves: one generator, _iter_leaves, walks the nodes at
+level n - 1 and builds each one's criticality table
+(criticality._extension_table) once.  Bit S of it says whether the
+child with neighbourhood S is critical, decided for all S at once from
+the parent's determining pairs, so a leaf is critical iff bit S of its
+parent's table is set, S being the new vertex's row, and no leaf is
+tested on its own.  The census, iter_connected and the lemma universe in
+verify all read their leaves from this generator; edge-maximality is
+then tested on the critical leaves.  The walk starts at the root, the
+one-vertex graph K1, which for n = 1 is the one leaf (not critical: it
+has no parent table).
 
 Critical-first leaves: a walk that only needs some leaves passes a keep
 table, computed from the parent and its criticality table, to the
@@ -86,9 +89,11 @@ and the frontier, and with it the shard and job split, is unchanged.  At
 n = 10 only 4,261 of the 261,080 parents have a critical child.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
-frontier; node f (in deterministic generation order) belongs to shard s of
-S iff f mod S = s, and within a shard to job j of J iff (f div S) mod
-J = j.  The union over any partition layout reproduces the unsharded run.
+frontier (for n <= 3 that is K1 alone, node 0).  Job j of J within shard
+s of S owns frontier node f (in deterministic generation order) iff
+f mod (S * J) = s + S * j, which is f mod S = s and (f div S) mod J = j:
+S * J parts with one modulus rule.  The union over any partition layout
+reproduces the unsharded run.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .canon import _automorphism_taking, _search, degree_cells, refine
+from .canon import (_automorphism_taking, _find, _search, _union,
+                    degree_cells, refine)
 from .criticality import _extension_table, _is_edge_maximal_fast, _mask_sets
 # _articulation_mask and _is_critical_fast are no longer called here (the cut
 # sets and the extension table replace them) but stay module attributes:
@@ -107,25 +113,9 @@ from .graph import Graph, _articulation_mask, _reach_mask, bits  # noqa: F401
 
 MAX_ENUM_N = 11
 
-_SIZE_SETS: dict[int, list[int]] = {}
-
 # _subset_reps results by (k, generators); cleared when it reaches the bound
 _SUBSET_REPS: dict[tuple[int, tuple[tuple[int, ...], ...]], int] = {}
 _SUBSET_REPS_MAX = 1 << 16
-
-
-def _size_sets(k: int) -> list[int]:
-    """GE[j] for j = 0..k + 2, a 2^k-bit int whose bit S is set iff
-    |S| >= j (S = 0 included for j = 0)."""
-    ge = _SIZE_SETS.get(k)
-    if ge is None:
-        ge = [0] * (k + 3)
-        for s in range(1 << k):
-            ge[s.bit_count()] |= 1 << s
-        for j in range(k, -1, -1):
-            ge[j] |= ge[j + 1]
-        _SIZE_SETS[k] = ge
-    return ge
 
 
 def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> int:
@@ -209,8 +199,7 @@ def _degree_sets(adj: tuple[int, ...], k: int,
     those where |S| is strictly above all of them.  Per u that is: u is a
     cut vertex of the child, or u is in S and |S| >= d_u + 1 (+ 1 for
     lead), or u is not in S and |S| >= d_u (+ 1 for lead)."""
-    has, none = _mask_sets(k)
-    ge = _size_sets(k)
+    has, none, ge = _mask_sets(k)
     ok = lead = (1 << (1 << k)) - 2
     for u, cut in enumerate(cuts):
         d = adj[u].bit_count()
@@ -280,14 +269,6 @@ def _child_states(
                 return False
         return False
 
-    orbit: list[int] = []
-
-    def find(x: int) -> int:
-        # union-find over the automorphisms found for one candidate
-        while orbit[x] != x:
-            orbit[x] = x = orbit[orbit[x]]
-        return x
-
     while ok:
         low = ok & -ok
         ok ^= low
@@ -325,16 +306,16 @@ def _child_states(
         wrow = child_adj[k]
         for u in bits(next(c for c in reversed(stable) if c & cnon)
                       & cnon & ~newbit):
-            if find(u) == find(k):
+            if _find(orbit, u) == _find(orbit, k):
                 continue
             if child_adj[u] & ~newbit == wrow & ~(1 << u):
-                orbit[find(u)] = find(k)
+                _union(orbit, u, k)
                 continue
             perm = _automorphism_taking(child_adj, nch, stable, k, u)
             if perm is None:
                 break
             for v, pv in enumerate(perm):
-                orbit[find(v)] = find(pv)
+                _union(orbit, v, pv)
         else:
             yield child_adj, ccut_s
             continue
@@ -344,16 +325,27 @@ def _child_states(
             yield child_adj, ccut_s
 
 
-def _iter_parents(
+def _iter_leaves(
     n: int,
     owner: "Callable[[int], bool] | None" = None,
-) -> Iterator[_State]:
-    """The nodes on n - 1 vertices (n >= 2), in generation order.  owner
-    gates the frontier at level max(1, n - 2)."""
+    keep: "Callable[[tuple[int, ...], int, int], int] | None" = None,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (adj, critical) for every accepted node on n >= 1 vertices,
+    in generation order.  Each parent at level n - 1 builds its
+    criticality table once; critical is bit adj[n - 1] of it, adj[n - 1]
+    being the new vertex's neighbourhood, so it is the leaf's verdict.
+    owner gates the frontier at level max(1, n - 2); keep(adj, n - 1,
+    table), when given, is the parent's keep table (see _child_states).
+    For n = 1 the root K1, frontier node 0 and not critical, is the one
+    leaf."""
+    if n == 1:
+        if owner is None or owner(0):
+            yield _ROOT[0], 0
+        return
     frontier = max(1, n - 2)
     counter = 0
 
-    def rec(state: _State, k: int) -> Iterator[_State]:
+    def parents(state: _State, k: int) -> Iterator[_State]:
         nonlocal counter
         if owner is not None and k == frontier:
             idx = counter
@@ -364,23 +356,9 @@ def _iter_parents(
             yield state
             return
         for child in _child_states(state, k):
-            yield from rec(child, k + 1)
+            yield from parents(child, k + 1)
 
-    yield from rec(_ROOT, 1)
-
-
-def _iter_leaves(
-    n: int,
-    owner: "Callable[[int], bool] | None" = None,
-    keep: "Callable[[tuple[int, ...], int, int], int] | None" = None,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (adj, critical) for every accepted node on n >= 2 vertices,
-    in generation order.  Each parent at level n - 1 builds its
-    criticality table once; critical is bit adj[n - 1] of it, adj[n - 1]
-    being the new vertex's neighbourhood, so it is the leaf's verdict.
-    owner gates the frontier at level max(1, n - 2); keep(adj, n - 1,
-    table), when given, is the parent's keep table (see _child_states)."""
-    for state in _iter_parents(n, owner):
+    for state in parents(_ROOT, 1):
         table = _extension_table(state[0], n - 1)
         kept = None if keep is None else keep(state[0], n - 1, table)
         for adj, _ in _child_states(state, n - 1, kept):
@@ -399,12 +377,8 @@ def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
 def iter_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
     _check_args(n, 1, 0)
-    if n == 1:
-        yield Graph(1, _ROOT[0], check=False)
-        return
-    for state in _iter_parents(n):
-        for adj, _ in _child_states(state, n - 1):
-            yield Graph(n, adj, check=False)
+    for adj, _ in _iter_leaves(n):
+        yield Graph(n, adj, check=False)
 
 
 @dataclass(frozen=True)
@@ -438,24 +412,14 @@ class EnumerationTally:
 
 def _tally_shard(
     n: int,
-    shards: int,
-    shard: int,
-    jobs: int,
-    job: int,
+    parts: int,
+    part: int,
     edge_maximal: bool,
     collect: bool,
     critical_only: bool,
 ) -> tuple[int, int, int, list[tuple[int, ...]]]:
-    if shards == 1 and jobs == 1:
-        owner = None
-    else:
-        def owner(f: int) -> bool:
-            return f % shards == shard and (f // shards) % jobs == job
-
-    if n == 1:
-        # no parent level: the one-vertex graph, frontier node 0, which is
-        # not critical
-        return int(owner is None or owner(0)), 0, 0, []
+    """The census of the frontier nodes f with f mod parts == part."""
+    owner = None if parts == 1 else lambda f: f % parts == part
     connected = critical = maximal = 0
     hits: list[tuple[int, ...]] = []
     keep = (lambda adj, k, table: table) if critical_only else None
@@ -497,24 +461,24 @@ def run_enumeration(
     """
     _check_args(n, shards, shard, jobs)
     t0 = time.perf_counter()
+    # job j of shard s is part s + shards * j of shards * jobs
+    argv = [(n, shards * jobs, shard + shards * j, edge_maximal, collect,
+             critical_only) for j in range(jobs)]
     if jobs == 1:
-        parts = [_tally_shard(n, shards, shard, 1, 0, edge_maximal, collect,
-                              critical_only)]
+        results = [_tally_shard(*argv[0])]
     else:
         # imported here: it is the costliest import left, and only a pool
         # needs it
         from multiprocessing import get_context
         ctx = get_context("fork")
-        argv = [(n, shards, shard, jobs, j, edge_maximal, collect,
-                 critical_only) for j in range(jobs)]
         with ctx.Pool(jobs) as pool:
-            parts = pool.map(_pool_worker, argv)
-    connected = None if critical_only else sum(p[0] for p in parts)
-    critical = sum(p[1] for p in parts)
-    maximal = sum(p[2] for p in parts) if edge_maximal else None
+            results = pool.map(_pool_worker, argv)
+    connected = None if critical_only else sum(r[0] for r in results)
+    critical = sum(r[1] for r in results)
+    maximal = sum(r[2] for r in results) if edge_maximal else None
     hits: "list[Graph] | None" = None
     if collect:
-        hits = [Graph(n, adj, check=False) for p in parts for adj in p[3]]
+        hits = [Graph(n, adj, check=False) for r in results for adj in r[3]]
     tally = EnumerationTally(
         n=n,
         connected_count=connected,

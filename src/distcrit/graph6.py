@@ -2,15 +2,16 @@
 
 graph6 packs the upper triangle of the adjacency matrix in column order
 ((0,1), (0,2), (1,2), (0,3), ...) into 6-bit groups, each printed as the
-ASCII character 63 + value.  The size header is chr(63 + n) for n <= 62
-and '~' plus three 6-bit digits for larger n.  Encoding always emits the
-minimal-length header and zero padding bits, so equal graphs map to equal
-strings byte for byte.
+ASCII character 63 + value.  The size header is chr(63 + n) for n <= 62,
+'~' plus three 6-bit digits for n <= 258047, and '~~' plus six digits
+beyond.  Encoding always emits the minimal-length header and zero padding
+bits, so equal graphs map to equal strings byte for byte; decoding
+accepts only that header.
 """
 
 from __future__ import annotations
 
-from .graph import MAX_VERTICES, Graph, bits
+from .graph import MAX_VERTICES, Graph
 
 
 class Graph6Error(ValueError):
@@ -47,6 +48,10 @@ def decode_graph6(text: str) -> Graph:
         for v in vals[2:8]:
             n = (n << 6) | v
         pos = 8
+    minimal = 1 if n <= 62 else 4 if n <= 258047 else 8
+    if pos != minimal:
+        raise Graph6Error(f"non-minimal size header: {pos} characters for "
+                          f"n = {n}, which takes {minimal}")
     if n > MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} exceeds supported {MAX_VERTICES}")
 

@@ -102,11 +102,10 @@ class _Universe:
         if not 1 <= n_cap <= MAX_LEMMA_CAP:
             raise ValueError(f"n_cap must be in 1..{MAX_LEMMA_CAP}")
         self.n_cap = n_cap
-        # K1 is neither critical nor of minimum degree >= 2
-        self.criticals: dict[int, list[Graph]] = {1: []}
-        self.maximal: dict[int, list[Graph]] = {1: []}
+        self.criticals: dict[int, list[Graph]] = {}
+        self.maximal: dict[int, list[Graph]] = {}
         self.girth5: list[Graph] = []
-        for k in range(2, n_cap + 1):
+        for k in range(1, n_cap + 1):
             crit = self.criticals[k] = []
             leaves = _iter_leaves(k, keep=lambda parent, j, table:
                                   table | _girth_table(parent, j))

@@ -88,10 +88,13 @@ class TestCheck:
         assert [r["critical"] for r in records] == [True, False]
 
     def test_malformed_graph6_is_usage_error(self, capsys):
-        code, out, err = invoke(capsys, ["check", "--graph", "!!!"])
-        assert code == 2
-        assert out == ""
-        assert err != ""
+        # "~??Dhc" is C5 behind a non-minimal 4-character size header
+        for bad in ("!!!", "~??Dhc"):
+            code, out, err = invoke(capsys, ["check", "--graph", bad])
+            assert code == 2
+            assert out == ""
+            assert err != ""
+        assert "non-minimal size header" in err
 
     def test_no_partial_output_on_bad_batch(self, capsys, monkeypatch):
         code, out, _ = invoke(

@@ -443,19 +443,35 @@ class TestCriticalFirst:
 
 class TestSharding:
     def test_shards_partition_the_space(self):
-        # frontier node f goes to shard f mod shards, and within it to job
-        # (f div shards) mod jobs, as in run_enumeration
+        # job j of shard s owns frontier node f iff f mod (shards * jobs)
+        # is s + shards * j, as in run_enumeration
         full = list(_iter_leaves(7))
         assert len(full) == 853
         for shards, jobs in ((4, 1), (2, 2)):
+            parts = shards * jobs
             pieces = [
-                list(_iter_leaves(7, lambda f: (
-                    f % shards == shard and (f // shards) % jobs == job)))
-                for shard in range(shards) for job in range(jobs)]
+                list(_iter_leaves(7, lambda f: f % parts == part))
+                for part in range(parts)]
             assert len(pieces) == 4
             assert all(pieces)
             merged = list(itertools.chain.from_iterable(pieces))
             assert sorted(merged) == sorted(full)
+
+    def test_jobs_split_a_shard_into_parts(self):
+        # job j of shard s of 3 is part s + 3 * j of 6, counter by counter
+        # and hit by hit
+        for s in range(3):
+            tally, hits = run_enumeration(8, shards=3, shard=s, jobs=2,
+                                          collect=True, edge_maximal=True)
+            parts = [run_enumeration(8, shards=6, shard=p, collect=True,
+                                     edge_maximal=True)
+                     for p in (s, s + 3)]
+            for field in ("connected_count", "critical_count",
+                          "maximal_count"):
+                assert getattr(tally, field) == \
+                    sum(getattr(t, field) for t, _ in parts)
+            assert hits == parts[0][1] + parts[1][1]
+            assert tally.partition == (s, 3)
 
     def test_one_vertex(self):
         # K1 is the only node on one vertex and frontier node 0

@@ -79,6 +79,16 @@ class TestErrors:
         with pytest.raises(Graph6Error, match="trailing"):
             decode_graph6("Dhcc")
 
+    def test_non_minimal_headers(self):
+        # C5 as "Dhc" with the 4- and the 8-character size header
+        for bad in ("~??Dhc", "~~?????Dhc"):
+            with pytest.raises(Graph6Error, match="non-minimal size header"):
+                decode_graph6(bad)
+        # n = 63 takes the 4-character header, not the 8-character one
+        g = Graph.empty(63)
+        with pytest.raises(Graph6Error, match="non-minimal size header"):
+            decode_graph6("~~???" + encode_graph6(g)[1:])
+
     def test_padding_bits_must_be_zero(self):
         text = encode_graph6(Graph.from_edges(5, [(0, 1)]))
         tampered = text[:-1] + chr(((ord(text[-1]) - 63) | 1) + 63)

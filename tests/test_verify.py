@@ -92,7 +92,7 @@ class TestLemmaHarness:
         monkeypatch.setattr(verify, "_iter_leaves", counting)
         run_all_lemmas(7)
         assert [(k, owner) for k, owner, _ in levels] == \
-            [(k, None) for k in range(2, 8)]
+            [(k, None) for k in range(1, 8)]
         # each walk keeps the critical table or the girth > 4 one: on the
         # path P4 a new vertex on a single vertex or on {0, 3} leaves
         # girth > 4
