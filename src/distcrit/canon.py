@@ -156,10 +156,10 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     npairs = n * (n - 1) // 2
 
     if all(adj[v] == full ^ (1 << v) for v in range(n)):
-        gens = [_adjacent_transposition(n, i) for i in range(n - 1)]
+        gens = [_transposition(n, i, i + 1) for i in range(n - 1)]
         return (1 << npairs) - 1, tuple(range(n)), (0,) * n, gens
     if all(a == 0 for a in adj):
-        gens = [_adjacent_transposition(n, i) for i in range(n - 1)]
+        gens = [_transposition(n, i, i + 1) for i in range(n - 1)]
         return 0, tuple(range(n)), (0,) * n, gens
 
     best_form: int | None = None
@@ -281,10 +281,41 @@ def _automorphism_taking(adj: tuple[int, ...], n: int, stable: list[int],
                  _individualize(adj, stable, t, 1 << u))
 
 
-def _adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
+def _transposition(n: int, a: int, b: int) -> tuple[int, ...]:
     perm = list(range(n))
-    perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    perm[a], perm[b] = b, a
     return tuple(perm)
+
+
+def _twin_cell_generators(adj: tuple[int, ...], n: int,
+                          stable: list[int]) -> "list[tuple[int, ...]] | None":
+    """Generators of the automorphism group when every non-singleton cell
+    of stable is a set of pairwise twins, else None.
+
+    stable must be refine(adj, degree_cells(adj, n)).  Every automorphism
+    fixes each of its cells, since refine is label-invariant, so the group
+    lies in the product of the cells' symmetric groups.  Swapping two
+    twins (same neighbours apart from each other) is an automorphism, so
+    when each cell is all twins the group is that product, generated by
+    the transpositions of consecutive members of each cell.  A vertex
+    with a true twin (adjacent) has no false twin (not adjacent), so a
+    cell is all twins once its least vertex is a twin of every other.  A
+    discrete partition gives no generators.
+    """
+    gens = []
+    for cell in stable:
+        low = cell & -cell
+        a = prev = low.bit_length() - 1
+        m = cell ^ low
+        while m:
+            bit = m & -m
+            m ^= bit
+            b = bit.bit_length() - 1
+            if adj[a] & ~bit != adj[b] & ~low:
+                return None
+            gens.append(_transposition(n, prev, b))
+            prev = b
+    return gens
 
 
 def _pack_form(form_int: int, n: int) -> bytes:

@@ -16,7 +16,16 @@ from distcrit import (
     run_enumeration,
 )
 from distcrit import enumeration
-from distcrit.canon import _automorphism_taking, _search, refine
+from distcrit.canon import (
+    _automorphism_taking,
+    _find,
+    _search,
+    _twin_cell_generators,
+    _union,
+    automorphism_orbits,
+    degree_cells,
+    refine,
+)
 from distcrit.constructions import cycle
 from distcrit.criticality import (
     _extension_table,
@@ -28,6 +37,7 @@ from distcrit.enumeration import (
     _child_states,
     _cut_sets,
     _degree_sets,
+    _first_cell_verdict,
     _iter_leaves,
     _subset_reps,
 )
@@ -155,7 +165,11 @@ class TestAugmentationSteps:
         checked = 0
         keys = set()
         for k, (adj, _) in augmentation_nodes(8):
-            gens = _search(adj, k)[3]
+            # the generators _child_states passes
+            stable = refine(adj, degree_cells(adj, k))
+            gens = _twin_cell_generators(adj, k, stable)
+            if gens is None:
+                gens = _search(adj, k)[3]
             if not gens:
                 continue
             got = _subset_reps(k, gens)
@@ -166,6 +180,37 @@ class TestAugmentationSteps:
         # the calls of the n = 9 census, and the cache keys they share
         assert checked == 8408
         assert len(keys) == 1645
+
+    def test_twin_cell_generators(self, connected_by_n):
+        # where every non-singleton cell of the stable partition is all
+        # twins, the cells' transpositions generate the whole group
+        read = 0
+        for n in range(1, 8):
+            for g in connected_by_n[n]:
+                stable = refine(g.adj, degree_cells(g.adj, n))
+                gens = _twin_cell_generators(g.adj, n, stable)
+                if gens is None:
+                    continue
+                read += 1
+                searched = _search(g.adj, n)[3]
+                assert _subset_reps(n, gens) == _subset_reps(n, searched)
+                orbit = list(range(n))
+                for perm in gens:
+                    for v, pv in enumerate(perm):
+                        _union(orbit, v, pv)
+                assert tuple(_find(orbit, v) for v in range(n)) == \
+                    automorphism_orbits(g)
+        assert read == 659
+
+    def test_twin_cell_generators_by_hand(self):
+        # C6 is one cell of non-twins; in K1,3 the leaves are one cell of
+        # false twins and the centre is alone
+        c6 = cycle(6)
+        assert _twin_cell_generators(c6.adj, 6, refine(
+            c6.adj, degree_cells(c6.adj, 6))) is None
+        star = (0b1110, 1, 1, 1)
+        assert _twin_cell_generators(star, 4, refine(
+            star, degree_cells(star, 4))) == [(0, 2, 1, 3), (0, 1, 3, 2)]
 
     def test_subset_reps_on_9_and_10_vertices(self, petersen):
         # the 512- and 1024-bit tables, on vertex-transitive and
@@ -210,13 +255,21 @@ def parent_state(adj: tuple[int, ...]):
 def children_by_path(monkeypatch, state, k: int) -> dict:
     """Candidate child adjacency -> (how rule (b) was decided, accepted),
     for every candidate that passed rule (a) and the degree filter.  The
-    paths are "lead" (no refine call), "early" (refine stopped early),
-    and at a stable partition "twin" (no search of any kind),
-    "automorphism" (an automorphism search but no canonical search) or
-    "fallback" (the canonical search)."""
+    paths are "lead" (no refine call), "first-cell" (the first splitter's
+    verdict, read from the parent), "early" (refine stopped early), and
+    at a stable partition "twin" (no search of any kind), "automorphism"
+    (an automorphism search but no canonical search) or "fallback" (the
+    canonical search)."""
+    first_cell: dict[int, bool] = {}
     stopped: dict[tuple[int, ...], bool] = {}
     automorphism_searched: set[tuple[int, ...]] = set()
     searched: set[tuple[int, ...]] = set()
+
+    def recording_first_cell(adj, classes, s, cut):
+        verdict = _first_cell_verdict(adj, classes, s, cut)
+        if verdict is not None:
+            first_cell[s] = verdict
+        return verdict
 
     def recording_refine(adj, cells, abort=None):
         out = refine(adj, cells, abort)
@@ -231,6 +284,8 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
         searched.add(adj)
         return _search(adj, n, stable)
 
+    monkeypatch.setattr(enumeration, "_first_cell_verdict",
+                        recording_first_cell)
     monkeypatch.setattr(enumeration, "refine", recording_refine)
     monkeypatch.setattr(enumeration, "_automorphism_taking",
                         recording_automorphism)
@@ -238,9 +293,16 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     accepted = [child[0] for child in _child_states(state, k)]
     monkeypatch.undo()
     paths = {}
-    # the parent is refined (and searched) when it is expanded
-    for child_adj in accepted + [a for a in stopped if len(a) == k + 1]:
-        if child_adj not in stopped:
+    # a first-cell reject is never built; the parent is refined (and
+    # searched) when it is expanded
+    children = dict(child_adjacencies(state[0], k))
+    rejected = [tuple(children[s]) for s, verdict in first_cell.items()
+                if not verdict]
+    for child_adj in accepted + rejected + [a for a in stopped
+                                            if len(a) == k + 1]:
+        if child_adj[-1] in first_cell:
+            path = "first-cell"
+        elif child_adj not in stopped:
             path = "lead"
         elif stopped[child_adj]:
             path = "early"
@@ -296,6 +358,50 @@ class TestLeafDecision:
         assert candidates == 7815
         assert accepts == sum(CONNECTED_COUNTS[n] for n in range(2, 8)) == 995
 
+    def test_first_cell_verdict_is_the_hooks_first(self, monkeypatch):
+        # with the first-cell stage off, every candidate of a parent on 7
+        # vertices that is no lead accept reaches the hook; wherever the
+        # helper decides, the hook's first call decides the same way
+        decided = accepts = 0
+        for k, state in augmentation_nodes(7):
+            if k != 7:
+                continue
+            first: dict[tuple[int, ...], bool] = {}
+
+            def recording_refine(adj, cells, abort=None):
+                if abort is None:
+                    return refine(adj, cells)
+                calls = []
+
+                def hook(cs):
+                    calls.append(abort(cs))
+                    return calls[-1]
+
+                out = refine(adj, cells, hook)
+                first[tuple(adj)] = bool(calls) and calls[0]
+                return out
+
+            monkeypatch.setattr(enumeration, "refine", recording_refine)
+            monkeypatch.setattr(enumeration, "_first_cell_verdict",
+                                lambda *args: None)
+            accepted = {child[0] for child in _child_states(state, k)}
+            monkeypatch.undo()
+            adj = state[0]
+            classes = {}
+            for d in sorted({row.bit_count() for row in adj}):
+                classes[d] = sum(1 << v for v in range(k)
+                                 if adj[v].bit_count() == d)
+            for child, stopped_first in first.items():
+                cut = _articulation_mask(child, k + 1)
+                verdict = _first_cell_verdict(adj, classes, child[-1], cut)
+                if verdict is None:
+                    continue
+                assert stopped_first is True
+                assert (child in accepted) is verdict
+                decided += 1
+                accepts += verdict
+        assert (decided, accepts) == (4109, 1348)
+
     @staticmethod
     def child_path(monkeypatch, adj: tuple[int, ...], s: int):
         """(path, accepted) of the child of parent adj with neighbourhood
@@ -316,6 +422,26 @@ class TestLeafDecision:
         # it alone in the last deletable cell
         path, _ = self.child_path(monkeypatch, (0b1110, 1, 1, 1), 0b0010)
         assert path == ("early", True)
+
+    def test_first_cell_accept(self, monkeypatch):
+        # triangle 014 with pendants 2 and 3 on vertex 0, and S = {2, 3}:
+        # every child vertex but 0 has degree 2, and in that lowest
+        # degree cell the new vertex has two neighbours, every other
+        # vertex one, so the first split leaves the new vertex last alone
+        path, child = self.child_path(
+            monkeypatch, (30, 17, 1, 1, 3), 0b01100)
+        assert path == ("first-cell", True)
+        assert new_vertex_comes_last(list(child), 5)
+
+    def test_first_cell_reject(self, monkeypatch):
+        # the 4-cycle 0-1-4-2 with pendant 3 on vertex 0, and S = {0, 3}:
+        # every child vertex but 0 has degree 2, and in that lowest degree
+        # cell vertex 4 has two neighbours, the new vertex one, so the
+        # first split puts vertex 4 after the new vertex
+        path, child = self.child_path(
+            monkeypatch, (14, 17, 17, 1, 6), 0b01001)
+        assert path == ("first-cell", False)
+        assert not new_vertex_comes_last(list(child), 5)
 
     def test_twin_accept(self, monkeypatch):
         # edge 01 and S = {0}: the path 1-0-2 is already equitable, and its
