@@ -49,7 +49,7 @@ def degree_cells(adj: tuple[int, ...], n: int) -> list[int]:
     return [by_deg[d] for d in sorted(by_deg)]
 
 
-def refine(adj, cells, abort=None):
+def refine(adj, cells, abort=None, equitable=()):
     """Coarsest equitable refinement of an ordered partition.
 
     Scans cells in order for a splitter that distinguishes some cell by
@@ -64,13 +64,17 @@ def refine(adj, cells, abort=None):
     masks, which leaves the first splitter that splits, and so every
     partition along the way, the same as a rescan of every cell.
 
+    equitable holds masks the caller knows every cell to be uniform
+    towards, such as the cells of a coarser equitable partition; they are
+    inert from the start, so skipping them changes no partition either.
+
     abort, if given, is called after each applied splitter; a true return
     stops early and makes refine return None (the enumeration uses it to
     decide rule (b) before the partition stabilizes; further refinement
     only splits cells in place, so such a decision is final).
     """
     cells = list(cells)
-    inert: set[int] = set()
+    inert = set(equitable)
     s = 0
     while s < len(cells):
         splitter = cells[s]
@@ -115,8 +119,13 @@ def refine(adj, cells, abort=None):
 
 def _individualize(adj, cells: list[int], t: int, low: int) -> list[int]:
     """Individualize one vertex: split the one-bit mask low off cell t,
-    in front of the rest of that cell, and refine."""
-    return refine(adj, cells[:t] + [low, cells[t] ^ low] + cells[t + 1:])
+    in front of the rest of that cell, and refine.
+
+    cells must be equitable.  Every cell of the split partition lies in
+    one of them, so is uniform towards each, and refine skips them as
+    splitters."""
+    return refine(adj, cells[:t] + [low, cells[t] ^ low] + cells[t + 1:],
+                  equitable=cells)
 
 
 def _find(parent: list[int], x: int) -> int:

@@ -15,6 +15,10 @@ Exit codes: 0 success (and, for assertive subcommands, positive verdict);
 1 negative verdict or property violation; 2 usage, parse or input errors.
 A reader that closes stdout early ends the run quietly with exit 1.
 
+The argument parser is built once per process and reused by every run
+call: parse_args makes a fresh namespace each time, and help and usage
+are formatted when printed.
+
 Output discipline: results go to stdout and are byte-deterministic for
 identical invocations (fixed key order, no timestamps, no timings);
 progress and timing summaries go to stderr.  Graph-consuming subcommands
@@ -25,6 +29,7 @@ inputs are validated up front so a bad line never yields partial output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -239,6 +244,7 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
                    help="graph6 string (default: read stdin lines)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="distcrit",

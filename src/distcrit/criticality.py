@@ -9,9 +9,11 @@ input; a graph with no vertices is not distance critical by convention.
 
 The pairs method is the workhorse: it needs no distance recomputation and
 reports, per vertex, the lexicographically least witness pair.  The direct
-method recomputes distances after each deletion, one source of the
-deleted vertex's component at a time up to the first changed row, and
-exists as an independent check of the same predicate.
+method exists as an independent check of the same predicate.  It keeps
+the BFS layers of each source as vertex masks, and for each deletion
+runs a BFS inside the vertex mask without v from each source of v's
+component, compared layer by layer with the old layers minus v, up to
+the first changed row.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import UNREACHABLE, Graph, _bfs_row, all_pairs_distances, bits
+# all_pairs_distances is not called here; it stays importable because
+# bench/layers.py patches it in this module by name
+from .graph import Graph, _reach_mask, all_pairs_distances, bits  # noqa: F401
 
 
 def common_neighbors(g: Graph, a: int, b: int) -> tuple[int, ...]:
@@ -133,22 +137,69 @@ def is_distance_critical_pairs(g: Graph) -> CriticalityReport:
     )
 
 
-def _deletion_changes_distances(g: Graph, base, v: int) -> bool:
+def _bfs_layers(adj, src: int) -> list[int]:
+    """BFS layers of src as vertex masks: layer d holds the vertices at
+    distance d from src."""
+    layers = []
+    seen = frontier = 1 << src
+    while frontier:
+        layers.append(frontier)
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return layers
+
+
+def _row_changes(adj, layers: list[int], within: int) -> bool:
+    """Does the BFS from layers[0] inside the vertex mask within differ
+    from layers, the source's BFS layers in the whole graph, with the
+    vertices outside within removed?
+
+    Layer by layer, up to the first difference: while the layers so far
+    agree, each new layer is a subset of the old one (no distance can
+    shrink), so it equals the old one iff the neighbours of the previous
+    layer cover it, and the scan of that layer's rows stops once they
+    do.  An old layer with no vertex left inside within stops the BFS,
+    so the next old layer, if any, is the difference.
+    """
+    frontier = layers[0]
+    for target in layers[1:]:
+        target &= within
+        nxt = 0
+        m = frontier
+        while m and nxt & target != target:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
+        if nxt & target != target:
+            return True
+        frontier = target
+    return False
+
+
+def _deletion_changes_distances(adj, comp: int, base: list, v: int) -> bool:
     """Does deleting v change a distance between two other vertices?
 
-    base holds the distance rows of g.  Only the vertices of v's component
-    (those at a finite distance from v) can have a changed row, since no
-    path from any other vertex meets v.  Their rows of g - v are computed
-    one source at a time, and the test stops at the first one that
-    changed.
+    comp is the vertex mask of v's component, the only vertices whose
+    distances can change, since no path from any other vertex meets v.
+    base[x] holds the BFS layers of x in the graph, or None until some
+    deletion first needs them, when they are computed and kept there.
+    The deletion is a BFS inside the graph minus v from each x of comp,
+    compared layer by layer with base[x] minus v (_row_changes), one
+    source at a time up to the first that changed.  The graph is neither
+    copied nor relabelled.
     """
-    sub = g.delete_vertex(v)
-    for x, d in enumerate(base[v]):
-        if x == v or d == UNREACHABLE:
-            continue
-        before = base[x]
-        row = _bfs_row(sub.adj, sub.n, x if x < v else x - 1)
-        if list(before[:v] + before[v + 1:]) != row:
+    within = ~(1 << v)
+    for x in bits(comp & within):
+        layers = base[x]
+        if layers is None:
+            layers = base[x] = _bfs_layers(adj, x)
+        if _row_changes(adj, layers, within):
             return True
     return False
 
@@ -157,8 +208,15 @@ def is_distance_critical_direct(g: Graph) -> bool:
     """Delete every vertex and compare the surviving pairwise distances."""
     if g.n == 0:
         return False
-    base = all_pairs_distances(g)
-    return all(_deletion_changes_distances(g, base, v) for v in range(g.n))
+    comps = [0] * g.n
+    for v in range(g.n):
+        if not comps[v]:
+            comp = _reach_mask(g.adj, 1 << v)
+            for u in bits(comp):
+                comps[u] = comp
+    base = [None] * g.n
+    return all(_deletion_changes_distances(g.adj, comps[v], base, v)
+               for v in range(g.n))
 
 
 def _girth_exceeds_4(adj, n: int) -> bool:

@@ -218,38 +218,46 @@ def is_connected(g: Graph) -> bool:
     return _reach_mask(g.adj, 1) == (1 << g.n) - 1
 
 
+def _cycle_from(adj, src: int, best: int | None) -> int | None:
+    """2d + 1 or 2d + 2 for the first BFS layer d from src that closes a
+    walk of that length, if one does before 2d + 1 reaches best."""
+    seen = frontier = 1 << src
+    d = 0
+    while frontier and (best is None or 2 * d + 1 < best):
+        nxt = twice = 0
+        m = frontier
+        while m:
+            low = m & -m
+            row = adj[low.bit_length() - 1]
+            if row & frontier:
+                return 2 * d + 1
+            row &= ~seen
+            twice |= nxt & row
+            nxt |= row
+            m ^= low
+        if twice:
+            return 2 * d + 2
+        seen |= nxt
+        frontier = nxt
+        d += 1
+    return None
+
+
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for acyclic graphs.
 
-    Runs a BFS from every vertex; any non-tree edge seen at depths
-    (d, d') closes a cycle of length d + d' + 1, and scanning all
-    sources makes the minimum over those exact.
+    Runs a BFS from every vertex, one layer (a vertex mask) at a time.
+    An edge inside layer d closes a walk of length 2d + 1, and a vertex
+    of layer d + 1 with two neighbours in layer d one of length 2d + 2.
+    Each such walk holds a cycle at most that long, and the BFS from a
+    vertex of a shortest cycle finds that cycle's length, so the minimum
+    over all sources is exact.
     """
-    best: int | None = None
-    adj = g.adj
+    best = None
     for src in range(g.n):
-        dist = [-1] * g.n
-        dist[src] = 0
-        parent = [-1] * g.n
-        queue = [src]
-        d = 0
-        while queue:
-            # any cycle still reachable from here has length >= 2d + 1
-            if best is not None and 2 * d >= best:
-                break
-            nq = []
-            for x in queue:
-                for y in bits(adj[x]):
-                    if dist[y] < 0:
-                        dist[y] = d + 1
-                        parent[y] = x
-                        nq.append(y)
-                    elif y != parent[x] and dist[y] >= d:
-                        cand = d + dist[y] + 1
-                        if best is None or cand < best:
-                            best = cand
-            queue = nq
-            d += 1
+        found = _cycle_from(g.adj, src, best)
+        if found is not None and (best is None or found < best):
+            best = found
     return best
 
 

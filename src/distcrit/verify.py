@@ -441,5 +441,7 @@ def pendant_deletion_check(t: Graph) -> bool:
     pairwise distances (it always does; this is the checkable form)."""
     _require_tree(t)
     leaves = [v for v in range(t.n) if t.degree(v) == 1]
-    base = all_pairs_distances(t)
-    return not any(_deletion_changes_distances(t, base, v) for v in leaves)
+    full = (1 << t.n) - 1
+    base = [None] * t.n
+    return not any(_deletion_changes_distances(t.adj, full, base, v)
+                   for v in leaves)

@@ -22,6 +22,14 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_tree(n: int, rng: random.Random) -> Graph:
+    """Each vertex joins a random earlier one, then labels are shuffled."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(
+        n, [(perm[i], perm[rng.randrange(i)]) for i in range(1, n)])
+
+
 def augmentation_nodes(max_k: int, state=_ROOT, k: int = 1):
     """(k, state) for every node of the augmentation tree with k <= max_k,
     in generation order."""

@@ -188,9 +188,10 @@ class TestRefine:
     same partitions, in the same order, at every abort check."""
 
     @staticmethod
-    def assert_same_run(adj, cells):
+    def assert_same_run(adj, cells, equitable=()):
         seen, want = [], []
-        got = refine(adj, cells, lambda cs: seen.append(list(cs)) or False)
+        got = refine(adj, cells, lambda cs: seen.append(list(cs)) or False,
+                     equitable)
         expect = refine_rescan_all(
             adj, cells, lambda cs: want.append(list(cs)) or False)
         assert got == expect
@@ -212,6 +213,27 @@ class TestRefine:
         for k, (adj, _) in augmentation_nodes(6):
             for _, child in child_adjacencies(adj, k):
                 self.assert_same_run(child, degree_cells(child, k + 1))
+
+    def test_individualized_stable_partitions(self):
+        # what _individualize passes: a vertex split off a cell of a
+        # stable partition, with that partition's cells as equitable
+        rng = random.Random(909)
+        runs = 0
+        for _ in range(300):
+            g = random_graph(rng.randint(2, 24),
+                             rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
+            stable = refine(g.adj, degree_cells(g.adj, g.n))
+            for _ in range(3):
+                wide = [t for t, c in enumerate(stable) if c & (c - 1)]
+                if not wide:
+                    break
+                t = rng.choice(wide)
+                low = 1 << rng.choice(list(bits(stable[t])))
+                cells = stable[:t] + [low, stable[t] ^ low] + stable[t + 1:]
+                self.assert_same_run(g.adj, cells, stable)
+                runs += 1
+                stable = refine(g.adj, cells)
+        assert runs >= 300
 
     def test_abort_stops_at_the_same_partition(self):
         rng = random.Random(707)

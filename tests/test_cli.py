@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -401,6 +403,64 @@ class TestDeterminism:
     def test_elapsed_not_in_stdout(self, capsys):
         _, out, _ = invoke(capsys, ["enumerate", "-n", "6", "--count-only"])
         assert "elapsed" not in out
+
+
+def fresh_run(argv, env):
+    """Exit code and stdout of python -m distcrit in a new process."""
+    proc = subprocess.run([sys.executable, "-m", "distcrit", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout
+
+
+class TestParserPerProcess:
+    """run builds the parser once per process; calls in one process print
+    what fresh processes print."""
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        # help is wrapped to the terminal width, so pin it on both sides
+        import distcrit
+        monkeypatch.setenv("COLUMNS", "80")
+        return {**os.environ, "PYTHONPATH": str(
+            Path(distcrit.__file__).resolve().parents[1])}
+
+    def test_calls_in_one_process_match_fresh_runs(self, capsys, env):
+        sequence = [
+            ["check", "--graph", C8, "--method", "both"],
+            ["pairs", "--graph", C5, "--vertex", "0"],
+            ["stats", "--graph", C8],
+            ["check", "--graph", C5, "--method", "bogus"],
+            ["check", "--graph", K4],
+        ]
+        codes = []
+        for argv in sequence:
+            code, out, _ = invoke(capsys, argv)
+            assert (code, out) == fresh_run(argv, env)
+            codes.append(code)
+        assert codes == [0, 0, 0, 2, 1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"],
+                                      ["construct", "regular", "--help"]])
+    def test_help_is_unchanged(self, capsys, env, argv):
+        first = invoke(capsys, argv)[:2]
+        invoke(capsys, ["stats", "--graph", C5])
+        assert invoke(capsys, argv)[:2] == first == fresh_run(argv, env)
+        assert first[0] == 0 and first[1].startswith("usage: distcrit")
+
+    def test_second_run_builds_no_parser(self, capsys, monkeypatch):
+        invoke(capsys, ["check", "--graph", C5])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        assert invoke(capsys, ["stats", "--graph", C8])[0] == 0
+        assert invoke(capsys, ["check", "--graph", K4])[0] == 1
+        assert built == []
 
 
 def test_module_entry_point():

@@ -23,15 +23,22 @@ from distcrit import (
 )
 from distcrit.constructions import cycle
 from distcrit import criticality
-from distcrit.graph import UNREACHABLE, _bfs_row
+from distcrit.graph import UNREACHABLE, _reach_mask
 from distcrit.criticality import (
+    _bfs_layers,
     _deletion_changes_distances,
     _extension_table,
     _girth_exceeds_4,
     _girth_table,
     _is_critical_fast,
+    _row_changes,
 )
-from conftest import augmentation_nodes, child_adjacencies, random_graph
+from conftest import (
+    augmentation_nodes,
+    child_adjacencies,
+    random_graph,
+    random_tree,
+)
 
 
 def deletion_changes_some_distance(g: Graph, v: int) -> bool:
@@ -111,26 +118,36 @@ def first_changed_row(g: Graph, v: int) -> "int | None":
     return None
 
 
-def random_tree(n: int, rng: random.Random) -> Graph:
-    """Each vertex joins a random earlier one, then labels are shuffled."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Graph.from_edges(
-        n, [(perm[i], perm[rng.randrange(i)]) for i in range(1, n)])
+def deletion_verdicts(g: Graph) -> list[bool]:
+    """_deletion_changes_distances for every v in turn, on one layer base
+    that the deletions share and fill."""
+    base = [None] * g.n
+    return [_deletion_changes_distances(
+        g.adj, _reach_mask(g.adj, 1 << v), base, v) for v in range(g.n)]
+
+
+def row_changes_some_distance(g: Graph, v: int, x: int) -> bool:
+    """Does deleting v change the distance from x to some third vertex?"""
+    before = all_pairs_distances(g)
+    after = all_pairs_distances(g.delete_vertex(v))
+    i = x - (x > v)
+    return any(before[x][y] != after[i][y - (y > v)]
+               for y in range(g.n) if y != v)
 
 
 class TestDirectMethod:
-    """The direct method stops at the first changed row of g - v; every
-    deletion verdict against the definition spelled out above."""
+    """The direct method compares BFS layers of g - v with those of g, one
+    source at a time up to the first changed row; every deletion verdict
+    against the definition spelled out above."""
 
     @staticmethod
     def assert_agrees(g: Graph) -> list:
         """Check every deletion of g; return the first changed rows."""
-        base = all_pairs_distances(g)
+        verdicts = deletion_verdicts(g)
         firsts = []
         for v in range(g.n):
             want = deletion_changes_some_distance(g, v)
-            assert _deletion_changes_distances(g, base, v) == want
+            assert verdicts[v] == want
             first = first_changed_row(g, v)
             assert (first is not None) == want
             firsts.append(first)
@@ -155,24 +172,26 @@ class TestDirectMethod:
 
     def test_only_rows_of_the_deleted_component_are_computed(
             self, monkeypatch):
-        # in C5 + C5 + K1, deleting a vertex of the second cycle computes
+        # in C5 + C5 + K1, deleting a vertex of the second cycle compares
         # rows of that cycle only, and deleting the isolated vertex none
         g = disjoint_union(disjoint_union(cycle(5), cycle(5)),
                            Graph.empty(1))
-        base = all_pairs_distances(g)
         sources = []
 
-        def recording_bfs_row(adj, n, src):
-            sources.append(src)
-            return _bfs_row(adj, n, src)
+        def recording_row_changes(adj, layers, within):
+            sources.append(layers[0].bit_length() - 1)
+            return _row_changes(adj, layers, within)
 
-        monkeypatch.setattr(criticality, "_bfs_row", recording_bfs_row)
+        monkeypatch.setattr(criticality, "_row_changes",
+                            recording_row_changes)
+        base = [None] * g.n
+        second = sum(1 << u for u in range(5, 10))
         for v in range(5, 10):
             sources.clear()
-            assert _deletion_changes_distances(g, base, v)
-            assert sources and all(5 <= s < 9 for s in sources)
+            assert _deletion_changes_distances(g.adj, second, base, v)
+            assert sources and all(5 <= s < 10 and s != v for s in sources)
         sources.clear()
-        assert not _deletion_changes_distances(g, base, 10)
+        assert not _deletion_changes_distances(g.adj, 1 << 10, base, 10)
         assert sources == []
 
     def test_first_changed_row_past_row_0(self, petersen):
@@ -189,6 +208,46 @@ class TestDirectMethod:
                 for _ in range(40)]:
             late += sum(1 for f in self.assert_agrees(g) if f)
         assert late >= 20
+
+    def test_rows_against_the_definition(self):
+        # every (v, source) pair, including sources whose BFS from some
+        # layer on runs only through v
+        rng = random.Random(41)
+        graphs = [cycle(6), disjoint_union(cycle(5), Graph.empty(2))]
+        graphs += [random_graph(rng.randint(2, 9), rng.choice([0.2, 0.5]),
+                                rng) for _ in range(40)]
+        only_v = 0
+        for g in graphs:
+            for x in range(g.n):
+                layers = _bfs_layers(g.adj, x)
+                for v in range(g.n):
+                    if v == x:
+                        continue
+                    only_v += (1 << v) in layers
+                    assert _row_changes(g.adj, layers, ~(1 << v)) == \
+                        row_changes_some_distance(g, v, x)
+        assert only_v >= 100
+
+    def test_a_layer_of_only_v_cuts_off_the_rest(self):
+        # the middle of P3 and every inner vertex of a pendant path: some
+        # layer from some source is exactly {v}, and the BFS of g - v
+        # stops there while the old layers go on
+        p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert _row_changes(p3.adj, _bfs_layers(p3.adj, 0), ~(1 << 1))
+        assert deletion_verdicts(p3) == [False, True, False]
+        # C5 on 0..4 with the pendant path 0-5-6-7
+        g = Graph.from_edges(8, [(i, (i + 1) % 5) for i in range(5)]
+                             + [(0, 5), (5, 6), (6, 7)])
+        layers = _bfs_layers(g.adj, 7)
+        for v in (6, 5, 0):
+            assert 1 << v in layers
+            assert _row_changes(g.adj, layers, ~(1 << v))
+        assert deletion_verdicts(g) == [True] * 7 + [False]
+        # a star: every leaf's second layer is the centre alone
+        star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
+        assert deletion_verdicts(star) == [True] + [False] * 4
+        for x in range(1, 5):
+            assert _row_changes(star.adj, _bfs_layers(star.adj, x), ~1)
 
     def test_pendant_deletion_trees(self):
         rng = random.Random(37)

@@ -19,7 +19,8 @@ from distcrit import (
     is_connected,
     is_two_connected,
 )
-from conftest import random_graph
+from distcrit.constructions import cycle
+from conftest import random_graph, random_tree
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -173,12 +174,46 @@ class TestGirth:
         assert girth(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])) is None
         assert girth(Graph.empty(6)) is None
 
+    @staticmethod
+    def nx_girth(g: Graph) -> "int | None":
+        want = nx.girth(to_nx(g))
+        return None if want == float("inf") else want
+
     def test_against_networkx(self):
         rng = random.Random(37)
         for _ in range(200):
             g = random_graph(rng.randint(3, 8), rng.choice([0.3, 0.6]), rng)
-            want = nx.girth(to_nx(g))
-            assert girth(g) == (None if want == float("inf") else want)
+            assert girth(g) == self.nx_girth(g)
+
+    def test_every_graph_up_to_7(self, all_graphs_by_n):
+        for n in range(1, 8):
+            for g in all_graphs_by_n[n]:
+                assert girth(g) == self.nx_girth(g)
+
+    def test_against_networkx_on_larger_graphs(self, petersen, dodecahedron):
+        rng = random.Random(43)
+        graphs = [petersen, dodecahedron]
+        graphs += [cycle(n) for n in (10, 13, 31, 60)]
+        for _ in range(60):
+            t = random_tree(rng.randint(10, 60), rng)
+            edges = set(t.edges())
+            for _ in range(rng.randint(0, 3)):
+                x, y = sorted(rng.sample(range(t.n), 2))
+                edges.add((x, y))
+            graphs.append(Graph.from_edges(t.n, edges))
+        for _ in range(30):
+            a = rng.randint(5, 30)
+            b = rng.randint(5, 30)
+            p = rng.choice([0.05, 0.1, 0.3])
+            graphs.append(Graph.from_edges(a + b, [
+                (x, a + y) for x in range(a) for y in range(b)
+                if rng.random() < p]))
+        found = set()
+        for g in graphs:
+            got = girth(g)
+            assert got == self.nx_girth(g)
+            found.add(got if got is None or got < 7 else 7)
+        assert found == {None, 3, 4, 5, 6, 7}
 
 
 def test_disjoint_union_offsets():
