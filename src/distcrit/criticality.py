@@ -8,12 +8,16 @@ equivalence holds componentwise, so both tests below accept disconnected
 input; a graph with no vertices is not distance critical by convention.
 
 The pairs method is the workhorse: it needs no distance recomputation and
-reports, per vertex, the lexicographically least witness pair.  The direct
-method exists as an independent check of the same predicate.  It keeps
-the BFS layers of each source as vertex masks, and for each deletion
-runs a BFS inside the vertex mask without v from each source of v's
-component, compared layer by layer with the old layers minus v, up to
-the first changed row.
+reports, per vertex, the lexicographically least witness pair.  It rests
+on one shared-neighbour primitive, _shared(adj, a), whose twice mask holds
+the vertices with at least two common neighbours with a.  The determining
+pairs (a, b) of v with a given first end a are then the b > a of N(v)
+outside N(a) and outside that mask (_partners).
+
+The direct method is an independent check of the same predicate, from
+BFS alone: one pass per source x finds every vertex whose deletion
+lengthens a distance from x (_sole_parents), and the graph is critical
+iff these sets cover every vertex.  No layers or distance rows are kept.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Iterator
 
 # all_pairs_distances is not called here; it stays importable because
 # bench/layers.py patches it in this module by name
-from .graph import Graph, _reach_mask, all_pairs_distances, bits  # noqa: F401
+from .graph import Graph, all_pairs_distances, bits  # noqa: F401
 
 
 def common_neighbors(g: Graph, a: int, b: int) -> tuple[int, ...]:
@@ -33,27 +37,42 @@ def common_neighbors(g: Graph, a: int, b: int) -> tuple[int, ...]:
     return tuple(bits(g.adj[a] & g.adj[b]))
 
 
-def _pairs_at(adj, v: int) -> Iterator[tuple[int, int]]:
-    """Determining pairs of v in lexicographic order.
+def _shared(adj, a: int) -> tuple[int, int]:
+    """(once, twice): the vertices with at least one, and with at least
+    two, common neighbours with a.  twice holds the bits that two or more
+    rows of a's neighbours share."""
+    once = twice = 0
+    m = adj[a]
+    while m:
+        low = m & -m
+        row = adj[low.bit_length() - 1]
+        twice |= once & row
+        once |= row
+        m ^= low
+    return once, twice
 
-    A nonadjacent pair whose unique common neighbor is c is yielded for
-    v = c and for no other v, so a sweep over all v meets each determining
-    pair of the graph once.
+
+def _partners(adj, v: int, twice=None) -> Iterator[tuple[int, int]]:
+    """(a, B) for each neighbour a of v, ascending, whose mask B is not
+    empty: B holds the b > a such that (a, b) is a determining pair of v.
+
+    Such a b is a neighbour of v above a, not adjacent to a, and shares no
+    neighbour with a but v, which they share: it is outside the twice
+    mask of _shared(adj, a).  twice[a], that mask, may be given for every
+    a; otherwise it is computed only for the a that need it.  A nonadjacent
+    pair whose unique common neighbour is c is met for v = c and for no
+    other v, so a sweep over all v meets each determining pair once.
     """
-    bit_v = 1 << v
     later = adj[v]
     while later:
         low = later & -later
         later ^= low
         a = low.bit_length() - 1
-        ra = adj[a]
-        rest = later & ~ra  # neighbors of v after a, not adjacent to a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            b = low.bit_length() - 1
-            if ra & adj[b] == bit_v:
-                yield a, b
+        rest = later & ~adj[a]
+        if rest:
+            rest &= ~(_shared(adj, a)[1] if twice is None else twice[a])
+            if rest:
+                yield a, rest
 
 
 def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
@@ -64,26 +83,31 @@ def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    return list(_pairs_at(g.adj, v))
+    return [(a, b) for a, rest in _partners(g.adj, v) for b in bits(rest)]
 
 
 def _witness_for(adj, v: int) -> tuple[int, int] | None:
-    return next(_pairs_at(adj, v), None)
+    """The lexicographically least determining pair of v, or None."""
+    for a, rest in _partners(adj, v):
+        return a, (rest & -rest).bit_length() - 1
+    return None
 
 
 def _pair_scan(
     adj, n: int
 ) -> tuple[tuple[tuple[int, int] | None, ...], tuple[int, ...]]:
     """Least determining pair of every vertex (or None), and the involved
-    set, from one sweep over all determining pairs."""
+    set, from one sweep over the partner masks: O(m) big-int operations,
+    the twice masks of every vertex included."""
+    twice = [_shared(adj, a)[1] for a in range(n)]
     witnesses = []
     involved = 0
     for v in range(n):
         first = None
-        for a, b in _pairs_at(adj, v):
+        for a, rest in _partners(adj, v, twice):
             if first is None:
-                first = (a, b)
-            involved |= (1 << a) | (1 << b)
+                first = (a, (rest & -rest).bit_length() - 1)
+            involved |= rest | 1 << a
         witnesses.append(first)
     return tuple(witnesses), tuple(bits(involved))
 
@@ -137,86 +161,71 @@ def is_distance_critical_pairs(g: Graph) -> CriticalityReport:
     )
 
 
-def _bfs_layers(adj, src: int) -> list[int]:
-    """BFS layers of src as vertex masks: layer d holds the vertices at
-    distance d from src."""
-    layers = []
-    seen = frontier = 1 << src
-    while frontier:
-        layers.append(frontier)
-        nxt = 0
+def _sole_parents(adj, x: int, done: int) -> int:
+    """The vertices v != x outside done whose deletion changes a distance
+    from x: those that are the only neighbour, in the previous BFS layer
+    from x, of some vertex in the next layer.
+
+    Proof.  Let v lie in layer d >= 1 (layer 0 is x alone).  If a vertex
+    w of layer d + 1 has no neighbour in layer d but v, every path of
+    length d + 1 from x to w ends through v, so deleting v lengthens the
+    distance from x to w, or makes w unreachable.  Otherwise no distance
+    from x changes.  A deletion shortens no distance.  The layers up to
+    d keep theirs, since the inner vertices of a shortest path to them
+    lie in layers below d.  Every vertex of layer d + 1 keeps a neighbour
+    other than v in layer d.  By induction over the later layers, each of
+    their vertices keeps its distance through a neighbour in the
+    previous layer, which is not v.
+
+    One pass: while a layer's rows are ORed into the next layer, a second
+    mask keeps the vertices reached twice, so the vertices of the next
+    layer with one parent only are next & ~twice.
+    """
+    whole = (1 << len(adj)) - 1
+    seen = 1 << x | adj[x]
+    frontier = adj[x]
+    found = 0
+    # a layer that completes seen has no next layer to be sole parent in
+    while frontier and seen != whole:
+        once = twice = 0
         m = frontier
         while m:
             low = m & -m
-            nxt |= adj[low.bit_length() - 1]
+            row = adj[low.bit_length() - 1]
+            twice |= once & row
+            once |= row
             m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return layers
+        nxt = once & ~seen
+        single = nxt & ~twice
+        if single:
+            m = frontier & ~done
+            while m:
+                low = m & -m
+                if adj[low.bit_length() - 1] & single:
+                    found |= low
+                m ^= low
+        seen |= nxt
+        frontier = nxt
+    return found
 
 
-def _row_changes(adj, layers: list[int], within: int) -> bool:
-    """Does the BFS from layers[0] inside the vertex mask within differ
-    from layers, the source's BFS layers in the whole graph, with the
-    vertices outside within removed?
-
-    Layer by layer, up to the first difference: while the layers so far
-    agree, each new layer is a subset of the old one (no distance can
-    shrink), so it equals the old one iff the neighbours of the previous
-    layer cover it, and the scan of that layer's rows stops once they
-    do.  An old layer with no vertex left inside within stops the BFS,
-    so the next old layer, if any, is the difference.
-    """
-    frontier = layers[0]
-    for target in layers[1:]:
-        target &= within
-        nxt = 0
-        m = frontier
-        while m and nxt & target != target:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        if nxt & target != target:
-            return True
-        frontier = target
-    return False
-
-
-def _deletion_changes_distances(adj, comp: int, base: list, v: int) -> bool:
-    """Does deleting v change a distance between two other vertices?
-
-    comp is the vertex mask of v's component, the only vertices whose
-    distances can change, since no path from any other vertex meets v.
-    base[x] holds the BFS layers of x in the graph, or None until some
-    deletion first needs them, when they are computed and kept there.
-    The deletion is a BFS inside the graph minus v from each x of comp,
-    compared layer by layer with base[x] minus v (_row_changes), one
-    source at a time up to the first that changed.  The graph is neither
-    copied nor relabelled.
-    """
-    within = ~(1 << v)
-    for x in bits(comp & within):
-        layers = base[x]
-        if layers is None:
-            layers = base[x] = _bfs_layers(adj, x)
-        if _row_changes(adj, layers, within):
-            return True
-    return False
+def _distance_changers(adj, n: int) -> int:
+    """The vertices whose deletion changes a distance between two other
+    vertices: the union of _sole_parents over the sources, which stops
+    once it holds every vertex and skips the vertices already in it."""
+    full = (1 << n) - 1
+    found = 0
+    for x in range(n):
+        if found == full:
+            break
+        found |= _sole_parents(adj, x, found)
+    return found
 
 
 def is_distance_critical_direct(g: Graph) -> bool:
-    """Delete every vertex and compare the surviving pairwise distances."""
-    if g.n == 0:
-        return False
-    comps = [0] * g.n
-    for v in range(g.n):
-        if not comps[v]:
-            comp = _reach_mask(g.adj, 1 << v)
-            for u in bits(comp):
-                comps[u] = comp
-    base = [None] * g.n
-    return all(_deletion_changes_distances(g.adj, comps[v], base, v)
-               for v in range(g.n))
+    """The definition, by BFS and without determining pairs: deleting any
+    vertex changes the distances from some other vertex."""
+    return g.n > 0 and _distance_changers(g.adj, g.n) == (1 << g.n) - 1
 
 
 def _girth_exceeds_4(adj, n: int) -> bool:
@@ -264,21 +273,6 @@ def _mask_sets(k: int) -> tuple[list[int], list[int], list[int]]:
     return t
 
 
-def _balls(adj, k: int) -> list[int]:
-    """The vertices at distance at most 2 from each vertex, itself
-    included."""
-    out = []
-    for a in range(k):
-        m = row = adj[a]
-        ball = row | (1 << a)
-        while m:
-            low = m & -m
-            ball |= adj[low.bit_length() - 1]
-            m ^= low
-        out.append(ball)
-    return out
-
-
 def _extension_table(adj, k: int) -> int:
     """Which new vertices keep a connected parent critical: bit S
     (1 <= S < 2^k) is set iff attaching a new vertex w to the neighbourhood
@@ -291,20 +285,30 @@ def _extension_table(adj, k: int) -> int:
     determining pair (a, b) of u in the parent does not have both ends in
     S, or u is in S and some neighbour a of u outside S has N(a) & S = {u}
     (then (a, w) is a pair of u).  Each condition is a few big-int
-    operations on the HAS and NONE sets of _mask_sets.
+    operations on the HAS and NONE sets of _mask_sets.  One loop of
+    _shared gives both every vertex's distance-2 ball and the twice masks
+    that _partners reads the parent's pairs from.
     """
     has, none, _ = _mask_sets(k)
     full = (1 << k) - 1
     table = 0
-    for a, ball in enumerate(_balls(adj, k)):
+    twice = []
+    for a in range(k):
+        once, twice_a = _shared(adj, a)
+        twice.append(twice_a)
+        ball = once | adj[a] | 1 << a
         if ball != full:
             table |= has[a] & ~none[full & ~ball]
     for u in range(k):
         if not table:
             return 0
         both = -1
-        for a, b in _pairs_at(adj, u):
-            both &= has[a] & has[b]
+        for a, rest in _partners(adj, u, twice):
+            both &= has[a]
+            while rest:
+                low = rest & -rest
+                both &= has[low.bit_length() - 1]
+                rest ^= low
             if not both & table:
                 break
         stuck = table & both
@@ -328,8 +332,9 @@ def _girth_table(adj, k: int) -> int:
         return 0
     has, none, _ = _mask_sets(k)
     table = (1 << (1 << k)) - 2
-    for a, ball in enumerate(_balls(adj, k)):
-        table &= ~has[a] | none[ball & ~(1 << a)]
+    for a in range(k):
+        near = (_shared(adj, a)[0] | adj[a]) & ~(1 << a)
+        table &= ~has[a] | none[near]
     return table
 
 

@@ -125,7 +125,9 @@ frontier (for n <= 3 that is K1 alone, node 0).  Job j of J within shard
 s of S owns frontier node f (in deterministic generation order) iff
 f mod (S * J) = s + S * j, which is f mod S = s and (f div S) mod J = j:
 S * J parts with one modulus rule.  The union over any partition layout
-reproduces the unsharded run.
+reproduces the unsharded run.  A job yields its leaves in ascending f,
+and the jobs own disjoint sets of f, so the collected hits, tagged with
+their f, merge back into the order of the single-job run.
 """
 
 from __future__ import annotations
@@ -496,13 +498,21 @@ def _tally_shard(
     edge_maximal: bool,
     collect: bool,
     critical_only: bool,
-) -> tuple[int, int, int, list[tuple[int, ...]]]:
-    """The census of the frontier nodes f with f mod parts == part."""
-    owner = None if parts == 1 else lambda f: f % parts == part
+) -> tuple[int, int, int, list[tuple[int, tuple[int, ...]]]]:
+    """The census of the frontier nodes f with f mod parts == part; each
+    collected hit comes as (f, adjacency), f its frontier node."""
+    f_now = 0
+
+    def owner(f: int) -> bool:
+        nonlocal f_now
+        f_now = f
+        return f % parts == part
+
     connected = critical = maximal = 0
-    hits: list[tuple[int, ...]] = []
+    hits: list[tuple[int, tuple[int, ...]]] = []
     keep = (lambda adj, k, table: table) if critical_only else None
-    for adj, is_critical in _iter_leaves(n, owner, keep):
+    for adj, is_critical in _iter_leaves(n, None if parts == 1 else owner,
+                                         keep):
         connected += 1
         if not is_critical:
             continue
@@ -512,11 +522,12 @@ def _tally_shard(
                 continue
             maximal += 1
         if collect:
-            hits.append(adj)
+            hits.append((f_now, adj))
     return connected, critical, maximal, hits
 
 
-def _pool_worker(args) -> tuple[int, int, int, list[tuple[int, ...]]]:
+def _pool_worker(args) -> tuple[int, int, int,
+                                list[tuple[int, tuple[int, ...]]]]:
     return _tally_shard(*args)
 
 
@@ -534,9 +545,10 @@ def run_enumeration(
     vertices; with edge_maximal also count/collect the edge-maximal ones.
 
     The collected list holds the critical graphs, or just the edge-maximal
-    ones when edge_maximal is set, in deterministic order.  critical_only
-    walks only the critical leaves (see the module docstring): the same
-    counts and graphs in the same order, but no connected_count.
+    ones when edge_maximal is set, in the same order for any jobs.
+    critical_only walks only the critical leaves (see the module
+    docstring): the same counts and graphs in the same order, but no
+    connected_count.
     """
     _check_args(n, shards, shard, jobs)
     t0 = time.perf_counter()
@@ -557,7 +569,11 @@ def run_enumeration(
     maximal = sum(r[2] for r in results) if edge_maximal else None
     hits: "list[Graph] | None" = None
     if collect:
-        hits = [Graph(n, adj, check=False) for r in results for adj in r[3]]
+        # each job's tags ascend and no two jobs share one, so a stable
+        # sort on the tags merges the jobs back into the one-job order
+        tagged = sorted((hit for r in results for hit in r[3]),
+                        key=lambda hit: hit[0])
+        hits = [Graph(n, adj, check=False) for _, adj in tagged]
     tally = EnumerationTally(
         n=n,
         connected_count=connected,

@@ -22,30 +22,38 @@ def _data_len(n: int) -> int:
     return (n * (n - 1) // 2 + 5) // 6
 
 
+# each graph6 character as its 6-bit group, most significant bit first
+_GROUP_BITS = str.maketrans({chr(63 + v): f"{v:06b}" for v in range(64)})
+
+
 def decode_graph6(text: str) -> Graph:
-    """Parse one graph6 string (no trailing newline) into a Graph."""
+    """Parse one graph6 string (no trailing newline) into a Graph.
+
+    The adjacency groups are joined into one bit string, so column j of
+    the upper triangle is one slice of it, read reversed as the row mask
+    of j's neighbours below j; only its set bits are mirrored into the
+    rows of those neighbours.
+    """
     if not text:
         raise Graph6Error("empty graph6 string")
-    vals = []
-    for ch in text:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise Graph6Error(f"character {ch!r} outside graph6 range 63..126")
-        vals.append(o - 63)
+    if not "?" <= min(text) <= max(text) <= "~":
+        ch = next(ch for ch in text if not "?" <= ch <= "~")
+        raise Graph6Error(f"character {ch!r} outside graph6 range 63..126")
 
-    if vals[0] != 63:
-        n = vals[0]
+    head = [ord(ch) - 63 for ch in text[:8]]
+    if head[0] != 63:
+        n = head[0]
         pos = 1
-    elif len(vals) >= 2 and vals[1] != 63:
-        if len(vals) < 4:
+    elif len(head) >= 2 and head[1] != 63:
+        if len(head) < 4:
             raise Graph6Error("truncated long-form size header")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        n = (head[1] << 12) | (head[2] << 6) | head[3]
         pos = 4
     else:
-        if len(vals) < 8:
+        if len(head) < 8:
             raise Graph6Error("truncated long-form size header")
         n = 0
-        for v in vals[2:8]:
+        for v in head[2:8]:
             n = (n << 6) | v
         pos = 8
     minimal = 1 if n <= 62 else 4 if n <= 258047 else 8
@@ -56,29 +64,25 @@ def decode_graph6(text: str) -> Graph:
         raise Graph6Error(f"vertex count {n} exceeds supported {MAX_VERTICES}")
 
     need = _data_len(n)
-    if len(vals) - pos < need:
-        raise Graph6Error(f"truncated adjacency data: {len(vals) - pos} of {need} groups")
-    if len(vals) - pos > need:
+    if len(text) - pos < need:
+        raise Graph6Error(f"truncated adjacency data: {len(text) - pos} of {need} groups")
+    if len(text) - pos > need:
         raise Graph6Error(f"trailing characters after {need} adjacency groups")
 
+    stream = text[pos:].translate(_GROUP_BITS)
+    if "1" in stream[n * (n - 1) // 2:]:
+        raise Graph6Error("nonzero padding bits")
+    # column-major upper triangle: column j holds rows 0..j-1
     adj = [0] * n
-    bit_index = 0
-    nbits = n * (n - 1) // 2
-    # column-major upper triangle: pair index k covers column j, row i
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for v in vals[pos:]:
-        for k in range(5, -1, -1):
-            bit = v >> k & 1
-            if bit_index >= nbits:
-                if bit:
-                    raise Graph6Error("nonzero padding bits")
-                bit_index += 1
-                continue
-            if bit:
-                i, j = pairs[bit_index]
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            bit_index += 1
+    end = 0
+    for j in range(1, n):
+        start, end = end, end + j
+        adj[j] = col = int(stream[start:end][::-1], 2)
+        bit_j = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit_j
+            col ^= low
     return Graph(n, adj, check=False)
 
 

@@ -36,7 +36,7 @@ from typing import Callable
 
 from .constructions import cycle, regular_extremal
 from .criticality import (
-    _deletion_changes_distances,
+    _distance_changers,
     _girth_table,
     _is_critical_fast,
     _is_edge_maximal_fast,
@@ -440,8 +440,5 @@ def pendant_deletion_check(t: Graph) -> bool:
     """True iff deleting any one leaf of the tree preserves all remaining
     pairwise distances (it always does; this is the checkable form)."""
     _require_tree(t)
-    leaves = [v for v in range(t.n) if t.degree(v) == 1]
-    full = (1 << t.n) - 1
-    base = [None] * t.n
-    return not any(_deletion_changes_distances(t.adj, full, base, v)
-                   for v in leaves)
+    leaves = sum(1 << v for v in range(t.n) if t.degree(v) == 1)
+    return not _distance_changers(t.adj, t.n) & leaves

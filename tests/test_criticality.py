@@ -25,13 +25,13 @@ from distcrit.constructions import cycle
 from distcrit import criticality
 from distcrit.graph import UNREACHABLE, _reach_mask
 from distcrit.criticality import (
-    _bfs_layers,
-    _deletion_changes_distances,
+    _distance_changers,
     _extension_table,
     _girth_exceeds_4,
     _girth_table,
     _is_critical_fast,
-    _row_changes,
+    _pair_scan,
+    _sole_parents,
 )
 from conftest import (
     augmentation_nodes,
@@ -62,6 +62,28 @@ class TestTwoMethodsAgree:
     @given(st.integers(1, 8), st.integers(0, 10 ** 9))
     def test_random_graphs(self, n, seed):
         g = random_graph(n, 0.45, random.Random(seed))
+        assert is_distance_critical_pairs(g).verdict == \
+            is_distance_critical_direct(g)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_random_graphs_up_to_40(self, data):
+        # G(n, p), or disjoint cycles with a few chords: both verdicts and
+        # disconnected inputs occur
+        rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(0, 40))
+            g = random_graph(n, rng.choice((0.05, 0.1, 0.2, 0.4, 0.7)), rng)
+        else:
+            lengths = data.draw(st.lists(st.integers(3, 12), min_size=1,
+                                         max_size=4))
+            g = Graph.empty(0)
+            for k in lengths:
+                g = disjoint_union(g, cycle(k))
+            for _ in range(data.draw(st.integers(0, 3))):
+                x, y = rng.sample(range(g.n), 2)
+                if not g.has_edge(x, y):
+                    g = g.add_edge(x, y)
         assert is_distance_critical_pairs(g).verdict == \
             is_distance_critical_direct(g)
 
@@ -106,54 +128,54 @@ class TestDefinition:
         assert not is_distance_critical(c5_plus_k3)
 
 
-def first_changed_row(g: Graph, v: int) -> "int | None":
-    """The least vertex of g - v whose distance row differs from its row
-    in g (both without v), or None."""
+def row_changers(g: Graph) -> list[int]:
+    """Per source x, the mask of the v != x whose deletion changes a
+    distance from x, read off all_pairs_distances of g and of each g - v."""
     before = all_pairs_distances(g)
-    after = all_pairs_distances(g.delete_vertex(v))
-    keep = [u for u in range(g.n) if u != v]
-    for i, row in enumerate(after):
-        if any(before[keep[i]][keep[j]] != d for j, d in enumerate(row)):
-            return i
-    return None
+    rows = [0] * g.n
+    for v in range(g.n):
+        after = all_pairs_distances(g.delete_vertex(v))
+        for x in range(g.n):
+            if x == v:
+                continue
+            i = x - (x > v)
+            if any(before[x][y] != after[i][y - (y > v)]
+                   for y in range(g.n) if y != v):
+                rows[x] |= 1 << v
+    return rows
 
 
-def deletion_verdicts(g: Graph) -> list[bool]:
-    """_deletion_changes_distances for every v in turn, on one layer base
-    that the deletions share and fill."""
-    base = [None] * g.n
-    return [_deletion_changes_distances(
-        g.adj, _reach_mask(g.adj, 1 << v), base, v) for v in range(g.n)]
-
-
-def row_changes_some_distance(g: Graph, v: int, x: int) -> bool:
-    """Does deleting v change the distance from x to some third vertex?"""
-    before = all_pairs_distances(g)
-    after = all_pairs_distances(g.delete_vertex(v))
-    i = x - (x > v)
-    return any(before[x][y] != after[i][y - (y > v)]
-               for y in range(g.n) if y != v)
+def union(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
 class TestDirectMethod:
-    """The direct method compares BFS layers of g - v with those of g, one
-    source at a time up to the first changed row; every deletion verdict
-    against the definition spelled out above."""
+    """The direct method's one BFS pass per source finds the vertices whose
+    deletion changes a distance from that source (_sole_parents); every
+    source's set against the definition, at the granularity of one
+    deletion and one source, read off the distance rows of g - v."""
 
     @staticmethod
-    def assert_agrees(g: Graph) -> list:
-        """Check every deletion of g; return the first changed rows."""
-        verdicts = deletion_verdicts(g)
-        firsts = []
-        for v in range(g.n):
-            want = deletion_changes_some_distance(g, v)
-            assert verdicts[v] == want
-            first = first_changed_row(g, v)
-            assert (first is not None) == want
-            firsts.append(first)
+    def assert_agrees(g: Graph) -> list[int]:
+        """Check every (deletion, source) pair of g; return the masks of
+        row_changers."""
+        rows = row_changers(g)
+        assert [_sole_parents(g.adj, x, 0) for x in range(g.n)] == rows
+        # with done, as _distance_changers passes it: the same set minus
+        # the vertices already found
+        for x in range(g.n):
+            done = union(rows[:x])
+            assert _sole_parents(g.adj, x, done) == rows[x] & ~done
+        changers = union(rows)
+        assert _distance_changers(g.adj, g.n) == changers
+        assert [changers >> v & 1 == 1 for v in range(g.n)] == \
+            [deletion_changes_some_distance(g, v) for v in range(g.n)]
         assert is_distance_critical_direct(g) == \
-            (g.n > 0 and None not in firsts)
-        return firsts
+            (g.n > 0 and changers == (1 << g.n) - 1)
+        return rows
 
     def test_disconnected_graphs(self):
         rng = random.Random(29)
@@ -170,43 +192,42 @@ class TestDirectMethod:
             self.assert_agrees(g)
         assert disconnected >= 50
 
-    def test_only_rows_of_the_deleted_component_are_computed(
-            self, monkeypatch):
-        # in C5 + C5 + K1, deleting a vertex of the second cycle compares
-        # rows of that cycle only, and deleting the isolated vertex none
+    def test_sole_parents_stay_in_the_source_component(self):
+        # in C5 + C5 + K1 the BFS from a vertex of the second cycle meets
+        # that cycle only, where each neighbour of x is the one parent of
+        # a vertex at distance 2; from the isolated vertex it meets nothing
         g = disjoint_union(disjoint_union(cycle(5), cycle(5)),
                            Graph.empty(1))
-        sources = []
-
-        def recording_row_changes(adj, layers, within):
-            sources.append(layers[0].bit_length() - 1)
-            return _row_changes(adj, layers, within)
-
-        monkeypatch.setattr(criticality, "_row_changes",
-                            recording_row_changes)
-        base = [None] * g.n
-        second = sum(1 << u for u in range(5, 10))
-        for v in range(5, 10):
-            sources.clear()
-            assert _deletion_changes_distances(g.adj, second, base, v)
-            assert sources and all(5 <= s < 10 and s != v for s in sources)
-        sources.clear()
-        assert not _deletion_changes_distances(g.adj, 1 << 10, base, 10)
-        assert sources == []
+        for x in range(5, 10):
+            assert _sole_parents(g.adj, x, 0) == g.adj[x]
+        assert _sole_parents(g.adj, 10, 0) == 0
+        rng = random.Random(43)
+        for _ in range(40):
+            g = random_graph(rng.randint(2, 12), 0.15, rng)
+            for x in range(g.n):
+                comp = _reach_mask(g.adj, 1 << x)
+                assert _sole_parents(g.adj, x, 0) & ~comp == 0
 
     def test_first_changed_row_past_row_0(self, petersen):
         # in C5 + C5 no row of the first cycle changes when a vertex of
         # the second is deleted; in C8 deleting the antipode of 0 leaves
-        # row 0 as it was
-        firsts = self.assert_agrees(disjoint_union(cycle(5), cycle(5)))
-        assert all(first >= 5 for first in firsts[5:])
-        assert self.assert_agrees(cycle(8))[4] == 2
+        # row 0 as it was, and row 2 changes
+        rows = self.assert_agrees(disjoint_union(cycle(5), cycle(5)))
+        assert all(rows[x] >> 5 == 0 for x in range(5))
+        rows = self.assert_agrees(cycle(8))
+        assert not rows[0] >> 4 & 1 and rows[2] >> 4 & 1
         rng = random.Random(31)
         late = 0
         for g in [petersen, disjoint_union(cycle(6), cycle(5))] + [
                 random_graph(rng.randint(4, 9), 0.4, rng)
                 for _ in range(40)]:
-            late += sum(1 for f in self.assert_agrees(g) if f)
+            rows = self.assert_agrees(g)
+            changers = union(rows)
+            # deletions that change some row, but not the row of the
+            # least vertex left
+            for v in range(g.n):
+                first = 1 if v == 0 else 0
+                late += changers >> v & 1 and not rows[first] >> v & 1
         assert late >= 20
 
     def test_rows_against_the_definition(self):
@@ -218,36 +239,36 @@ class TestDirectMethod:
                                 rng) for _ in range(40)]
         only_v = 0
         for g in graphs:
+            rows = self.assert_agrees(g)
+            dist = all_pairs_distances(g)
             for x in range(g.n):
-                layers = _bfs_layers(g.adj, x)
                 for v in range(g.n):
-                    if v == x:
-                        continue
-                    only_v += (1 << v) in layers
-                    assert _row_changes(g.adj, layers, ~(1 << v)) == \
-                        row_changes_some_distance(g, v, x)
+                    d = dist[x][v]
+                    layer = [y for y in range(g.n) if dist[x][y] == d]
+                    if v != x and d != UNREACHABLE and layer == [v]:
+                        only_v += 1
+                        # a layer of v alone, with more layers after it
+                        if any(d < e != UNREACHABLE for e in dist[x]):
+                            assert rows[x] >> v & 1
         assert only_v >= 100
 
     def test_a_layer_of_only_v_cuts_off_the_rest(self):
         # the middle of P3 and every inner vertex of a pendant path: some
-        # layer from some source is exactly {v}, and the BFS of g - v
-        # stops there while the old layers go on
+        # layer from some source is exactly {v}, so v is the only parent
+        # of the next layer
         p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert _row_changes(p3.adj, _bfs_layers(p3.adj, 0), ~(1 << 1))
-        assert deletion_verdicts(p3) == [False, True, False]
+        assert _sole_parents(p3.adj, 0, 0) == 1 << 1
+        assert self.assert_agrees(p3) == [1 << 1, 0, 1 << 1]
         # C5 on 0..4 with the pendant path 0-5-6-7
         g = Graph.from_edges(8, [(i, (i + 1) % 5) for i in range(5)]
                              + [(0, 5), (5, 6), (6, 7)])
-        layers = _bfs_layers(g.adj, 7)
+        rows = self.assert_agrees(g)
         for v in (6, 5, 0):
-            assert 1 << v in layers
-            assert _row_changes(g.adj, layers, ~(1 << v))
-        assert deletion_verdicts(g) == [True] * 7 + [False]
+            assert rows[7] >> v & 1
+        assert union(rows) == (1 << 7) - 1
         # a star: every leaf's second layer is the centre alone
         star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
-        assert deletion_verdicts(star) == [True] + [False] * 4
-        for x in range(1, 5):
-            assert _row_changes(star.adj, _bfs_layers(star.adj, x), ~1)
+        assert self.assert_agrees(star) == [0] + [1] * 4
 
     def test_pendant_deletion_trees(self):
         rng = random.Random(37)
@@ -255,9 +276,9 @@ class TestDirectMethod:
                  Graph.from_edges(6, [(0, i) for i in range(1, 6)])]
         trees += [random_tree(rng.randint(2, 12), rng) for _ in range(40)]
         for t in trees:
-            firsts = self.assert_agrees(t)
+            changers = union(self.assert_agrees(t))
             # a leaf deletion changes nothing, any other one disconnects
-            assert [f is None for f in firsts] == \
+            assert [not changers >> v & 1 for v in range(t.n)] == \
                 [t.degree(v) == 1 for v in range(t.n)]
             assert pendant_deletion_check(t)
 
@@ -293,28 +314,50 @@ class TestWitnesses:
                             want.add((a, b))
                 assert pairs == want
 
-    def test_pair_scan_against_oracle(self, all_graphs_by_n):
+    @staticmethod
+    def assert_matches_oracle(g: Graph) -> None:
         # Oracle: every nonadjacent pair with exactly one common neighbor,
         # found by testing each third vertex; pairs come in lex order.
+        n = g.n
+        pairs: dict[int, list] = {v: [] for v in range(n)}
+        for a in range(n):
+            for b in range(a + 1, n):
+                if g.has_edge(a, b):
+                    continue
+                common = [c for c in range(n)
+                          if g.has_edge(a, c) and g.has_edge(b, c)]
+                if len(common) == 1:
+                    pairs[common[0]].append((a, b))
+        witnesses = tuple(p[0] if p else None for p in pairs.values())
+        involved = tuple(sorted(
+            {x for p in pairs.values() for ab in p for x in ab}))
+        rep = is_distance_critical_pairs(g)
+        assert rep.witnesses == witnesses
+        assert rep.involved == involved_set(g) == involved
+        assert _pair_scan(g.adj, n) == (witnesses, involved)
+        for v in range(n):
+            assert determining_pairs_of(g, v) == pairs[v]
+            assert criticality._witness_for(g.adj, v) == witnesses[v]
+
+    def test_pair_scan_against_oracle(self, all_graphs_by_n):
         for n in range(1, 8):
             for g in all_graphs_by_n[n]:
-                pairs: dict[int, list] = {v: [] for v in range(n)}
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        if g.has_edge(a, b):
-                            continue
-                        common = [c for c in range(n)
-                                  if g.has_edge(a, c) and g.has_edge(b, c)]
-                        if len(common) == 1:
-                            pairs[common[0]].append((a, b))
-                rep = is_distance_critical_pairs(g)
-                assert rep.witnesses == tuple(
-                    p[0] if p else None for p in pairs.values())
-                involved = {x for p in pairs.values() for ab in p for x in ab}
-                assert rep.involved == involved_set(g) == \
-                    tuple(sorted(involved))
-                for v in range(n):
-                    assert determining_pairs_of(g, v) == pairs[v]
+                self.assert_matches_oracle(g)
+
+    def test_pair_scan_on_dense_graphs(self):
+        # at n = 20..60 a vertex has up to about 50 neighbours; from
+        # density 0.4 on most pairs share several of them, so the twice
+        # masks decide nearly every candidate, and below it many pairs
+        # are determining
+        rng = random.Random(59)
+        witnessed = 0
+        for _ in range(30):
+            n = rng.randint(20, 60)
+            g = random_graph(n, rng.choice((0.15, 0.25, 0.4, 0.6, 0.8)), rng)
+            self.assert_matches_oracle(g)
+            witnessed += sum(w is not None
+                             for w in is_distance_critical_pairs(g).witnesses)
+        assert witnessed >= 100
 
     def test_involved_set_on_cycles(self):
         assert involved_set(cycle(5)) == (0, 1, 2, 3, 4)

@@ -544,11 +544,13 @@ class TestCriticalFirst:
                   for s in range(3)]
         assert sum(t.critical_count for t, _ in shards) == len(serial)
         assert all(t.connected_count is None for t, _ in shards)
-        for hits in ([g for _, gs in shards for g in gs],
-                     run_enumeration(8, jobs=2, collect=True,
-                                     critical_only=True)[1]):
-            assert sorted(g.adj for g in hits) == \
-                sorted(g.adj for g in serial)
+        assert sorted(g.adj for _, gs in shards for g in gs) == \
+            sorted(g.adj for g in serial)
+        # the jobs' hits merge back into the serial order, with and
+        # without the critical-only walk
+        for critical_only in (True, False):
+            assert run_enumeration(8, jobs=2, collect=True,
+                                   critical_only=critical_only)[1] == serial
 
     def test_empty_table_skips_the_parent(self, monkeypatch):
         # a parent with no critical child is never refined, searched or
@@ -585,7 +587,7 @@ class TestSharding:
 
     def test_jobs_split_a_shard_into_parts(self):
         # job j of shard s of 3 is part s + 3 * j of 6, counter by counter
-        # and hit by hit
+        # and hit by hit; the hits come in the order of the one-job shard
         for s in range(3):
             tally, hits = run_enumeration(8, shards=3, shard=s, jobs=2,
                                           collect=True, edge_maximal=True)
@@ -596,7 +598,13 @@ class TestSharding:
                           "maximal_count"):
                 assert getattr(tally, field) == \
                     sum(getattr(t, field) for t, _ in parts)
-            assert hits == parts[0][1] + parts[1][1]
+            assert sorted(g.adj for g in hits) == \
+                sorted(g.adj for _, gs in parts for g in gs)
+            for _, gs in parts:
+                mine = set(gs)
+                assert [g for g in hits if g in mine] == gs
+            assert hits == run_enumeration(8, shards=3, shard=s, collect=True,
+                                           edge_maximal=True)[1]
             assert tally.partition == (s, 3)
 
     def test_one_vertex(self):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distcrit import Graph, Graph6Error, decode_graph6, encode_graph6
-from distcrit.graph6 import to_dot
+from distcrit.graph import MAX_VERTICES
+from distcrit.graph6 import _data_len, to_dot
 from conftest import random_graph
 
 
@@ -63,6 +64,123 @@ class TestAgainstNetworkx:
         k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         assert encode_graph6(k4) == "C~"
         assert decode_graph6("?") == Graph.empty(0)
+
+
+def reference_decode(text: str) -> Graph:
+    """The per-bit graph6 decoder: every check and message of
+    decode_graph6, with the adjacency read one bit at a time."""
+    if not text:
+        raise Graph6Error("empty graph6 string")
+    vals = []
+    for ch in text:
+        o = ord(ch)
+        if not 63 <= o <= 126:
+            raise Graph6Error(f"character {ch!r} outside graph6 range 63..126")
+        vals.append(o - 63)
+    if vals[0] != 63:
+        n, pos = vals[0], 1
+    elif len(vals) >= 2 and vals[1] != 63:
+        if len(vals) < 4:
+            raise Graph6Error("truncated long-form size header")
+        n, pos = (vals[1] << 12) | (vals[2] << 6) | vals[3], 4
+    else:
+        if len(vals) < 8:
+            raise Graph6Error("truncated long-form size header")
+        n = 0
+        for v in vals[2:8]:
+            n = (n << 6) | v
+        pos = 8
+    minimal = 1 if n <= 62 else 4 if n <= 258047 else 8
+    if pos != minimal:
+        raise Graph6Error(f"non-minimal size header: {pos} characters for "
+                          f"n = {n}, which takes {minimal}")
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"vertex count {n} exceeds supported {MAX_VERTICES}")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(vals) - pos < need:
+        raise Graph6Error(f"truncated adjacency data: {len(vals) - pos} of {need} groups")
+    if len(vals) - pos > need:
+        raise Graph6Error(f"trailing characters after {need} adjacency groups")
+    adj = [0] * n
+    bit_index = 0
+    nbits = n * (n - 1) // 2
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for v in vals[pos:]:
+        for k in range(5, -1, -1):
+            bit = v >> k & 1
+            if bit_index >= nbits:
+                if bit:
+                    raise Graph6Error("nonzero padding bits")
+            elif bit:
+                i, j = pairs[bit_index]
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            bit_index += 1
+    return Graph(n, adj, check=False)
+
+
+def outcome(decode, text: str):
+    try:
+        return decode(text)
+    except Graph6Error as exc:
+        return str(exc)
+
+
+class TestAgainstPerBitDecoder:
+    SIZES = list(range(71)) + [200, 1024]
+
+    def test_random_graphs(self):
+        rng = random.Random(23)
+        for n in self.SIZES:
+            for p in ((0.0, 0.5, 1.0) if n <= 70 else (0.01, 0.5)):
+                g = random_graph(n, p, rng)
+                text = encode_graph6(g)
+                assert decode_graph6(text) == reference_decode(text) == g
+
+    def test_header_boundary(self):
+        # n = 62 is the last one-character header, 63 the first long one
+        for n in (62, 63):
+            text = encode_graph6(Graph.empty(n))
+            assert len(text) - _data_len(n) == (1 if n == 62 else 4)
+            for bad in ("~??" + chr(63 + n) + text[-_data_len(n):],
+                        chr(63 + n) + text[-_data_len(n):],
+                        "~~????" + chr(63 + (n >> 6)) + chr(63 + (n & 63))
+                        + text[-_data_len(n):],
+                        text[:3], text[:-1], text + "?"):
+                assert outcome(decode_graph6, bad) == \
+                    outcome(reference_decode, bad)
+
+    def test_every_padding_position(self):
+        # in the empty graph's last group, setting any one padding bit is
+        # refused, setting a data bit is an edge
+        padded = 0
+        for n in self.SIZES:
+            if n < 2:
+                continue
+            text = encode_graph6(Graph.empty(n))
+            pad = 6 * _data_len(n) - n * (n - 1) // 2
+            for k in range(6):
+                tampered = text[:-1] + chr(63 + (1 << k))
+                got = outcome(decode_graph6, tampered)
+                assert got == outcome(reference_decode, tampered)
+                assert (got == "nonzero padding bits") == (k < pad)
+                padded += k < pad
+        assert padded >= 100
+
+    def test_mutated_strings(self):
+        # truncations, extensions and character swaps: the same graph or
+        # the same message
+        rng = random.Random(29)
+        for _ in range(400):
+            n = rng.choice(self.SIZES[:71] + [200])
+            text = encode_graph6(random_graph(n, 0.3, rng))
+            cut = rng.randrange(len(text) + 1)
+            bad = rng.choice([
+                text[:cut],
+                text + chr(rng.randrange(63, 127)),
+                text[:cut] + chr(rng.randrange(32, 200)) + text[cut + 1:],
+            ])
+            assert outcome(decode_graph6, bad) == outcome(reference_decode, bad)
 
 
 class TestErrors:
