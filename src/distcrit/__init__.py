@@ -11,15 +11,8 @@ harness that machine-checks the structural laws on exhaustive small
 universes.
 """
 
-from .canon import (
-    CanonicalForm,
-    automorphism_generators,
-    automorphism_orbits,
-    canonical_form,
-    canonical_labeling,
-    graph_from_form,
-)
-from .clique import max_clique, max_clique_size
+from .canon import CanonicalForm, automorphism_orbits, canonical_form
+from .clique import max_clique_size
 from .constructions import (
     GammaLayout,
     cycle,
@@ -31,7 +24,6 @@ from .constructions import (
 )
 from .criticality import (
     CriticalityReport,
-    common_neighbors,
     determining_pairs_of,
     involved_set,
     is_distance_critical,
@@ -56,14 +48,13 @@ from .graph import (
     is_connected,
     is_two_connected,
 )
-from .graph6 import Graph6Error, decode_graph6, encode_graph6, to_dot
+from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .products import ProductKind, product
 from .verify import (
     LEMMA_IDS,
     LemmaCheck,
     check_product_lemmas,
     graham_pollak_determinant,
-    pendant_deletion_check,
     run_all_lemmas,
     run_lemma,
 )
@@ -84,12 +75,9 @@ __all__ = [
     "UNREACHABLE",
     "all_pairs_distances",
     "articulation_points",
-    "automorphism_generators",
     "automorphism_orbits",
     "canonical_form",
-    "canonical_labeling",
     "check_product_lemmas",
-    "common_neighbors",
     "cycle",
     "cycle_power",
     "decode_graph6",
@@ -100,7 +88,6 @@ __all__ = [
     "gamma",
     "girth",
     "graham_pollak_determinant",
-    "graph_from_form",
     "involved_set",
     "is_connected",
     "is_distance_critical",
@@ -110,14 +97,11 @@ __all__ = [
     "is_two_connected",
     "iter_all_graphs",
     "iter_connected",
-    "max_clique",
     "max_clique_size",
     "max_degree_extremal",
-    "pendant_deletion_check",
     "product",
     "regular_extremal",
     "run_all_lemmas",
     "run_enumeration",
     "run_lemma",
-    "to_dot",
 ]

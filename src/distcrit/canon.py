@@ -21,8 +21,8 @@ current best, the pair of labelings yields an automorphism, and the search
 jumps back to the deepest node shared with the best leaf's branch; at each
 node, sibling branch vertices lying in one orbit of the automorphisms that
 fix the node's individualized prefix are explored only once.  The
-discovered generators are also reported, so callers get automorphism
-orbits for free.
+search also returns its labeling and the discovered generators, which
+the enumeration engine reads, and the orbits they span.
 """
 
 from __future__ import annotations
@@ -341,33 +341,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return CanonicalForm(g.n, _pack_form(form_int, g.n))
 
 
-def canonical_labeling(g: Graph) -> tuple[int, ...]:
-    """labeling[pos] = original vertex placed at canonical position pos."""
-    _, lab, _, _ = _search(g.adj, g.n)
-    return lab
-
-
 def automorphism_orbits(g: Graph) -> tuple[int, ...]:
     """Least orbit member per vertex under the full automorphism group."""
     _, _, rep, _ = _search(g.adj, g.n)
     return rep
-
-
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Permutations generating Aut(g) (not necessarily minimal)."""
-    _, _, _, gens = _search(g.adj, g.n)
-    return gens
-
-
-def graph_from_form(cf: CanonicalForm) -> Graph:
-    """Rebuild the canonically labeled graph from its packed form."""
-    n = cf.n
-    adj = [0] * n
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cf.bits[k >> 3] >> (7 - (k & 7)) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    return Graph(n, adj, check=False)

@@ -1,8 +1,9 @@
-"""Exact maximum clique via branch and bound with greedy-coloring bounds."""
+"""Exact maximum clique size via branch and bound with greedy-coloring
+bounds."""
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph
 
 
 def _color_order(adj, cand: int) -> list[tuple[int, int]]:
@@ -41,22 +42,3 @@ def max_clique_size(g: Graph) -> int:
     if g.n == 0:
         return 0
     return _mc_size(g.adj, (1 << g.n) - 1, 0, 0)
-
-
-def max_clique(g: Graph) -> tuple[int, ...]:
-    """Lexicographically least maximum clique, as a sorted vertex tuple."""
-    if g.n == 0:
-        return ()
-    adj = g.adj
-    omega = _mc_size(adj, (1 << g.n) - 1, 0, 0)
-    clique: list[int] = []
-    cand = (1 << g.n) - 1
-    while len(clique) < omega:
-        need = omega - len(clique)
-        for v in bits(cand):
-            sub = cand & adj[v]
-            if 1 + _mc_size(adj, sub, 0, need - 2 if need >= 2 else 0) >= need:
-                clique.append(v)
-                cand = sub
-                break
-    return tuple(clique)

@@ -202,6 +202,7 @@ def regular_extremal(n: int) -> Graph:
     """
     if n < 5:
         raise ValueError("regular family needs n >= 5")
+    _check_order(n)
     r = n % 4
     if r != 0:
         return cycle_power(n, (n - r) // 4)

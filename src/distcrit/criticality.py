@@ -30,13 +30,6 @@ from typing import Iterator
 from .graph import Graph, all_pairs_distances, bits  # noqa: F401
 
 
-def common_neighbors(g: Graph, a: int, b: int) -> tuple[int, ...]:
-    """Vertices adjacent to both a and b, ascending."""
-    if a == b:
-        raise ValueError("common_neighbors needs two distinct vertices")
-    return tuple(bits(g.adj[a] & g.adj[b]))
-
-
 def _shared(adj, a: int) -> tuple[int, int]:
     """(once, twice): the vertices with at least one, and with at least
     two, common neighbours with a.  twice holds the bits that two or more

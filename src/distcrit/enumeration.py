@@ -132,6 +132,7 @@ their f, merge back into the order of the single-job run.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -545,7 +546,8 @@ def run_enumeration(
     vertices; with edge_maximal also count/collect the edge-maximal ones.
 
     The collected list holds the critical graphs, or just the edge-maximal
-    ones when edge_maximal is set, in the same order for any jobs.
+    ones when edge_maximal is set, in the same order for any jobs.  The
+    jobs parts run on at most os.cpu_count() worker processes.
     critical_only walks only the critical leaves (see the module
     docstring): the same counts and graphs in the same order, but no
     connected_count.
@@ -562,7 +564,7 @@ def run_enumeration(
         # needs it
         from multiprocessing import get_context
         ctx = get_context("fork")
-        with ctx.Pool(jobs) as pool:
+        with ctx.Pool(min(jobs, os.cpu_count() or 1)) as pool:
             results = pool.map(_pool_worker, argv)
     connected = None if critical_only else sum(r[0] for r in results)
     critical = sum(r[1] for r in results)

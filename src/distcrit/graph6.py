@@ -1,4 +1,4 @@
-"""graph6 text codec and a DOT exporter.
+"""graph6 text codec.
 
 graph6 packs the upper triangle of the adjacency matrix in column order
 ((0,1), (0,2), (1,2), (0,3), ...) into 6-bit groups, each printed as the
@@ -24,6 +24,8 @@ def _data_len(n: int) -> int:
 
 # each graph6 character as its 6-bit group, most significant bit first
 _GROUP_BITS = str.maketrans({chr(63 + v): f"{v:06b}" for v in range(64)})
+# and the inverse, for the encoder
+_GROUP_CHAR = {f"{v:06b}": chr(63 + v) for v in range(64)}
 
 
 def decode_graph6(text: str) -> Graph:
@@ -87,35 +89,22 @@ def decode_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Canonical graph6 text: minimal size header, zero padding."""
+    """Canonical graph6 text: minimal size header, zero padding.
+
+    The decoder's column layout, written forwards: column j is the row
+    mask of j's neighbours below j, lowest first, as one slice.
+    """
     n = g.n
     if n <= 62:
-        head = [n + 63]
+        head = chr(n + 63)
     elif n <= 258047:
-        head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+        head = "~" + "".join(chr((n >> shift & 63) + 63)
+                             for shift in (12, 6, 0))
     else:
         raise Graph6Error(f"vertex count {n} exceeds supported {MAX_VERTICES}")
-    out = list(head)
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            group = group << 1 | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(group + 63)
-                group = 0
-                filled = 0
-    if filled:
-        out.append((group << (6 - filled)) + 63)
-    return "".join(map(chr, out))
-
-
-def to_dot(g: Graph) -> str:
-    """Graphviz DOT text; vertices 0..n-1, undirected edges, no attributes."""
-    lines = ["graph G {"]
-    lines.extend(f"  {v};" for v in range(g.n))
-    lines.extend(f"  {x} -- {y};" for x, y in g.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    adj = g.adj
+    stream = "".join(format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                     for j in range(1, n))
+    stream += "0" * (-len(stream) % 6)
+    return head + "".join(_GROUP_CHAR[stream[k:k + 6]]
+                          for k in range(0, len(stream), 6))

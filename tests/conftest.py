@@ -8,9 +8,14 @@ networkx) validate them in the individual test files.
 from __future__ import annotations
 
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import distcrit
 from distcrit import Graph, is_distance_critical, iter_all_graphs, iter_connected
 from distcrit.constructions import regular_extremal
 from distcrit.enumeration import _ROOT, _child_states
@@ -28,6 +33,22 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     rng.shuffle(perm)
     return Graph.from_edges(
         n, [(perm[i], perm[rng.randrange(i)]) for i in range(1, n)])
+
+
+def run_capped(args: list[str], cap_mb: int = 400):
+    """Run python with args in a new process whose address space is capped
+    at cap_mb, with this distcrit importable; returns the CompletedProcess.
+
+    Under the cap, building a structure of gigabytes fails at once with
+    MemoryError instead of taking the machine's memory."""
+    cap = cap_mb << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = {"PYTHONPATH": str(Path(distcrit.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, preexec_fn=limit, timeout=120)
 
 
 def augmentation_nodes(max_k: int, state=_ROOT, k: int = 1):

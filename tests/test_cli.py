@@ -17,6 +17,7 @@ import pytest
 from distcrit import is_distance_critical_pairs
 from distcrit.cli import run
 from distcrit.graph6 import decode_graph6
+from conftest import run_capped
 
 SCHEMA_PATH = "schemas/cli_output.schema.json"
 
@@ -212,6 +213,13 @@ class TestConstruct:
         code, out, _ = invoke(capsys, ["construct", *argv])
         assert code == 2
         assert out == ""
+
+    def test_regular_multiple_of_four_is_refused_under_a_memory_cap(self):
+        # building the chords first would die of MemoryError, exit 1
+        proc = run_capped(["-m", "distcrit", "construct", "regular", "-n",
+                           "400000000"])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
 
 
 class TestProduct:
@@ -483,6 +491,30 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait() == 1
     assert err == b""
+
+
+PUBLIC_NAMES = [
+    "CanonicalForm", "CriticalityReport", "EnumerationTally", "GammaLayout",
+    "Graph", "Graph6Error", "LEMMA_IDS", "LemmaCheck", "MAX_VERTICES",
+    "ProductKind", "UNREACHABLE", "all_pairs_distances",
+    "articulation_points", "automorphism_orbits", "canonical_form",
+    "check_product_lemmas", "cycle", "cycle_power", "decode_graph6",
+    "determining_pairs_of", "disjoint_union", "embed_host", "encode_graph6",
+    "gamma", "girth", "graham_pollak_determinant", "involved_set",
+    "is_connected", "is_distance_critical", "is_distance_critical_direct",
+    "is_distance_critical_pairs", "is_edge_maximal_critical",
+    "is_two_connected", "iter_all_graphs", "iter_connected",
+    "max_clique_size", "max_degree_extremal", "product", "regular_extremal",
+    "run_all_lemmas", "run_enumeration", "run_lemma",
+]
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the package shows up as a diff here
+    import distcrit
+    assert len(PUBLIC_NAMES) == 42
+    assert sorted(distcrit.__all__) == PUBLIC_NAMES
+    assert all(hasattr(distcrit, name) for name in PUBLIC_NAMES)
 
 
 def test_startup_imports_neither_numpy_nor_multiprocessing():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from distcrit import Graph, max_clique, max_clique_size
+from distcrit import Graph, max_clique_size
 from distcrit.constructions import gamma
 from conftest import random_graph
 
@@ -23,16 +23,6 @@ def test_against_brute_force():
     for _ in range(200):
         g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]), rng)
         assert max_clique_size(g) == brute_clique_size(g)
-
-
-def test_max_clique_returns_witness():
-    rng = random.Random(100)
-    for _ in range(100):
-        g = random_graph(rng.randint(1, 9), 0.6, rng)
-        clique = max_clique(g)
-        assert len(clique) == max_clique_size(g)
-        assert all(g.has_edge(a, b)
-                   for a, b in itertools.combinations(clique, 2))
 
 
 def test_known_values(petersen):

@@ -11,7 +11,6 @@ import pytest
 from distcrit import (
     Graph,
     canonical_form,
-    common_neighbors,
     cycle,
     cycle_power,
     embed_host,
@@ -25,7 +24,7 @@ from distcrit import (
 )
 from distcrit.criticality import _is_critical_fast
 from distcrit.graph import bits
-from conftest import random_graph
+from conftest import random_graph, run_capped
 
 
 class TestCycles:
@@ -115,13 +114,13 @@ class TestGamma:
     def test_named_witness_pairs(self):
         g, lay = gamma(4)
         for (i, j), v in lay.a.items():
-            assert common_neighbors(g, lay.b[i], lay.b[j]) == (v,)
+            assert g.adj[lay.b[i]] & g.adj[lay.b[j]] == 1 << v
         for i, bv in enumerate(lay.b):
-            assert common_neighbors(g, lay.c[i], lay.c[i + lay.m]) == (bv,)
+            assert g.adj[lay.c[i]] & g.adj[lay.c[i + lay.m]] == 1 << bv
         for t, cv in enumerate(lay.c):
             prev_c = lay.c[(t - 1) % (2 * lay.m)]
             next_c = lay.c[(t + 1) % (2 * lay.m)]
-            assert common_neighbors(g, prev_c, next_c) == (cv,)
+            assert g.adj[prev_c] & g.adj[next_c] == 1 << cv
 
     def test_non_edge_count_at_least_n(self):
         for m in (3, 4, 5, 6):
@@ -216,6 +215,18 @@ class TestRegularExtremal:
             regular_extremal(1028)
         assert regular_extremal(37) == cycle_power(37, 9)
         assert regular_extremal(1023) == cycle_power(1023, 255)
+
+    def test_multiple_of_four_refused_before_the_chords(self):
+        # n = 4e8 would list 1e8 chords, gigabytes, before cycle_power saw
+        # the order; under the cap that is a MemoryError, not the refusal
+        code = ("from distcrit import regular_extremal\n"
+                "try:\n"
+                "    regular_extremal(400_000_000)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        proc = run_capped(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "construction order 400000000 exceeds 1024\n"
 
 
 def least_critical_matching(n: int) -> Graph:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from distcrit import (
     Graph,
     all_pairs_distances,
-    common_neighbors,
     determining_pairs_of,
     disjoint_union,
     involved_set,
@@ -19,10 +18,10 @@ from distcrit import (
     is_distance_critical_pairs,
     is_connected,
     is_edge_maximal_critical,
-    pendant_deletion_check,
 )
 from distcrit.constructions import cycle
 from distcrit import criticality
+from distcrit.verify import pendant_deletion_check
 from distcrit.graph import UNREACHABLE, _reach_mask
 from distcrit.criticality import (
     _distance_changers,
@@ -297,7 +296,7 @@ class TestWitnesses:
                     assert pair is not None
                     a, b = pair
                     assert not g.has_edge(a, b) and a != b
-                    assert common_neighbors(g, a, b) == (v,)
+                    assert g.adj[a] & g.adj[b] == 1 << v
 
     def test_determining_pairs_of_is_complete(self):
         rng = random.Random(17)
@@ -310,7 +309,7 @@ class TestWitnesses:
                 for i, a in enumerate(nbrs):
                     for b in nbrs[i + 1:]:
                         if not g.has_edge(a, b) and \
-                                common_neighbors(g, a, b) == (v,):
+                                g.adj[a] & g.adj[b] == 1 << v:
                             want.add((a, b))
                 assert pairs == want
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 
 import pytest
 
@@ -629,6 +630,37 @@ class TestSharding:
         parallel = run_enumeration(7, jobs=2)[0]
         assert (serial.connected_count, serial.critical_count) == \
             (parallel.connected_count, parallel.critical_count)
+
+    def test_pool_is_bounded_by_the_cpu_count(self, monkeypatch):
+        # 16 parts go to a fake pool that records the size asked for and
+        # maps the parts in this process; no worker is started
+        import multiprocessing
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, argv):
+                return [func(args) for args in argv]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: FakeContext)
+        tally, hits = run_enumeration(7, jobs=16, collect=True)
+        assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+        serial, serial_hits = run_enumeration(7, collect=True)
+        assert (tally.connected_count, tally.critical_count) == \
+            (serial.connected_count, serial.critical_count)
+        assert hits == serial_hits
 
 
 class TestAllGraphs:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distcrit import Graph, Graph6Error, decode_graph6, encode_graph6
+from distcrit.constructions import regular_extremal
 from distcrit.graph import MAX_VERTICES
-from distcrit.graph6 import _data_len, to_dot
+from distcrit.graph6 import _data_len
 from conftest import random_graph
 
 
@@ -119,11 +120,42 @@ def reference_decode(text: str) -> Graph:
     return Graph(n, adj, check=False)
 
 
+def reference_encode(g: Graph) -> str:
+    """The per-bit graph6 encoder: the upper triangle in column order,
+    packed six bits at a time, zero padded, after the minimal header."""
+    n = g.n
+    if n <= 62:
+        out = [n + 63]
+    else:
+        out = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+    group = filled = 0
+    for j in range(1, n):
+        for i in range(j):
+            group = group << 1 | (g.adj[j] >> i & 1)
+            filled += 1
+            if filled == 6:
+                out.append(group + 63)
+                group = filled = 0
+    if filled:
+        out.append((group << (6 - filled)) + 63)
+    return "".join(map(chr, out))
+
+
 def outcome(decode, text: str):
     try:
         return decode(text)
     except Graph6Error as exc:
         return str(exc)
+
+
+def test_encoder_matches_per_bit_encoder():
+    rng = random.Random(29)
+    graphs = [random_graph(n, p, rng)
+              for n in list(range(71)) + [100, 300, 1024]
+              for p in ((0.0, 0.5, 1.0) if n <= 70 else (0.01, 0.5))]
+    graphs.append(regular_extremal(1024))
+    for g in graphs:
+        assert encode_graph6(g) == reference_encode(g)
 
 
 class TestAgainstPerBitDecoder:
@@ -212,11 +244,3 @@ class TestErrors:
         tampered = text[:-1] + chr(((ord(text[-1]) - 63) | 1) + 63)
         with pytest.raises(Graph6Error):
             decode_graph6(tampered)
-
-
-def test_to_dot_shape():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    dot = to_dot(g)
-    assert dot.startswith("graph")
-    assert "0 -- 1" in dot and "1 -- 2" in dot and "--" in dot
-    assert dot.count("--") == 2

@@ -14,13 +14,13 @@ from distcrit import (
     girth,
     graham_pollak_determinant,
     is_distance_critical,
-    pendant_deletion_check,
     run_all_lemmas,
     run_lemma,
 )
 from distcrit import enumeration, verify
 from distcrit.constructions import cycle
 from distcrit.criticality import _girth_table
+from distcrit.verify import pendant_deletion_check
 
 CHECKED_AT_7 = {
     "GIRTH": 4, "CYCLE5": 6, "NO_DOM": 6, "EDGE_ADD": 0, "DEG3": 1,
