@@ -5,16 +5,20 @@ refinement plus backtracking: start from the ordered partition of vertices
 by ascending degree, refine it to the coarsest equitable partition (cells
 split by adjacency counts against every cell, fragments ordered by
 ascending count), and branch on the first non-singleton cell by
-individualizing each of its vertices in turn.  Every discrete partition
-reached this way (a leaf of the refinement search tree) is a candidate
-labeling; the canonical form is the lexicographically least upper-triangle
-row-major adjacency bit-string over the leaves of that tree.  Because the
-whole procedure only consults the abstract (graph, ordered partition)
-structure, isomorphic graphs get identical forms and non-isomorphic graphs
-of equal order get distinct ones.  The form is not in general the least
-over all relabelings: from six vertices on, the least relabeling may not
-be a leaf (edges 01 02 03 14 25 35 get 000100101101001, although
-000010110110001 is a relabeling).
+individualizing each of its vertices in turn.  Refinement counts with
+whole vertex sets: a splitter's rows are added into bit planes of the
+counts, and each cell splits by those planes, so no count is taken one
+vertex at a time (see refine).
+
+Every discrete partition reached this way (a leaf of the refinement
+search tree) is a candidate labeling; the canonical form is the
+lexicographically least upper-triangle row-major adjacency bit-string
+over the leaves of that tree.  Because the whole procedure only consults
+the abstract (graph, ordered partition) structure, isomorphic graphs get
+identical forms and non-isomorphic graphs of equal order get distinct
+ones.  The form is not in general the least over all relabelings: from
+six vertices on, the least relabeling may not be a leaf (edges 01 02 03
+14 25 35 get 000100101101001, although 000010110110001 is a relabeling).
 
 Two classic prunings keep symmetric inputs feasible: when a leaf ties the
 current best, the pair of labelings yields an automorphism, and the search
@@ -72,6 +76,16 @@ def refine(adj, cells, abort=None, equitable=()):
     stops early and makes refine return None (the enumeration uses it to
     decide rule (b) before the partition stabilizes; further refinement
     only splits cells in place, so such a decision is final).
+
+    The counts are never taken vertex by vertex.  A one-vertex splitter
+    {x} splits each cell into cell & ~adj[x] and cell & adj[x].  A larger
+    splitter X adds the rows adj[x], x in X, into carry-save bit planes,
+    so that plane i holds the vertices whose count in X has bit i set; a
+    cell is then split by each plane in turn, the highest first, each
+    fragment into its part outside the plane and its part inside.  That
+    is a radix sort on the counts, most significant bit first, so the
+    fragments come out by ascending count, as the definition orders them.
+    A pass that splits nothing builds no new cell list.
     """
     cells = list(cells)
     inert = set(equitable)
@@ -82,34 +96,58 @@ def refine(adj, cells, abort=None, equitable=()):
         if splitter in inert:
             continue
         inert.add(splitter)
-        new_cells = []
-        any_split = False
-        for cell in cells:
-            if cell & (cell - 1) == 0:
-                new_cells.append(cell)
-                continue
-            low = cell & -cell
-            c0 = (adj[low.bit_length() - 1] & splitter).bit_count()
-            m = cell ^ low
-            while m:
-                low = m & -m
-                if (adj[low.bit_length() - 1] & splitter).bit_count() != c0:
-                    break
-                m ^= low
-            if not m:
-                new_cells.append(cell)
-                continue
-            any_split = True
-            buckets: dict[int, int] = {}
-            m = cell
+        new_cells = None
+        if splitter & (splitter - 1) == 0:
+            row = adj[splitter.bit_length() - 1]
+            for i, cell in enumerate(cells):
+                hi = cell & row
+                if hi and hi != cell:
+                    if new_cells is None:
+                        new_cells = cells[:i]
+                    new_cells += (cell ^ hi, hi)
+                elif new_cells is not None:
+                    new_cells.append(cell)
+        else:
+            planes: list[int] = []
+            m = splitter
             while m:
                 low = m & -m
                 m ^= low
-                c = (adj[low.bit_length() - 1] & splitter).bit_count()
-                buckets[c] = buckets.get(c, 0) | low
-            for c in sorted(buckets):
-                new_cells.append(buckets[c])
-        if any_split:
+                carry = adj[low.bit_length() - 1]
+                i = 0
+                while carry:
+                    if i == len(planes):
+                        planes.append(carry)
+                        break
+                    p = planes[i]
+                    planes[i] = p ^ carry
+                    carry &= p
+                    i += 1
+            planes.reverse()
+            for i, cell in enumerate(cells):
+                frags = None
+                for p in planes:
+                    hi = cell & p
+                    if not hi or hi == cell:
+                        continue
+                    if frags is None:
+                        frags = [cell ^ hi, hi]
+                        continue
+                    split = []
+                    for f in frags:
+                        hi = f & p
+                        if hi and hi != f:
+                            split += (f ^ hi, hi)
+                        else:
+                            split.append(f)
+                    frags = split
+                if frags is not None:
+                    if new_cells is None:
+                        new_cells = cells[:i]
+                    new_cells += frags
+                elif new_cells is not None:
+                    new_cells.append(cell)
+        if new_cells is not None:
             cells = new_cells
             if abort is not None and abort(cells):
                 return None
@@ -296,22 +334,15 @@ def _transposition(n: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _twin_cell_generators(adj: tuple[int, ...], n: int,
-                          stable: list[int]) -> "list[tuple[int, ...]] | None":
-    """Generators of the automorphism group when every non-singleton cell
-    of stable is a set of pairwise twins, else None.
+def _twin_pairs(adj: tuple[int, ...],
+                stable: list[int]) -> "list[tuple[int, int]] | None":
+    """The pairs a < b of consecutive members of each non-singleton cell
+    of stable, when every such cell is a set of pairwise twins, else None.
 
-    stable must be refine(adj, degree_cells(adj, n)).  Every automorphism
-    fixes each of its cells, since refine is label-invariant, so the group
-    lies in the product of the cells' symmetric groups.  Swapping two
-    twins (same neighbours apart from each other) is an automorphism, so
-    when each cell is all twins the group is that product, generated by
-    the transpositions of consecutive members of each cell.  A vertex
-    with a true twin (adjacent) has no false twin (not adjacent), so a
-    cell is all twins once its least vertex is a twin of every other.  A
-    discrete partition gives no generators.
-    """
-    gens = []
+    A vertex with a true twin (adjacent) has no false twin (not
+    adjacent), so a cell is all twins once its least vertex is a twin of
+    every other.  A discrete partition gives no pairs."""
+    pairs = []
     for cell in stable:
         low = cell & -cell
         a = prev = low.bit_length() - 1
@@ -322,9 +353,27 @@ def _twin_cell_generators(adj: tuple[int, ...], n: int,
             b = bit.bit_length() - 1
             if adj[a] & ~bit != adj[b] & ~low:
                 return None
-            gens.append(_transposition(n, prev, b))
+            pairs.append((prev, b))
             prev = b
-    return gens
+    return pairs
+
+
+def _twin_cell_generators(adj: tuple[int, ...], n: int,
+                          stable: list[int]) -> "list[tuple[int, ...]] | None":
+    """Generators of the automorphism group when every non-singleton cell
+    of stable is a set of pairwise twins, else None.
+
+    stable must be refine(adj, degree_cells(adj, n)).  Every automorphism
+    fixes each of its cells, since refine is label-invariant, so the group
+    lies in the product of the cells' symmetric groups.  Swapping two
+    twins (same neighbours apart from each other) is an automorphism, so
+    when each cell is all twins the group is that product, generated by
+    the transpositions of the _twin_pairs.
+    """
+    pairs = _twin_pairs(adj, stable)
+    if pairs is None:
+        return None
+    return [_transposition(n, a, b) for a, b in pairs]
 
 
 def _pack_form(form_int: int, n: int) -> bytes:

@@ -12,7 +12,8 @@ reports, per vertex, the lexicographically least witness pair.  It rests
 on one shared-neighbour primitive, _shared(adj, a), whose twice mask holds
 the vertices with at least two common neighbours with a.  The determining
 pairs (a, b) of v with a given first end a are then the b > a of N(v)
-outside N(a) and outside that mask (_partners).
+outside N(a) and outside that mask (_partners); a caller that needs one
+witness only tests those candidates against the other neighbours of a.
 
 The direct method is an independent check of the same predicate, from
 BFS alone: one pass per source x finds every vertex whose deletion
@@ -52,20 +53,34 @@ def _partners(adj, v: int, twice=None) -> Iterator[tuple[int, int]]:
     Such a b is a neighbour of v above a, not adjacent to a, and shares no
     neighbour with a but v, which they share: it is outside the twice
     mask of _shared(adj, a).  twice[a], that mask, may be given for every
-    a; otherwise it is computed only for the a that need it.  A nonadjacent
-    pair whose unique common neighbour is c is met for v = c and for no
-    other v, so a sweep over all v meets each determining pair once.
+    a.  Otherwise only the candidates are tested: since each of them
+    shares v with a, the ones to drop are those adjacent to some other
+    neighbour c of a, gathered from the rows adj[c] & rest until they
+    cover rest.  A nonadjacent pair whose unique common neighbour is c is
+    met for v = c and for no other v, so a sweep over all v meets each
+    determining pair once.
     """
     later = adj[v]
+    others = ~(1 << v)
     while later:
         low = later & -later
         later ^= low
         a = low.bit_length() - 1
         rest = later & ~adj[a]
+        if not rest:
+            continue
+        if twice is None:
+            covered = 0
+            m = adj[a] & others
+            while m and covered != rest:
+                c = m & -m
+                m ^= c
+                covered |= adj[c.bit_length() - 1] & rest
+            rest ^= covered
+        else:
+            rest &= ~twice[a]
         if rest:
-            rest &= ~(_shared(adj, a)[1] if twice is None else twice[a])
-            if rest:
-                yield a, rest
+            yield a, rest
 
 
 def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
@@ -217,8 +232,16 @@ def _distance_changers(adj, n: int) -> int:
 
 def is_distance_critical_direct(g: Graph) -> bool:
     """The definition, by BFS and without determining pairs: deleting any
-    vertex changes the distances from some other vertex."""
-    return g.n > 0 and _distance_changers(g.adj, g.n) == (1 << g.n) - 1
+    vertex changes the distances from some other vertex.
+
+    A graph with a vertex of degree < 2 is rejected before any BFS.  A
+    sole parent v (see _sole_parents) lies in a layer d >= 1 from the
+    source, so it has a neighbour in layer d - 1, and it is the only
+    parent of some vertex of layer d + 1, another neighbour.  A vertex
+    with fewer than two neighbours is therefore no sole parent from any
+    source, and its deletion changes no distance."""
+    return (g.n > 0 and all(row & (row - 1) for row in g.adj)
+            and _distance_changers(g.adj, g.n) == (1 << g.n) - 1)
 
 
 def _girth_exceeds_4(adj, n: int) -> bool:

@@ -62,17 +62,23 @@ above.  A rejected candidate is never built.  In the census to n = 9
 this decides 128,072 of the 283,839 candidates that would reach refine
 (42,619 accepts and 85,453 rejects).
 
-Twin-cell groups: rule (a) needs generators of the parent's automorphism
-group.  Every automorphism fixes each cell of the parent's stable
-partition, since refinement is label-invariant, so the group lies in the
-product of the cells' symmetric groups.  When every non-singleton cell is
-a set of pairwise twins (same neighbours apart from each other), each
+Twin-cell groups: rule (a) needs the parent's automorphism group.  Every
+automorphism fixes each cell of the parent's stable partition, since
+refinement is label-invariant, so the group lies in the product of the
+cells' symmetric groups.  When every non-singleton cell is a set of
+pairwise twins (same neighbours apart from each other), each
 transposition within a cell is an automorphism, so the group is that
-product, generated by the transpositions of consecutive cell members
-(canon._twin_cell_generators), and the canonical search is skipped.
-_subset_reps depends only on the group, so rule (a) is unchanged.  In
-the census to n = 9 this gives the generators of 5,440 of the 8,408
-parents whose stable partition is not discrete.
+product (canon._twin_cell_generators), and the canonical search is
+skipped.  Its orbit minima need no orbit table either: S is the least of
+its orbit iff it meets each cell in a prefix of the cell's members
+(_twin_cell_reps), one AND per pair of consecutive members.  In the
+census to n = 9 this decides rule (a) for 5,440 of the 8,408 parents
+whose stable partition is not discrete; only the other 2,968 are
+searched and call _subset_reps.
+
+A candidate that reaches refine starts from its degree cells, built from
+the parent's degree classes (_child_degree_cells): a parent vertex moves
+up one degree iff it is in S, and the new vertex has degree |S|.
 
 A candidate that reaches a stable partition undecided first gets an orbit
 certificate.  Let C be the last cell of the stable partition that holds a
@@ -137,8 +143,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .canon import (_automorphism_taking, _find, _search,
-                    _twin_cell_generators, _union, degree_cells, refine)
+from .canon import (_automorphism_taking, _find, _search, _twin_pairs,
+                    _union, degree_cells, refine)
 from .criticality import _extension_table, _is_edge_maximal_fast, _mask_sets
 # _articulation_mask and _is_critical_fast are no longer called here (the cut
 # sets and the extension table replace them) but stay module attributes:
@@ -161,9 +167,9 @@ def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> int:
     mask without its top bit.  Orbit minima follow by least[S] =
     min(least[S], least[image of S]) over the generators and pointer
     jumping (least[S] = least[least[S]]), repeated until stable.  Parents
-    share generator sets (1,645 distinct ones for the 8,408 calls at
-    n = 9, 657 of them from twin cells), so results are cached by
-    (k, gens), at most _SUBSET_REPS_MAX of them."""
+    share generator sets (988 distinct ones for the 2,968 calls at n = 9;
+    twin-cell parents read theirs from _twin_cell_reps instead), so
+    results are cached by (k, gens), at most _SUBSET_REPS_MAX of them."""
     key = (k, tuple(gens))
     reps = _SUBSET_REPS.get(key)
     if reps is not None:
@@ -280,6 +286,48 @@ def _first_cell_verdict(adj: tuple[int, ...], classes: dict[int, int],
     return None if tie else True
 
 
+def _twin_cell_reps(k: int, pairs: list[tuple[int, int]]) -> int:
+    """_subset_reps for a parent on k vertices whose stable cells are all
+    twins, from its canon._twin_pairs.
+
+    The group is the product of the cells' symmetric groups, so the orbit
+    of S holds every set that meets each cell in as many vertices, and its
+    least member meets each cell in a prefix (the cell's lowest members).
+    S is that member iff no consecutive pair a < b of a cell has b in S
+    and a not: the AND over the pairs of ~(HAS[b] & ~HAS[a])."""
+    has = _mask_sets(k)[0]
+    reps = (1 << (1 << k)) - 2
+    for a, b in pairs:
+        reps &= ~(has[b] & ~has[a])
+    return reps
+
+
+def _child_degree_cells(span: list[tuple[int, int, int]], s: int,
+                        newbit: int) -> list[int]:
+    """degree_cells of the child with neighbourhood s, from its parent.
+
+    A parent vertex moves up one degree iff it is in s, and the new vertex
+    newbit has degree |s|.  span lists (d, C_d, C_{d-1}) over the degrees
+    d of the parent's classes and one above each, ascending, C_d being the
+    parent's class of degree d (0 if none): the child's cell of degree d
+    is C_d & ~s | C_{d-1} & s, plus the new vertex when d = |s|."""
+    d = s.bit_count()
+    cells = []
+    for deg, same, below in span:
+        c = same & ~s | below & s
+        if newbit and deg >= d:
+            if deg == d:
+                c |= newbit
+            else:
+                cells.append(newbit)
+            newbit = 0
+        if c:
+            cells.append(c)
+    if newbit:
+        cells.append(newbit)
+    return cells
+
+
 # A node of the augmentation tree: adjacency rows and cut-vertex mask.
 _State = tuple[tuple[int, ...], int]
 
@@ -310,17 +358,21 @@ def _child_states(
 
     dcells = degree_cells(adj, k)
     cells = refine(adj, dcells)
-    gens = _twin_cell_generators(adj, k, cells)
-    if gens is None:
+    # Subset-orbit pruning is exact after the degree filter because
+    # automorphisms preserve popcount, degrees and cut vertices.
+    pairs = _twin_pairs(adj, cells)
+    if pairs is None:
         gens = _search(adj, k, cells)[3]
-    if gens:
-        # Subset-orbit pruning is exact after the degree filter because
-        # automorphisms preserve popcount, degrees and cut vertices.
-        ok &= _subset_reps(k, gens)
-    classes = None
+        if gens:
+            ok &= _subset_reps(k, gens)
+    elif pairs:
+        ok &= _twin_cell_reps(k, pairs)
+    classes = span = None
     if ok & ~lead:
         classes = {adj[(c & -c).bit_length() - 1].bit_count(): c
                    for c in dcells}
+        span = [(d, classes.get(d, 0), classes.get(d - 1, 0))
+                for d in sorted({*classes, *(d + 1 for d in classes)})]
 
     # the parent cut vertices, with the S for which they stay cut; every
     # other parent vertex is cut only for the singleton S = {u}
@@ -371,7 +423,8 @@ def _child_states(
             continue
         cnon = cfull & ~ccut_s
 
-        stable = refine(child_adj, degree_cells(child_adj, nch), decided)
+        stable = refine(child_adj, _child_degree_cells(span, s, newbit),
+                        decided)
         if stable is None:
             if accepted[0]:
                 yield tuple(child_adj), ccut_s

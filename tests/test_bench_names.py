@@ -60,3 +60,21 @@ def test_tracer_counts_the_census():
             states[layers.ITEMS]) == (143, 7815, 995)
     assert all(getattr(module, name) is before[module][name]
                for module, name in patched)
+
+
+def test_every_traced_enumeration_name_is_called():
+    # A name the tracer wraps but the census no longer calls reads 0 in
+    # every per-layer metric built on it.  The two import shims are kept
+    # only so that the tracer finds them; the census calls neither.
+    shims = {"_is_critical_fast", "_articulation_mask"}
+    layers = load_layers()
+    run_enumeration = importlib.import_module("distcrit").run_enumeration
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        run_enumeration(7)
+    finally:
+        tracer.uninstall()
+    uncalled = [name for name, key, _ in layers.ENUMERATION
+                if name not in shims and not tracer.recs[key][layers.CALLS]]
+    assert uncalled == []

@@ -221,6 +221,29 @@ class TestRefine:
                 stable = refine(g.adj, cells)
         assert runs >= 300
 
+    def test_dense_graphs_and_splitters_of_every_size(self):
+        # counts of 32 and more take six bit planes; each run starts from a
+        # cell of one size, 1 to 64, at a random place in a random ordered
+        # partition, so every splitter size is applied
+        rng = random.Random(1212)
+        most = 0
+        for size in range(1, 65):
+            n = rng.randint(max(25, size), 64)
+            g = random_graph(n, rng.choice([0.6, 0.8, 0.95]), rng)
+            order = list(range(n))
+            rng.shuffle(order)
+            cell = sum(1 << v for v in order[:size])
+            rest = order[size:]
+            cells = []
+            while rest:
+                cut = rng.randint(1, len(rest))
+                cells.append(sum(1 << v for v in rest[:cut]))
+                rest = rest[cut:]
+            cells.insert(rng.randint(0, len(cells)), cell)
+            most = max(most, max((row & cell).bit_count() for row in g.adj))
+            self.assert_same_run(g.adj, cells)
+        assert most >= 32
+
     def test_abort_stops_at_the_same_partition(self):
         rng = random.Random(707)
         for _ in range(100):

@@ -284,6 +284,27 @@ class TestDirectMethod:
     def test_long_cycle(self):
         assert is_distance_critical_direct(cycle(512))
 
+    def test_low_degree_rejected_before_any_bfs(self, monkeypatch,
+                                                all_graphs_by_n):
+        # a vertex of degree 0 or 1 is no sole parent from any source, so
+        # such a graph is rejected without a BFS; every graph on up to 7
+        # vertices still gets the definition's verdict
+        sole_parents = criticality._sole_parents
+
+        def guarded(adj, x, done):
+            assert all(row & (row - 1) for row in adj)
+            return sole_parents(adj, x, done)
+
+        monkeypatch.setattr(criticality, "_sole_parents", guarded)
+        low = 0
+        for n in range(1, 8):
+            for g in all_graphs_by_n[n]:
+                want = all(deletion_changes_some_distance(g, v)
+                           for v in range(g.n))
+                assert is_distance_critical_direct(g) == want
+                low += min(g.degree(v) for v in range(g.n)) < 2
+        assert low == 665
+
 
 class TestWitnesses:
     def test_report_witnesses_are_sound(self, criticals_by_n):

@@ -22,6 +22,7 @@ from distcrit.canon import (
     _find,
     _search,
     _twin_cell_generators,
+    _twin_pairs,
     _union,
     automorphism_orbits,
     degree_cells,
@@ -41,6 +42,7 @@ from distcrit.enumeration import (
     _first_cell_verdict,
     _iter_leaves,
     _subset_reps,
+    _twin_cell_reps,
 )
 from distcrit.graph import _articulation_mask, bits
 from distcrit.graph6 import encode_graph6
@@ -181,6 +183,40 @@ class TestAugmentationSteps:
         # the calls of the n = 9 census, and the cache keys they share
         assert checked == 8408
         assert len(keys) == 1645
+
+    def test_twin_cell_reps_match_the_orbit_table(self):
+        # every augmentation node to k = 8 whose stable cells are all
+        # twins: the sets that meet each cell in a prefix are the orbit
+        # minima of the group its cells' transpositions generate
+        twin = discrete = 0
+        for k, (adj, _) in augmentation_nodes(8):
+            stable = refine(adj, degree_cells(adj, k))
+            pairs = _twin_pairs(adj, stable)
+            if pairs is None:
+                continue
+            gens = _twin_cell_generators(adj, k, stable)
+            assert _twin_cell_reps(k, pairs) == _subset_reps(k, gens)
+            twin += 1
+            discrete += not pairs
+        # the twin-cell parents of the n = 9 census: 5,440 of them have
+        # generators, so only the other 2,968 call _subset_reps
+        assert (twin - discrete, discrete) == (5440, 3705)
+
+    def test_child_degree_cells_from_the_parent(self, monkeypatch):
+        # every refinement of a candidate child starts from the child's
+        # degree cells, though they are built from the parent's classes
+        checked = 0
+
+        def checking_refine(adj, cells, abort=None):
+            nonlocal checked
+            if abort is not None:
+                assert cells == degree_cells(adj, len(adj))
+                checked += 1
+            return refine(adj, cells, abort)
+
+        monkeypatch.setattr(enumeration, "refine", checking_refine)
+        assert sum(1 for _ in augmentation_nodes(8)) == 12113
+        assert checked == 7674
 
     def test_twin_cell_generators(self, connected_by_n):
         # where every non-singleton cell of the stable partition is all
