@@ -20,6 +20,9 @@ ones.  The form is not in general the least over all relabelings: from
 six vertices on, the least relabeling may not be a leaf (edges 01 02 03
 14 25 35 get 000100101101001, although 000010110110001 is a relabeling).
 
+A stable partition whose non-singleton cells are all twins (same
+neighbours apart from each other) is read without backtracking (_search).
+
 Two classic prunings keep symmetric inputs feasible: when a leaf ties the
 current best, the pair of labelings yields an automorphism, and the search
 jumps back to the deepest node shared with the best leaf's branch; at each
@@ -194,21 +197,16 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     stable, if given, must be refine(adj, degree_cells(adj, n)), the root
     of the search tree; a caller that already holds it saves that
     refinement.  The result is the same either way.
+
+    A stable partition whose non-singleton cells are all twins
+    (_twin_pairs) is read, not searched.  Every automorphism fixes each
+    cell (refine is label-invariant) and swapping two twins is one, so
+    the cells are the orbits and their transpositions generate the group.
+    Individualizing a twin splits nothing else, so the first leaf lists
+    each cell in ascending order; every other leaf is its image under an
+    automorphism, with the same form.  This covers K0, K1, complete and
+    empty graphs.
     """
-    if n == 0:
-        return 0, (), (), []
-    if n == 1:
-        return 0, (0,), (0,), []
-    full = (1 << n) - 1
-    npairs = n * (n - 1) // 2
-
-    if all(adj[v] == full ^ (1 << v) for v in range(n)):
-        gens = [_transposition(n, i, i + 1) for i in range(n - 1)]
-        return (1 << npairs) - 1, tuple(range(n)), (0,) * n, gens
-    if all(a == 0 for a in adj):
-        gens = [_transposition(n, i, i + 1) for i in range(n - 1)]
-        return 0, tuple(range(n)), (0,) * n, gens
-
     best_form: int | None = None
     best_lab: tuple[int, ...] = ()
     best_path: tuple[int, ...] = ()
@@ -277,7 +275,15 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
 
     if stable is None:
         stable = refine(adj, degree_cells(adj, n))
-    search(stable, ())
+    pairs = _twin_pairs(adj, stable)
+    if pairs is None:
+        search(stable, ())
+    else:
+        best_lab = tuple(v for cell in stable for v in bits(cell))
+        best_form = form_of(best_lab)
+        for a, b in pairs:
+            gens.append(_transposition(n, a, b))
+            _union(orbit, a, b)
     rep = tuple(_find(orbit, v) for v in range(n))
     return best_form, best_lab, rep, gens
 
@@ -356,24 +362,6 @@ def _twin_pairs(adj: tuple[int, ...],
             pairs.append((prev, b))
             prev = b
     return pairs
-
-
-def _twin_cell_generators(adj: tuple[int, ...], n: int,
-                          stable: list[int]) -> "list[tuple[int, ...]] | None":
-    """Generators of the automorphism group when every non-singleton cell
-    of stable is a set of pairwise twins, else None.
-
-    stable must be refine(adj, degree_cells(adj, n)).  Every automorphism
-    fixes each of its cells, since refine is label-invariant, so the group
-    lies in the product of the cells' symmetric groups.  Swapping two
-    twins (same neighbours apart from each other) is an automorphism, so
-    when each cell is all twins the group is that product, generated by
-    the transpositions of the _twin_pairs.
-    """
-    pairs = _twin_pairs(adj, stable)
-    if pairs is None:
-        return None
-    return [_transposition(n, a, b) for a, b in pairs]
 
 
 def _pack_form(form_int: int, n: int) -> bytes:

@@ -9,11 +9,14 @@ input; a graph with no vertices is not distance critical by convention.
 
 The pairs method is the workhorse: it needs no distance recomputation and
 reports, per vertex, the lexicographically least witness pair.  It rests
-on one shared-neighbour primitive, _shared(adj, a), whose twice mask holds
-the vertices with at least two common neighbours with a.  The determining
-pairs (a, b) of v with a given first end a are then the b > a of N(v)
-outside N(a) and outside that mask (_partners); a caller that needs one
-witness only tests those candidates against the other neighbours of a.
+on one primitive, _layer(adj, mask): the vertices with at least one, and
+with at least two, neighbours in mask.  For mask = N(a), twice holds the
+vertices with two or more common neighbours with a, and the determining
+pairs (a, b) of v are the b > a of N(v) outside N(a) and outside that
+mask (_partners); a caller that needs one witness only tests those
+candidates against the other neighbours of a.  The same layer decides
+girth > 4, and the layer of a BFS frontier gives the direct method's
+sole parents.
 
 The direct method is an independent check of the same predicate, from
 BFS alone: one pass per source x finds every vertex whose deletion
@@ -31,18 +34,17 @@ from typing import Iterator
 from .graph import Graph, all_pairs_distances, bits  # noqa: F401
 
 
-def _shared(adj, a: int) -> tuple[int, int]:
-    """(once, twice): the vertices with at least one, and with at least
-    two, common neighbours with a.  twice holds the bits that two or more
-    rows of a's neighbours share."""
+def _layer(adj, mask: int) -> tuple[int, int]:
+    """(once, twice): the vertices adjacent to at least one, and to at
+    least two, vertices of mask.  twice holds the bits that two or more
+    of the rows adj[x], x in mask, share."""
     once = twice = 0
-    m = adj[a]
-    while m:
-        low = m & -m
+    while mask:
+        low = mask & -mask
         row = adj[low.bit_length() - 1]
         twice |= once & row
         once |= row
-        m ^= low
+        mask ^= low
     return once, twice
 
 
@@ -52,8 +54,8 @@ def _partners(adj, v: int, twice=None) -> Iterator[tuple[int, int]]:
 
     Such a b is a neighbour of v above a, not adjacent to a, and shares no
     neighbour with a but v, which they share: it is outside the twice
-    mask of _shared(adj, a).  twice[a], that mask, may be given for every
-    a.  Otherwise only the candidates are tested: since each of them
+    mask of _layer(adj, adj[a]).  twice[a], that mask, may be given for
+    every a.  Otherwise only the candidates are tested: since each of them
     shares v with a, the ones to drop are those adjacent to some other
     neighbour c of a, gathered from the rows adj[c] & rest until they
     cover rest.  A nonadjacent pair whose unique common neighbour is c is
@@ -107,7 +109,7 @@ def _pair_scan(
     """Least determining pair of every vertex (or None), and the involved
     set, from one sweep over the partner masks: O(m) big-int operations,
     the twice masks of every vertex included."""
-    twice = [_shared(adj, a)[1] for a in range(n)]
+    twice = [_layer(adj, adj[a])[1] for a in range(n)]
     witnesses = []
     involved = 0
     for v in range(n):
@@ -185,9 +187,9 @@ def _sole_parents(adj, x: int, done: int) -> int:
     their vertices keeps its distance through a neighbour in the
     previous layer, which is not v.
 
-    One pass: while a layer's rows are ORed into the next layer, a second
-    mask keeps the vertices reached twice, so the vertices of the next
-    layer with one parent only are next & ~twice.
+    One pass: _layer of a BFS layer gives the next layer and the
+    vertices reached twice from it, so the vertices of the next layer
+    with one parent only are next & ~twice.
     """
     whole = (1 << len(adj)) - 1
     seen = 1 << x | adj[x]
@@ -195,14 +197,7 @@ def _sole_parents(adj, x: int, done: int) -> int:
     found = 0
     # a layer that completes seen has no next layer to be sole parent in
     while frontier and seen != whole:
-        once = twice = 0
-        m = frontier
-        while m:
-            low = m & -m
-            row = adj[low.bit_length() - 1]
-            twice |= once & row
-            once |= row
-            m ^= low
+        once, twice = _layer(adj, frontier)
         nxt = once & ~seen
         single = nxt & ~twice
         if single:
@@ -245,17 +240,18 @@ def is_distance_critical_direct(g: Graph) -> bool:
 
 
 def _girth_exceeds_4(adj, n: int) -> bool:
-    """No triangle and no 4-cycle (acyclic also qualifies)."""
+    """No triangle and no 4-cycle (acyclic also qualifies).
+
+    With (once, twice) = _layer(adj, adj[a]), a lies on a triangle iff a
+    neighbour of a is in once (adjacent to another neighbour), and on a
+    4-cycle only if a vertex other than a is in twice (adjacent to two
+    neighbours of a); such a vertex that is itself a neighbour of a
+    closes a triangle instead.  Either way a short cycle exists, so the
+    girth exceeds 4 iff no a has either."""
     for a in range(n):
-        ra = adj[a]
-        for b in bits(ra >> (a + 1) << (a + 1)):
-            if ra & adj[b]:
-                return False
-        absent = ~(ra | ((1 << (a + 1)) - 1)) & ((1 << n) - 1)
-        for b in bits(absent):
-            c = ra & adj[b]
-            if c & (c - 1):
-                return False
+        once, twice = _layer(adj, adj[a])
+        if once & adj[a] or twice & ~(1 << a):
+            return False
     return True
 
 
@@ -301,16 +297,16 @@ def _extension_table(adj, k: int) -> int:
     determining pair (a, b) of u in the parent does not have both ends in
     S, or u is in S and some neighbour a of u outside S has N(a) & S = {u}
     (then (a, w) is a pair of u).  Each condition is a few big-int
-    operations on the HAS and NONE sets of _mask_sets.  One loop of
-    _shared gives both every vertex's distance-2 ball and the twice masks
-    that _partners reads the parent's pairs from.
+    operations on the HAS and NONE sets of _mask_sets.  One _layer of
+    each neighbourhood gives both every vertex's distance-2 ball and the
+    twice masks that _partners reads the parent's pairs from.
     """
     has, none, _ = _mask_sets(k)
     full = (1 << k) - 1
     table = 0
     twice = []
     for a in range(k):
-        once, twice_a = _shared(adj, a)
+        once, twice_a = _layer(adj, adj[a])
         twice.append(twice_a)
         ball = once | adj[a] | 1 << a
         if ball != full:
@@ -343,14 +339,17 @@ def _girth_table(adj, k: int) -> int:
     neighbourhood S of the parent adj on k vertices gives a child of girth
     > 4 or an acyclic one: the parent is such a graph and the vertices of
     S are pairwise at parent distance >= 3 (a short cycle through the new
-    vertex closes over two of them)."""
-    if not _girth_exceeds_4(adj, k):
-        return 0
+    vertex closes over two of them).  One _layer of each neighbourhood
+    gives both the parent's girth test and the vertices within distance 2
+    of a."""
     has, none, _ = _mask_sets(k)
     table = (1 << (1 << k)) - 2
     for a in range(k):
-        near = (_shared(adj, a)[0] | adj[a]) & ~(1 << a)
-        table &= ~has[a] | none[near]
+        once, twice = _layer(adj, adj[a])
+        # the test of _girth_exceeds_4
+        if once & adj[a] or twice & ~(1 << a):
+            return 0
+        table &= ~has[a] | none[(once | adj[a]) & ~(1 << a)]
     return table
 
 

@@ -68,10 +68,10 @@ refinement is label-invariant, so the group lies in the product of the
 cells' symmetric groups.  When every non-singleton cell is a set of
 pairwise twins (same neighbours apart from each other), each
 transposition within a cell is an automorphism, so the group is that
-product (canon._twin_cell_generators), and the canonical search is
-skipped.  Its orbit minima need no orbit table either: S is the least of
-its orbit iff it meets each cell in a prefix of the cell's members
-(_twin_cell_reps), one AND per pair of consecutive members.  In the
+product, which canon._search reads without backtracking.  Its orbit
+minima need no orbit table either: S is the least of its orbit iff it
+meets each cell in a prefix of the cell's members (_twin_cell_reps), one
+AND per pair of consecutive members.  In the
 census to n = 9 this decides rule (a) for 5,440 of the 8,408 parents
 whose stable partition is not discrete; only the other 2,968 are
 searched and call _subset_reps.
@@ -131,9 +131,10 @@ frontier (for n <= 3 that is K1 alone, node 0).  Job j of J within shard
 s of S owns frontier node f (in deterministic generation order) iff
 f mod (S * J) = s + S * j, which is f mod S = s and (f div S) mod J = j:
 S * J parts with one modulus rule.  The union over any partition layout
-reproduces the unsharded run.  A job yields its leaves in ascending f,
-and the jobs own disjoint sets of f, so the collected hits, tagged with
-their f, merge back into the order of the single-job run.
+reproduces the unsharded run, so J is capped at the CPU count, one
+worker process per job.  A job yields its leaves in ascending f, and the
+jobs own disjoint sets of f, so the collected hits, tagged with their f,
+merge back into the order of the single-job run.
 """
 
 from __future__ import annotations
@@ -600,14 +601,17 @@ def run_enumeration(
 
     The collected list holds the critical graphs, or just the edge-maximal
     ones when edge_maximal is set, in the same order for any jobs.  The
-    jobs parts run on at most os.cpu_count() worker processes.
+    run is split into min(jobs, os.cpu_count()) parts, one per worker
+    process, so a large jobs costs no more than the CPUs can use.
     critical_only walks only the critical leaves (see the module
     docstring): the same counts and graphs in the same order, but no
     connected_count.
     """
     _check_args(n, shards, shard, jobs)
     t0 = time.perf_counter()
-    # job j of shard s is part s + shards * j of shards * jobs
+    # job j of shard s is part s + shards * j of shards * jobs; for any
+    # number of jobs, those of shard s cover f mod shards = s
+    jobs = min(jobs, os.cpu_count() or 1)
     argv = [(n, shards * jobs, shard + shards * j, edge_maximal, collect,
              critical_only) for j in range(jobs)]
     if jobs == 1:
@@ -617,7 +621,7 @@ def run_enumeration(
         # needs it
         from multiprocessing import get_context
         ctx = get_context("fork")
-        with ctx.Pool(min(jobs, os.cpu_count() or 1)) as pool:
+        with ctx.Pool(jobs) as pool:
             results = pool.map(_pool_worker, argv)
     connected = None if critical_only else sum(r[0] for r in results)
     critical = sum(r[1] for r in results)

@@ -25,29 +25,23 @@ class ProductKind(enum.Enum):
 
 
 def product(kind: ProductKind, g: Graph, h: Graph) -> Graph:
+    """The product, row by row.  spread, the sum of 1 << (x' * q) over the
+    neighbours x' of x, times a q-bit row is one copy of the row in each
+    neighbour's block of q positions; the copies never overlap."""
     kind = ProductKind(kind)
     q = h.n
     n = g.n * q
     if n > MAX_VERTICES:
         raise ValueError(f"product order {g.n}*{q} exceeds {MAX_VERTICES}")
-    adj = [0] * n
+    adj = []
     for x in range(g.n):
-        row_g = g.adj[x]
+        spread = sum(1 << (xp * q) for xp in bits(g.adj[x]))
         base = x * q
-        for y in range(q):
-            row_h = h.adj[y]
-            m = 0
+        for y, row_h in enumerate(h.adj):
             if kind is ProductKind.CARTESIAN:
-                m = row_h << base
-                for xp in bits(row_g):
-                    m |= 1 << (xp * q + y)
+                adj.append(row_h << base | spread << y)
             elif kind is ProductKind.TENSOR:
-                for xp in bits(row_g):
-                    m |= row_h << (xp * q)
+                adj.append(row_h * spread)
             else:
-                m = row_h << base
-                closed = row_h | (1 << y)
-                for xp in bits(row_g):
-                    m |= closed << (xp * q)
-            adj[base + y] = m
+                adj.append(row_h << base | (row_h | 1 << y) * spread)
     return Graph(n, adj, check=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -285,6 +286,26 @@ class TestSearchFromStable:
             g = random_graph(rng.randint(1, 24),
                              rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
             self.assert_same_search(g.adj, g.n)
+
+
+class TestSearchPin:
+    # sha256 of repr(_search(adj, n)[:3]), the form, labeling and orbit
+    # representatives, over K0 and then every graph of iter_all_graphs(n)
+    # for n = 1..7 in order: 1,253 graphs.  Taken while _search still
+    # backtracked on twin partitions and special-cased K0, K1, complete
+    # and empty graphs, so reading twin partitions changed none of them.
+    SEARCH_SHA256 = (
+        "b9b60ee99f0dd252e92e17e0791287ad347652918b8e68d794eb5fe921ad18c1")
+
+    def test_search_on_every_graph_to_seven(self, all_graphs_by_n):
+        h = hashlib.sha256(repr(_search((), 0)[:3]).encode())
+        count = 1
+        for n in range(1, 8):
+            for g in all_graphs_by_n[n]:
+                h.update(repr(_search(g.adj, n)[:3]).encode())
+                count += 1
+        assert count == 1253
+        assert h.hexdigest() == self.SEARCH_SHA256
 
 
 class TestAutomorphisms:

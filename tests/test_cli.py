@@ -347,6 +347,19 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [["-n", "3"],
+                                      ["-n", "3", "--count-only"],
+                                      ["-n", "6"]])
+    def test_huge_jobs_runs_under_a_memory_cap(self, argv):
+        # the jobs are capped at the CPU count before any is set up;
+        # setting up 10^8 of them dies of MemoryError, exit 1
+        argv = ["-m", "distcrit", "enumerate", *argv]
+        proc = run_capped([*argv, "--jobs", "100000000"])
+        assert proc.returncode == 0, proc.stderr
+        serial = run_capped([*argv, "--jobs", "1"])
+        assert serial.returncode == 0, serial.stderr
+        assert proc.stdout == serial.stdout
+
 
 class TestVerify:
     def test_single_lemma_text(self, capsys):

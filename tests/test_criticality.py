@@ -22,7 +22,7 @@ from distcrit import (
 from distcrit.constructions import cycle
 from distcrit import criticality
 from distcrit.verify import pendant_deletion_check
-from distcrit.graph import UNREACHABLE, _reach_mask
+from distcrit.graph import UNREACHABLE, _reach_mask, girth
 from distcrit.criticality import (
     _distance_changers,
     _extension_table,
@@ -407,6 +407,48 @@ class TestEdgeMaximal:
         assert is_edge_maximal_critical(cycle(5))
         assert is_edge_maximal_critical(antipodal_c8)
         assert not is_edge_maximal_critical(cycle(8))
+
+
+class TestGirthExceeds4:
+    """_girth_exceeds_4 reads girth > 4 off one _layer per vertex; these
+    tests hold it against graph.girth, which walks BFS layers of its own
+    and shares no code with _layer."""
+
+    @staticmethod
+    def want(g: Graph) -> bool:
+        found = girth(g)
+        return found is None or found > 4
+
+    def test_every_graph_to_seven(self, all_graphs_by_n):
+        # disconnected and acyclic graphs included
+        seen = set()
+        for n in range(1, 8):
+            for g in all_graphs_by_n[n]:
+                want = self.want(g)
+                assert _girth_exceeds_4(g.adj, n) == want
+                seen.add((want, girth(g)))
+        assert {(True, None), (True, 5), (True, 6), (True, 7),
+                (False, 3), (False, 4)} <= seen
+
+    def test_random_graphs_10_to_40(self):
+        # sparse G(n, p) and trees with a few chords, so that both
+        # verdicts and every short girth occur
+        rng = random.Random(1904)
+        verdicts = set()
+        for _ in range(400):
+            n = rng.randint(10, 40)
+            if rng.random() < 0.5:
+                g = random_graph(n, rng.choice((0.03, 0.06, 0.1, 0.2)), rng)
+            else:
+                g = random_tree(n, rng)
+                for _ in range(rng.randint(0, 3)):
+                    x, y = rng.sample(range(n), 2)
+                    if not g.has_edge(x, y):
+                        g = g.add_edge(x, y)
+            want = self.want(g)
+            assert _girth_exceeds_4(g.adj, n) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestExtensionTables:

@@ -21,7 +21,6 @@ from distcrit.canon import (
     _automorphism_taking,
     _find,
     _search,
-    _twin_cell_generators,
     _twin_pairs,
     _union,
     automorphism_orbits,
@@ -168,11 +167,11 @@ class TestAugmentationSteps:
         checked = 0
         keys = set()
         for k, (adj, _) in augmentation_nodes(8):
-            # the generators _child_states passes
+            # every augmentation node up to k = 8 with a nontrivial
+            # group, twin-cell ones included (the census reads theirs
+            # from _twin_cell_reps, checked against this table below)
             stable = refine(adj, degree_cells(adj, k))
-            gens = _twin_cell_generators(adj, k, stable)
-            if gens is None:
-                gens = _search(adj, k)[3]
+            gens = _search(adj, k, stable)[3]
             if not gens:
                 continue
             got = _subset_reps(k, gens)
@@ -180,7 +179,8 @@ class TestAugmentationSteps:
             assert got == subset_reps_dfs(k, gens)
             checked += 1
             keys.add((k, tuple(gens)))
-        # the calls of the n = 9 census, and the cache keys they share
+        # every generator set of the parents of the n = 9 census, and the
+        # distinct (k, generators) keys among them
         assert checked == 8408
         assert len(keys) == 1645
 
@@ -194,7 +194,7 @@ class TestAugmentationSteps:
             pairs = _twin_pairs(adj, stable)
             if pairs is None:
                 continue
-            gens = _twin_cell_generators(adj, k, stable)
+            gens = _search(adj, k, stable)[3]
             assert _twin_cell_reps(k, pairs) == _subset_reps(k, gens)
             twin += 1
             discrete += not pairs
@@ -220,34 +220,42 @@ class TestAugmentationSteps:
 
     def test_twin_cell_generators(self, connected_by_n):
         # where every non-singleton cell of the stable partition is all
-        # twins, the cells' transpositions generate the whole group
+        # twins, _search reads the group without backtracking: its
+        # generators are automorphisms, and the orbits they span are the
+        # ones _automorphism_taking, which searches, finds
         read = 0
         for n in range(1, 8):
             for g in connected_by_n[n]:
                 stable = refine(g.adj, degree_cells(g.adj, n))
-                gens = _twin_cell_generators(g.adj, n, stable)
-                if gens is None:
+                if _twin_pairs(g.adj, stable) is None:
                     continue
                 read += 1
-                searched = _search(g.adj, n)[3]
-                assert _subset_reps(n, gens) == _subset_reps(n, searched)
+                gens = _search(g.adj, n, stable)[3]
                 orbit = list(range(n))
                 for perm in gens:
+                    assert all(g.adj[perm[v]] == sum(
+                        1 << perm[x] for x in bits(g.adj[v]))
+                        for v in range(n))
                     for v, pv in enumerate(perm):
                         _union(orbit, v, pv)
+                cell_of = {v: c for c in stable for v in bits(c)}
+                searched = tuple(
+                    next(u for u in bits(cell_of[v]) if _automorphism_taking(
+                        g.adj, n, stable, v, u) is not None)
+                    for v in range(n))
                 assert tuple(_find(orbit, v) for v in range(n)) == \
-                    automorphism_orbits(g)
+                    searched == automorphism_orbits(g)
         assert read == 659
 
     def test_twin_cell_generators_by_hand(self):
         # C6 is one cell of non-twins; in K1,3 the leaves are one cell of
         # false twins and the centre is alone
         c6 = cycle(6)
-        assert _twin_cell_generators(c6.adj, 6, refine(
+        assert _twin_pairs(c6.adj, refine(
             c6.adj, degree_cells(c6.adj, 6))) is None
         star = (0b1110, 1, 1, 1)
-        assert _twin_cell_generators(star, 4, refine(
-            star, degree_cells(star, 4))) == [(0, 2, 1, 3), (0, 1, 3, 2)]
+        assert _search(star, 4, refine(star, degree_cells(star, 4)))[1:] == \
+            ((1, 2, 3, 0), (0, 1, 1, 1), [(0, 2, 1, 3), (0, 1, 3, 2)])
 
     def test_subset_reps_on_9_and_10_vertices(self, petersen):
         # the 512- and 1024-bit tables, on vertex-transitive and
@@ -669,7 +677,8 @@ class TestSharding:
 
     def test_pool_is_bounded_by_the_cpu_count(self, monkeypatch):
         # 16 parts go to a fake pool that records the size asked for and
-        # maps the parts in this process; no worker is started
+        # maps the parts in this process; no worker is started.  The jobs
+        # are capped at the CPU count, so the count is made 16 too
         import multiprocessing
         sizes = []
 
@@ -691,8 +700,13 @@ class TestSharding:
 
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method: FakeContext)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
         tally, hits = run_enumeration(7, jobs=16, collect=True)
-        assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+        assert sizes == [16]
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert run_enumeration(7, jobs=16, collect=True)[1] == hits
+        assert sizes == [3]
         serial, serial_hits = run_enumeration(7, collect=True)
         assert (tally.connected_count, tally.critical_count) == \
             (serial.connected_count, serial.critical_count)
