@@ -214,21 +214,14 @@ def _cmd_stats(args) -> int:
     graphs = _input_graphs(args)
     out = []
     for g in graphs:
-        if g.n == 0:
-            out.append(_dump({
-                "n": 0, "edges": 0, "girth": None, "min_degree": None,
-                "max_degree": None, "clique_number": 0, "connected": True,
-                "two_connected": False, "critical": False,
-                "involved_size": 0,
-            }))
-            continue
         rep = is_distance_critical_pairs(g)
         out.append(_dump({
             "n": g.n,
             "edges": g.edge_count(),
             "girth": girth(g),
-            "min_degree": g.min_degree(),
-            "max_degree": g.max_degree(),
+            # the null graph has no degrees
+            "min_degree": g.min_degree() if g.n else None,
+            "max_degree": g.max_degree() if g.n else None,
             "clique_number": max_clique_size(g),
             "connected": is_connected(g),
             "two_connected": is_two_connected(g),

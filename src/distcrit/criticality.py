@@ -14,9 +14,9 @@ with at least two, neighbours in mask.  For mask = N(a), twice holds the
 vertices with two or more common neighbours with a, and the determining
 pairs (a, b) of v are the b > a of N(v) outside N(a) and outside that
 mask (_partners); a caller that needs one witness only tests those
-candidates against the other neighbours of a.  The same layer decides
-girth > 4, and the layer of a BFS frontier gives the direct method's
-sole parents.
+candidates against the other neighbours of a.  The same layer gives
+_girth_table its girth > 4 test, and the layer of a BFS frontier gives
+the direct method's sole parents.
 
 The direct method is an independent check of the same predicate, from
 BFS alone: one pass per source x finds every vertex whose deletion
@@ -239,22 +239,6 @@ def is_distance_critical_direct(g: Graph) -> bool:
             and _distance_changers(g.adj, g.n) == (1 << g.n) - 1)
 
 
-def _girth_exceeds_4(adj, n: int) -> bool:
-    """No triangle and no 4-cycle (acyclic also qualifies).
-
-    With (once, twice) = _layer(adj, adj[a]), a lies on a triangle iff a
-    neighbour of a is in once (adjacent to another neighbour), and on a
-    4-cycle only if a vertex other than a is in twice (adjacent to two
-    neighbours of a); such a vertex that is itself a neighbour of a
-    closes a triangle instead.  Either way a short cycle exists, so the
-    girth exceeds 4 iff no a has either."""
-    for a in range(n):
-        once, twice = _layer(adj, adj[a])
-        if once & adj[a] or twice & ~(1 << a):
-            return False
-    return True
-
-
 _MASK_SETS: dict[int, tuple[list[int], list[int], list[int]]] = {}
 
 
@@ -346,7 +330,7 @@ def _girth_table(adj, k: int) -> int:
     table = (1 << (1 << k)) - 2
     for a in range(k):
         once, twice = _layer(adj, adj[a])
-        # the test of _girth_exceeds_4
+        # a triangle or a 4-cycle through a: the parent's girth is <= 4
         if once & adj[a] or twice & ~(1 << a):
             return 0
         table &= ~has[a] | none[(once | adj[a]) & ~(1 << a)]
@@ -354,23 +338,10 @@ def _girth_table(adj, k: int) -> int:
 
 
 def _is_critical_fast(adj, n: int) -> bool:
-    """Pairs test with rejection filters and girth shortcut; verdict only.
-
-    Filters: minimum degree >= 2 is forced because a determining pair of v
-    needs two nonadjacent neighbors of v; a vertex adjacent to all others
-    ruins every other vertex's pairs (it is always a second common
-    neighbor), which kills any graph on >= 2 vertices.  Shortcut: with
-    minimum degree >= 2 and girth > 4, any two neighbors of any vertex
-    form a determining pair, so the graph is critical outright.
-    """
-    if n <= 1:
+    """The determining-pair test, verdict only: every vertex has a pair,
+    checked vertex by vertex until one has none."""
+    if not n:
         return False
-    for row in adj:
-        d = row.bit_count()
-        if d < 2 or d == n - 1:
-            return False
-    if _girth_exceeds_4(adj, n):
-        return True
     for v in range(n):
         if _witness_for(adj, v) is None:
             return False
@@ -378,7 +349,8 @@ def _is_critical_fast(adj, n: int) -> bool:
 
 
 def is_distance_critical(g: Graph) -> bool:
-    """Filtered pairs verdict; same predicate as the report methods."""
+    """Determining-pair verdict without witnesses; same predicate as the
+    report methods."""
     return _is_critical_fast(g.adj, g.n)
 
 

@@ -94,8 +94,9 @@ class _Universe:
     walk is the census's (enumeration._iter_leaves): each leaf's critical
     verdict is read from its parent's table, and the last level tries only
     the children that table or the girth > 4 table admits.  GIRTH checks
-    that girth > 4 implies criticality, so its graphs must not be drawn
-    from the critical table alone.
+    that girth > 4 implies criticality: its universe comes from the girth
+    table, not from the critical one, and its verdict is the
+    determining-pair test, which assumes nothing about girth.
     """
 
     def __init__(self, n_cap: int):

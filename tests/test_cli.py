@@ -145,6 +145,17 @@ class TestStats:
             "involved_size"}
         assert record["girth"] == 5 and record["involved_size"] == 5
 
+    def test_null_graph_is_pinned(self, capsys, schema):
+        # the graph with no vertices has no degrees; the bytes were taken
+        # before its record stopped being a literal of its own
+        code, out, _ = invoke(capsys, ["stats", "--graph", "?"])
+        assert code == 0
+        assert out == (
+            '{"n": 0, "edges": 0, "girth": null, "min_degree": null, '
+            '"max_degree": null, "clique_number": 0, "connected": true, '
+            '"two_connected": false, "critical": false, "involved_size": 0}\n')
+        check_json_lines(out, schema)
+
 
 class TestConstruct:
     def test_gamma_with_layout(self, capsys, schema):
@@ -398,6 +409,15 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "fc39f67835f48da0c7e0f062baa1cf8e706be578e24ac752cf6378fd01de2c29")
+
+    def test_all_lemmas_json_n9_is_pinned(self, capsys):
+        # the hash was taken while GIRTH was still decided by a girth > 4
+        # shortcut in the criticality test
+        code, out, _ = invoke(capsys, ["verify", "--lemma", "all",
+                                       "--n-cap", "9", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cd17d6931e56d504c8937a54b87d2d6eabb65df02f577fc97a2e3699af87cabc")
 
     def test_unknown_lemma(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "--lemma", "BOGUS",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from distcrit import (
     Graph,
     LEMMA_IDS,
     all_pairs_distances,
+    check_product_lemmas,
     disjoint_union,
     girth,
     graham_pollak_determinant,
@@ -17,9 +20,10 @@ from distcrit import (
     run_all_lemmas,
     run_lemma,
 )
-from distcrit import enumeration, verify
+from distcrit import criticality, enumeration, verify
 from distcrit.constructions import cycle
 from distcrit.criticality import _girth_table
+from distcrit.graph6 import encode_graph6
 from distcrit.verify import pendant_deletion_check
 
 CHECKED_AT_7 = {
@@ -130,6 +134,28 @@ class TestLemmaHarness:
         check = run_lemma("DPSTAR", 7)
         assert check.checked == len(check.violations) == 125
         assert len(set(check.violations)) == 6
+
+    def test_verdicts_come_from_the_pair_test(self, monkeypatch):
+        # with no vertex ever finding a determining pair, every instance
+        # whose verdict is "this graph is critical" must fail: no girth
+        # test may stand in for the pairs
+        monkeypatch.setattr(criticality, "_witness_for", lambda adj, v: None)
+        checks = {lid: run_lemma(lid, 8)
+                  for lid in ("GIRTH", "MIN_EDGES", "REG_BOUND")}
+        assert {lid: (len(c.violations), c.checked)
+                for lid, c in checks.items()} == {
+            "GIRTH": (9, 9), "MIN_EDGES": (4, 25), "REG_BOUND": (4, 10)}
+        # the failed witnesses of MIN_EDGES are the cycles C5 to C8
+        assert checks["MIN_EDGES"].violations == tuple(
+            encode_graph6(cycle(k)) for k in range(5, 9))
+
+    def test_product_laws_json_is_pinned(self):
+        # the hash was taken while the criticality test still had a
+        # girth > 4 shortcut
+        checks = check_product_lemmas(6)
+        blob = json.dumps([c.to_json_dict() for c in checks], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "0b0f62211a011f260f484acffbd35ca4c67d464f8644048c4935c24c7beb4c69")
 
     def test_product_laws_are_not_lemmas(self):
         assert not {"CARTESIAN", "TENSOR", "STRONG"} & set(LEMMA_IDS)
