@@ -57,10 +57,16 @@ degree D cell, so L is the first splitter applied, and the hook's first
 call sees that cell split into fragments of ascending count, with no
 deletable vertex after them.  So w with the highest count alone is
 accepted, some vertex counting more than w rejects it, and those are the
-hook's own verdicts; on a tie at the top the candidate goes down the path
-above.  A rejected candidate is never built.  In the census to n = 9
-this decides 128,072 of the 283,839 candidates that would reach refine
-(42,619 accepts and 85,453 rejects).
+hook's own verdicts.  A tie at the top with twins of w alone (a deletable
+u whose parent row is S minus u) is accepted too.  Refinement only splits
+cells in place and no deletable vertex comes after w's fragment (after
+its whole degree cell when L splits nothing), so the canonically last
+deletable vertex is w or a tied vertex, and each twin is swapped with w
+by a transposition, an automorphism.  On any other tie the candidate
+goes down the path above.  A rejected candidate is never built.  In the
+census to n = 9 this decides 143,716 of the 283,839 candidates that
+would reach refine: 58,263 accepts, 15,644 of them twin ties, and 85,453
+rejects.
 
 Twin-cell groups: rule (a) needs the parent's automorphism group.  Every
 automorphism fixes each cell of the parent's stable partition, since
@@ -88,18 +94,27 @@ cells in place), so the canonically last deletable vertex lies in C.  If
 every deletable vertex of C is automorphic to the new vertex, so is the
 canonically last one, and rule (b) holds: the verdict is the canonical
 search's, without the search.  Each deletable u of C is checked in turn:
-u may already be joined to the new vertex by the automorphisms found so
-far; a twin of it (same neighbours apart from each other) is swapped with
-it by a transposition; otherwise canon._automorphism_taking looks for an
-automorphism that maps the new vertex to u, and finds one iff there is
-one.  Only when some u has none does the canonical search, started from
-the stable partition, decide.  In the census to n = 9 that happens for
-221 of the 32,789 candidates that reach a stable partition.
+u may already be joined to the new vertex w by the automorphisms found
+so far.  Otherwise _swap_taking tries one involution: the transposition
+(w u) when u is a twin of w (same neighbours apart from each other), or
+(w u)(a b) when they differ in one neighbour each, a of w and b of u,
+kept if canon._is_automorphism says it is one.  Only when that fails
+does canon._automorphism_taking look for an automorphism that maps w to
+u, and it finds one iff there is one.  Only when some u has none does
+the canonical search, started from the stable partition, decide.  In
+the census to n = 9, 17,145 candidates reach a stable partition.  Their
+17,986 checks find 4,712 twins and 6,422 swaps and make 6,852
+automorphism searches, and 221 candidates go on to the canonical
+search.
 
 A node carries only its adjacency and cut-vertex mask.  Its stable
 partition and automorphism generators are computed when it is expanded,
 so children at the last level, which are never expanded, cost no more
-than their verdict.
+than their verdict.  A child is yielded as its neighbourhood S and its
+cut-vertex mask, and its rows (_attach) are built only where they are
+read: to refine it, to expand it, and for a leaf by a caller that reads
+them (iter_connected, the lemma universe, and the census for a collected
+or edge-maximal critical hit).  A plain census builds no leaf rows.
 
 Table-decided leaves: one generator, _iter_leaves, walks the nodes at
 level n - 1 and builds each one's criticality table
@@ -144,8 +159,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .canon import (_automorphism_taking, _find, _search, _twin_pairs,
-                    _union, degree_cells, refine)
+from .canon import (_automorphism_taking, _find, _is_automorphism, _search,
+                    _twin_pairs, _union, degree_cells, refine)
 from .criticality import _extension_table, _is_edge_maximal_fast, _mask_sets
 # _articulation_mask and _is_critical_fast are no longer called here (the cut
 # sets and the extension table replace them) but stay module attributes:
@@ -261,7 +276,9 @@ def _first_cell_verdict(adj: tuple[int, ...], classes: dict[int, int],
     is the child's cut-vertex mask.  s must pass the degree filter and not
     be a lead accept, so some deletable parent vertex has child degree
     |s|.  L is the child's lowest degree cell, and each deletable vertex
-    of the new vertex's degree cell is counted by its neighbours in L."""
+    of the new vertex's degree cell is counted by its neighbours in L.  A
+    vertex that ties the new vertex leaves the verdict open unless it is
+    a twin of it, its row being s minus itself."""
     d = s.bit_count()
     d0 = next(iter(classes))
     lcell = classes[d0] & ~s
@@ -277,14 +294,39 @@ def _first_cell_verdict(adj: tuple[int, ...], classes: dict[int, int],
     while m:
         bit = m & -m
         m ^= bit
-        c = (adj[bit.bit_length() - 1] & lcell).bit_count()
+        row = adj[bit.bit_length() - 1]
+        c = (row & lcell).bit_count()
         if w_in_l and bit & s:
             c += 1
         if c > cw:
             return False
-        if c == cw:
+        if c == cw and row != s & ~bit:
             tie = True
     return None if tie else True
+
+
+def _swap_taking(adj: tuple[int, ...], w: int,
+                 u: int) -> "list[int] | None":
+    """An automorphism of adj that swaps w and u and at most one other
+    pair, or None when there is no such one.
+
+    Twins (same neighbours apart from each other) are swapped by the
+    transposition (w u).  When w and u differ in one neighbour each, a
+    of w and b of u, the involution (w u)(a b) is returned if it is an
+    automorphism (canon._is_automorphism).  Anything else gets None, and
+    the caller searches (canon._automorphism_taking)."""
+    wrow = adj[w] & ~(1 << u)
+    urow = adj[u] & ~(1 << w)
+    perm = list(range(len(adj)))
+    perm[w], perm[u] = u, w
+    if wrow == urow:
+        return perm
+    a, b = wrow & ~urow, urow & ~wrow
+    if a.bit_count() != 1 or b.bit_count() != 1:
+        return None
+    a, b = a.bit_length() - 1, b.bit_length() - 1
+    perm[a], perm[b] = b, a
+    return perm if _is_automorphism(adj, perm) else None
 
 
 def _twin_cell_reps(k: int, pairs: list[tuple[int, int]]) -> int:
@@ -335,12 +377,29 @@ _State = tuple[tuple[int, ...], int]
 _ROOT: _State = ((0,), 0)
 
 
+def _attach(adj: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The rows of the child of adj whose new vertex, numbered len(adj),
+    has neighbourhood s."""
+    child = list(adj)
+    newbit = 1 << len(adj)
+    m = s
+    while m:
+        bit = m & -m
+        child[bit.bit_length() - 1] |= newbit
+        m ^= bit
+    child.append(s)
+    return tuple(child)
+
+
 def _child_states(
     state: _State,
     k: int,
     keep: "int | None" = None,
-) -> Iterator[_State]:
-    """The accepted children of a node on k vertices, in generation order.
+) -> Iterator[tuple[int, int]]:
+    """The accepted children of a node on k vertices, in generation order,
+    each as (S, cut mask): its new vertex's neighbourhood and its
+    cut-vertex mask.  Its rows are _attach(adj, S), built here only for
+    the candidates that are refined.
 
     A child is yielded as soon as rule (b) is decided for it.  keep, when
     given, is an int whose bit S is set iff the child with neighbourhood S
@@ -410,25 +469,17 @@ def _child_states(
                 ccut_s |= b
         verdict = (True if lead & low
                    else _first_cell_verdict(adj, classes, s, ccut_s))
-        if verdict is False:
-            continue
-        child_adj = list(adj)
-        m = s
-        while m:
-            bit = m & -m
-            child_adj[bit.bit_length() - 1] |= newbit
-            m ^= bit
-        child_adj.append(s)
-        if verdict:
-            yield tuple(child_adj), ccut_s
+        if verdict is not None:
+            if verdict:
+                yield s, ccut_s
             continue
         cnon = cfull & ~ccut_s
-
+        child_adj = _attach(adj, s)
         stable = refine(child_adj, _child_degree_cells(span, s, newbit),
                         decided)
         if stable is None:
             if accepted[0]:
-                yield tuple(child_adj), ccut_s
+                yield s, ccut_s
             continue
         # The degree filter and the hook saw every partition on the way,
         # so the last deletable cell of the stable one holds the new
@@ -437,46 +488,45 @@ def _child_states(
         # deletable vertices are automorphic to the new one (the orbit
         # certificate of the module docstring).  Only when one of them is
         # not does the canonical labeling decide.
-        child_adj = tuple(child_adj)
         orbit = list(range(nch))
-        wrow = child_adj[k]
         for u in bits(next(c for c in reversed(stable) if c & cnon)
                       & cnon & ~newbit):
             if _find(orbit, u) == _find(orbit, k):
                 continue
-            if child_adj[u] & ~newbit == wrow & ~(1 << u):
-                _union(orbit, u, k)
-                continue
-            perm = _automorphism_taking(child_adj, nch, stable, k, u)
+            perm = _swap_taking(child_adj, k, u)
             if perm is None:
-                break
+                perm = _automorphism_taking(child_adj, nch, stable, k, u)
+                if perm is None:
+                    break
             for v, pv in enumerate(perm):
-                _union(orbit, v, pv)
+                if v != pv:
+                    _union(orbit, v, pv)
         else:
-            yield child_adj, ccut_s
+            yield s, ccut_s
             continue
         _, lab, orep, _ = _search(child_adj, nch, stable)
         wstar = next(v for v in reversed(lab) if cnon >> v & 1)
         if orep[wstar] == orep[k]:
-            yield child_adj, ccut_s
+            yield s, ccut_s
 
 
 def _iter_leaves(
     n: int,
     owner: "Callable[[int], bool] | None" = None,
     keep: "Callable[[tuple[int, ...], int, int], int] | None" = None,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (adj, critical) for every accepted node on n >= 1 vertices,
-    in generation order.  Each parent at level n - 1 builds its
-    criticality table once; critical is bit adj[n - 1] of it, adj[n - 1]
-    being the new vertex's neighbourhood, so it is the leaf's verdict.
-    owner gates the frontier at level max(1, n - 2); keep(adj, n - 1,
-    table), when given, is the parent's keep table (see _child_states).
-    For n = 1 the root K1, frontier node 0 and not critical, is the one
-    leaf."""
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Yield (parent, s, critical) for every accepted node on n >= 1
+    vertices, in generation order: the leaf is _attach(parent, s), and
+    its rows are built only by a caller that reads them.  Each parent at
+    level n - 1 builds its criticality table once; critical is bit s of
+    it, so it is the leaf's verdict.  owner gates the frontier at level
+    max(1, n - 2); keep(parent, n - 1, table), when given, is the
+    parent's keep table (see _child_states).  For n = 1 the root K1,
+    frontier node 0 and not critical, is the one leaf, given as the
+    empty parent with s = 0."""
     if n == 1:
         if owner is None or owner(0):
-            yield _ROOT[0], 0
+            yield (), 0, 0
         return
     frontier = max(1, n - 2)
     counter = 0
@@ -491,14 +541,16 @@ def _iter_leaves(
         if k == n - 1:
             yield state
             return
-        for child in _child_states(state, k):
-            yield from parents(child, k + 1)
+        adj = state[0]
+        for s, cut in _child_states(state, k):
+            yield from parents((_attach(adj, s), cut), k + 1)
 
     for state in parents(_ROOT, 1):
-        table = _extension_table(state[0], n - 1)
-        kept = None if keep is None else keep(state[0], n - 1, table)
-        for adj, _ in _child_states(state, n - 1, kept):
-            yield adj, table >> adj[-1] & 1
+        adj = state[0]
+        table = _extension_table(adj, n - 1)
+        kept = None if keep is None else keep(adj, n - 1, table)
+        for s, _ in _child_states(state, n - 1, kept):
+            yield adj, s, table >> s & 1
 
 
 def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
@@ -513,8 +565,8 @@ def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
 def iter_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
     _check_args(n, 1, 0)
-    for adj, _ in _iter_leaves(n):
-        yield Graph(n, adj, check=False)
+    for adj, s, _ in _iter_leaves(n):
+        yield Graph(n, _attach(adj, s), check=False)
 
 
 @dataclass(frozen=True)
@@ -566,18 +618,21 @@ def _tally_shard(
     connected = critical = maximal = 0
     hits: list[tuple[int, tuple[int, ...]]] = []
     keep = (lambda adj, k, table: table) if critical_only else None
-    for adj, is_critical in _iter_leaves(n, None if parts == 1 else owner,
-                                         keep):
+    for adj, s, is_critical in _iter_leaves(
+            n, None if parts == 1 else owner, keep):
         connected += 1
         if not is_critical:
             continue
         critical += 1
+        if not (edge_maximal or collect):
+            continue
+        child = _attach(adj, s)
         if edge_maximal:
-            if not _is_edge_maximal_fast(adj, n):
+            if not _is_edge_maximal_fast(child, n):
                 continue
             maximal += 1
         if collect:
-            hits.append((f_now, adj))
+            hits.append((f_now, child))
     return connected, critical, maximal, hits
 
 

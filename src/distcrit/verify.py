@@ -44,7 +44,7 @@ from .criticality import (
     determining_pairs_of,
     involved_set,
 )
-from .enumeration import _iter_leaves, _iter_unions, iter_connected
+from .enumeration import _attach, _iter_leaves, _iter_unions, iter_connected
 from .graph import (
     Graph,
     UNREACHABLE,
@@ -110,8 +110,8 @@ class _Universe:
             crit = self.criticals[k] = []
             leaves = _iter_leaves(k, keep=lambda parent, j, table:
                                   table | _girth_table(parent, j))
-            for adj, critical in leaves:
-                g = Graph(k, adj, check=False)
+            for parent, s, critical in leaves:
+                g = Graph(k, _attach(parent, s), check=False)
                 if critical:
                     crit.append(g)
                 if g.min_degree() >= 2:

@@ -18,7 +18,7 @@ import pytest
 import distcrit
 from distcrit import Graph, is_distance_critical, iter_all_graphs, iter_connected
 from distcrit.constructions import regular_extremal
-from distcrit.enumeration import _ROOT, _child_states
+from distcrit.enumeration import _ROOT, _attach, _child_states
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -53,11 +53,12 @@ def run_capped(args: list[str], cap_mb: int = 400):
 
 def augmentation_nodes(max_k: int, state=_ROOT, k: int = 1):
     """(k, state) for every node of the augmentation tree with k <= max_k,
-    in generation order."""
+    in generation order; state is (adjacency, cut-vertex mask)."""
     yield k, state
     if k < max_k:
-        for child in _child_states(state, k):
-            yield from augmentation_nodes(max_k, child, k + 1)
+        for s, cut in _child_states(state, k):
+            yield from augmentation_nodes(
+                max_k, (_attach(state[0], s), cut), k + 1)
 
 
 def child_adjacencies(adj: tuple[int, ...], k: int):

@@ -35,12 +35,14 @@ from distcrit.criticality import (
 )
 from distcrit.enumeration import (
     MAX_ENUM_N,
+    _attach,
     _child_states,
     _cut_sets,
     _degree_sets,
     _first_cell_verdict,
     _iter_leaves,
     _subset_reps,
+    _swap_taking,
     _twin_cell_reps,
 )
 from distcrit.graph import _articulation_mask, bits
@@ -125,6 +127,17 @@ class TestConnectedCensus:
                 digest.update(encode_graph6(g).encode() + b"\n")
         assert digest.hexdigest() == (
             "5bdebe7a10afd84a7f9df64401f9df8091f672205dd07fa31ae7055ae1efed12")
+
+    def test_generation_order_is_pinned(self, connected_by_n):
+        # the adjacency rows of every class on 1 to 8 vertices, in
+        # generation order and with the engine's labels: a change to the
+        # order or to the labels of any accepted child moves this hash
+        digest = hashlib.sha256()
+        for n in range(1, 9):
+            for g in connected_by_n[n]:
+                digest.update(" ".join(map(str, g.adj)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "4c125823bc9bd4a776e44f108feb463cbf23ec058132478e9378d04c88afb04f")
 
 
 class TestAugmentationSteps:
@@ -216,7 +229,8 @@ class TestAugmentationSteps:
 
         monkeypatch.setattr(enumeration, "refine", checking_refine)
         assert sum(1 for _ in augmentation_nodes(8)) == 12113
-        assert checked == 7674
+        # a first-cell tie with twins alone is accepted unrefined
+        assert checked == 6118
 
     def test_twin_cell_generators(self, connected_by_n):
         # where every non-singleton cell of the stable partition is all
@@ -302,11 +316,13 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     for every candidate that passed rule (a) and the degree filter.  The
     paths are "lead" (no refine call), "first-cell" (the first splitter's
     verdict, read from the parent), "early" (refine stopped early), and
-    at a stable partition "twin" (no search of any kind), "automorphism"
-    (an automorphism search but no canonical search) or "fallback" (the
-    canonical search)."""
+    at a stable partition "twin" (only twins of the new vertex in its
+    cell), "swap" (an involution (w u)(a b) tested, no search),
+    "automorphism" (an automorphism search but no canonical search) or
+    "fallback" (the canonical search)."""
     first_cell: dict[int, bool] = {}
     stopped: dict[tuple[int, ...], bool] = {}
+    swapped: set[tuple[int, ...]] = set()
     automorphism_searched: set[tuple[int, ...]] = set()
     searched: set[tuple[int, ...]] = set()
 
@@ -321,6 +337,14 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
         stopped[tuple(adj)] = out is None
         return out
 
+    def recording_swap(adj, w, u):
+        # a transposition of twins is the "twin" path; (w u)(a b) moves
+        # four vertices
+        perm = _swap_taking(adj, w, u)
+        if perm is not None and sum(v != pv for v, pv in enumerate(perm)) > 2:
+            swapped.add(adj)
+        return perm
+
     def recording_automorphism(adj, n, stable, w, u):
         automorphism_searched.add(adj)
         return _automorphism_taking(adj, n, stable, w, u)
@@ -332,10 +356,11 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     monkeypatch.setattr(enumeration, "_first_cell_verdict",
                         recording_first_cell)
     monkeypatch.setattr(enumeration, "refine", recording_refine)
+    monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
     monkeypatch.setattr(enumeration, "_automorphism_taking",
                         recording_automorphism)
     monkeypatch.setattr(enumeration, "_search", recording_search)
-    accepted = [child[0] for child in _child_states(state, k)]
+    accepted = [_attach(state[0], s) for s, _ in _child_states(state, k)]
     monkeypatch.undo()
     paths = {}
     # a first-cell reject is never built; the parent is refined (and
@@ -355,6 +380,8 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
             path = "fallback"
         elif child_adj in automorphism_searched:
             path = "automorphism"
+        elif child_adj in swapped:
+            path = "swap"
         else:
             path = "twin"
         paths[child_adj] = path, child_adj in accepted
@@ -384,6 +411,22 @@ def new_vertex_comes_last(child: list[int], k: int) -> bool:
     return orep[last] == orep[k]
 
 
+def first_split_accepts(child: tuple[int, ...], k: int, cut: int) -> bool:
+    """Whether the first split of the child's refinement leaves the new
+    vertex k alone among the deletable vertices (not in cut) of the last
+    cell that holds one."""
+    deletable = (1 << (k + 1)) - 1 & ~cut
+    first = []
+
+    def hook(cells: list[int]) -> bool:
+        last = next(c for c in reversed(cells) if c & deletable)
+        first.append(last & deletable == 1 << k)
+        return True
+
+    refine(child, degree_cells(child, k + 1), hook)
+    return bool(first) and first[0]
+
+
 class TestLeafDecision:
     """Rule (b) is decided as soon as its verdict is known, at every level;
     the accepted children and their order are those of the definition."""
@@ -396,8 +439,8 @@ class TestLeafDecision:
             want = [tuple(child) for s, child in child_adjacencies(adj, k)
                     if least_in_orbit(s, gens)
                     and new_vertex_comes_last(child, k)]
-            got = list(_child_states(state, k))
-            assert [child[0] for child in got] == want
+            got = [_attach(adj, s) for s, _ in _child_states(state, k)]
+            assert got == want
             candidates += (1 << k) - 1
             accepts += len(want)
         assert candidates == 7815
@@ -406,8 +449,11 @@ class TestLeafDecision:
     def test_first_cell_verdict_is_the_hooks_first(self, monkeypatch):
         # with the first-cell stage off, every candidate of a parent on 7
         # vertices that is no lead accept reaches the hook; wherever the
-        # helper decides, the hook's first call decides the same way
-        decided = accepts = 0
+        # helper decides without a twin of the new vertex, the hook's
+        # first call decides the same way.  A tie with twins alone is
+        # accepted though refinement goes on: twins are automorphic, and
+        # the definition agrees
+        decided = accepts = twin_accepts = 0
         for k, state in augmentation_nodes(7):
             if k != 7:
                 continue
@@ -429,7 +475,8 @@ class TestLeafDecision:
             monkeypatch.setattr(enumeration, "refine", recording_refine)
             monkeypatch.setattr(enumeration, "_first_cell_verdict",
                                 lambda *args: None)
-            accepted = {child[0] for child in _child_states(state, k)}
+            accepted = {_attach(state[0], s)
+                        for s, _ in _child_states(state, k)}
             monkeypatch.undo()
             adj = state[0]
             classes = {}
@@ -438,14 +485,76 @@ class TestLeafDecision:
                                  if adj[v].bit_count() == d)
             for child, stopped_first in first.items():
                 cut = _articulation_mask(child, k + 1)
-                verdict = _first_cell_verdict(adj, classes, child[-1], cut)
+                s = child[-1]
+                verdict = _first_cell_verdict(adj, classes, s, cut)
                 if verdict is None:
+                    continue
+                if verdict and any(adj[u] == s & ~(1 << u) for u in range(k)
+                                   if not cut >> u & 1):
+                    assert child in accepted
+                    assert new_vertex_comes_last(list(child), k)
+                    twin_accepts += 1
                     continue
                 assert stopped_first is True
                 assert (child in accepted) is verdict
                 decided += 1
                 accepts += verdict
-        assert (decided, accepts) == (4109, 1348)
+        # 1,306 twin-tie accepts at k = 7, where refinement went on
+        assert (decided, accepts, twin_accepts) == (4109, 1348, 1306)
+
+    def test_twin_ties_and_swaps_are_sound(self, monkeypatch):
+        # every node to k = 8, so every child on up to 9 vertices: a
+        # first-cell accept that the first split does not decide (a tie
+        # with twins of the new vertex alone) and a child that a swap
+        # helped accept with no canonical search keep rule (b) by the
+        # definition, and every swap is an automorphism by edge set
+        record: dict[str, list] = {"first": [], "swap": [], "search": []}
+
+        def recording_first_cell(adj, classes, s, cut):
+            verdict = _first_cell_verdict(adj, classes, s, cut)
+            if verdict:
+                record["first"].append((s, cut))
+            return verdict
+
+        def recording_swap(adj, w, u):
+            perm = _swap_taking(adj, w, u)
+            if perm is not None:
+                edges = {(v, x) for v in range(len(adj)) for x in bits(adj[v])}
+                assert {(perm[v], perm[x]) for v, x in edges} == edges
+                assert perm[w] == u and perm[u] == w
+                record["swap"].append(adj)
+            return perm
+
+        def recording_search(adj, n, stable=None):
+            record["search"].append(adj)
+            return _search(adj, n, stable)
+
+        twin_accepts = swap_accepts = 0
+        for k, state in augmentation_nodes(8):
+            for key in record:
+                record[key].clear()
+            monkeypatch.setattr(enumeration, "_first_cell_verdict",
+                                recording_first_cell)
+            monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
+            monkeypatch.setattr(enumeration, "_search", recording_search)
+            accepted = {s for s, _ in _child_states(state, k)}
+            monkeypatch.undo()
+            adj = state[0]
+            for s, cut in record["first"]:
+                child = _attach(adj, s)
+                if first_split_accepts(child, k, cut):
+                    continue
+                assert s in accepted
+                assert new_vertex_comes_last(list(child), k)
+                twin_accepts += 1
+            for child in set(record["swap"]) - set(record["search"]):
+                if child[-1] in accepted:
+                    assert new_vertex_comes_last(list(child), k)
+                    swap_accepts += 1
+        # the census to n = 9: 15,644 twin-tie accepts, and 10,591
+        # children accepted with a swap (a transposition of twins
+        # included) and no canonical search
+        assert (twin_accepts, swap_accepts) == (15644, 10591)
 
     @staticmethod
     def child_path(monkeypatch, adj: tuple[int, ...], s: int):
@@ -489,16 +598,38 @@ class TestLeafDecision:
         assert not new_vertex_comes_last(list(child), 5)
 
     def test_twin_accept(self, monkeypatch):
-        # edge 01 and S = {0}: the path 1-0-2 is already equitable, and its
-        # last deletable cell {1, 2} holds twins
+        # edge 01 and S = {0}: in the path 1-0-2 the new vertex ties only
+        # its twin 1 at the first splitter, so it is accepted there
         path, _ = self.child_path(monkeypatch, (0b10, 0b01), 0b01)
+        assert path == ("first-cell", True)
+
+    def test_stable_twin_accept(self, monkeypatch):
+        # the 4-cycle 0-1-4-2 with pendant 3 on vertex 0, and S = {1, 2, 4}:
+        # the new vertex ties 1, 2 and its twin 4 at the first splitter
+        # {3}; refinement then splits {1, 2}, with two neighbours in the
+        # cell, off {4, 5}, with three, and the stable partition's last
+        # deletable cell holds twins alone
+        path, child = self.child_path(
+            monkeypatch, (14, 17, 17, 1, 6), 0b10110)
         assert path == ("twin", True)
+        assert new_vertex_comes_last(list(child), 5)
 
     def test_automorphism_accept(self, monkeypatch):
         # path 1-0-2 and S = {1}: in the path 2-0-1-3 the ends 2 and 3 are
-        # not twins, but the reversal of the path swaps them
+        # not twins, but the reversal of the path, (3 2)(1 0), swaps them
+        # and one more pair, so no search is needed
         path, _ = self.child_path(monkeypatch, (0b110, 1, 1), 0b010)
+        assert path == ("swap", True)
+
+    def test_automorphism_search_accept(self, monkeypatch):
+        # path 0-1-2-3-4 and S = {0}: the ends 5 and 4 of the path
+        # 5-0-1-2-3-4 differ in one neighbour each, 0 and 3, but
+        # (5 4)(0 3) is no automorphism; the reversal moves three pairs
+        # and only the automorphism search finds it
+        path, child = self.child_path(
+            monkeypatch, (0b10, 0b101, 0b1010, 0b10100, 0b1000), 0b1)
         assert path == ("automorphism", True)
+        assert new_vertex_comes_last(list(child), 5)
 
     def test_fallback_accept(self, monkeypatch):
         # the child is the complement of C3 + C4 (triangle 123, 4-cycle
@@ -569,9 +700,13 @@ class TestCriticalFirst:
             # against the direct test on the connected catalog
             full = [(g.adj, int(_is_critical_fast(g.adj, n)))
                     for g in connected_by_n[n]]
-            assert list(_iter_leaves(n)) == full
+            leaves = [(_attach(adj, s), critical)
+                      for adj, s, critical in _iter_leaves(n)]
+            assert leaves == full
             kept = _iter_leaves(n, keep=lambda adj, k, table: table)
-            assert list(kept) == [leaf for leaf in full if leaf[1]]
+            assert [(_attach(adj, s), critical)
+                    for adj, s, critical in kept] == \
+                [leaf for leaf in full if leaf[1]]
         for n in range(1, 9):
             full, hits = run_enumeration(n, edge_maximal=True, collect=True)
             fast, fast_hits = run_enumeration(n, edge_maximal=True,
