@@ -1,0 +1,131 @@
+"""The critical and edge-maximal classes for n <= 10, up to isomorphism.
+
+tests/data holds the graph6 lines of every connected critical graph on
+1..10 vertices (2,441) and of the edge-maximal ones (104), taken from the
+engine (see tests/data/README.md).  A run is matched against them as a
+multiset of isomorphism classes, so a change of canonical labels or of
+generation order passes, while a lost, extra or repeated class fails.
+
+Graphs are bucketed by an invariant (edge count, degree sequence, sorted
+distance rows), and within a bucket matched by networkx's VF2, which
+shares no code with distcrit.canon.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+from collections import defaultdict
+from pathlib import Path
+
+import networkx as nx
+import pytest
+
+from distcrit import Graph, all_pairs_distances, decode_graph6, run_enumeration
+from distcrit.criticality import _is_edge_maximal_fast
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def load(name: str) -> list[Graph]:
+    return [decode_graph6(line)
+            for line in (DATA / name).read_text().splitlines()]
+
+
+def invariant(g: Graph) -> tuple:
+    rows = tuple(sorted(tuple(sorted(row)) for row in all_pairs_distances(g)))
+    return g.n, g.edge_count(), tuple(sorted(g.degree_sequence())), rows
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def mismatches(got: list[Graph], want: list[Graph]) -> list[str]:
+    """How got and want differ as multisets of isomorphism classes: one
+    line per graph of got with no unused isomorphic partner in want, and
+    one per graph of want left unmatched.  Empty iff they are equal."""
+    buckets: dict[tuple, list[nx.Graph]] = defaultdict(list)
+    for g in want:
+        buckets[invariant(g)].append(to_nx(g))
+    out = []
+    for i, g in enumerate(got):
+        bucket = buckets[invariant(g)]
+        h = to_nx(g)
+        j = next((j for j, c in enumerate(bucket)
+                  if nx.is_isomorphic(h, c)), None)
+        if j is None:
+            out.append(f"extra: hit {i} (n={g.n}, {g.edge_count()} edges)")
+        else:
+            bucket.pop(j)
+    for key, bucket in buckets.items():
+        out += [f"missing: a class with n={key[0]}, {key[1]} edges"
+                ] * len(bucket)
+    return out
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+@pytest.fixture(scope="module")
+def engine_classes() -> tuple[list[Graph], list[Graph]]:
+    """The critical hits of a critical-only run per n = 1..10, and the
+    edge-maximal ones among them."""
+    jobs = min(2, os.cpu_count() or 1)
+    critical: list[Graph] = []
+    for n in range(1, 11):
+        critical += run_enumeration(n, jobs=jobs, collect=True,
+                                    critical_only=True)[1]
+    maximal = [g for g in critical if _is_edge_maximal_fast(g.adj, g.n)]
+    return critical, maximal
+
+
+class TestIsomorphismClasses:
+    def test_data_are_distinct_classes(self):
+        critical = load("critical_n1-10.g6")
+        maximal = load("maximal_n1-10.g6")
+        by_n: dict[int, int] = defaultdict(int)
+        for g in critical:
+            by_n[g.n] += 1
+        assert dict(by_n) == {5: 1, 6: 1, 7: 4, 8: 15, 9: 168, 10: 2252}
+        assert len(maximal) == 104
+        # no two lines of the critical file are isomorphic
+        buckets = defaultdict(list)
+        for g in critical:
+            buckets[invariant(g)].append(to_nx(g))
+        assert not any(nx.is_isomorphic(a, b) for bucket in buckets.values()
+                       for i, a in enumerate(bucket) for b in bucket[:i])
+        # and the edge-maximal classes are among them
+        lines = mismatches(maximal, critical)
+        assert len(lines) == 2441 - 104
+        assert all(line.startswith("missing") for line in lines)
+
+    def test_run_matches_the_data(self, engine_classes):
+        critical, maximal = engine_classes
+        assert mismatches(critical, load("critical_n1-10.g6")) == []
+        assert mismatches(maximal, load("maximal_n1-10.g6")) == []
+
+    def test_a_lost_or_repeated_class_fails(self, engine_classes):
+        critical = engine_classes[0]
+        want = load("critical_n1-10.g6")
+        rng = random.Random(1)
+        # a run that drops one graph
+        i = len(critical) // 2
+        assert mismatches(critical[:i] + critical[i + 1:], want) == [
+            f"missing: a class with n={critical[i].n}, "
+            f"{critical[i].edge_count()} edges"]
+        # a run that yields a relabeled copy of one hit in place of
+        # another hit of the same order and edge count
+        pairs = defaultdict(list)
+        for i, g in enumerate(critical):
+            pairs[g.n, g.edge_count()].append(i)
+        i, j = next(ij[:2] for ij in pairs.values() if len(ij) > 1)
+        mutant = list(critical)
+        mutant[j] = relabeled(critical[i], rng)
+        assert len(mismatches(mutant, want)) == 2
