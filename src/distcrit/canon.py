@@ -186,7 +186,8 @@ def _union(parent: list[int], a: int, b: int) -> None:
         parent[ra] = rb
 
 
-def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
+def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None,
+            twins: bool = True):
     """Core backtracking search.
 
     Returns (form_int, labeling, orbit_rep, generators) where
@@ -205,7 +206,8 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     Individualizing a twin splits nothing else, so the first leaf lists
     each cell in ascending order; every other leaf is its image under an
     automorphism, with the same form.  This covers K0, K1, complete and
-    empty graphs.
+    empty graphs.  twins=False skips that test, for a caller that has
+    found _twin_pairs(adj, stable) to be None.
     """
     best_form: int | None = None
     best_lab: tuple[int, ...] = ()
@@ -275,7 +277,7 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
 
     if stable is None:
         stable = refine(adj, degree_cells(adj, n))
-    pairs = _twin_pairs(adj, stable)
+    pairs = _twin_pairs(adj, stable) if twins else None
     if pairs is None:
         search(stable, ())
     else:

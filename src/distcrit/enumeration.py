@@ -9,8 +9,10 @@ the parent.  A candidate child is kept iff
   (a) S is the numerically least subset in its orbit under the parent's
       automorphism group (McKay's lower-object rule), and
   (b) the new vertex is, in the child, automorphic to the canonically last
-      deletable vertex, where deletable means removal keeps the child
-      connected (parents must stay connected; McKay's upper-object rule).
+      vertex of T, where T holds the deletable vertices of largest key
+      K(v) = (degree, sum of neighbour degrees, triangles at v), compared
+      as tuples, and deletable means removal keeps the child connected
+      (parents must stay connected; McKay's upper-object rule).
 
 Each accepted child therefore certifies a unique (parent, extension) pair,
 and induction over k yields every connected class exactly once with no
@@ -28,45 +30,76 @@ the cached HAS, NONE and GE sets of criticality._mask_sets.  Per parent
 vertex u one such int holds the S for which u is a cut vertex of the
 child, and a candidate's cut mask is read from them.
 
-Rule (b) is decided cheaply for almost all candidates.  First an exact
-degree filter: the new vertex, of degree |S|, can only come last if |S|
-is at least the child degree of every deletable parent vertex.  As a set
-that is the AND over u of: u is cut, or u is in S and |S| >= d_u + 1, or
-u is not in S and |S| >= d_u.  If |S| is strictly above all of them (the
-same AND with one more), the new vertex's degree cell holds no other
-deletable vertex and no later cell holds one; refinement only splits
-cells in place, so rule (b) holds with no refinement at all.  Rule (a)'s
-orbit minima are ANDed in as one more set, and the candidates are the
-set bits left, in ascending order.  Otherwise the equitable partition is
-refined with an abort hook that looks at the last cell holding a
-deletable vertex: it rejects as soon as the new vertex is not in that
-cell, and accepts as soon as the new vertex is its only deletable vertex.
+Why rule (b) may use the key: McKay's rule (b) accepts a child iff the
+new vertex lies in one orbit m(G) of the child G chosen so that an
+isomorphism G -> H maps m(G) onto m(H).  Deletability and K are
+isomorphism invariants (an isomorphism keeps degrees, neighbours and
+triangles), so it maps T(G) onto T(H).  The canonical labelings of G and
+H differ by an isomorphism, which takes the canonically last vertex of
+T(G) to that of T(H), so every isomorphism maps the orbit of the one
+onto the orbit of the other.  So that orbit is such an m, and the
+generation stays isomorph-free and complete (the labels and the order
+differ from those of another choice of m, the classes do not).  The key
+narrows T before any labeling, and most candidates are decided by it
+alone.
 
-First-cell verdict: most of those hook verdicts come at the hook's first
-call, and are read from the parent before the child is built
-(_first_cell_verdict).  A candidate that passes the degree filter but is
-no lead accept has a deletable parent vertex of child degree D = |S|, so
-the cell of degree D holds the new vertex w and another deletable
-vertex, and no later cell holds one.  Let L be the child's lowest degree
-cell, made from the parent's degree classes (u has child degree d_u + 1
-if u is in S, else d_u; w has degree D), and count for w and for each
-deletable parent vertex of child degree D its neighbours in L: |S & L|
-for w, and for u its parent neighbours in L, plus one when u is in S and
-w is in L.  refine scans L first.  If the counts differ, L splits the
-degree D cell, so L is the first splitter applied, and the hook's first
-call sees that cell split into fragments of ascending count, with no
-deletable vertex after them.  So w with the highest count alone is
-accepted, some vertex counting more than w rejects it, and those are the
-hook's own verdicts.  A tie at the top with twins of w alone (a deletable
-u whose parent row is S minus u) is accepted too.  Refinement only splits
-cells in place and no deletable vertex comes after w's fragment (after
-its whole degree cell when L splits nothing), so the canonically last
-deletable vertex is w or a tied vertex, and each twin is swapped with w
-by a transposition, an automorphism.  On any other tie the candidate
-goes down the path above.  A rejected candidate is never built.  In the
-census to n = 9 this decides 143,716 of the 283,839 candidates that
-would reach refine: 58,263 accepts, 15,644 of them twin ties, and 85,453
-rejects.
+Rule (b) is decided in stages.  First an exact degree filter: the new
+vertex, of degree |S|, can only be in T if |S| is at least the child
+degree of every deletable parent vertex.  As a set that is the AND over u
+of: u is cut, or u is in S and |S| >= d_u + 1, or u is not in S and |S| >=
+d_u.  If |S| is strictly above all of them (the same AND with one more),
+T is the new vertex alone and rule (b) holds (a lead accept).  Rule (a)'s
+orbit minima are ANDed in as one more set, and the candidates are the set
+bits left, in ascending order.
+
+Key verdict (_key_ties): a candidate that passes the degree filter but is
+no lead accept has a deletable parent vertex of child degree D = |S|, and
+T lies among those and the new vertex w.  Their keys come from the
+parent, before the child is built.  w's sum of neighbour degrees is the
+sum over x in S of d_x + 1, and its triangles are the edges inside S.  A
+parent vertex u gains |N(u) & S| in its sum (each of those neighbours
+gained w), and, when u is in S, |S| more (w, of degree |S|, is a new
+neighbour) and |N(u) & S| triangles (u, w and a common neighbour).  So
+each key is the parent's own sum and triangle count, computed once per
+parent vertex on first use, plus a few bit counts.  If some u has a
+larger key than w, w is not in T: reject.  If none ties w, T = {w}:
+accept.  If every u that ties is a twin of w (its parent row is S minus
+u), T is w and twins of w, and each twin is swapped with w by a
+transposition, an automorphism: accept.  Any other tie goes on with T,
+the tied vertices and w, to the refinement below.  A candidate decided
+by the key is never built.  In the census to n = 9, 283,839 candidates
+reach the key: 102,146 are accepted (23,487 of them twin ties), 145,336
+rejected, and 36,357 go on.
+
+The child's degree partition is then refined with an abort hook that
+looks at the last cell holding a vertex of T.  Every leaf of the
+canonical search refines the partitions on the way in cell order
+(refinement and individualization only split cells in place), so the
+canonically last vertex of T lies in that cell: the hook rejects as soon
+as w is not in it, and accepts as soon as w is its only vertex of T.  In
+the census to n = 9 the hook decides 23,884 of the 36,357.
+
+A candidate that reaches refine starts from its degree cells, built from
+the parent's degree classes (_child_degree_cells): a parent vertex moves
+up one degree iff it is in S, and the new vertex has degree |S|.
+
+A candidate that reaches a stable partition undecided first gets an orbit
+certificate.  Let C be the last cell of the stable partition that holds a
+vertex of T; the canonically last vertex of T lies in C.  If every vertex
+of T in C is automorphic to the new vertex, so is the canonically last
+one, and rule (b) holds: the verdict is the canonical search's, without
+the search.  Each such u of C is checked in turn: u may already be joined
+to the new vertex w by the automorphisms found so far.  Otherwise
+_swap_taking tries one involution: the transposition (w u) when u is a
+twin of w (same neighbours apart from each other), or (w u)(a b) when
+they differ in one neighbour each, a of w and b of u, kept if
+canon._is_automorphism says it is one.  Only when that fails does
+canon._automorphism_taking look for an automorphism that maps w to u,
+and it finds one iff there is one.  Only when some u has none does the
+canonical search, started from the stable partition, decide.  In the
+census to n = 9, 12,473 candidates reach a stable partition.  Their
+13,221 checks find 1,022 twins and 6,202 swaps and make 5,997
+automorphism searches, and 32 candidates go on to the canonical search.
 
 Twin-cell groups: rule (a) needs the parent's automorphism group.  Every
 automorphism fixes each cell of the parent's stable partition, since
@@ -81,31 +114,6 @@ AND per pair of consecutive members.  In the
 census to n = 9 this decides rule (a) for 5,440 of the 8,408 parents
 whose stable partition is not discrete; only the other 2,968 are
 searched and call _subset_reps.
-
-A candidate that reaches refine starts from its degree cells, built from
-the parent's degree classes (_child_degree_cells): a parent vertex moves
-up one degree iff it is in S, and the new vertex has degree |S|.
-
-A candidate that reaches a stable partition undecided first gets an orbit
-certificate.  Let C be the last cell of the stable partition that holds a
-deletable vertex.  Every leaf of the canonical search refines the stable
-partition in cell order (individualization and refinement only split
-cells in place), so the canonically last deletable vertex lies in C.  If
-every deletable vertex of C is automorphic to the new vertex, so is the
-canonically last one, and rule (b) holds: the verdict is the canonical
-search's, without the search.  Each deletable u of C is checked in turn:
-u may already be joined to the new vertex w by the automorphisms found
-so far.  Otherwise _swap_taking tries one involution: the transposition
-(w u) when u is a twin of w (same neighbours apart from each other), or
-(w u)(a b) when they differ in one neighbour each, a of w and b of u,
-kept if canon._is_automorphism says it is one.  Only when that fails
-does canon._automorphism_taking look for an automorphism that maps w to
-u, and it finds one iff there is one.  Only when some u has none does
-the canonical search, started from the stable partition, decide.  In
-the census to n = 9, 17,145 candidates reach a stable partition.  Their
-17,986 checks find 4,712 twins and 6,422 swaps and make 6,852
-automorphism searches, and 221 candidates go on to the canonical
-search.
 
 A node carries only its adjacency and cut-vertex mask.  Its stable
 partition and automorphism generators are computed when it is expanded,
@@ -124,7 +132,8 @@ the parent's determining pairs, so a leaf is critical iff bit S of its
 parent's table is set, S being the new vertex's row, and no leaf is
 tested on its own.  The census, iter_connected and the lemma universe in
 verify all read their leaves from this generator; edge-maximality is
-then tested on the critical leaves.  The walk starts at the root, the
+then tested on the critical leaves.  iter_connected reads no verdict, so
+its walk builds no table.  The walk starts at the root, the
 one-vertex graph K1, which for n = 1 is the one leaf (not critical: it
 has no parent table).
 
@@ -136,7 +145,9 @@ A parent with an empty keep table is skipped before its cut sets,
 refinement and automorphism search; otherwise the table is ANDed into
 the candidates before rules (a) and (b).  Both rules are decided for
 each candidate on its own (the union-find and the abort hook start
-afresh per candidate), so dropping candidates changes no other verdict:
+afresh per candidate, and the parent's key values are the same whichever
+candidate asks for them first), so dropping candidates changes no other
+verdict:
 the stream is the full stream filtered by the table, in the same order,
 and the frontier, and with it the shard and job split, is unchanged.  At
 n = 10 only 4,261 of the 261,080 parents have a critical child.
@@ -183,7 +194,7 @@ def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> int:
     mask without its top bit.  Orbit minima follow by least[S] =
     min(least[S], least[image of S]) over the generators and pointer
     jumping (least[S] = least[least[S]]), repeated until stable.  Parents
-    share generator sets (988 distinct ones for the 2,968 calls at n = 9;
+    share generator sets (1,024 distinct ones for the 2,968 calls at n = 9;
     twin-cell parents read theirs from _twin_cell_reps instead), so
     results are cached by (k, gens), at most _SUBSET_REPS_MAX of them."""
     key = (k, tuple(gens))
@@ -266,43 +277,78 @@ def _degree_sets(adj: tuple[int, ...], k: int,
     return ok, lead
 
 
-def _first_cell_verdict(adj: tuple[int, ...], classes: dict[int, int],
-                        s: int, cut: int) -> "bool | None":
-    """Rule (b) for the child with neighbourhood s, read from the first
-    splitter of its refinement (see the module docstring), or None when
-    that splitter leaves it open.
+def _degree_sum(classes: dict[int, int], m: int) -> int:
+    """The sum of the degrees of the vertices in the mask m, classes
+    mapping each degree to its vertex mask."""
+    total = 0
+    for d, c in classes.items():
+        total += d * (c & m).bit_count()
+    return total
 
-    classes maps each parent degree, ascending, to its vertex mask; cut
-    is the child's cut-vertex mask.  s must pass the degree filter and not
-    be a lead accept, so some deletable parent vertex has child degree
-    |s|.  L is the child's lowest degree cell, and each deletable vertex
-    of the new vertex's degree cell is counted by its neighbours in L.  A
-    vertex that ties the new vertex leaves the verdict open unless it is
-    a twin of it, its row being s minus itself."""
+
+def _edges_within(adj: tuple[int, ...], m: int) -> int:
+    """The number of edges of adj with both ends in the vertex mask m:
+    for m = N(v), the triangles at v."""
+    twice = 0
+    t = m
+    while t:
+        low = t & -t
+        t ^= low
+        twice += (adj[low.bit_length() - 1] & m).bit_count()
+    return twice >> 1
+
+
+def _key_ties(adj: tuple[int, ...], classes: dict[int, int], sums: list,
+              tris: list, s: int, cut: int) -> "int | None":
+    """Rule (b) by the vertex key K(v) = (degree, sum of neighbour
+    degrees, triangles at v) for the child with neighbourhood s (see the
+    module docstring), read from the parent before the child is built.
+
+    None means some deletable parent vertex has a larger key than the new
+    vertex w (reject); 0 means w's key is the largest, alone or tied with
+    twins of w only (accept); otherwise the mask of the deletable parent
+    vertices whose key ties w's, for the refinement to decide.
+
+    classes maps each parent degree to its vertex mask; cut is the
+    child's cut-vertex mask.  s must pass the degree filter and not be a
+    lead accept, so w's degree cell holds a deletable parent vertex.  sums
+    and tris are the parent's sums of neighbour degrees and triangle
+    counts, filled in here on first use (None until then)."""
     d = s.bit_count()
-    d0 = next(iter(classes))
-    lcell = classes[d0] & ~s
-    if lcell:
-        w_in_l = d == d0
-    else:
-        # every parent vertex of degree d0 is in s and one degree up
-        lcell = classes[d0] | classes.get(d0 + 1, 0) & ~s
-        w_in_l = d == d0 + 1
-    cw = (s & lcell).bit_count()
-    tie = False
     m = (classes.get(d, 0) & ~s | classes.get(d - 1, 0) & s) & ~cut
+    sum_w = d + _degree_sum(classes, s)
+    tri_w = -1
+    ties = 0
+    twins_only = True
     while m:
         bit = m & -m
         m ^= bit
-        row = adj[bit.bit_length() - 1]
-        c = (row & lcell).bit_count()
-        if w_in_l and bit & s:
-            c += 1
-        if c > cw:
-            return False
-        if c == cw and row != s & ~bit:
-            tie = True
-    return None if tie else True
+        u = bit.bit_length() - 1
+        row = adj[u]
+        common = (row & s).bit_count()
+        su = sums[u]
+        if su is None:
+            su = sums[u] = _degree_sum(classes, row)
+        su += common + d if bit & s else common
+        if su != sum_w:
+            if su > sum_w:
+                return None
+            continue
+        if tri_w < 0:
+            tri_w = _edges_within(adj, s)
+        tu = tris[u]
+        if tu is None:
+            tu = tris[u] = _edges_within(adj, row)
+        if bit & s:
+            tu += common
+        if tu != tri_w:
+            if tu > tri_w:
+                return None
+            continue
+        ties |= bit
+        if row != s & ~bit:
+            twins_only = False
+    return 0 if twins_only else ties
 
 
 def _swap_taking(adj: tuple[int, ...], w: int,
@@ -401,7 +447,13 @@ def _child_states(
     cut-vertex mask.  Its rows are _attach(adj, S), built here only for
     the candidates that are refined.
 
-    A child is yielded as soon as rule (b) is decided for it.  keep, when
+    Rule (b) is decided by the first stage that can (see the module
+    docstring): the degree filter and its lead set, then the vertex key
+    (_key_ties), which needs no child rows, then, for a tie with a vertex
+    that is no twin of the new one, the refinement hook, the orbit
+    certificate and the canonical search, each looking only at the tied
+    vertices and the new one (T).  A child is yielded as soon as rule
+    (b) is decided for it.  keep, when
     given, is an int whose bit S is set iff the child with neighbourhood S
     may be yielded (as criticality._extension_table); the other candidates
     are dropped before rules (a) and (b), and a parent with no candidate
@@ -422,17 +474,18 @@ def _child_states(
     # automorphisms preserve popcount, degrees and cut vertices.
     pairs = _twin_pairs(adj, cells)
     if pairs is None:
-        gens = _search(adj, k, cells)[3]
+        gens = _search(adj, k, cells, twins=False)[3]
         if gens:
             ok &= _subset_reps(k, gens)
     elif pairs:
         ok &= _twin_cell_reps(k, pairs)
-    classes = span = None
     if ok & ~lead:
         classes = {adj[(c & -c).bit_length() - 1].bit_count(): c
                    for c in dcells}
         span = [(d, classes.get(d, 0), classes.get(d - 1, 0))
                 for d in sorted({*classes, *(d + 1 for d in classes)})]
+        sums: list = [None] * k
+        tris: list = [None] * k
 
     # the parent cut vertices, with the S for which they stay cut; every
     # other parent vertex is cut only for the singleton S = {u}
@@ -440,20 +493,19 @@ def _child_states(
     singles = k >= 2
     newbit = 1 << k
     nch = k + 1
-    cfull = (1 << nch) - 1
-    cnon = 0
+    top = 0
     accepted = [False]
 
     def decided(cs: list[int]) -> bool:
-        # The last cell holding a deletable vertex decides rule (b) early:
+        # The last cell holding a vertex of T decides rule (b) early:
         # reject if the new vertex is not in it, accept if the new vertex
-        # is its only deletable vertex.
+        # is its only vertex of T.
         for cell in reversed(cs):
-            if cell & cnon:
+            if cell & top:
                 if not cell & newbit:
                     accepted[0] = False
                     return True
-                if cell & cnon == newbit:
+                if cell & top == newbit:
                     accepted[0] = True
                     return True
                 return False
@@ -467,13 +519,16 @@ def _child_states(
         for b, cut in parent_cuts:
             if cut & low:
                 ccut_s |= b
-        verdict = (True if lead & low
-                   else _first_cell_verdict(adj, classes, s, ccut_s))
-        if verdict is not None:
-            if verdict:
-                yield s, ccut_s
+        if lead & low:
+            yield s, ccut_s
             continue
-        cnon = cfull & ~ccut_s
+        ties = _key_ties(adj, classes, sums, tris, s, ccut_s)
+        if ties is None:
+            continue
+        if not ties:
+            yield s, ccut_s
+            continue
+        top = ties | newbit
         child_adj = _attach(adj, s)
         stable = refine(child_adj, _child_degree_cells(span, s, newbit),
                         decided)
@@ -481,16 +536,15 @@ def _child_states(
             if accepted[0]:
                 yield s, ccut_s
             continue
-        # The degree filter and the hook saw every partition on the way,
-        # so the last deletable cell of the stable one holds the new
-        # vertex and another deletable vertex.  The canonically last
-        # deletable vertex is in that cell, so rule (b) holds if all its
-        # deletable vertices are automorphic to the new one (the orbit
-        # certificate of the module docstring).  Only when one of them is
-        # not does the canonical labeling decide.
+        # The hook saw every partition on the way, so the last cell of the
+        # stable one that meets T holds the new vertex and another vertex
+        # of T.  The canonically last vertex of T is in that cell, so rule
+        # (b) holds if all its vertices of T are automorphic to the new
+        # one (the orbit certificate of the module docstring).  Only when
+        # one of them is not does the canonical labeling decide.
         orbit = list(range(nch))
-        for u in bits(next(c for c in reversed(stable) if c & cnon)
-                      & cnon & ~newbit):
+        for u in bits(next(c for c in reversed(stable) if c & top)
+                      & top & ~newbit):
             if _find(orbit, u) == _find(orbit, k):
                 continue
             perm = _swap_taking(child_adj, k, u)
@@ -505,7 +559,7 @@ def _child_states(
             yield s, ccut_s
             continue
         _, lab, orep, _ = _search(child_adj, nch, stable)
-        wstar = next(v for v in reversed(lab) if cnon >> v & 1)
+        wstar = next(v for v in reversed(lab) if top >> v & 1)
         if orep[wstar] == orep[k]:
             yield s, ccut_s
 
@@ -514,6 +568,7 @@ def _iter_leaves(
     n: int,
     owner: "Callable[[int], bool] | None" = None,
     keep: "Callable[[tuple[int, ...], int, int], int] | None" = None,
+    tables: bool = True,
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Yield (parent, s, critical) for every accepted node on n >= 1
     vertices, in generation order: the leaf is _attach(parent, s), and
@@ -521,9 +576,10 @@ def _iter_leaves(
     level n - 1 builds its criticality table once; critical is bit s of
     it, so it is the leaf's verdict.  owner gates the frontier at level
     max(1, n - 2); keep(parent, n - 1, table), when given, is the
-    parent's keep table (see _child_states).  For n = 1 the root K1,
-    frontier node 0 and not critical, is the one leaf, given as the
-    empty parent with s = 0."""
+    parent's keep table (see _child_states).  With tables=False, for a
+    caller that reads no verdict, no table is built, keep must be None
+    and every leaf reads 0.  For n = 1 the root K1, frontier node 0 and
+    not critical, is the one leaf, given as the empty parent with s = 0."""
     if n == 1:
         if owner is None or owner(0):
             yield (), 0, 0
@@ -547,7 +603,7 @@ def _iter_leaves(
 
     for state in parents(_ROOT, 1):
         adj = state[0]
-        table = _extension_table(adj, n - 1)
+        table = _extension_table(adj, n - 1) if tables else 0
         kept = None if keep is None else keep(adj, n - 1, table)
         for s, _ in _child_states(state, n - 1, kept):
             yield adj, s, table >> s & 1
@@ -565,7 +621,7 @@ def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
 def iter_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
     _check_args(n, 1, 0)
-    for adj, s, _ in _iter_leaves(n):
+    for adj, s, _ in _iter_leaves(n, tables=False):
         yield Graph(n, _attach(adj, s), check=False)
 
 

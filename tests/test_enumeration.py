@@ -39,8 +39,8 @@ from distcrit.enumeration import (
     _child_states,
     _cut_sets,
     _degree_sets,
-    _first_cell_verdict,
     _iter_leaves,
+    _key_ties,
     _subset_reps,
     _swap_taking,
     _twin_cell_reps,
@@ -119,25 +119,28 @@ class TestConnectedCensus:
 
     def test_graph6_output_is_pinned(self):
         # graph6 lines of every class on 7 and then 8 vertices, in
-        # generation order; the hash was taken before the child cut table,
-        # inert splitters and the table of subset orbit minima went in
+        # generation order; re-taken when rule (b) came to choose the
+        # deletion by the vertex key, which moved the order and labels
+        # (tests/test_classes.py checks the classes themselves)
         digest = hashlib.sha256()
         for n in (7, 8):
             for g in iter_connected(n):
                 digest.update(encode_graph6(g).encode() + b"\n")
         assert digest.hexdigest() == (
-            "5bdebe7a10afd84a7f9df64401f9df8091f672205dd07fa31ae7055ae1efed12")
+            "1edf339371a609b4f0b9af5a5f258911c4193e96cdf762472f8f9f6d771f595d")
 
     def test_generation_order_is_pinned(self, connected_by_n):
         # the adjacency rows of every class on 1 to 8 vertices, in
         # generation order and with the engine's labels: a change to the
-        # order or to the labels of any accepted child moves this hash
+        # order or to the labels of any accepted child moves this hash.
+        # Re-taken when rule (b) came to choose the deletion by the vertex
+        # key
         digest = hashlib.sha256()
         for n in range(1, 9):
             for g in connected_by_n[n]:
                 digest.update(" ".join(map(str, g.adj)).encode() + b"\n")
         assert digest.hexdigest() == (
-            "4c125823bc9bd4a776e44f108feb463cbf23ec058132478e9378d04c88afb04f")
+            "5362b44ae793ec0436b70564029ef331bab0642bb5a05fa504b12bbc0b1267f5")
 
 
 class TestAugmentationSteps:
@@ -193,9 +196,10 @@ class TestAugmentationSteps:
             checked += 1
             keys.add((k, tuple(gens)))
         # every generator set of the parents of the n = 9 census, and the
-        # distinct (k, generators) keys among them
+        # distinct (k, generators) keys among them (which depend on the
+        # labels the engine gives its nodes)
         assert checked == 8408
-        assert len(keys) == 1645
+        assert len(keys) == 1787
 
     def test_twin_cell_reps_match_the_orbit_table(self):
         # every augmentation node to k = 8 whose stable cells are all
@@ -229,8 +233,9 @@ class TestAugmentationSteps:
 
         monkeypatch.setattr(enumeration, "refine", checking_refine)
         assert sum(1 for _ in augmentation_nodes(8)) == 12113
-        # a first-cell tie with twins alone is accepted unrefined
-        assert checked == 6118
+        # only a key tie with a vertex that is no twin of the new one is
+        # refined
+        assert checked == 2063
 
     def test_twin_cell_generators(self, connected_by_n):
         # where every non-singleton cell of the stable partition is all
@@ -314,23 +319,23 @@ def parent_state(adj: tuple[int, ...]):
 def children_by_path(monkeypatch, state, k: int) -> dict:
     """Candidate child adjacency -> (how rule (b) was decided, accepted),
     for every candidate that passed rule (a) and the degree filter.  The
-    paths are "lead" (no refine call), "first-cell" (the first splitter's
-    verdict, read from the parent), "early" (refine stopped early), and
-    at a stable partition "twin" (only twins of the new vertex in its
-    cell), "swap" (an involution (w u)(a b) tested, no search),
-    "automorphism" (an automorphism search but no canonical search) or
-    "fallback" (the canonical search)."""
-    first_cell: dict[int, bool] = {}
+    paths are "lead" (no key compared), "key" (the vertex key's verdict,
+    read from the parent), "early" (refine stopped early), and at a stable
+    partition "twin" (only twins of the new vertex in its cell), "swap"
+    (an involution (w u)(a b) tested, no search), "automorphism" (an
+    automorphism search but no canonical search) or "fallback" (the
+    canonical search)."""
+    by_key: dict[int, bool] = {}
     stopped: dict[tuple[int, ...], bool] = {}
     swapped: set[tuple[int, ...]] = set()
     automorphism_searched: set[tuple[int, ...]] = set()
     searched: set[tuple[int, ...]] = set()
 
-    def recording_first_cell(adj, classes, s, cut):
-        verdict = _first_cell_verdict(adj, classes, s, cut)
-        if verdict is not None:
-            first_cell[s] = verdict
-        return verdict
+    def recording_key(adj, classes, sums, tris, s, cut):
+        ties = _key_ties(adj, classes, sums, tris, s, cut)
+        if not ties:
+            by_key[s] = ties == 0
+        return ties
 
     def recording_refine(adj, cells, abort=None):
         out = refine(adj, cells, abort)
@@ -349,12 +354,11 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
         automorphism_searched.add(adj)
         return _automorphism_taking(adj, n, stable, w, u)
 
-    def recording_search(adj, n, stable=None):
+    def recording_search(adj, n, stable=None, twins=True):
         searched.add(adj)
-        return _search(adj, n, stable)
+        return _search(adj, n, stable, twins)
 
-    monkeypatch.setattr(enumeration, "_first_cell_verdict",
-                        recording_first_cell)
+    monkeypatch.setattr(enumeration, "_key_ties", recording_key)
     monkeypatch.setattr(enumeration, "refine", recording_refine)
     monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
     monkeypatch.setattr(enumeration, "_automorphism_taking",
@@ -363,15 +367,14 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     accepted = [_attach(state[0], s) for s, _ in _child_states(state, k)]
     monkeypatch.undo()
     paths = {}
-    # a first-cell reject is never built; the parent is refined (and
-    # searched) when it is expanded
-    children = dict(child_adjacencies(state[0], k))
-    rejected = [tuple(children[s]) for s, verdict in first_cell.items()
+    # a key reject is never built; the parent is refined (and searched)
+    # when it is expanded
+    rejected = [_attach(state[0], s) for s, verdict in by_key.items()
                 if not verdict]
     for child_adj in accepted + rejected + [a for a in stopped
                                             if len(a) == k + 1]:
-        if child_adj[-1] in first_cell:
-            path = "first-cell"
+        if child_adj[-1] in by_key:
+            path = "key"
         elif child_adj not in stopped:
             path = "lead"
         elif stopped[child_adj]:
@@ -402,29 +405,29 @@ def least_in_orbit(s: int, gens) -> bool:
     return min(seen) == s
 
 
+def deletable_keys(child, n: int) -> dict[int, tuple[int, int, int]]:
+    """The vertex key (degree, sum of neighbour degrees, triangles) of
+    every vertex whose deletion leaves the child connected, from the
+    child's rows alone."""
+    cut = _articulation_mask(child, n)
+    keys = {}
+    for v in range(n):
+        if not cut >> v & 1:
+            row = child[v]
+            keys[v] = (row.bit_count(),
+                       sum(child[x].bit_count() for x in bits(row)),
+                       sum((child[x] & row).bit_count() for x in bits(row)) // 2)
+    return keys
+
+
 def new_vertex_comes_last(child: list[int], k: int) -> bool:
-    """Rule (b): the new vertex k is in the orbit of the last non-cut
-    vertex of the child's canonical labeling."""
-    cut = _articulation_mask(child, k + 1)
+    """Rule (b): the new vertex k is in the orbit of the canonically last
+    of the deletable vertices of largest key."""
+    keys = deletable_keys(child, k + 1)
+    top = max(keys.values())
     _, lab, orep, _ = _search(tuple(child), k + 1)
-    last = next(v for v in reversed(lab) if not cut >> v & 1)
+    last = next(v for v in reversed(lab) if keys.get(v) == top)
     return orep[last] == orep[k]
-
-
-def first_split_accepts(child: tuple[int, ...], k: int, cut: int) -> bool:
-    """Whether the first split of the child's refinement leaves the new
-    vertex k alone among the deletable vertices (not in cut) of the last
-    cell that holds one."""
-    deletable = (1 << (k + 1)) - 1 & ~cut
-    first = []
-
-    def hook(cells: list[int]) -> bool:
-        last = next(c for c in reversed(cells) if c & deletable)
-        first.append(last & deletable == 1 << k)
-        return True
-
-    refine(child, degree_cells(child, k + 1), hook)
-    return bool(first) and first[0]
 
 
 class TestLeafDecision:
@@ -446,75 +449,62 @@ class TestLeafDecision:
         assert candidates == 7815
         assert accepts == sum(CONNECTED_COUNTS[n] for n in range(2, 8)) == 995
 
-    def test_first_cell_verdict_is_the_hooks_first(self, monkeypatch):
-        # with the first-cell stage off, every candidate of a parent on 7
-        # vertices that is no lead accept reaches the hook; wherever the
-        # helper decides without a twin of the new vertex, the hook's
-        # first call decides the same way.  A tie with twins alone is
-        # accepted though refinement goes on: twins are automorphic, and
-        # the definition agrees
-        decided = accepts = twin_accepts = 0
-        for k, state in augmentation_nodes(7):
-            if k != 7:
-                continue
-            first: dict[tuple[int, ...], bool] = {}
+    def test_key_verdicts_match_the_definition(self, monkeypatch):
+        # every node to k = 8, so every child on up to 9 vertices: each
+        # candidate _key_ties decides gets the verdict of the definition,
+        # with the keys computed from the child alone.  A reject has a
+        # deletable vertex of larger key than the new vertex w; an accept
+        # has w's key largest, alone or tied with twins of w only, and a
+        # twin tie is accepted by the canonical labeling too.  Every other
+        # tie is handed on with the tied vertices
+        calls: list[tuple[int, "int | None"]] = []
 
-            def recording_refine(adj, cells, abort=None):
-                if abort is None:
-                    return refine(adj, cells)
-                calls = []
+        def recording_key(adj, classes, sums, tris, s, cut):
+            ties = _key_ties(adj, classes, sums, tris, s, cut)
+            calls.append((s, ties))
+            return ties
 
-                def hook(cs):
-                    calls.append(abort(cs))
-                    return calls[-1]
-
-                out = refine(adj, cells, hook)
-                first[tuple(adj)] = bool(calls) and calls[0]
-                return out
-
-            monkeypatch.setattr(enumeration, "refine", recording_refine)
-            monkeypatch.setattr(enumeration, "_first_cell_verdict",
-                                lambda *args: None)
-            accepted = {_attach(state[0], s)
-                        for s, _ in _child_states(state, k)}
+        counts = {"accept": 0, "reject": 0, "twin tie": 0, "tie": 0}
+        for k, state in augmentation_nodes(8):
+            calls.clear()
+            monkeypatch.setattr(enumeration, "_key_ties", recording_key)
+            accepted = {s for s, _ in _child_states(state, k)}
             monkeypatch.undo()
             adj = state[0]
-            classes = {}
-            for d in sorted({row.bit_count() for row in adj}):
-                classes[d] = sum(1 << v for v in range(k)
-                                 if adj[v].bit_count() == d)
-            for child, stopped_first in first.items():
-                cut = _articulation_mask(child, k + 1)
-                s = child[-1]
-                verdict = _first_cell_verdict(adj, classes, s, cut)
-                if verdict is None:
+            for s, ties in calls:
+                child = _attach(adj, s)
+                keys = deletable_keys(child, k + 1)
+                top = max(keys.values())
+                tied = [u for u, key in keys.items() if key == top and u != k]
+                if ties is None:
+                    assert keys[k] < top and s not in accepted
+                    counts["reject"] += 1
                     continue
-                if verdict and any(adj[u] == s & ~(1 << u) for u in range(k)
-                                   if not cut >> u & 1):
-                    assert child in accepted
+                assert keys[k] == top
+                twins = all(child[u] & ~(1 << k) == s & ~(1 << u)
+                            for u in tied)
+                if ties:
+                    assert ties == sum(1 << u for u in tied) and not twins
+                    counts["tie"] += 1
+                elif tied:
+                    assert twins and s in accepted
                     assert new_vertex_comes_last(list(child), k)
-                    twin_accepts += 1
-                    continue
-                assert stopped_first is True
-                assert (child in accepted) is verdict
-                decided += 1
-                accepts += verdict
-        # 1,306 twin-tie accepts at k = 7, where refinement went on
-        assert (decided, accepts, twin_accepts) == (4109, 1348, 1306)
+                    counts["twin tie"] += 1
+                else:
+                    assert s in accepted
+                    counts["accept"] += 1
+        # the census to n = 9: of the 283,839 candidates that reach the
+        # key, 247,482 are decided there and 36,357 ties go on to refine
+        assert counts == {"accept": 78659, "reject": 145336,
+                          "twin tie": 23487, "tie": 36357}
 
     def test_twin_ties_and_swaps_are_sound(self, monkeypatch):
-        # every node to k = 8, so every child on up to 9 vertices: a
-        # first-cell accept that the first split does not decide (a tie
-        # with twins of the new vertex alone) and a child that a swap
-        # helped accept with no canonical search keep rule (b) by the
-        # definition, and every swap is an automorphism by edge set
-        record: dict[str, list] = {"first": [], "swap": [], "search": []}
-
-        def recording_first_cell(adj, classes, s, cut):
-            verdict = _first_cell_verdict(adj, classes, s, cut)
-            if verdict:
-                record["first"].append((s, cut))
-            return verdict
+        # every node to k = 8, so every child on up to 9 vertices: a child
+        # that a swap (a transposition of twins of the new vertex, or an
+        # involution (w u)(a b)) helped accept with no canonical search
+        # keeps rule (b) by the definition, and every swap is an
+        # automorphism by edge set
+        record: dict[str, list] = {"swap": [], "search": []}
 
         def recording_swap(adj, w, u):
             perm = _swap_taking(adj, w, u)
@@ -525,36 +515,25 @@ class TestLeafDecision:
                 record["swap"].append(adj)
             return perm
 
-        def recording_search(adj, n, stable=None):
+        def recording_search(adj, n, stable=None, twins=True):
             record["search"].append(adj)
-            return _search(adj, n, stable)
+            return _search(adj, n, stable, twins)
 
-        twin_accepts = swap_accepts = 0
+        swap_accepts = 0
         for k, state in augmentation_nodes(8):
             for key in record:
                 record[key].clear()
-            monkeypatch.setattr(enumeration, "_first_cell_verdict",
-                                recording_first_cell)
             monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
             monkeypatch.setattr(enumeration, "_search", recording_search)
             accepted = {s for s, _ in _child_states(state, k)}
             monkeypatch.undo()
-            adj = state[0]
-            for s, cut in record["first"]:
-                child = _attach(adj, s)
-                if first_split_accepts(child, k, cut):
-                    continue
-                assert s in accepted
-                assert new_vertex_comes_last(list(child), k)
-                twin_accepts += 1
             for child in set(record["swap"]) - set(record["search"]):
                 if child[-1] in accepted:
                     assert new_vertex_comes_last(list(child), k)
                     swap_accepts += 1
-        # the census to n = 9: 15,644 twin-tie accepts, and 10,591
-        # children accepted with a swap (a transposition of twins
-        # included) and no canonical search
-        assert (twin_accepts, swap_accepts) == (15644, 10591)
+        # the census to n = 9: children accepted with a swap and no
+        # canonical search
+        assert swap_accepts == 6774
 
     @staticmethod
     def child_path(monkeypatch, adj: tuple[int, ...], s: int):
@@ -570,49 +549,48 @@ class TestLeafDecision:
         path, _ = self.child_path(monkeypatch, (0b11110, 1, 1, 1, 1), 0b01110)
         assert path == ("lead", True)
 
-    def test_early_accept(self, monkeypatch):
-        # star K1,3 with centre 0 and S = {1}: the new vertex ties the
-        # leaves 2 and 3 on degree, and the first split, by vertex 1, leaves
-        # it alone in the last deletable cell
-        path, _ = self.child_path(monkeypatch, (0b1110, 1, 1, 1), 0b0010)
-        assert path == ("early", True)
-
-    def test_first_cell_accept(self, monkeypatch):
-        # triangle 014 with pendants 2 and 3 on vertex 0, and S = {2, 3}:
-        # every child vertex but 0 has degree 2, and in that lowest
-        # degree cell the new vertex has two neighbours, every other
-        # vertex one, so the first split leaves the new vertex last alone
+    def test_key_accept(self, monkeypatch):
+        # the path 3-1-0-2-4 and S = {0}: the new vertex 5 and the leaves
+        # 3 and 4 are the deletable vertices, all of degree 1, and only the
+        # new vertex has a neighbour of degree 3
         path, child = self.child_path(
-            monkeypatch, (30, 17, 1, 1, 3), 0b01100)
-        assert path == ("first-cell", True)
+            monkeypatch, (0b110, 0b1001, 0b10001, 0b10, 0b100), 0b1)
+        assert path == ("key", True)
         assert new_vertex_comes_last(list(child), 5)
 
-    def test_first_cell_reject(self, monkeypatch):
-        # the 4-cycle 0-1-4-2 with pendant 3 on vertex 0, and S = {0, 3}:
-        # every child vertex but 0 has degree 2, and in that lowest degree
-        # cell vertex 4 has two neighbours, the new vertex one, so the
-        # first split puts vertex 4 after the new vertex
-        path, child = self.child_path(
-            monkeypatch, (14, 17, 17, 1, 6), 0b01001)
-        assert path == ("first-cell", False)
-        assert not new_vertex_comes_last(list(child), 5)
+    def test_key_reject(self, monkeypatch):
+        # star K1,3 with centre 0 and S = {1}: the new vertex ties the
+        # leaves 2 and 3 on degree, but their neighbour, the centre, has
+        # degree 3 and the new vertex's only 2
+        path, child = self.child_path(monkeypatch, (0b1110, 1, 1, 1), 0b0010)
+        assert path == ("key", False)
+        assert not new_vertex_comes_last(list(child), 4)
 
     def test_twin_accept(self, monkeypatch):
         # edge 01 and S = {0}: in the path 1-0-2 the new vertex ties only
-        # its twin 1 at the first splitter, so it is accepted there
+        # its twin 1 on the key, so it is accepted there
         path, _ = self.child_path(monkeypatch, (0b10, 0b01), 0b01)
-        assert path == ("first-cell", True)
+        assert path == ("key", True)
+
+    def test_early_accept(self, monkeypatch):
+        # the tree with edges 01 02 13 15 24 and S = {0}: the new leaf 6
+        # ties the leaves 3 and 5 on the key, as all three hang from a
+        # vertex of degree 3; refinement splits 6 off by its neighbour's
+        # neighbours and leaves it alone after them, before it is stable
+        path, child = self.child_path(
+            monkeypatch, (0b110, 0b101001, 0b10001, 0b10, 0b100, 0b10), 0b1)
+        assert path == ("early", True)
+        assert new_vertex_comes_last(list(child), 6)
 
     def test_stable_twin_accept(self, monkeypatch):
-        # the 4-cycle 0-1-4-2 with pendant 3 on vertex 0, and S = {1, 2, 4}:
-        # the new vertex ties 1, 2 and its twin 4 at the first splitter
-        # {3}; refinement then splits {1, 2}, with two neighbours in the
-        # cell, off {4, 5}, with three, and the stable partition's last
-        # deletable cell holds twins alone
+        # the child with edges 01 02 06 13 24 25 35 46 56: the new vertex
+        # 6 ties 0, 2 and 5 on the key (3, 8, 0), and the stable
+        # partition's last cell is {2, 6}, a pair of twins
         path, child = self.child_path(
-            monkeypatch, (14, 17, 17, 1, 6), 0b10110)
+            monkeypatch, (0b110, 0b1001, 0b110001, 0b100010, 0b100, 0b1100),
+            0b110001)
         assert path == ("twin", True)
-        assert new_vertex_comes_last(list(child), 5)
+        assert new_vertex_comes_last(list(child), 6)
 
     def test_automorphism_accept(self, monkeypatch):
         # path 1-0-2 and S = {1}: in the path 2-0-1-3 the ends 2 and 3 are
@@ -631,23 +609,27 @@ class TestLeafDecision:
         assert path == ("automorphism", True)
         assert new_vertex_comes_last(list(child), 5)
 
+    # The cubic graph on 8 vertices made of two triangles joined by one
+    # edge (the link), with two more vertices x and y joined to each other:
+    # x to one free vertex of each triangle, y to the other two.  It is
+    # equitable as one cell, the six triangle vertices have the largest
+    # key (3, 9, 1), and they form two orbits: the link ends, and the free
+    # vertices.  Only the canonical search says which comes last: a free
+    # vertex.
+
     def test_fallback_accept(self, monkeypatch):
-        # the child is the complement of C3 + C4 (triangle 123, 4-cycle
-        # 0-4-5-6), 4-regular, so its stable partition is one cell; the
-        # new vertex 6 has no automorphism to the triangle, and the
-        # canonical labeling ends on a vertex of its own 4-cycle orbit
+        # triangles 026 and 457, link 24, x = 1 and y = 3; the new vertex
+        # 7 is a free vertex
         path, child = self.child_path(
-            monkeypatch, (46, 49, 49, 49, 14, 15), 0b11110)
+            monkeypatch, (70, 9, 81, 98, 36, 24, 13), 0b110010)
         assert path == ("fallback", True)
-        assert new_vertex_comes_last(list(child), 6)
+        assert new_vertex_comes_last(list(child), 7)
 
     def test_fallback_reject(self, monkeypatch):
-        # triangles 025 and 146 on the edge 01, and the new vertex 7 on the
-        # path 0-3-7-1: refinement leaves the six degree-2 vertices in one
-        # cell, none of the triangle vertices is automorphic to 7, and the
-        # canonical labeling ends on a triangle vertex
+        # triangles 246 and 357, link 47, x = 0 and y = 1; the new vertex
+        # 7 is a link end
         path, child = self.child_path(
-            monkeypatch, (46, 81, 33, 1, 66, 5, 18), 0b1010)
+            monkeypatch, (38, 73, 81, 34, 68, 9, 22), 0b111000)
         assert path == ("fallback", False)
         assert not new_vertex_comes_last(list(child), 7)
 
