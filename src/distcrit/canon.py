@@ -317,8 +317,8 @@ def _automorphism_taking(adj: tuple[int, ...], n: int, stable: list[int],
     adjacency (_is_automorphism), which makes the search sound.  The
     enumeration's orbit certificate calls it only after a twin
     transposition and the one involution (w u)(a b) it tries first have
-    failed: in the census to n = 9 those involutions supply 6,422 of the
-    13,053 automorphisms the certificate finds besides twin
+    failed: in the census to n = 9 those involutions supply 6,202 of the
+    12,167 automorphisms the certificate finds besides twin
     transpositions.  It is complete because
     refine is label-invariant: an automorphism taking w to u maps every
     partition on the w branch to one on the u side, cell by cell, and

@@ -410,13 +410,14 @@ def deletable_keys(child, n: int) -> dict[int, tuple[int, int, int]]:
     every vertex whose deletion leaves the child connected, from the
     child's rows alone."""
     cut = _articulation_mask(child, n)
+    deg = [row.bit_count() for row in child]
     keys = {}
     for v in range(n):
         if not cut >> v & 1:
             row = child[v]
-            keys[v] = (row.bit_count(),
-                       sum(child[x].bit_count() for x in bits(row)),
-                       sum((child[x] & row).bit_count() for x in bits(row)) // 2)
+            nbrs = [x for x in range(n) if row >> x & 1]
+            keys[v] = (deg[v], sum([deg[x] for x in nbrs]),
+                       sum([(child[x] & row).bit_count() for x in nbrs]) // 2)
     return keys
 
 
