@@ -576,8 +576,9 @@ class TestLeafDecision:
     def test_early_accept(self, monkeypatch):
         # the tree with edges 01 02 13 15 24 and S = {0}: the new leaf 6
         # ties the leaves 3 and 5 on the key, as all three hang from a
-        # vertex of degree 3; refinement splits 6 off by its neighbour's
-        # neighbours and leaves it alone after them, before it is stable
+        # vertex of degree 3.  Refinement splits the leaves by vertex 2,
+        # which takes 4 out, and then by vertex 0, which leaves 6 alone
+        # after 3 and 5, before the partition is stable
         path, child = self.child_path(
             monkeypatch, (0b110, 0b101001, 0b10001, 0b10, 0b100, 0b10), 0b1)
         assert path == ("early", True)
