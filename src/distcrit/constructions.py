@@ -16,7 +16,7 @@ Provided families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import MAX_VERTICES, Graph
 
@@ -52,8 +52,7 @@ def cycle_power(n: int, k: int) -> Graph:
                  check=False)
 
 
-@dataclass(frozen=True)
-class GammaLayout:
+class GammaLayout(NamedTuple):
     """Vertex numbering of gamma(m).
 
     a maps each unordered pair {i, j} (keyed (i, j), i < j < m) to the

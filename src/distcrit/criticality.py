@@ -26,8 +26,7 @@ iff these sets cover every vertex.  No layers or distance rows are kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # all_pairs_distances is not called here; it stays importable because
 # bench/layers.py patches it in this module by name
@@ -127,8 +126,7 @@ def involved_set(g: Graph) -> tuple[int, ...]:
     return _pair_scan(g.adj, g.n)[1]
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     """Verdict plus per-vertex witnesses and the involved set.
 
     witnesses[v] is the lexicographically least determining pair of v, or

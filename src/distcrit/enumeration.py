@@ -90,16 +90,21 @@ of T in C is automorphic to the new vertex, so is the canonically last
 one, and rule (b) holds: the verdict is the canonical search's, without
 the search.  Each such u of C is checked in turn: u may already be joined
 to the new vertex w by the automorphisms found so far.  Otherwise
-_swap_taking tries one involution: the transposition (w u) when u is a
-twin of w (same neighbours apart from each other), or (w u)(a b) when
-they differ in one neighbour each, a of w and b of u, kept if
-canon._is_automorphism says it is one.  Only when that fails does
-canon._automorphism_taking look for an automorphism that maps w to u,
-and it finds one iff there is one.  Only when some u has none does the
-canonical search, started from the stable partition, decide.  In the
-census to n = 9, 12,473 candidates reach a stable partition.  Their
-13,221 checks find 1,022 twins and 6,202 swaps and make 5,997
-automorphism searches, and 32 candidates go on to the canonical search.
+_swap_taking propagates the transposition (w u): wherever the images of
+a moved vertex's neighbours are not the neighbours of its image, the
+unmoved vertices that break this are paired, one with one, or one with
+one in each stable cell, until nothing breaks or the pairing is not
+determined.  An involution that comes out is an automorphism (the
+docstring of _swap_taking has the proof), a transposition when u is a
+twin of w (same neighbours apart from each other).  The certificate
+needs some automorphism that takes w to u, however it was found.  Only
+when the propagation gives up does canon._automorphism_taking look for
+one, and it finds one iff there is one.  Only when some u has none does
+the canonical search, started from the stable partition, decide.  In the census to n = 9,
+12,473 candidates reach a stable partition.  Their 13,506 checks find
+1,191 twins and 11,582 larger involutions (6,223 moving two pairs, 3,398
+three and 1,961 four) and make 733 automorphism searches, which find
+701, and 32 candidates go on to the canonical search.
 
 Twin-cell groups: rule (a) needs the parent's automorphism group.  Every
 automorphism fixes each cell of the parent's stable partition, since
@@ -130,12 +135,23 @@ level n - 1 and builds each one's criticality table
 child with neighbourhood S is critical, decided for all S at once from
 the parent's determining pairs, so a leaf is critical iff bit S of its
 parent's table is set, S being the new vertex's row, and no leaf is
-tested on its own.  The census, iter_connected and the lemma universe in
-verify all read their leaves from this generator; edge-maximality is
-then tested on the critical leaves.  iter_connected reads no verdict, so
-its walk builds no table.  The walk starts at the root, the
-one-vertex graph K1, which for n = 1 is the one leaf (not critical: it
-has no parent table).
+tested on its own.  The census, iter_connected, iter_all_graphs and the
+lemma universe in verify all read their leaves from this generator;
+edge-maximality is then tested on the critical leaves.  iter_connected
+and iter_all_graphs read no verdict, so their walks build no table.  The
+walk starts at the root, the one-vertex graph K1, which for n = 1 is the
+one leaf (not critical: it has no parent table).
+
+One walk for every order: with a lowest order lo < n, _iter_leaves
+yields the leaves of every order lo..n from one walk of the tree, as
+canonical augmentation visits every class once in one tree.  A node at
+a level j >= lo - 1 below n - 1 builds its table and keep set once and
+reports its kept children, of order j + 1, in ascending S before its
+subtree is walked; it still expands all of them.  Each order's leaves
+therefore come in generation order, and equal those of the walk for that
+order alone.  The lemma universe (lo = 1) and iter_all_graphs read every
+order this way; the census (lo = n) yields only the last level, from the
+walk's own loop.
 
 Critical-first leaves: a walk that only needs some leaves passes a keep
 table, computed from the parent and its criticality table, to the
@@ -167,11 +183,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .canon import (_automorphism_taking, _find, _is_automorphism, _search,
-                    _twin_pairs, _union, degree_cells, refine)
+from .canon import (_automorphism_taking, _find, _search, _twin_pairs,
+                    _union, degree_cells, refine)
 from .criticality import _extension_table, _is_edge_maximal_fast, _mask_sets
 # _articulation_mask and _is_critical_fast are no longer called here (the cut
 # sets and the extension table replace them) but stay module attributes:
@@ -351,28 +366,61 @@ def _key_ties(adj: tuple[int, ...], classes: dict[int, int], sums: list,
     return 0 if twins_only else ties
 
 
-def _swap_taking(adj: tuple[int, ...], w: int,
-                 u: int) -> "list[int] | None":
-    """An automorphism of adj that swaps w and u and at most one other
-    pair, or None when there is no such one.
+def _swap_taking(adj: tuple[int, ...], w: int, u: int,
+                 stable: list[int]) -> "list[int] | None":
+    """An automorphism of adj that swaps w and u, an involution found by
+    propagating the transposition (w u), or None when the propagation
+    gives up.
 
-    Twins (same neighbours apart from each other) are swapped by the
-    transposition (w u).  When w and u differ in one neighbour each, a
-    of w and b of u, the involution (w u)(a b) is returned if it is an
-    automorphism (canon._is_automorphism).  Anything else gets None, and
-    the caller searches (canon._automorphism_taking)."""
-    wrow = adj[w] & ~(1 << u)
-    urow = adj[u] & ~(1 << w)
+    For each moved vertex x, the images of x's neighbours must be the
+    neighbours of x's image y.  Where they are not, let a be the images
+    that are no neighbours of y and b the neighbours of y that no
+    neighbour of x maps to.  Both must hold unmoved vertices only, as many
+    of each: one of each is paired, and more are paired cell by cell of
+    the stable partition (every automorphism fixes its cells), exactly one
+    of a and one of b per cell.  Anything else gives up, and None sends
+    the caller to the complete search (canon._automorphism_taking).  The
+    pairs found are moved and checked in turn.
+
+    A permutation that comes out is an automorphism, with no edge check:
+    a moved vertex keeps its image, and once x is checked (and its pairs
+    made) x's neighbours map onto y's.  Take an edge xz with x moved.  If
+    z is unmoved at the end, or moved by the time x's check ends, that
+    check saw both final images; if z was moved later, z's own check
+    did.  So every edge maps to an edge, and a bijection of a finite
+    graph that does is an automorphism."""
     perm = list(range(len(adj)))
     perm[w], perm[u] = u, w
-    if wrow == urow:
-        return perm
-    a, b = wrow & ~urow, urow & ~wrow
-    if a.bit_count() != 1 or b.bit_count() != 1:
-        return None
-    a, b = a.bit_length() - 1, b.bit_length() - 1
-    perm[a], perm[b] = b, a
-    return perm if _is_automorphism(adj, perm) else None
+    moved = 1 << w | 1 << u
+    todo = [w, u]
+    while todo:
+        x = todo.pop()
+        row = adj[x]
+        image = row & ~moved
+        m = row & moved
+        while m:
+            low = m & -m
+            m ^= low
+            image |= 1 << perm[low.bit_length() - 1]
+        target = adj[perm[x]]
+        if image == target:
+            continue
+        a, b = image & ~target, target & ~image
+        if (a | b) & moved or a.bit_count() != b.bit_count():
+            return None
+        pairs = [(a, b)]
+        if a & (a - 1):
+            pairs = [(a & cell, b & cell) for cell in stable
+                     if (a | b) & cell]
+            if any(pa & (pa - 1) or pb & (pb - 1) or not pa or not pb
+                   for pa, pb in pairs):
+                return None
+        for pa, pb in pairs:
+            i, j = pa.bit_length() - 1, pb.bit_length() - 1
+            perm[i], perm[j] = j, i
+            todo += (i, j)
+        moved |= a | b
+    return perm
 
 
 def _twin_cell_reps(k: int, pairs: list[tuple[int, int]]) -> int:
@@ -547,7 +595,7 @@ def _child_states(
                       & top & ~newbit):
             if _find(orbit, u) == _find(orbit, k):
                 continue
-            perm = _swap_taking(child_adj, k, u)
+            perm = _swap_taking(child_adj, k, u, stable)
             if perm is None:
                 perm = _automorphism_taking(child_adj, nch, stable, k, u)
                 if perm is None:
@@ -569,6 +617,7 @@ def _iter_leaves(
     owner: "Callable[[int], bool] | None" = None,
     keep: "Callable[[tuple[int, ...], int, int], int] | None" = None,
     tables: bool = True,
+    lo: "int | None" = None,
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Yield (parent, s, critical) for every accepted node on n >= 1
     vertices, in generation order: the leaf is _attach(parent, s), and
@@ -579,15 +628,30 @@ def _iter_leaves(
     parent's keep table (see _child_states).  With tables=False, for a
     caller that reads no verdict, no table is built, keep must be None
     and every leaf reads 0.  For n = 1 the root K1, frontier node 0 and
-    not critical, is the one leaf, given as the empty parent with s = 0."""
+    not critical, is the one leaf, given as the empty parent with s = 0.
+
+    lo (default n) makes it one walk for every order k = lo..n: each node
+    at a level j >= lo - 1 below n - 1 builds its table and keep set
+    once, as the walk for order j + 1 would, and yields its kept children
+    in ascending S before its subtree is walked; it still expands all its
+    children.  The orders interleave, and within each order the items are
+    those of _iter_leaves(k), in the same order (a level's nodes are
+    reached in generation order).  The order of an item is len(parent) +
+    1.  An owner is refused with lo < n: every job would repeat the
+    orders above the frontier."""
+    lo = n if lo is None else lo
+    if lo < n and owner is not None:
+        raise ValueError("an owner needs lo = n")
+    if lo == 1 and (owner is None or owner(0)):
+        yield (), 0, 0
     if n == 1:
-        if owner is None or owner(0):
-            yield (), 0, 0
         return
     frontier = max(1, n - 2)
     counter = 0
 
-    def parents(state: _State, k: int) -> Iterator[_State]:
+    def parents(state: _State, k: int) -> "Iterator[_State | tuple]":
+        # yields the nodes at level n - 1 and, for the orders lo..n - 1,
+        # the leaf triples, told apart by their length
         nonlocal counter
         if owner is not None and k == frontier:
             idx = counter
@@ -598,10 +662,23 @@ def _iter_leaves(
             yield state
             return
         adj = state[0]
-        for s, cut in _child_states(state, k):
+        if k < lo - 1:
+            for s, cut in _child_states(state, k):
+                yield from parents((_attach(adj, s), cut), k + 1)
+            return
+        table = _extension_table(adj, k) if tables else 0
+        kept = None if keep is None else keep(adj, k, table)
+        children = list(_child_states(state, k))
+        for s, _ in children:
+            if kept is None or kept >> s & 1:
+                yield adj, s, table >> s & 1
+        for s, cut in children:
             yield from parents((_attach(adj, s), cut), k + 1)
 
     for state in parents(_ROOT, 1):
+        if len(state) == 3:
+            yield state
+            continue
         adj = state[0]
         table = _extension_table(adj, n - 1) if tables else 0
         kept = None if keep is None else keep(adj, n - 1, table)
@@ -625,8 +702,7 @@ def iter_connected(n: int) -> Iterator[Graph]:
         yield Graph(n, _attach(adj, s), check=False)
 
 
-@dataclass(frozen=True)
-class EnumerationTally:
+class EnumerationTally(NamedTuple):
     """Census of one enumeration run (possibly one shard of one).
 
     partition is (shard index, shard total); elapsed is wall time in
@@ -788,5 +864,8 @@ def _iter_unions(catalogs: dict[int, list[Graph]], n: int) -> Iterator[Graph]:
 def iter_all_graphs(n: int) -> Iterator[Graph]:
     """Every graph on n vertices up to isomorphism, connected or not."""
     _check_args(n, 1, 0)
-    catalogs = {k: list(iter_connected(k)) for k in range(1, n + 1)}
+    catalogs: dict[int, list[Graph]] = {k: [] for k in range(1, n + 1)}
+    for adj, s, _ in _iter_leaves(n, tables=False, lo=1):
+        k = len(adj) + 1
+        catalogs[k].append(Graph(k, _attach(adj, s), check=False))
     return _iter_unions(catalogs, n)

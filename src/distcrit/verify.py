@@ -4,11 +4,13 @@ Every law about distance-critical graphs that the rest of the package
 relies on is restated here as a finite, exhaustively checkable property
 over an enumerated universe (critical graphs, edge-maximal critical
 graphs, connected graphs of girth > 4, ... up to a vertex cap) or over a
-constructed family.  The universe is one sweep over the orders 1..cap,
-made once per run and read by every lemma.  It is the census's own leaf
-walk (enumeration._iter_leaves): every leaf's critical verdict comes
-from its parent's criticality table, and at each order only the graphs
-some lemma quantifies over are generated.  The three product laws
+constructed family.  The universe is one walk of the augmentation tree
+over the orders 1..cap, made once per run and read by every lemma.  It
+is the census's own leaf walk (enumeration._iter_leaves with a lowest
+order of 1): every graph's critical verdict comes from its parent's
+criticality table, and at each order only the graphs some lemma
+quantifies over are built (at the cap, only those are tried).  The
+three product laws
 (cartesian, tensor and strong products of critical factors stay
 critical) run on the same harness over their own factor universe.
 
@@ -30,9 +32,8 @@ against an independent cofactor oracle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .constructions import cycle, regular_extremal
 from .criticality import (
@@ -60,8 +61,7 @@ from .products import ProductKind, product
 MAX_LEMMA_CAP = 10
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     """Outcome of one lemma sweep; violations empty means pass."""
 
     id: str
@@ -86,14 +86,17 @@ class LemmaCheck:
 
 class _Universe:
     """Every catalog the lemma sweeps read, from one walk of the
-    augmentation tree per order k = 1..n_cap.
+    augmentation tree over the orders k = 1..n_cap.
 
     criticals[k] and maximal[k] hold the critical and the edge-maximal
     critical classes on k vertices; girth5 holds the connected graphs with
-    minimum degree >= 2 and girth > 4, the hypothesis set of GIRTH.  The
-    walk is the census's (enumeration._iter_leaves): each leaf's critical
-    verdict is read from its parent's table, and the last level tries only
-    the children that table or the girth > 4 table admits.  GIRTH checks
+    minimum degree >= 2 and girth > 4, the hypothesis set of GIRTH, by
+    order and then in generation order.  The walk is the census's
+    (enumeration._iter_leaves with lo = 1), which interleaves the orders:
+    each graph's critical verdict is read from its parent's table, each
+    node keeps only the children that table or the girth > 4 table admits
+    (and still expands them all), and the last level tries only those.
+    GIRTH checks
     that girth > 4 implies criticality: its universe comes from the girth
     table, not from the critical one, and its verdict is the
     determining-pair test, which assumes nothing about girth.
@@ -103,23 +106,24 @@ class _Universe:
         if not 1 <= n_cap <= MAX_LEMMA_CAP:
             raise ValueError(f"n_cap must be in 1..{MAX_LEMMA_CAP}")
         self.n_cap = n_cap
-        self.criticals: dict[int, list[Graph]] = {}
-        self.maximal: dict[int, list[Graph]] = {}
-        self.girth5: list[Graph] = []
-        for k in range(1, n_cap + 1):
-            crit = self.criticals[k] = []
-            leaves = _iter_leaves(k, keep=lambda parent, j, table:
-                                  table | _girth_table(parent, j))
-            for parent, s, critical in leaves:
-                g = Graph(k, _attach(parent, s), check=False)
-                if critical:
-                    crit.append(g)
-                if g.min_degree() >= 2:
-                    gg = girth(g)
-                    if gg is not None and gg > 4:
-                        self.girth5.append(g)
-            self.maximal[k] = [g for g in crit
-                               if _is_edge_maximal_fast(g.adj, k)]
+        orders = range(1, n_cap + 1)
+        self.criticals: dict[int, list[Graph]] = {k: [] for k in orders}
+        girth5: dict[int, list[Graph]] = {k: [] for k in orders}
+        leaves = _iter_leaves(n_cap, keep=lambda parent, j, table:
+                              table | _girth_table(parent, j), lo=1)
+        for parent, s, critical in leaves:
+            k = len(parent) + 1
+            g = Graph(k, _attach(parent, s), check=False)
+            if critical:
+                self.criticals[k].append(g)
+            if g.min_degree() >= 2:
+                gg = girth(g)
+                if gg is not None and gg > 4:
+                    girth5[k].append(g)
+        self.girth5: list[Graph] = [g for k in orders for g in girth5[k]]
+        self.maximal: dict[int, list[Graph]] = {
+            k: [g for g in crit if _is_edge_maximal_fast(g.adj, k)]
+            for k, crit in self.criticals.items()}
 
     def iter_criticals(self, lo: int = 1):
         for k in range(lo, self.n_cap + 1):
@@ -301,8 +305,7 @@ def _check_product(kind: ProductKind, fac: _Factors):
             yield p, _is_critical_fast(p.adj, p.n)
 
 
-@dataclass(frozen=True)
-class _Law:
+class _Law(NamedTuple):
     """One row of the registry: a law, the universe class it is checked
     over, and a generator of (graph, holds) instances over that universe.
     A failed instance is certified by the graph6 of its graph."""

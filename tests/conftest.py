@@ -7,6 +7,7 @@ networkx) validate them in the individual test files.
 
 from __future__ import annotations
 
+import os
 import random
 import resource
 import subprocess
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import distcrit
-from distcrit import Graph, is_distance_critical, iter_all_graphs, iter_connected
+from distcrit import (Graph, is_distance_critical, iter_all_graphs,
+                      iter_connected, run_enumeration)
 from distcrit.constructions import regular_extremal
 from distcrit.enumeration import _ROOT, _attach, _child_states
 
@@ -85,6 +87,16 @@ def all_graphs_by_n() -> dict[int, list[Graph]]:
 def criticals_by_n(connected_by_n) -> dict[int, list[Graph]]:
     return {n: [g for g in gs if is_distance_critical(g)]
             for n, gs in connected_by_n.items()}
+
+
+@pytest.fixture(scope="session")
+def critical_runs() -> dict:
+    """n -> (tally, hits) of a critical-only run collecting the critical
+    graphs, for n = 1..10, on up to 2 jobs: the one n = 10 critical-only
+    walk of the suite."""
+    jobs = min(2, os.cpu_count() or 1)
+    return {n: run_enumeration(n, jobs=jobs, collect=True, critical_only=True)
+            for n in range(1, 11)}
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,7 @@ from distcrit import (
 )
 from distcrit.cli import run as cli_run
 from distcrit.clique import max_clique_size
+from distcrit.criticality import _is_edge_maximal_fast
 from distcrit.constructions import (
     cycle,
     embed_host,
@@ -78,7 +79,8 @@ def verdict(announce, label: str, failures: list, detail: str) -> None:
     assert not failures, failures
 
 
-def test_criterion_1_critical_counts(announce, small_tallies, run9, run10):
+def test_criterion_1_critical_counts(announce, small_tallies, run9, run10,
+                                     critical_runs):
     failures = []
     counts = {n: small_tallies[n].critical_count for n in range(5, 9)}
     counts[9] = run9[0].critical_count
@@ -93,7 +95,7 @@ def test_criterion_1_critical_counts(announce, small_tallies, run9, run10):
         if connected[n] != want:
             failures.append(
                 f"n={n}: {connected[n]} connected classes, want {want}")
-    fast9 = run_enumeration(9, collect=True, critical_only=True)
+    fast9 = critical_runs[9]
     for label, hits in (("", run9[1]), (" (critical-only)", fast9[1])):
         digest = hashlib.sha256()
         for g in hits:
@@ -109,11 +111,21 @@ def test_criterion_1_critical_counts(announce, small_tallies, run9, run10):
         failures.append(
             f"n=10 took {tally10.elapsed:.1f}s with {jobs} jobs "
             f"(budget {budget10:.0f}s)")
-    fast10 = run_enumeration(10, edge_maximal=True, jobs=jobs, collect=True,
-                             critical_only=True)
-    if (fast10[0].critical_count, fast10[0].maximal_count, fast10[1]) != \
+    # the critical-only walk's hits, filtered to the edge-maximal ones,
+    # against the full run; and the engine's own edge-maximal filter on
+    # the critical-only walk against the full run at n = 9
+    fast10 = critical_runs[10]
+    fast_maximal10 = [g for g in fast10[1] if _is_edge_maximal_fast(g.adj, 10)]
+    if (len(fast10[1]), len(fast_maximal10), fast_maximal10) != \
             (tally10.critical_count, tally10.maximal_count, maximal10):
         failures.append("n=10 critical-only run differs from the full run")
+    maximal9 = [g for g in run9[1] if _is_edge_maximal_fast(g.adj, 9)]
+    fast9m = run_enumeration(9, edge_maximal=True, collect=True,
+                             critical_only=True)
+    if (fast9m[0].critical_count, fast9m[0].maximal_count, fast9m[1]) != \
+            (run9[0].critical_count, len(maximal9), maximal9):
+        failures.append("n=9 critical-only edge-maximal run differs from "
+                        "the full run")
     if cli_run(["enumerate", "-n", "11", "--count-only"]) != 2:
         failures.append("n=11 ran without --allow-long-run")
     verdict(announce, "criterion 1, critical counts n=5..10",

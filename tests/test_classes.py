@@ -13,7 +13,6 @@ shares no code with distcrit.canon.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import defaultdict
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from distcrit import Graph, all_pairs_distances, decode_graph6, run_enumeration
+from distcrit import Graph, all_pairs_distances, decode_graph6
 from distcrit.criticality import _is_edge_maximal_fast
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -74,14 +73,10 @@ def relabeled(g: Graph, rng: random.Random) -> Graph:
 
 
 @pytest.fixture(scope="module")
-def engine_classes() -> tuple[list[Graph], list[Graph]]:
+def engine_classes(critical_runs) -> tuple[list[Graph], list[Graph]]:
     """The critical hits of a critical-only run per n = 1..10, and the
     edge-maximal ones among them."""
-    jobs = min(2, os.cpu_count() or 1)
-    critical: list[Graph] = []
-    for n in range(1, 11):
-        critical += run_enumeration(n, jobs=jobs, collect=True,
-                                    critical_only=True)[1]
+    critical = [g for n in range(1, 11) for g in critical_runs[n][1]]
     maximal = [g for g in critical if _is_edge_maximal_fast(g.adj, g.n)]
     return critical, maximal
 

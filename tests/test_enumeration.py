@@ -322,9 +322,9 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     paths are "lead" (no key compared), "key" (the vertex key's verdict,
     read from the parent), "early" (refine stopped early), and at a stable
     partition "twin" (only twins of the new vertex in its cell), "swap"
-    (an involution (w u)(a b) tested, no search), "automorphism" (an
-    automorphism search but no canonical search) or "fallback" (the
-    canonical search)."""
+    (a propagated involution larger than a twin transposition, no
+    search), "automorphism" (an automorphism search but no canonical
+    search) or "fallback" (the canonical search)."""
     by_key: dict[int, bool] = {}
     stopped: dict[tuple[int, ...], bool] = {}
     swapped: set[tuple[int, ...]] = set()
@@ -342,10 +342,10 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
         stopped[tuple(adj)] = out is None
         return out
 
-    def recording_swap(adj, w, u):
-        # a transposition of twins is the "twin" path; (w u)(a b) moves
-        # four vertices
-        perm = _swap_taking(adj, w, u)
+    def recording_swap(adj, w, u, stable):
+        # a transposition of twins is the "twin" path; any larger
+        # involution moves four vertices or more
+        perm = _swap_taking(adj, w, u, stable)
         if perm is not None and sum(v != pv for v, pv in enumerate(perm)) > 2:
             swapped.add(adj)
         return perm
@@ -501,18 +501,19 @@ class TestLeafDecision:
 
     def test_twin_ties_and_swaps_are_sound(self, monkeypatch):
         # every node to k = 8, so every child on up to 9 vertices: a child
-        # that a swap (a transposition of twins of the new vertex, or an
-        # involution (w u)(a b)) helped accept with no canonical search
-        # keeps rule (b) by the definition, and every swap is an
-        # automorphism by edge set
+        # that a swap (a transposition of twins of the new vertex, or a
+        # larger propagated involution) helped accept with no canonical
+        # search keeps rule (b) by the definition, and every swap is an
+        # involution and an automorphism by edge set that swaps w and u
         record: dict[str, list] = {"swap": [], "search": []}
 
-        def recording_swap(adj, w, u):
-            perm = _swap_taking(adj, w, u)
+        def recording_swap(adj, w, u, stable):
+            perm = _swap_taking(adj, w, u, stable)
             if perm is not None:
                 edges = {(v, x) for v in range(len(adj)) for x in bits(adj[v])}
                 assert {(perm[v], perm[x]) for v, x in edges} == edges
                 assert perm[w] == u and perm[u] == w
+                assert all(perm[perm[v]] == v for v in range(len(adj)))
                 record["swap"].append(adj)
             return perm
 
@@ -520,7 +521,7 @@ class TestLeafDecision:
             record["search"].append(adj)
             return _search(adj, n, stable, twins)
 
-        swap_accepts = 0
+        swap_accepts = swaps = 0
         for k, state in augmentation_nodes(8):
             for key in record:
                 record[key].clear()
@@ -528,13 +529,15 @@ class TestLeafDecision:
             monkeypatch.setattr(enumeration, "_search", recording_search)
             accepted = {s for s, _ in _child_states(state, k)}
             monkeypatch.undo()
+            swaps += len(record["swap"])
             for child in set(record["swap"]) - set(record["search"]):
                 if child[-1] in accepted:
                     assert new_vertex_comes_last(list(child), k)
                     swap_accepts += 1
-        # the census to n = 9: children accepted with a swap and no
-        # canonical search
-        assert swap_accepts == 6774
+        # the census to n = 9: the involutions found, and the children
+        # accepted with a swap and no canonical search
+        assert swaps == 12773
+        assert swap_accepts == 11806
 
     @staticmethod
     def child_path(monkeypatch, adj: tuple[int, ...], s: int):
@@ -601,15 +604,33 @@ class TestLeafDecision:
         path, _ = self.child_path(monkeypatch, (0b110, 1, 1), 0b010)
         assert path == ("swap", True)
 
-    def test_automorphism_search_accept(self, monkeypatch):
+    def test_propagated_swap_accept(self, monkeypatch):
         # path 0-1-2-3-4 and S = {0}: the ends 5 and 4 of the path
-        # 5-0-1-2-3-4 differ in one neighbour each, 0 and 3, but
-        # (5 4)(0 3) is no automorphism; the reversal moves three pairs
-        # and only the automorphism search finds it
+        # 5-0-1-2-3-4 differ in one neighbour each, 0 and 3; pairing them
+        # makes 0 and 3 differ in 1 and 2, and pairing those gives the
+        # reversal (5 4)(0 3)(1 2), found without a search
         path, child = self.child_path(
             monkeypatch, (0b10, 0b101, 0b1010, 0b10100, 0b1000), 0b1)
+        assert path == ("swap", True)
+        assert new_vertex_comes_last(list(child), 5)
+        stable = refine(child, degree_cells(child, 6))
+        assert _swap_taking(child, 5, 4, stable) == [3, 2, 1, 0, 5, 4]
+
+    def test_automorphism_search_accept(self, monkeypatch):
+        # K2,3 with parts {0, 4} and {1, 2, 3}, and S = {1, 2, 3}: the
+        # child is K3,3, one stable cell, and all six vertices tie on the
+        # key.  The twin 0 of the new vertex 5 is swapped, but 1 is not:
+        # propagating (5 1) must pair {0, 4} with {2, 3} inside the one
+        # cell, so it gives up, and only the automorphism search takes 5
+        # to 1
+        path, child = self.child_path(
+            monkeypatch, (0b1110, 0b10001, 0b10001, 0b10001, 0b1110), 0b1110)
         assert path == ("automorphism", True)
         assert new_vertex_comes_last(list(child), 5)
+        stable = refine(child, degree_cells(child, 6))
+        assert stable == [0b111111]
+        assert _swap_taking(child, 5, 1, stable) is None
+        assert _automorphism_taking(child, 6, stable, 5, 1) is not None
 
     # The cubic graph on 8 vertices made of two triangles joined by one
     # edge (the link), with two more vertices x and y joined to each other:
@@ -832,10 +853,55 @@ class TestSharding:
         assert hits == serial_hits
 
 
+class TestOneWalk:
+    """_iter_leaves with lo < n: the leaves of every order lo..n from one
+    walk, each order in the order of its own walk."""
+
+    @staticmethod
+    def by_order(items) -> dict[int, list]:
+        orders: dict[int, list] = {}
+        for item in items:
+            orders.setdefault(len(item[0]) + 1, []).append(item)
+        return orders
+
+    def test_orders_match_their_own_walks(self):
+        # exhaustively to n = 8: with no keep, with the critical table as
+        # the keep (so most internal nodes keep nothing and must still be
+        # expanded), and with no tables at all
+        critical = lambda adj, k, table: table  # noqa: E731
+        for kwargs in ({}, {"keep": critical}, {"tables": False}):
+            walk = self.by_order(_iter_leaves(8, lo=1, **kwargs))
+            assert set(walk) <= set(range(1, 9))
+            for k in range(1, 9):
+                assert walk.get(k, []) == list(_iter_leaves(k, **kwargs))
+        assert [len(walk[k]) for k in range(1, 9)] == \
+            [CONNECTED_COUNTS[k] for k in range(1, 9)]
+        # a higher lowest order leaves the orders below it out
+        walk = self.by_order(_iter_leaves(8, lo=6, keep=critical))
+        assert {k: len(items) for k, items in walk.items()} == \
+            {6: 1, 7: 4, 8: 15}
+
+    def test_an_owner_needs_one_order(self):
+        with pytest.raises(ValueError):
+            list(_iter_leaves(7, lambda f: True, lo=6))
+
+
 class TestAllGraphs:
     def test_counts_include_disconnected(self, all_graphs_by_n):
         for n, want in ALL_COUNTS.items():
             assert len(all_graphs_by_n[n]) == want
+
+    def test_rows_are_pinned(self, all_graphs_by_n):
+        # the adjacency rows of every graph on 1 to 8 vertices, in the
+        # order iter_all_graphs yields them; taken when its catalogs came
+        # from one iter_connected walk per order, before they came from
+        # one walk for all orders
+        digest = hashlib.sha256()
+        for n in range(1, 9):
+            for g in all_graphs_by_n[n]:
+                digest.update(" ".join(map(str, g.adj)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "c6b6708fd6c28f1d4c41ad5b1fd8dbc0ddbcce5567aa4494cad8959a9c055589")
 
     def test_isomorph_free(self, all_graphs_by_n):
         for n in range(1, 8):

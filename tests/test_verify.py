@@ -86,26 +86,39 @@ class TestLemmaHarness:
             assert check.ok and check.checked == want
 
     def test_one_sweep_feeds_every_lemma(self, monkeypatch):
-        levels = []
+        walks = []
         real = verify._iter_leaves
 
-        def counting(k, owner=None, keep=None):
-            levels.append((k, owner, keep))
-            return real(k, owner, keep)
+        def counting(n, owner=None, keep=None, tables=True, lo=None):
+            walks.append((n, owner, keep, tables, lo))
+            return real(n, owner, keep, tables, lo)
+
+        expanded = []
+        real_children = enumeration._child_states
+
+        def counting_children(state, k, keep=None):
+            expanded.append(k)
+            return real_children(state, k, keep)
 
         monkeypatch.setattr(verify, "_iter_leaves", counting)
+        monkeypatch.setattr(enumeration, "_child_states", counting_children)
         run_all_lemmas(7)
-        assert [(k, owner) for k, owner, _ in levels] == \
-            [(k, None) for k in range(1, 8)]
-        # each walk keeps the critical table or the girth > 4 one: on the
+        # one walk over the orders 1..7, which expands every node on 1..6
+        # vertices once
+        assert [(n, owner, tables, lo)
+                for n, owner, _, tables, lo in walks] == [(7, None, True, 1)]
+        assert [expanded.count(k) for k in range(1, 7)] == \
+            [1, 1, 2, 6, 21, 112]
+        assert len(expanded) == 143
+        # the walk keeps the critical table or the girth > 4 one: on the
         # path P4 a new vertex on a single vertex or on {0, 3} leaves
         # girth > 4
         path = (0b10, 0b101, 0b1010, 0b100)
         wide = sum(1 << s for s in (0b1, 0b10, 0b100, 0b1000, 0b1001))
         assert _girth_table(path, 4) == wide
-        for _, _, keep in levels:
-            assert keep(path, 4, 0) == wide
-            assert keep(path, 4, 1 << 0b110) == wide | 1 << 0b110
+        keep = walks[0][2]
+        assert keep(path, 4, 0) == wide
+        assert keep(path, 4, 1 << 0b110) == wide | 1 << 0b110
 
     def test_universe_is_the_filtered_full_walk(self, connected_by_n,
                                                 monkeypatch):
