@@ -662,16 +662,14 @@ def _iter_leaves(
             yield state
             return
         adj = state[0]
-        if k < lo - 1:
-            for s, cut in _child_states(state, k):
-                yield from parents((_attach(adj, s), cut), k + 1)
-            return
-        table = _extension_table(adj, k) if tables else 0
-        kept = None if keep is None else keep(adj, k, table)
-        children = list(_child_states(state, k))
-        for s, _ in children:
-            if kept is None or kept >> s & 1:
-                yield adj, s, table >> s & 1
+        children = _child_states(state, k)
+        if k >= lo - 1:
+            table = _extension_table(adj, k) if tables else 0
+            kept = None if keep is None else keep(adj, k, table)
+            children = list(children)
+            for s, _ in children:
+                if kept is None or kept >> s & 1:
+                    yield adj, s, table >> s & 1
         for s, cut in children:
             yield from parents((_attach(adj, s), cut), k + 1)
 

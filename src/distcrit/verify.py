@@ -10,9 +10,9 @@ is the census's own leaf walk (enumeration._iter_leaves with a lowest
 order of 1): every graph's critical verdict comes from its parent's
 criticality table, and at each order only the graphs some lemma
 quantifies over are built (at the cap, only those are tried).  The
-three product laws
-(cartesian, tensor and strong products of critical factors stay
-critical) run on the same harness over their own factor universe.
+three product laws (cartesian, tensor and strong products of critical
+factors stay critical) run on the same harness over their own factor
+universe.
 
 Every law is one row of an ordered registry: an id, a description of
 its universe and a generator of (graph, holds) instances.  One loop
@@ -96,9 +96,8 @@ class _Universe:
     each graph's critical verdict is read from its parent's table, each
     node keeps only the children that table or the girth > 4 table admits
     (and still expands them all), and the last level tries only those.
-    GIRTH checks
-    that girth > 4 implies criticality: its universe comes from the girth
-    table, not from the critical one, and its verdict is the
+    GIRTH checks that girth > 4 implies criticality: its universe comes
+    from the girth table, not from the critical one, and its verdict is the
     determining-pair test, which assumes nothing about girth.
     """
 
