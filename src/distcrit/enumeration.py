@@ -380,7 +380,9 @@ def _swap_taking(adj: tuple[int, ...], w: int, u: int,
     the stable partition (every automorphism fixes its cells), exactly one
     of a and one of b per cell.  Anything else gives up, and None sends
     the caller to the complete search (canon._automorphism_taking).  The
-    pairs found are moved and checked in turn.
+    pairs found are moved and checked in turn; only unmoved vertices are
+    paired, so each vertex is moved once at most and the loop makes at
+    most n checks.
 
     A permutation that comes out is an automorphism, with no edge check:
     a moved vertex keeps its image, and once x is checked (and its pairs

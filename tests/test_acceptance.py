@@ -30,7 +30,6 @@ from distcrit import (
 )
 from distcrit.cli import run as cli_run
 from distcrit.clique import max_clique_size
-from distcrit.criticality import _is_edge_maximal_fast
 from distcrit.constructions import (
     cycle,
     embed_host,
@@ -38,6 +37,7 @@ from distcrit.constructions import (
     max_degree_extremal,
     regular_extremal,
 )
+from distcrit.criticality import _is_edge_maximal_fast
 from distcrit.products import ProductKind, product
 
 TABLE_CRITICAL = {5: 1, 6: 1, 7: 4, 8: 15, 9: 168, 10: 2252}
