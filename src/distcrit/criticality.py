@@ -18,6 +18,16 @@ candidates against the other neighbours of a.  The same layer gives
 _girth_table its girth > 4 test, and the layer of a BFS frontier gives
 the direct method's sole parents.
 
+The enumeration decides criticality for every child of a node at once.
+Its primitive is _pairless_sets(adj, k): for a new vertex x attached to
+the neighbourhood A of the graph adj, which vertices of G + x have no
+determining pair, as 2^k-bit sets over all A (bit A standing for A, as
+in _mask_sets).  The criticality table (_extension_table) is the A in
+none of them, and _pairless_of reads one child's pairless set from them.
+A pairless vertex gains a pair in a later child only through the next
+new vertex, so a pairless set can prove that a graph has no critical
+child at all (_no_critical_child) before any table of it is built.
+
 The direct method is an independent check of the same predicate, from
 BFS alone: one pass per source x finds every vertex whose deletion
 lengthens a distance from x (_sole_parents), and the graph is critical
@@ -267,53 +277,107 @@ def _mask_sets(k: int) -> tuple[list[int], list[int], list[int]]:
     return t
 
 
-def _extension_table(adj, k: int) -> int:
-    """Which new vertices keep a connected parent critical: bit S
-    (1 <= S < 2^k) is set iff attaching a new vertex w to the neighbourhood
-    S of the parent adj on k vertices gives a distance-critical child.
+def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:
+    """Which vertices of G + x have no determining pair, G being the graph
+    adj on k vertices and x a new vertex with neighbourhood A, for every A
+    at once: (px, pl), 2^k-bit ints in the _mask_sets idiom (bit A stands
+    for A, A = 0 included).  Bit A of px is set iff x has no pair, bit A of
+    pl[v] iff the parent vertex v has none.
 
     The child's common neighbours of two parent vertices are the parent's,
-    plus w when both lie in S, so adding w makes no parent pair
-    determining.  Hence w has a determining pair iff S holds two vertices
-    at parent distance >= 3, and a parent vertex u keeps one iff some
-    determining pair (a, b) of u in the parent does not have both ends in
-    S, or u is in S and some neighbour a of u outside S has N(a) & S = {u}
-    (then (a, w) is a pair of u).  Each condition is a few big-int
-    operations on the HAS and NONE sets of _mask_sets.  One _layer of
-    each neighbourhood gives both every vertex's distance-2 ball and the
-    twice masks that _partners reads the parent's pairs from.
+    plus x when both lie in A, so adding x makes no parent pair
+    determining.  Hence x has a pair iff A holds two vertices at parent
+    distance >= 3, and v keeps one iff some determining pair (a, b) of v in
+    the parent does not have both ends in A, or v is in A and some
+    neighbour a of v outside A has N(a) & A = {v} (then (a, x) is a pair
+    of v).  Each condition is a few big-int operations on the HAS and NONE
+    sets of _mask_sets.  One _layer of each neighbourhood gives both every
+    vertex's distance-2 ball and the twice masks that _partners reads the
+    parent's pairs from.
     """
     has, none, _ = _mask_sets(k)
     full = (1 << k) - 1
-    table = 0
+    every = (1 << (1 << k)) - 1
+    far = 0
     twice = []
     for a in range(k):
         once, twice_a = _layer(adj, adj[a])
         twice.append(twice_a)
         ball = once | adj[a] | 1 << a
         if ball != full:
-            table |= has[a] & ~none[full & ~ball]
-    for u in range(k):
-        if not table:
-            return 0
-        both = -1
-        for a, rest in _partners(adj, u, twice):
-            both &= has[a]
-            while rest:
-                low = rest & -rest
-                both &= has[low.bit_length() - 1]
-                rest ^= low
-            if not both & table:
-                break
-        stuck = table & both
-        if not stuck:
-            continue
+            far |= has[a] & ~none[full & ~ball]
+    pl = []
+    for v in range(k):
+        ends = 0
+        for a, rest in _partners(adj, v, twice):
+            ends |= rest | 1 << a
+        # the A that hold both ends of every pair of v
+        stuck = every
+        while ends:
+            low = ends & -ends
+            stuck &= has[low.bit_length() - 1]
+            ends ^= low
         rescue = 0
-        bit_u = 1 << u
-        for a in bits(adj[u]):
-            rescue |= has[u] & ~has[a] & none[adj[a] & ~bit_u]
-        table &= ~stuck | rescue
-    return table
+        bit_v = 1 << v
+        for a in bits(adj[v]):
+            rescue |= ~has[a] & none[adj[a] & ~bit_v]
+        pl.append(stuck & ~(has[v] & rescue))
+    return every & ~far, pl
+
+
+def _table_of(px: int, pl: list[int]) -> int:
+    """The criticality table read from _pairless_sets: bit A is set iff
+    no vertex of G + x is pairless."""
+    some = px
+    for p in pl:
+        some |= p
+    return ((1 << (1 << len(pl))) - 1) & ~some
+
+
+def _pairless_of(px: int, pl: list[int], s: int) -> int:
+    """The vertex mask of the pairless vertices of G + x for A = s, read
+    from _pairless_sets; x is vertex len(pl)."""
+    q = (px >> s & 1) << len(pl)
+    for v, p in enumerate(pl):
+        if p >> s & 1:
+            q |= 1 << v
+    return q
+
+
+def _no_critical_child(adj, q: int) -> bool:
+    """Whether some v in q has no neighbour a outside q with
+    N(a) & q = {v}, q being the vertices of adj with no determining pair.
+    If so, no graph adj + y is critical, whatever the neighbourhood S of
+    its new vertex y.
+
+    Proof.  As in _pairless_sets, adding y makes no pair of adj
+    determining, so a pairless v gains a pair in adj + y only as (a, y):
+    v is in S, and a is a neighbour of v outside S with N(a) & S = {v}.
+    So in a critical adj + y all of q lies in S, and each v in q has such
+    an a, outside S and hence outside q, with N(a) & q inside
+    N(a) & S = {v} and holding v.
+    """
+    m = q
+    while m:
+        low = m & -m
+        m ^= low
+        out = adj[low.bit_length() - 1] & ~q
+        while out:
+            a = out & -out
+            if adj[a.bit_length() - 1] & q == low:
+                break
+            out ^= a
+        else:
+            return True
+    return False
+
+
+def _extension_table(adj, k: int) -> int:
+    """Which new vertices keep a connected parent critical: bit S
+    (1 <= S < 2^k) is set iff attaching a new vertex w to the neighbourhood
+    S of the parent adj on k vertices gives a distance-critical child, that
+    is, iff S is in none of the _pairless_sets of the parent."""
+    return _table_of(*_pairless_sets(adj, k))
 
 
 def _girth_table(adj, k: int) -> int:

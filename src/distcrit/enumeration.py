@@ -130,28 +130,38 @@ them (iter_connected, the lemma universe, and the census for a collected
 or edge-maximal critical hit).  A plain census builds no leaf rows.
 
 Table-decided leaves: one generator, _iter_leaves, walks the nodes at
-level n - 1 and builds each one's criticality table
-(criticality._extension_table) once.  Bit S of it says whether the
-child with neighbourhood S is critical, decided for all S at once from
-the parent's determining pairs, so a leaf is critical iff bit S of its
+level n - 1 and gives each one its criticality table once.  Bit S of it
+says whether the child with neighbourhood S is critical, decided for all
+S at once: it is set iff S lies in none of the node's pairless sets
+(criticality._pairless_sets), which tell for every S the vertices of the
+child with no determining pair.  So a leaf is critical iff bit S of its
 parent's table is set, S being the new vertex's row, and no leaf is
-tested on its own.  The census, iter_connected, iter_all_graphs and the
-lemma universe in verify all read their leaves from this generator;
-edge-maximality is then tested on the critical leaves.  iter_connected
-and iter_all_graphs read no verdict, so their walks build no table.  The
-walk starts at the root, the one-vertex graph K1, which for n = 1 is the
-one leaf (not critical: it has no parent table).
+tested on its own.  Most tables are empty, and most of those are known
+to be before they are built: each node at level n - 2 builds its
+pairless sets once and reads from them each child's own pairless set Q.
+A child at level n - 1 with a vertex v in Q that has no neighbour a
+outside Q with N(a) & Q = {v} has no critical child
+(criticality._no_critical_child has the proof), so its table is 0 and is
+not built.  In the census to n = 9, 373 of the 11,117 level-8 nodes pass
+that test and build a table, 307 of them nonempty; at n = 10, 5,967 of
+the 261,080 level-9 nodes, 4,261 of them nonempty.  The census,
+iter_connected, iter_all_graphs and the lemma universe in verify all
+read their leaves from this generator; edge-maximality is then tested on
+the critical leaves.  iter_connected and iter_all_graphs read no
+verdict, so their walks build no table and no pairless set.  The walk
+starts at the root, the one-vertex graph K1, which for n = 1 is the one
+leaf (not critical: it has no parent table).
 
 One walk for every order: with a lowest order lo < n, _iter_leaves
 yields the leaves of every order lo..n from one walk of the tree, as
 canonical augmentation visits every class once in one tree.  A node at
-a level j >= lo - 1 below n - 1 builds its table and keep set once and
-reports its kept children, of order j + 1, in ascending S before its
-subtree is walked; it still expands all of them.  Each order's leaves
-therefore come in generation order, and equal those of the walk for that
-order alone.  The lemma universe (lo = 1) and iter_all_graphs read every
-order this way; the census (lo = n) yields only the last level, from the
-walk's own loop.
+a level j >= lo - 1 below n - 1 builds its pairless sets, table and keep
+set once and reports its kept children, of order j + 1, in ascending S
+before its subtree is walked; it still expands all of them.  Each
+order's leaves therefore come in generation order, and equal those of
+the walk for that order alone.  The lemma universe (lo = 1) and
+iter_all_graphs read every order this way; the census (lo = n) yields
+only the last level, from the walk's own loop.
 
 Critical-first leaves: a walk that only needs some leaves passes a keep
 table, computed from the parent and its criticality table, to the
@@ -166,7 +176,9 @@ candidate asks for them first), so dropping candidates changes no other
 verdict:
 the stream is the full stream filtered by the table, in the same order,
 and the frontier, and with it the shard and job split, is unchanged.  At
-n = 10 only 4,261 of the 261,080 parents have a critical child.
+n = 10 only 4,261 of the 261,080 parents have a critical child, and all
+but 5,967 of them are known to have none from their pairless set, before
+any table of theirs is built.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier (for n <= 3 that is K1 alone, node 0).  Job j of J within shard
@@ -187,7 +199,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .canon import (_automorphism_taking, _find, _search, _twin_pairs,
                     _union, degree_cells, refine)
-from .criticality import _extension_table, _is_edge_maximal_fast, _mask_sets
+from .criticality import (_is_edge_maximal_fast, _mask_sets,
+                          _no_critical_child, _pairless_of, _pairless_sets,
+                          _table_of)
 # _articulation_mask and _is_critical_fast are no longer called here (the cut
 # sets and the extension table replace them) but stay module attributes:
 # bench/layers.py traces them by name.
@@ -624,23 +638,25 @@ def _iter_leaves(
     """Yield (parent, s, critical) for every accepted node on n >= 1
     vertices, in generation order: the leaf is _attach(parent, s), and
     its rows are built only by a caller that reads them.  Each parent at
-    level n - 1 builds its criticality table once; critical is bit s of
-    it, so it is the leaf's verdict.  owner gates the frontier at level
-    max(1, n - 2); keep(parent, n - 1, table), when given, is the
-    parent's keep table (see _child_states).  With tables=False, for a
-    caller that reads no verdict, no table is built, keep must be None
-    and every leaf reads 0.  For n = 1 the root K1, frontier node 0 and
-    not critical, is the one leaf, given as the empty parent with s = 0.
+    level n - 1 gets its criticality table once, 0 without building it
+    when the pairless set read from its own parent's sets proves it has
+    no critical child; critical is bit s of it, so it is the leaf's
+    verdict.  owner gates the frontier at level max(1, n - 2);
+    keep(parent, n - 1, table), when given, is the parent's keep table
+    (see _child_states).  With tables=False, for a caller that reads no
+    verdict, no table and no pairless set is built, keep must be None and
+    every leaf reads 0.  For n = 1 the root K1, frontier node 0 and not
+    critical, is the one leaf, given as the empty parent with s = 0.
 
     lo (default n) makes it one walk for every order k = lo..n: each node
-    at a level j >= lo - 1 below n - 1 builds its table and keep set
-    once, as the walk for order j + 1 would, and yields its kept children
-    in ascending S before its subtree is walked; it still expands all its
-    children.  The orders interleave, and within each order the items are
-    those of _iter_leaves(k), in the same order (a level's nodes are
-    reached in generation order).  The order of an item is len(parent) +
-    1.  An owner is refused with lo < n: every job would repeat the
-    orders above the frontier."""
+    at a level j >= lo - 1 below n - 1 builds its pairless sets, table
+    and keep set once, as the walk for order j + 1 would, and yields its
+    kept children in ascending S before its subtree is walked; it still
+    expands all its children.  The orders interleave, and within each
+    order the items are those of _iter_leaves(k), in the same order (a
+    level's nodes are reached in generation order).  The order of an item
+    is len(parent) + 1.  An owner is refused with lo < n: every job would
+    repeat the orders above the frontier."""
     lo = n if lo is None else lo
     if lo < n and owner is not None:
         raise ValueError("an owner needs lo = n")
@@ -649,38 +665,50 @@ def _iter_leaves(
     if n == 1:
         return
     frontier = max(1, n - 2)
+    # the nodes from this level on build their pairless sets: for their own
+    # tables from level lo - 1, for their children's pairless sets at n - 2
+    sets_from = min(lo - 1, n - 2)
     counter = 0
 
-    def parents(state: _State, k: int) -> "Iterator[_State | tuple]":
-        # yields the nodes at level n - 1 and, for the orders lo..n - 1,
-        # the leaf triples, told apart by their length
+    def parents(state: _State, k: int, q: "int | None") -> Iterator[tuple]:
+        # yields (node, table) for the nodes at level n - 1 and, for the
+        # orders lo..n - 1, the leaf triples, told apart by their length;
+        # q is the node's pairless set, when its parent read it
         nonlocal counter
         if owner is not None and k == frontier:
             idx = counter
             counter += 1
             if not owner(idx):
                 return
-        if k == n - 1:
-            yield state
-            return
         adj = state[0]
+        if k == n - 1:
+            if not tables or q is not None and _no_critical_child(adj, q):
+                yield state, 0
+            else:
+                yield state, _table_of(*_pairless_sets(adj, k))
+            return
         children = _child_states(state, k)
+        sets = None
+        if tables and k >= sets_from:
+            sets = _pairless_sets(adj, k)
         if k >= lo - 1:
-            table = _extension_table(adj, k) if tables else 0
+            table = 0 if sets is None else _table_of(*sets)
             kept = None if keep is None else keep(adj, k, table)
             children = list(children)
             for s, _ in children:
                 if kept is None or kept >> s & 1:
                     yield adj, s, table >> s & 1
+        last = sets is not None and k == n - 2
         for s, cut in children:
-            yield from parents((_attach(adj, s), cut), k + 1)
+            yield from parents((_attach(adj, s), cut), k + 1,
+                               _pairless_of(*sets, s) if last else None)
 
-    for state in parents(_ROOT, 1):
-        if len(state) == 3:
-            yield state
+    for item in parents(_ROOT, 1, None):
+        if len(item) == 3:
+            yield item
             continue
+        state, table = item
         adj = state[0]
-        table = _extension_table(adj, n - 1) if tables else 0
         kept = None if keep is None else keep(adj, n - 1, table)
         for s, _ in _child_states(state, n - 1, kept):
             yield adj, s, table >> s & 1

@@ -221,16 +221,23 @@ def _check_s_size(uni: _Universe):
 
 def _check_dpstar(uni: _Universe):
     for g in uni.iter_criticals():
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                if g.has_edge(x, y):
-                    continue
-                h = g.add_edge(x, y)
-                for z in range(g.n):
-                    if _witness_for(h.adj, z) is not None:
+        n = g.n
+        # each vertex's pairs in g, listed on first use
+        pairs: list = [None] * n
+        # h is g plus the non-edge xy, edited in place
+        h = list(g.adj)
+        for x in range(n):
+            for y in bits(~h[x] & ((1 << n) - (2 << x))):
+                h[x] |= 1 << y
+                h[y] |= 1 << x
+                for z in range(n):
+                    if _witness_for(h, z) is not None:
                         continue
-                    pairs = determining_pairs_of(g, z)
-                    yield g, all(x in p or y in p for p in pairs)
+                    if pairs[z] is None:
+                        pairs[z] = determining_pairs_of(g, z)
+                    yield g, all(x in p or y in p for p in pairs[z])
+                h[x] ^= 1 << y
+                h[y] ^= 1 << x
 
 
 def _check_antichain(uni: _Universe):

@@ -28,9 +28,14 @@ from distcrit.criticality import (
     _extension_table,
     _girth_table,
     _is_critical_fast,
+    _no_critical_child,
     _pair_scan,
+    _pairless_of,
+    _pairless_sets,
     _sole_parents,
+    _witness_for,
 )
+from distcrit.enumeration import _attach, _child_states
 from conftest import (
     augmentation_nodes,
     child_adjacencies,
@@ -467,6 +472,20 @@ class TestExtensionTables:
         # times
         assert (children, critical, short_free) == (116146, 91, 367)
 
+    def test_pairless_sets_match_the_witnesses(self):
+        # every child on up to 7 vertices, of every (parent, S) pair
+        children = pairless = 0
+        for k, (adj, _) in augmentation_nodes(6):
+            sets = _pairless_sets(adj, k)
+            assert all(p >> (1 << k) == 0 for p in (sets[0], *sets[1]))
+            for s, child in child_adjacencies(adj, k):
+                q = _pairless_of(*sets, s)
+                assert q == sum(1 << v for v in range(k + 1)
+                                if _witness_for(child, v) is None)
+                children += 1
+                pairless += q.bit_count()
+        assert (children, pairless) == (7815, 40242)
+
     def test_tables_on_ten_vertex_parents(self, petersen):
         # the largest parents the enumeration builds tables for (n = 11)
         rng = random.Random(2011)
@@ -489,3 +508,42 @@ class TestExtensionTables:
         assert _extension_table(petersen.adj, 10) == 0
         assert _girth_table(petersen.adj, 10) == \
             sum(1 << (1 << v) for v in range(10))
+
+
+class TestDeadChildren:
+    """_no_critical_child on every child of the augmentation tree up to
+    level 8, with the pairless set its parent's sets give it."""
+
+    def test_a_dead_child_has_an_empty_table(self):
+        # (children, passed, nonempty tables) per level 2..8
+        seen = {}
+        for k, state in augmentation_nodes(7):
+            adj = state[0]
+            sets = _pairless_sets(adj, k)
+            row = seen.setdefault(k + 1, [0, 0, 0])
+            for s, _ in _child_states(state, k):
+                child = _attach(adj, s)
+                dead = _no_critical_child(child, _pairless_of(*sets, s))
+                table = _extension_table(child, k + 1)
+                assert not (dead and table)
+                row[0] += 1
+                row[1] += not dead
+                row[2] += table != 0
+        assert seen == {2: [1, 0, 0], 3: [2, 0, 0], 4: [6, 1, 1],
+                        5: [21, 2, 1], 6: [112, 8, 8], 7: [853, 41, 26],
+                        8: [11117, 373, 307]}
+
+    def test_the_rule_by_hand(self):
+        # C5 minus the vertex 4 is the path 0-1-2-3: its ends have no
+        # pair, and 0's only neighbour 1 sees 0 alone in {0, 3}, as 2 sees
+        # 3, so a child may still be critical (C5 is one)
+        path = (0b10, 0b101, 0b1010, 0b100)
+        assert not _no_critical_child(path, 0b1001)
+        assert _extension_table(path, 4) >> 0b1001 & 1
+        # in the star K1,3 every leaf has its centre 0 as only neighbour,
+        # and 0 sees all three pairless leaves: no child is critical
+        star = (0b1110, 0b1, 0b1, 0b1)
+        assert _no_critical_child(star, 0b1110)
+        assert _extension_table(star, 4) == 0
+        # nothing pairless: the graph itself may be critical
+        assert not _no_critical_child(cycle(5).adj, 0)

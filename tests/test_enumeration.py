@@ -754,6 +754,23 @@ class TestCriticalFirst:
         assert len(empty) == 960
 
 
+    def test_dead_children_build_no_table(self, monkeypatch):
+        # the n = 9 census builds pairless sets at every level-7 node, for
+        # its children's pairless sets, and a table only at the level-8
+        # nodes that _no_critical_child cannot call dead
+        built = {}
+        sets = enumeration._pairless_sets
+
+        def counted(adj, k):
+            built[k] = built.get(k, 0) + 1
+            return sets(adj, k)
+
+        monkeypatch.setattr(enumeration, "_pairless_sets", counted)
+        tally = run_enumeration(9, critical_only=True)[0]
+        assert tally.critical_count == 168
+        assert built == {7: 853, 8: 373}
+
+
 class TestSharding:
     def test_shards_partition_the_space(self):
         # job j of shard s owns frontier node f iff f mod (shards * jobs)

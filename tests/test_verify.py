@@ -132,9 +132,11 @@ class TestLemmaHarness:
                        and (girth(g) or 0) > 4]
         assert uni.girth5 == girth5 and len(girth5) == 9
         # GIRTH's graphs come from their own table, so a criticality table
-        # that missed them could not hide a counterexample
-        monkeypatch.setattr(enumeration, "_extension_table",
-                            lambda adj, k: 0)
+        # that missed them could not hide a counterexample; every
+        # criticality table is read from the pairless sets, and here the
+        # new vertex never has a pair
+        monkeypatch.setattr(enumeration, "_pairless_sets",
+                            lambda adj, k: (-1, [0] * k))
         empty = verify._Universe(8)
         assert not any(empty.criticals.values())
         assert empty.girth5 == girth5
