@@ -22,8 +22,8 @@ The enumeration decides criticality for every child of a node at once.
 Its primitive is _pairless_sets(adj, k): for a new vertex x attached to
 the neighbourhood A of the graph adj, which vertices of G + x have no
 determining pair, as 2^k-bit sets over all A (bit A standing for A, as
-in _mask_sets).  The criticality table (_extension_table) is the A in
-none of them, and _pairless_of reads one child's pairless set from them.
+in _mask_sets).  The criticality table (_table_of) is the A in none of
+them, and _pairless_of reads one child's pairless set from them.
 A pairless vertex gains a pair in a later child only through the next
 new vertex, so a pairless set can prove that a graph has no critical
 child at all (_no_critical_child) before any table of it is built.
@@ -327,7 +327,7 @@ def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:
 
 def _table_of(px: int, pl: list[int]) -> int:
     """The criticality table read from _pairless_sets: bit A is set iff
-    no vertex of G + x is pairless."""
+    no vertex of G + x is pairless, that is, iff G + x is critical."""
     some = px
     for p in pl:
         some |= p
@@ -370,14 +370,6 @@ def _no_critical_child(adj, q: int) -> bool:
         else:
             return True
     return False
-
-
-def _extension_table(adj, k: int) -> int:
-    """Which new vertices keep a connected parent critical: bit S
-    (1 <= S < 2^k) is set iff attaching a new vertex w to the neighbourhood
-    S of the parent adj on k vertices gives a distance-critical child, that
-    is, iff S is in none of the _pairless_sets of the parent."""
-    return _table_of(*_pairless_sets(adj, k))
 
 
 def _girth_table(adj, k: int) -> int:

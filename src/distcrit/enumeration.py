@@ -129,39 +129,44 @@ read: to refine it, to expand it, and for a leaf by a caller that reads
 them (iter_connected, the lemma universe, and the census for a collected
 or edge-maximal critical hit).  A plain census builds no leaf rows.
 
-Table-decided leaves: one generator, _iter_leaves, walks the nodes at
-level n - 1 and gives each one its criticality table once.  Bit S of it
-says whether the child with neighbourhood S is critical, decided for all
-S at once: it is set iff S lies in none of the node's pairless sets
-(criticality._pairless_sets), which tell for every S the vertices of the
-child with no determining pair.  So a leaf is critical iff bit S of its
-parent's table is set, S being the new vertex's row, and no leaf is
-tested on its own.  Most tables are empty, and most of those are known
-to be before they are built: each node at level n - 2 builds its
-pairless sets once and reads from them each child's own pairless set Q.
-A child at level n - 1 with a vertex v in Q that has no neighbour a
-outside Q with N(a) & Q = {v} has no critical child
-(criticality._no_critical_child has the proof), so its table is 0 and is
-not built.  In the census to n = 9, 373 of the 11,117 level-8 nodes pass
-that test and build a table, 307 of them nonempty; at n = 10, 5,967 of
-the 261,080 level-9 nodes, 4,261 of them nonempty.  The census,
+Table-decided leaves: one generator, _iter_leaves, walks the tree and,
+when its caller passes a keep table (see below), gives every node its
+criticality table once.  Bit S of it says whether the child with
+neighbourhood S is critical, decided for all S at once: it is set iff S
+lies in none of the node's pairless sets (criticality._pairless_sets),
+which tell for every S the vertices of the child with no determining
+pair.  So a graph is critical iff bit S of its parent's table is set, S
+being the new vertex's row, and no graph is tested on its own.  Most
+tables are empty, and most of those are known to be before they are
+built: each node at level n - 2 reads from its pairless sets each
+child's own pairless set Q.  A child at level n - 1 with a vertex v in Q
+that has no neighbour a outside Q with N(a) & Q = {v} has no critical
+child (criticality._no_critical_child has the proof), so its table is 0
+and is not built.  In the census to n = 9, 373 of the 11,117 level-8
+nodes pass that test and build a table, 307 of them nonempty; at n = 10,
+5,967 of the 261,080 level-9 nodes, 4,261 of them nonempty.  The census,
 iter_connected, iter_all_graphs and the lemma universe in verify all
-read their leaves from this generator; edge-maximality is then tested on
-the critical leaves.  iter_connected and iter_all_graphs read no
-verdict, so their walks build no table and no pairless set.  The walk
-starts at the root, the one-vertex graph K1, which for n = 1 is the one
-leaf (not critical: it has no parent table).
+read their graphs from this generator; edge-maximality is then tested
+on the critical leaves.  Tables are built iff a keep is given: the full
+census passes one that keeps every child, while iter_connected and
+iter_all_graphs read no verdict and pass none, so their walks build no
+table and no pairless set.  The walk starts at the root, the one-vertex
+graph K1, which is not critical: it has no parent table.
 
-One walk for every order: with a lowest order lo < n, _iter_leaves
-yields the leaves of every order lo..n from one walk of the tree, as
-canonical augmentation visits every class once in one tree.  A node at
-a level j >= lo - 1 below n - 1 builds its pairless sets, table and keep
-set once and reports its kept children, of order j + 1, in ascending S
-before its subtree is walked; it still expands all of them.  Each
-order's leaves therefore come in generation order, and equal those of
-the walk for that order alone.  The lemma universe (lo = 1) and
-iter_all_graphs read every order this way; the census (lo = n) yields
-only the last level, from the walk's own loop.
+One walk for every order: _iter_leaves yields the graphs of every order
+1..n from one walk of the tree, as canonical augmentation visits every
+class once in one tree.  Each node the walk opens gives one record: its
+rows, its table and the children to yield.  Below level n - 1 those are
+its kept children, of the next order, in ascending S, given before its
+subtree is walked; it still expands all of them.  At level n - 1 they
+are its children under its keep table, pruned before they are built.
+Each order's graphs therefore come in generation order, and equal those
+of the walk for that order alone.  The lemma universe and
+iter_all_graphs read every order; the census and iter_connected keep
+order n, the graphs whose parent has n - 1 vertices.  A job of a split
+run (see below) walks every level above the frontier, so the orders up
+to the frontier's come from every job, and each higher order from the
+job that owns the graph's frontier node.
 
 Critical-first leaves: a walk that only needs some leaves passes a keep
 table, computed from the parent and its criticality table, to the
@@ -181,7 +186,8 @@ but 5,967 of them are known to have none from their pairless set, before
 any table of theirs is built.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
-frontier (for n <= 3 that is K1 alone, node 0).  Job j of J within shard
+frontier (for n <= 3 that is K1 alone, node 0; for n = 1 K1 is also
+the one leaf, yielded by the job that owns node 0 alone).  Job j of J within shard
 s of S owns frontier node f (in deterministic generation order) iff
 f mod (S * J) = s + S * j, which is f mod S = s and (f div S) mod J = j:
 S * J parts with one modulus rule.  The union over any partition layout
@@ -519,9 +525,9 @@ def _child_states(
     vertices and the new one (T).  A child is yielded as soon as rule
     (b) is decided for it.  keep, when
     given, is an int whose bit S is set iff the child with neighbourhood S
-    may be yielded (as criticality._extension_table); the other candidates
-    are dropped before rules (a) and (b), and a parent with no candidate
-    left is neither refined nor searched."""
+    may be yielded (as in a criticality table, criticality._table_of); the
+    other candidates are dropped before rules (a) and (b), and a parent
+    with no candidate left is neither refined nor searched."""
     if keep == 0:
         return
     adj, cut_mask = state
@@ -632,48 +638,40 @@ def _iter_leaves(
     n: int,
     owner: "Callable[[int], bool] | None" = None,
     keep: "Callable[[tuple[int, ...], int, int], int] | None" = None,
-    tables: bool = True,
-    lo: "int | None" = None,
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield (parent, s, critical) for every accepted node on n >= 1
-    vertices, in generation order: the leaf is _attach(parent, s), and
-    its rows are built only by a caller that reads them.  Each parent at
-    level n - 1 gets its criticality table once, 0 without building it
-    when the pairless set read from its own parent's sets proves it has
-    no critical child; critical is bit s of it, so it is the leaf's
-    verdict.  owner gates the frontier at level max(1, n - 2);
-    keep(parent, n - 1, table), when given, is the parent's keep table
-    (see _child_states).  With tables=False, for a caller that reads no
-    verdict, no table and no pairless set is built, keep must be None and
-    every leaf reads 0.  For n = 1 the root K1, frontier node 0 and not
-    critical, is the one leaf, given as the empty parent with s = 0.
+    """Yield (parent, s, critical) for every accepted node on 1..n
+    vertices, in one walk of the tree: the node is _attach(parent, s), of
+    order len(parent) + 1, and its rows are built only by a caller that
+    reads them.  The root K1 is given as the empty parent with s = 0.
+    Within each order the items are those of the walk for that order
+    alone, in the same order; the orders interleave, as each node yields
+    its children before its subtree is walked.
 
-    lo (default n) makes it one walk for every order k = lo..n: each node
-    at a level j >= lo - 1 below n - 1 builds its pairless sets, table
-    and keep set once, as the walk for order j + 1 would, and yields its
-    kept children in ascending S before its subtree is walked; it still
-    expands all its children.  The orders interleave, and within each
-    order the items are those of _iter_leaves(k), in the same order (a
-    level's nodes are reached in generation order).  The order of an item
-    is len(parent) + 1.  An owner is refused with lo < n: every job would
-    repeat the orders above the frontier."""
-    lo = n if lo is None else lo
-    if lo < n and owner is not None:
-        raise ValueError("an owner needs lo = n")
-    if lo == 1 and (owner is None or owner(0)):
+    keep(parent, k, table), when given, is the keep table of each node on
+    k vertices (see _child_states), and only then are criticality tables
+    built: each node gets its table once, and critical is bit s of its
+    parent's, so it is the node's verdict (0 for K1, and for every node
+    when keep is None).  A node at level n - 1 gets table 0 without
+    building it when the pairless set read from its own parent's sets
+    proves it has no critical child.  A node below level n - 1 yields its
+    kept children and still expands all of them; at level n - 1 the keep
+    table prunes the children before they are built.
+
+    owner gates the frontier at level max(1, n - 2): a job walks only the
+    frontier nodes it owns, so the graphs on up to max(1, n - 2) vertices
+    come from every owner, and the larger ones from the owner of their
+    frontier node.  For n = 1 the root is frontier node 0 and the one
+    item, given by its owner alone."""
+    if n > 1 or owner is None or owner(0):
         yield (), 0, 0
     if n == 1:
         return
     frontier = max(1, n - 2)
-    # the nodes from this level on build their pairless sets: for their own
-    # tables from level lo - 1, for their children's pairless sets at n - 2
-    sets_from = min(lo - 1, n - 2)
     counter = 0
 
-    def parents(state: _State, k: int, q: "int | None") -> Iterator[tuple]:
-        # yields (node, table) for the nodes at level n - 1 and, for the
-        # orders lo..n - 1, the leaf triples, told apart by their length;
-        # q is the node's pairless set, when its parent read it
+    def nodes(state: _State, k: int, q: "int | None") -> Iterator[tuple]:
+        # one record (rows, table, children to yield) per node opened; q is
+        # the pairless set of a node at level n - 1, read from its parent
         nonlocal counter
         if owner is not None and k == frontier:
             idx = counter
@@ -681,36 +679,26 @@ def _iter_leaves(
             if not owner(idx):
                 return
         adj = state[0]
+        sets = kept = None
+        table = 0
+        if keep is not None:
+            if q is None or not _no_critical_child(adj, q):
+                sets = _pairless_sets(adj, k)
+                table = _table_of(*sets)
+            kept = keep(adj, k, table)
         if k == n - 1:
-            if not tables or q is not None and _no_critical_child(adj, q):
-                yield state, 0
-            else:
-                yield state, _table_of(*_pairless_sets(adj, k))
+            yield adj, table, _child_states(state, k, kept)
             return
-        children = _child_states(state, k)
-        sets = None
-        if tables and k >= sets_from:
-            sets = _pairless_sets(adj, k)
-        if k >= lo - 1:
-            table = 0 if sets is None else _table_of(*sets)
-            kept = None if keep is None else keep(adj, k, table)
-            children = list(children)
-            for s, _ in children:
-                if kept is None or kept >> s & 1:
-                    yield adj, s, table >> s & 1
+        children = list(_child_states(state, k))
+        yield adj, table, [c for c in children
+                           if kept is None or kept >> c[0] & 1]
         last = sets is not None and k == n - 2
         for s, cut in children:
-            yield from parents((_attach(adj, s), cut), k + 1,
-                               _pairless_of(*sets, s) if last else None)
+            yield from nodes((_attach(adj, s), cut), k + 1,
+                             _pairless_of(*sets, s) if last else None)
 
-    for item in parents(_ROOT, 1, None):
-        if len(item) == 3:
-            yield item
-            continue
-        state, table = item
-        adj = state[0]
-        kept = None if keep is None else keep(adj, n - 1, table)
-        for s, _ in _child_states(state, n - 1, kept):
+    for adj, table, children in nodes(_ROOT, 1, None):
+        for s, _ in children:
             yield adj, s, table >> s & 1
 
 
@@ -726,8 +714,9 @@ def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
 def iter_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
     _check_args(n, 1, 0)
-    for adj, s, _ in _iter_leaves(n, tables=False):
-        yield Graph(n, _attach(adj, s), check=False)
+    for adj, s, _ in _iter_leaves(n):
+        if len(adj) == n - 1:
+            yield Graph(n, _attach(adj, s), check=False)
 
 
 class EnumerationTally(NamedTuple):
@@ -777,9 +766,14 @@ def _tally_shard(
 
     connected = critical = maximal = 0
     hits: list[tuple[int, tuple[int, ...]]] = []
-    keep = (lambda adj, k, table: table) if critical_only else None
+    # the full census keeps every child (-1 has every bit set), so that the
+    # tables are built
+    keep = ((lambda adj, k, table: table) if critical_only
+            else (lambda adj, k, table: -1))
     for adj, s, is_critical in _iter_leaves(
             n, None if parts == 1 else owner, keep):
+        if len(adj) != n - 1:
+            continue
         connected += 1
         if not is_critical:
             continue
@@ -893,7 +887,7 @@ def iter_all_graphs(n: int) -> Iterator[Graph]:
     """Every graph on n vertices up to isomorphism, connected or not."""
     _check_args(n, 1, 0)
     catalogs: dict[int, list[Graph]] = {k: [] for k in range(1, n + 1)}
-    for adj, s, _ in _iter_leaves(n, tables=False, lo=1):
+    for adj, s, _ in _iter_leaves(n):
         k = len(adj) + 1
         catalogs[k].append(Graph(k, _attach(adj, s), check=False))
     return _iter_unions(catalogs, n)

@@ -6,10 +6,10 @@ over an enumerated universe (critical graphs, edge-maximal critical
 graphs, connected graphs of girth > 4, ... up to a vertex cap) or over a
 constructed family.  The universe is one walk of the augmentation tree
 over the orders 1..cap, made once per run and read by every lemma.  It
-is the census's own leaf walk (enumeration._iter_leaves with a lowest
-order of 1): every graph's critical verdict comes from its parent's
+is the census's own walk (enumeration._iter_leaves), which yields every
+order: every graph's critical verdict comes from its parent's
 criticality table, and at each order only the graphs some lemma
-quantifies over are built (at the cap, only those are tried).  The
+quantifies over are yielded (at the cap, only those are tried).  The
 three product laws (cartesian, tensor and strong products of critical
 factors stay critical) run on the same harness over their own factor
 universe.
@@ -92,10 +92,11 @@ class _Universe:
     critical classes on k vertices; girth5 holds the connected graphs with
     minimum degree >= 2 and girth > 4, the hypothesis set of GIRTH, by
     order and then in generation order.  The walk is the census's
-    (enumeration._iter_leaves with lo = 1), which interleaves the orders:
+    (enumeration._iter_leaves), which interleaves the orders 1..n_cap:
     each graph's critical verdict is read from its parent's table, each
-    node keeps only the children that table or the girth > 4 table admits
-    (and still expands them all), and the last level tries only those.
+    node yields only the children that table or the girth > 4 table
+    admits (and still expands them all), and the last level tries only
+    those.
     GIRTH checks that girth > 4 implies criticality: its universe comes
     from the girth table, not from the critical one, and its verdict is the
     determining-pair test, which assumes nothing about girth.
@@ -109,7 +110,7 @@ class _Universe:
         self.criticals: dict[int, list[Graph]] = {k: [] for k in orders}
         girth5: dict[int, list[Graph]] = {k: [] for k in orders}
         leaves = _iter_leaves(n_cap, keep=lambda parent, j, table:
-                              table | _girth_table(parent, j), lo=1)
+                              table | _girth_table(parent, j))
         for parent, s, critical in leaves:
             k = len(parent) + 1
             g = Graph(k, _attach(parent, s), check=False)
@@ -257,7 +258,7 @@ def _check_min_edges(uni: _Universe):
 
 
 def _check_max_deg(uni: _Universe):
-    for g in uni.iter_criticals(lo=6):
+    for g in uni.iter_criticals(6):
         yield g, g.max_degree() <= g.n - 4
 
 

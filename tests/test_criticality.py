@@ -25,7 +25,6 @@ from distcrit.verify import pendant_deletion_check
 from distcrit.graph import UNREACHABLE, _reach_mask, girth
 from distcrit.criticality import (
     _distance_changers,
-    _extension_table,
     _girth_table,
     _is_critical_fast,
     _no_critical_child,
@@ -33,6 +32,7 @@ from distcrit.criticality import (
     _pairless_of,
     _pairless_sets,
     _sole_parents,
+    _table_of,
     _witness_for,
 )
 from distcrit.enumeration import _attach, _child_states
@@ -457,7 +457,7 @@ class TestExtensionTables:
     def test_tables_match_the_child_predicates(self):
         children = critical = short_free = 0
         for k, (adj, _) in augmentation_nodes(7):
-            crit = _extension_table(adj, k)
+            crit = _table_of(*_pairless_sets(adj, k))
             free = _girth_table(adj, k)
             assert crit >> (1 << k) == free >> (1 << k) == 0
             assert not crit & 1 and not free & 1
@@ -496,7 +496,7 @@ class TestExtensionTables:
                 parents.append(g)
         critical = 0
         for g in parents:
-            crit = _extension_table(g.adj, 10)
+            crit = _table_of(*_pairless_sets(g.adj, 10))
             free = _girth_table(g.adj, 10)
             for s, child in child_adjacencies(g.adj, 10):
                 assert crit >> s & 1 == _is_critical_fast(child, 11)
@@ -505,7 +505,7 @@ class TestExtensionTables:
         assert critical > 0
         # Petersen has girth 5 and diameter 2: no new vertex has a pair at
         # distance 3, and only a pendant keeps the girth above 4
-        assert _extension_table(petersen.adj, 10) == 0
+        assert _table_of(*_pairless_sets(petersen.adj, 10)) == 0
         assert _girth_table(petersen.adj, 10) == \
             sum(1 << (1 << v) for v in range(10))
 
@@ -524,7 +524,7 @@ class TestDeadChildren:
             for s, _ in _child_states(state, k):
                 child = _attach(adj, s)
                 dead = _no_critical_child(child, _pairless_of(*sets, s))
-                table = _extension_table(child, k + 1)
+                table = _table_of(*_pairless_sets(child, k + 1))
                 assert not (dead and table)
                 row[0] += 1
                 row[1] += not dead
@@ -539,11 +539,11 @@ class TestDeadChildren:
         # 3, so a child may still be critical (C5 is one)
         path = (0b10, 0b101, 0b1010, 0b100)
         assert not _no_critical_child(path, 0b1001)
-        assert _extension_table(path, 4) >> 0b1001 & 1
+        assert _table_of(*_pairless_sets(path, 4)) >> 0b1001 & 1
         # in the star K1,3 every leaf has its centre 0 as only neighbour,
         # and 0 sees all three pairless leaves: no child is critical
         star = (0b1110, 0b1, 0b1, 0b1)
         assert _no_critical_child(star, 0b1110)
-        assert _extension_table(star, 4) == 0
+        assert _table_of(*_pairless_sets(star, 4)) == 0
         # nothing pairless: the graph itself may be critical
         assert not _no_critical_child(cycle(5).adj, 0)

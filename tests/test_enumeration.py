@@ -29,9 +29,10 @@ from distcrit.canon import (
 )
 from distcrit.constructions import cycle
 from distcrit.criticality import (
-    _extension_table,
     _is_critical_fast,
     _is_edge_maximal_fast,
+    _pairless_sets,
+    _table_of,
 )
 from distcrit.enumeration import (
     MAX_ENUM_N,
@@ -702,15 +703,18 @@ class TestCriticalFirst:
     def test_stream_is_the_filtered_full_stream(self, connected_by_n):
         for n in range(2, 9):
             # every leaf with its verdict read from the parent's table,
-            # against the direct test on the connected catalog
+            # against the direct test on the connected catalog; a keep of
+            # -1 admits every child and makes the walk build the tables
             full = [(g.adj, int(_is_critical_fast(g.adj, n)))
                     for g in connected_by_n[n]]
-            leaves = [(_attach(adj, s), critical)
-                      for adj, s, critical in _iter_leaves(n)]
-            assert leaves == full
+            every = _iter_leaves(n, keep=lambda adj, k, table: -1)
+            assert [(_attach(adj, s), critical)
+                    for adj, s, critical in every
+                    if len(adj) == n - 1] == full
             kept = _iter_leaves(n, keep=lambda adj, k, table: table)
             assert [(_attach(adj, s), critical)
-                    for adj, s, critical in kept] == \
+                    for adj, s, critical in kept
+                    if len(adj) == n - 1] == \
                 [leaf for leaf in full if leaf[1]]
         for n in range(1, 9):
             full, hits = run_enumeration(n, edge_maximal=True, collect=True)
@@ -744,20 +748,20 @@ class TestCriticalFirst:
             raise AssertionError("an empty table reached the child test")
 
         empty = [(k, state) for k, state in augmentation_nodes(7)
-                 if not _extension_table(state[0], k)]
+                 if not _table_of(*_pairless_sets(state[0], k))]
         for name in ("refine", "_search", "_cut_sets"):
             monkeypatch.setattr(enumeration, name, unreachable)
         for k, state in empty:
-            table = _extension_table(state[0], k)
-            assert list(_child_states(state, k, table)) == []
+            assert list(_child_states(state, k, 0)) == []
         # 960 of the 996 connected graphs on up to 7 vertices
         assert len(empty) == 960
 
 
     def test_dead_children_build_no_table(self, monkeypatch):
-        # the n = 9 census builds pairless sets at every level-7 node, for
-        # its children's pairless sets, and a table only at the level-8
-        # nodes that _no_critical_child cannot call dead
+        # the n = 9 census builds pairless sets, and from them a table, at
+        # every node on 1..7 vertices, and at the level-8 nodes that
+        # _no_critical_child cannot call dead; the level-7 sets also give
+        # each level-8 node its pairless set
         built = {}
         sets = enumeration._pairless_sets
 
@@ -768,20 +772,25 @@ class TestCriticalFirst:
         monkeypatch.setattr(enumeration, "_pairless_sets", counted)
         tally = run_enumeration(9, critical_only=True)[0]
         assert tally.critical_count == 168
-        assert built == {7: 853, 8: 373}
+        assert built == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
+                         8: 373}
 
 
 class TestSharding:
     def test_shards_partition_the_space(self):
         # job j of shard s owns frontier node f iff f mod (shards * jobs)
-        # is s + shards * j, as in run_enumeration
-        full = list(_iter_leaves(7))
+        # is s + shards * j, as in run_enumeration; the orders below 7
+        # above the frontier come from every part, so order 7 is kept
+        def order7(owner=None):
+            return [item for item in _iter_leaves(7, owner)
+                    if len(item[0]) == 6]
+
+        full = order7()
         assert len(full) == 853
         for shards, jobs in ((4, 1), (2, 2)):
             parts = shards * jobs
-            pieces = [
-                list(_iter_leaves(7, lambda f: f % parts == part))
-                for part in range(parts)]
+            pieces = [order7(lambda f: f % parts == part)
+                      for part in range(parts)]
             assert len(pieces) == 4
             assert all(pieces)
             merged = list(itertools.chain.from_iterable(pieces))
@@ -818,19 +827,32 @@ class TestSharding:
         assert list(iter_connected(1)) == [Graph(1, [0])]
 
     def test_sharded_tallies_sum(self):
-        whole = run_enumeration(7, edge_maximal=True)[0]
-        parts = [run_enumeration(7, shards=3, shard=s, edge_maximal=True)[0]
-                 for s in range(3)]
-        assert sum(p.connected_count for p in parts) == whole.connected_count
-        assert sum(p.critical_count for p in parts) == whole.critical_count
-        assert sum(p.maximal_count for p in parts) == whole.maximal_count
-        assert [p.partition for p in parts] == [(0, 3), (1, 3), (2, 3)]
+        # counter by counter; for n <= 3 the frontier is K1 alone, and the
+        # orders up to the frontier's come from every shard, yet only the
+        # last order may be counted, once
+        for n in range(1, 8):
+            whole = run_enumeration(n, edge_maximal=True)[0]
+            for shards in (2, 3):
+                parts = [run_enumeration(n, shards=shards, shard=s,
+                                         edge_maximal=True)[0]
+                         for s in range(shards)]
+                for field in ("connected_count", "critical_count",
+                              "maximal_count"):
+                    assert sum(getattr(p, field) for p in parts) == \
+                        getattr(whole, field)
+                assert [p.partition for p in parts] == \
+                    [(s, shards) for s in range(shards)]
+        assert whole.connected_count == CONNECTED_COUNTS[7]
 
     def test_jobs_parallel_equals_serial(self):
-        serial = run_enumeration(7)[0]
-        parallel = run_enumeration(7, jobs=2)[0]
-        assert (serial.connected_count, serial.critical_count) == \
-            (parallel.connected_count, parallel.critical_count)
+        for n in range(1, 8):
+            serial, hits = run_enumeration(n, edge_maximal=True,
+                                           collect=True)
+            parallel, parallel_hits = run_enumeration(
+                n, jobs=2, edge_maximal=True, collect=True)
+            assert serial._replace(elapsed=0) == \
+                parallel._replace(elapsed=0)
+            assert parallel_hits == hits
 
     def test_pool_is_bounded_by_the_cpu_count(self, monkeypatch):
         # 16 parts go to a fake pool that records the size asked for and
@@ -871,8 +893,8 @@ class TestSharding:
 
 
 class TestOneWalk:
-    """_iter_leaves with lo < n: the leaves of every order lo..n from one
-    walk, each order in the order of its own walk."""
+    """_iter_leaves yields the nodes of every order 1..n from one walk,
+    each order in the order of its own walk."""
 
     @staticmethod
     def by_order(items) -> dict[int, list]:
@@ -882,25 +904,23 @@ class TestOneWalk:
         return orders
 
     def test_orders_match_their_own_walks(self):
-        # exhaustively to n = 8: with no keep, with the critical table as
-        # the keep (so most internal nodes keep nothing and must still be
-        # expanded), and with no tables at all
+        # exhaustively to n = 8: with no keep (so no tables), and with the
+        # critical table as the keep (so most internal nodes keep nothing
+        # and must still be expanded).  The keep prunes the top order of
+        # a walk to k before its nodes are built, and filters the same
+        # order of the walk to 8 after they are built
         critical = lambda adj, k, table: table  # noqa: E731
-        for kwargs in ({}, {"keep": critical}, {"tables": False}):
-            walk = self.by_order(_iter_leaves(8, lo=1, **kwargs))
+        counts = []
+        for kwargs in ({}, {"keep": critical}):
+            walk = self.by_order(_iter_leaves(8, **kwargs))
             assert set(walk) <= set(range(1, 9))
             for k in range(1, 9):
-                assert walk.get(k, []) == list(_iter_leaves(k, **kwargs))
-        assert [len(walk[k]) for k in range(1, 9)] == \
-            [CONNECTED_COUNTS[k] for k in range(1, 9)]
-        # a higher lowest order leaves the orders below it out
-        walk = self.by_order(_iter_leaves(8, lo=6, keep=critical))
-        assert {k: len(items) for k, items in walk.items()} == \
-            {6: 1, 7: 4, 8: 15}
-
-    def test_an_owner_needs_one_order(self):
-        with pytest.raises(ValueError):
-            list(_iter_leaves(7, lambda f: True, lo=6))
+                assert walk.get(k, []) == \
+                    self.by_order(_iter_leaves(k, **kwargs)).get(k, [])
+            counts.append({k: len(items) for k, items in walk.items()})
+        assert counts[0] == CONNECTED_COUNTS
+        # K1, which has no parent table, and the critical graphs
+        assert counts[1] == {1: 1, 5: 1, 6: 1, 7: 4, 8: 15}
 
 
 class TestAllGraphs:

@@ -89,9 +89,9 @@ class TestLemmaHarness:
         walks = []
         real = verify._iter_leaves
 
-        def counting(n, owner=None, keep=None, tables=True, lo=None):
-            walks.append((n, owner, keep, tables, lo))
-            return real(n, owner, keep, tables, lo)
+        def counting(n, owner=None, keep=None):
+            walks.append((n, owner, keep))
+            return real(n, owner, keep)
 
         expanded = []
         real_children = enumeration._child_states
@@ -105,8 +105,7 @@ class TestLemmaHarness:
         run_all_lemmas(7)
         # one walk over the orders 1..7, which expands every node on 1..6
         # vertices once
-        assert [(n, owner, tables, lo)
-                for n, owner, _, tables, lo in walks] == [(7, None, True, 1)]
+        assert [(n, owner) for n, owner, _ in walks] == [(7, None)]
         assert [expanded.count(k) for k in range(1, 7)] == \
             [1, 1, 2, 6, 21, 112]
         assert len(expanded) == 143
