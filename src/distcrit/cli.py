@@ -166,7 +166,7 @@ def _cmd_enumerate(args) -> int:
     # cannot make it valid
     _check_args(args.n, args.shards, args.shard, args.jobs)
     if args.n >= 11 and not args.allow_long_run:
-        return _fail("n = 11 takes hours, or about 2 minutes with "
+        return _fail("n = 11 takes hours, or about 30 seconds with "
                      "--critical-only --jobs 2; pass --allow-long-run to "
                      "confirm")
     tally, hits = run_enumeration(

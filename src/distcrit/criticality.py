@@ -23,10 +23,15 @@ Its primitive is _pairless_sets(adj, k): for a new vertex x attached to
 the neighbourhood A of the graph adj, which vertices of G + x have no
 determining pair, as 2^k-bit sets over all A (bit A standing for A, as
 in _mask_sets).  The criticality table (_table_of) is the A in none of
-them, and _pairless_of reads one child's pairless set from them.
-A pairless vertex gains a pair in a later child only through the next
-new vertex, so a pairless set can prove that a graph has no critical
-child at all (_no_critical_child) before any table of it is built.
+them.  A pairless vertex gains a pair in a later child only through the
+next new vertex, so a graph's pairless set can prove that it has no
+critical child at all (_no_critical_child).  The same sets decide this
+for every child at once, before any child is built: bit A of
+_alive_set is clear iff _no_critical_child holds for the child with
+neighbourhood A.
+_pairless_of, which reads one child's pairless set, and
+_no_critical_child are not called by the enumeration; they are the
+tests' per-child oracle for _alive_set.
 
 The direct method is an independent check of the same predicate, from
 BFS alone: one pass per source x finds every vertex whose deletion
@@ -323,6 +328,68 @@ def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:
             rescue |= ~has[a] & none[adj[a] & ~bit_v]
         pl.append(stuck & ~(has[v] & rescue))
     return every & ~far, pl
+
+
+def _alive_set(adj, k: int, px: int, pl: list[int]) -> int:
+    """Which children of the graph adj on k vertices may have a critical
+    child, for every neighbourhood A of the new vertex x at once, from
+    (px, pl) = _pairless_sets(adj, k): bit A is set iff
+    _no_critical_child(H, Q) is false, H being the child with
+    neighbourhood A and Q its pairless set (bit A of px and of each pl[v]).
+
+    Proof.  _no_critical_child(H, Q) is false iff every v in Q has a
+    rescuer: a neighbour a of v in H, outside Q, with N_H(a) & Q = {v}.
+    Below ~P is the complement of P within the 2^k bits and N(.) is taken
+    in the parent, so that N_H(x) = A and N_H(u) is N(u), plus x when u is
+    in A (bit A of HAS[u]).  A parent vertex u is outside Q where ~pl[u]
+    holds, and x where ~px does.
+    - v = x, in Q where px holds.  A rescuer is an a in A (HAS[a]), outside
+      Q (~pl[a]), whose neighbours other than x are all outside Q:
+        rescue_x = OR_a HAS[a] & ~pl[a] & AND_{u in N(a)} ~pl[u].
+    - v a parent vertex, in Q where pl[v] holds.  A rescuer is either a
+      parent neighbour a of v, outside Q (~pl[a]), whose neighbours other
+      than v are outside Q: those in N(a) - v, and x when a is in A
+      (~(HAS[a] & px)); or it is x, a neighbour of v iff v is in A
+      (HAS[v]), outside Q (~px), with A & Q = {v}: no other u is both in A
+      and in Q.
+        rescue[v] = OR_{a in N(v)} ~pl[a] & ~(HAS[a] & px)
+                                   & AND_{u in N(a) - v} ~pl[u]
+                  | HAS[v] & ~px & AND_{u != v} ~(HAS[u] & pl[u]).
+    So the A for which _no_critical_child(H, Q) holds are
+    dead = px & ~rescue_x | OR_v pl[v] & ~rescue[v], and the alive set is
+    ~dead.  Each AND over N(a) - v comes from one prefix and one suffix
+    pass over N(a), and each AND over u != v from one such pair of passes
+    over all u."""
+    has = _mask_sets(k)[0]
+    every = (1 << (1 << k)) - 1
+    free = [every & ~p for p in pl]
+    rescue = [0] * k
+    rescue_x = 0
+    for a in range(k):
+        nbrs = list(bits(adj[a]))
+        pre = [every]
+        for u in nbrs:
+            pre.append(pre[-1] & free[u])
+        rescue_x |= has[a] & free[a] & pre[-1]
+        # the suffix pass starts from a's own terms, so that each step
+        # gives the whole rescue of v by a
+        suf = free[a] & ~(has[a] & px)
+        for i in range(len(nbrs) - 1, -1, -1):
+            v = nbrs[i]
+            rescue[v] |= pre[i] & suf
+            suf &= free[v]
+    clear = [every & ~(h & p) for h, p in zip(has, pl)]
+    pre = [every & ~px]
+    for c in clear:
+        pre.append(pre[-1] & c)
+    suf = every
+    for v in range(k - 1, -1, -1):
+        rescue[v] |= has[v] & pre[v] & suf
+        suf &= clear[v]
+    dead = px & ~rescue_x
+    for p, r in zip(pl, rescue):
+        dead |= p & ~r
+    return every & ~dead
 
 
 def _table_of(px: int, pl: list[int]) -> int:

@@ -137,29 +137,32 @@ lies in none of the node's pairless sets (criticality._pairless_sets),
 which tell for every S the vertices of the child with no determining
 pair.  So a graph is critical iff bit S of its parent's table is set, S
 being the new vertex's row, and no graph is tested on its own.  Most
-tables are empty, and most of those are known to be before they are
-built: each node at level n - 2 reads from its pairless sets each
-child's own pairless set Q.  A child at level n - 1 with a vertex v in Q
-that has no neighbour a outside Q with N(a) & Q = {v} has no critical
-child (criticality._no_critical_child has the proof), so its table is 0
-and is not built.  In the census to n = 9, 373 of the 11,117 level-8
-nodes pass that test and build a table, 307 of them nonempty; at n = 10,
-5,967 of the 261,080 level-9 nodes, 4,261 of them nonempty.  The census,
-iter_connected, iter_all_graphs and the lemma universe in verify all
-read their graphs from this generator; edge-maximality is then tested
-on the critical leaves.  Tables are built iff a keep is given: the full
-census passes one that keeps every child, while iter_connected and
-iter_all_graphs read no verdict and pass none, so their walks build no
-table and no pairless set.  The walk starts at the root, the one-vertex
-graph K1, which is not critical: it has no parent table.
+tables at level n - 1 are empty, and the nodes at level n - 2 know which
+before any of them is built: each one's alive set
+(criticality._alive_set), read from its own pairless sets, has bit S set
+iff the child with neighbourhood S may have a critical child.  A child
+whose bit is clear has a pairless vertex that no later vertex can give
+a pair, so its table is 0, and it is neither built nor, unless its
+parent keeps it, opened.  In the census to n = 9, 373 of the 11,117
+level-8 nodes are alive and build a table, 307 of them nonempty; at
+n = 10, 5,967 of the 261,080 level-9 nodes, 4,261 of them nonempty.
+The census, iter_connected, iter_all_graphs and the lemma universe in
+verify all read their graphs from this generator; edge-maximality is
+then tested on the critical leaves.  Tables are built iff a keep is
+given: the full census passes one that keeps every child, so it still
+opens every node, while iter_connected and iter_all_graphs read no
+verdict and pass none, so their walks build no table, no pairless set
+and no alive set.  The walk starts at the root, the one-vertex graph
+K1, which is not critical: it has no parent table.
 
 One walk for every order: _iter_leaves yields the graphs of every order
 1..n from one walk of the tree, as canonical augmentation visits every
 class once in one tree.  Each node the walk opens gives one record: its
 rows, its table and the children to yield.  Below level n - 1 those are
 its kept children, of the next order, in ascending S, given before its
-subtree is walked; it still expands all of them.  At level n - 1 they
-are its children under its keep table, pruned before they are built.
+subtree is walked; it still expands all of them, or at level n - 2
+those kept or alive.  At level n - 1 they are its children under its
+keep table, pruned before they are built.
 Each order's graphs therefore come in generation order, and equal those
 of the walk for that order alone.  The lemma universe and
 iter_all_graphs read every order; the census and iter_connected keep
@@ -174,16 +177,17 @@ parent's child test.  The critical-only census keeps exactly the
 criticality table, the lemma universe that table or the girth > 4 one.
 A parent with an empty keep table is skipped before its cut sets,
 refinement and automorphism search; otherwise the table is ANDed into
-the candidates before rules (a) and (b).  Both rules are decided for
+the candidates before rules (a) and (b).  A node at level n - 2 passes
+its keep table ORed with its alive set, so its dead children, which it
+neither yields nor opens, are never decided.  Both rules are decided for
 each candidate on its own (the union-find and the abort hook start
 afresh per candidate, and the parent's key values are the same whichever
 candidate asks for them first), so dropping candidates changes no other
 verdict:
 the stream is the full stream filtered by the table, in the same order,
 and the frontier, and with it the shard and job split, is unchanged.  At
-n = 10 only 4,261 of the 261,080 parents have a critical child, and all
-but 5,967 of them are known to have none from their pairless set, before
-any table of theirs is built.
+n = 10 only 4,261 of the 261,080 level-9 nodes have a critical child,
+and only the 5,967 alive ones are built.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier (for n <= 3 that is K1 alone, node 0; for n = 1 K1 is also
@@ -205,9 +209,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .canon import (_automorphism_taking, _find, _search, _twin_pairs,
                     _union, degree_cells, refine)
-from .criticality import (_is_edge_maximal_fast, _mask_sets,
-                          _no_critical_child, _pairless_of, _pairless_sets,
-                          _table_of)
+from .criticality import (_alive_set, _is_edge_maximal_fast, _mask_sets,
+                          _pairless_sets, _table_of)
 # _articulation_mask and _is_critical_fast are no longer called here (the cut
 # sets and the extension table replace them) but stay module attributes:
 # bench/layers.py traces them by name.
@@ -651,11 +654,21 @@ def _iter_leaves(
     k vertices (see _child_states), and only then are criticality tables
     built: each node gets its table once, and critical is bit s of its
     parent's, so it is the node's verdict (0 for K1, and for every node
-    when keep is None).  A node at level n - 1 gets table 0 without
-    building it when the pairless set read from its own parent's sets
-    proves it has no critical child.  A node below level n - 1 yields its
-    kept children and still expands all of them; at level n - 1 the keep
-    table prunes the children before they are built.
+    when keep is None).  A node below level n - 2 yields its kept children
+    and still expands all of them.  A node at level n - 2 also computes
+    its alive set (criticality._alive_set), decides rules (a) and (b)
+    only for the children that are kept or alive, yields the kept ones
+    and opens only those.  A node at level n - 1 builds its table iff its
+    bit of its parent's alive set is set (otherwise the table is 0), and
+    its keep table prunes its children before they are built.
+
+    So a level n - 1 node's keep may be nonzero only if the node is alive
+    or kept by its parent: any other node is not opened, and its kept
+    children would be lost.  Every caller's keep obeys this.  A
+    criticality table is nonzero only on alive nodes; the full census
+    keeps every child; the lemma universe's girth > 4 table is nonzero
+    only on a graph of girth > 4 or a tree, which its parent's girth
+    table, and so its parent's keep, admits.
 
     owner gates the frontier at level max(1, n - 2): a job walks only the
     frontier nodes it owns, so the graphs on up to max(1, n - 2) vertices
@@ -669,9 +682,10 @@ def _iter_leaves(
     frontier = max(1, n - 2)
     counter = 0
 
-    def nodes(state: _State, k: int, q: "int | None") -> Iterator[tuple]:
-        # one record (rows, table, children to yield) per node opened; q is
-        # the pairless set of a node at level n - 1, read from its parent
+    def nodes(state: _State, k: int, alive: int) -> Iterator[tuple]:
+        # one record (rows, table, children to yield) per node opened;
+        # alive is 0 only for a node at level n - 1 whose bit of its
+        # parent's alive set is clear, and such a node builds no table
         nonlocal counter
         if owner is not None and k == frontier:
             idx = counter
@@ -679,25 +693,27 @@ def _iter_leaves(
             if not owner(idx):
                 return
         adj = state[0]
-        sets = kept = None
+        kept = opened = None
         table = 0
         if keep is not None:
-            if q is None or not _no_critical_child(adj, q):
+            if alive:
                 sets = _pairless_sets(adj, k)
                 table = _table_of(*sets)
             kept = keep(adj, k, table)
         if k == n - 1:
             yield adj, table, _child_states(state, k, kept)
             return
-        children = list(_child_states(state, k))
+        if kept is not None and k == n - 2:
+            live = _alive_set(adj, k, *sets)
+            opened = kept | live
+        children = list(_child_states(state, k, opened))
         yield adj, table, [c for c in children
                            if kept is None or kept >> c[0] & 1]
-        last = sets is not None and k == n - 2
         for s, cut in children:
             yield from nodes((_attach(adj, s), cut), k + 1,
-                             _pairless_of(*sets, s) if last else None)
+                             1 if opened is None else live >> s & 1)
 
-    for adj, table, children in nodes(_ROOT, 1, None):
+    for adj, table, children in nodes(_ROOT, 1, 1):
         for s, _ in children:
             yield adj, s, table >> s & 1
 

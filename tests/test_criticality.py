@@ -24,6 +24,7 @@ from distcrit import criticality
 from distcrit.verify import pendant_deletion_check
 from distcrit.graph import UNREACHABLE, _reach_mask, girth
 from distcrit.criticality import (
+    _alive_set,
     _distance_changers,
     _girth_table,
     _is_critical_fast,
@@ -547,3 +548,32 @@ class TestDeadChildren:
         assert _table_of(*_pairless_sets(star, 4)) == 0
         # nothing pairless: the graph itself may be critical
         assert not _no_critical_child(cycle(5).adj, 0)
+        # a P4 and a K1,3, as above, are the children of the path 0-1-2
+        # on {2} and on {1}: its alive set holds the first and not the
+        # second, nor the 4-cycle (on {0, 2}) or an isolated vertex (on
+        # nothing)
+        short = (0b10, 0b101, 0b10)
+        live = _alive_set(short, 3, *_pairless_sets(short, 3))
+        assert live >> 0b100 & 1
+        assert not live & (1 << 0b10 | 1 << 0b101 | 1)
+
+
+class TestAliveSets:
+    """_alive_set against its oracle, _no_critical_child on the pairless
+    set that _pairless_of reads, for every neighbourhood A (0 included)
+    of every node of the augmentation tree up to level 7."""
+
+    def test_alive_set_is_the_per_child_test(self):
+        nodes = children = alive = 0
+        for k, (adj, _) in augmentation_nodes(7):
+            sets = _pairless_sets(adj, k)
+            live = _alive_set(adj, k, *sets)
+            assert live >> (1 << k) == 0
+            for s in range(1 << k):
+                q = _pairless_of(*sets, s)
+                want = not _no_critical_child(_attach(adj, s), q)
+                assert live >> s & 1 == want
+                alive += want
+            nodes += 1
+            children += 1 << k
+        assert (nodes, children, alive) == (996, 117142, 3883)

@@ -29,6 +29,8 @@ from distcrit.canon import (
 )
 from distcrit.constructions import cycle
 from distcrit.criticality import (
+    _alive_set,
+    _girth_table,
     _is_critical_fast,
     _is_edge_maximal_fast,
     _pairless_sets,
@@ -758,22 +760,60 @@ class TestCriticalFirst:
 
 
     def test_dead_children_build_no_table(self, monkeypatch):
-        # the n = 9 census builds pairless sets, and from them a table, at
-        # every node on 1..7 vertices, and at the level-8 nodes that
-        # _no_critical_child cannot call dead; the level-7 sets also give
-        # each level-8 node its pairless set
+        # the n = 9 critical-only census builds pairless sets, and from
+        # them a table, at every node on 1..7 vertices; the level-7 nodes'
+        # alive sets then open only the 373 level-8 nodes that may have a
+        # critical child, of 11,117, and those alone build sets
         built = {}
+        opened = {}
         sets = enumeration._pairless_sets
+        children = enumeration._child_states
 
         def counted(adj, k):
             built[k] = built.get(k, 0) + 1
             return sets(adj, k)
 
+        def counted_children(state, k, keep=None):
+            opened[k] = opened.get(k, 0) + 1
+            return children(state, k, keep)
+
         monkeypatch.setattr(enumeration, "_pairless_sets", counted)
+        monkeypatch.setattr(enumeration, "_child_states", counted_children)
         tally = run_enumeration(9, critical_only=True)[0]
         assert tally.critical_count == 168
-        assert built == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
-                         8: 373}
+        assert built == opened == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112,
+                                   7: 853, 8: 373}
+        # the full census opens every node, and at n = 8 builds sets at
+        # the 41 of the 853 level-7 nodes that are alive
+        built.clear()
+        opened.clear()
+        assert run_enumeration(8)[0].connected_count == CONNECTED_COUNTS[8]
+        assert opened == {k: CONNECTED_COUNTS[k] for k in range(1, 8)}
+        assert built == {**opened, 7: 41}
+
+
+    def test_unopened_nodes_keep_nothing(self):
+        # a level n - 1 node that is neither alive nor kept by its parent
+        # is not opened, so its keep must admit no child: so it is for the
+        # keeps of the critical-only census and of the lemma universe, on
+        # every child of every node up to level 7
+        keeps = (lambda adj, k, table: table,
+                 lambda adj, k, table: table | _girth_table(adj, k))
+        closed = [0, 0]
+        for k, state in augmentation_nodes(6):
+            adj = state[0]
+            sets = _pairless_sets(adj, k)
+            table = _table_of(*sets)
+            live = _alive_set(adj, k, *sets)
+            for s, _ in _child_states(state, k):
+                child = _attach(adj, s)
+                child_table = _table_of(*_pairless_sets(child, k + 1))
+                for i, keep in enumerate(keeps):
+                    if not (keep(adj, k, table) | live) >> s & 1:
+                        assert keep(child, k + 1, child_table) == 0
+                        closed[i] += 1
+        # of the 995 nodes on 2..7 vertices
+        assert closed == [943, 925]
 
 
 class TestSharding:

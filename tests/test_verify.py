@@ -103,12 +103,13 @@ class TestLemmaHarness:
         monkeypatch.setattr(verify, "_iter_leaves", counting)
         monkeypatch.setattr(enumeration, "_child_states", counting_children)
         run_all_lemmas(7)
-        # one walk over the orders 1..7, which expands every node on 1..6
-        # vertices once
+        # one walk over the orders 1..7, which expands every node on 1..5
+        # vertices once, and opens only the 12 of the 112 nodes on 6
+        # vertices that its alive sets or its keep admit
         assert [(n, owner) for n, owner, _ in walks] == [(7, None)]
         assert [expanded.count(k) for k in range(1, 7)] == \
-            [1, 1, 2, 6, 21, 112]
-        assert len(expanded) == 143
+            [1, 1, 2, 6, 21, 12]
+        assert len(expanded) == 43
         # the walk keeps the critical table or the girth > 4 one: on the
         # path P4 a new vertex on a single vertex or on {0, 3} leaves
         # girth > 4
