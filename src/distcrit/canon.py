@@ -185,8 +185,7 @@ def _union(parent: list[int], a: int, b: int) -> None:
         parent[ra] = rb
 
 
-def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None,
-            twins: bool = True):
+def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     """Core backtracking search.
 
     Returns (form_int, labeling, orbit_rep, generators) where
@@ -205,8 +204,7 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None,
     Individualizing a twin splits nothing else, so the first leaf lists
     each cell in ascending order; every other leaf is its image under an
     automorphism, with the same form.  This covers K0, K1, complete and
-    empty graphs.  twins=False skips that test, for a caller that has
-    found _twin_pairs(adj, stable) to be None.
+    empty graphs.
     """
     best_form: int | None = None
     best_lab: tuple[int, ...] = ()
@@ -276,7 +274,7 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None,
 
     if stable is None:
         stable = refine(adj, degree_cells(adj, n))
-    pairs = _twin_pairs(adj, stable) if twins else None
+    pairs = _twin_pairs(adj, stable)
     if pairs is None:
         search(stable, ())
     else:
@@ -285,70 +283,12 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None,
         for a, b in pairs:
             gens.append(_transposition(n, a, b))
             _union(orbit, a, b)
+    # search reaches itself through its closure; dropping the name breaks
+    # that cycle, so the call's lists are freed on return and not left to
+    # the cyclic collector
+    del search
     rep = tuple(_find(orbit, v) for v in range(n))
     return best_form, best_lab, rep, gens
-
-
-def _is_automorphism(adj, perm) -> bool:
-    """Whether the vertex bijection perm maps every edge of adj to an
-    edge, which for a bijection on a finite graph makes it an
-    automorphism; stops at the first edge whose image is missing."""
-    for v, row in enumerate(adj):
-        image = adj[perm[v]]
-        while row:
-            low = row & -row
-            row ^= low
-            if not image >> perm[low.bit_length() - 1] & 1:
-                return False
-    return True
-
-
-def _automorphism_taking(adj: tuple[int, ...], n: int, stable: list[int],
-                         w: int, u: int) -> "tuple[int, ...] | None":
-    """An automorphism that maps w to u, or None if there is none.
-
-    stable must be refine(adj, degree_cells(adj, n)), with w and u in one
-    of its cells.  Both sides individualize their vertex and refine; the
-    w side then follows one fixed branch (the least vertex of its first
-    non-singleton cell) while the u side tries every vertex of the
-    matching cell, as long as the two partitions have equal cell sizes.
-    A discrete pair is a bijection, returned only if it preserves
-    adjacency (_is_automorphism), which makes the search sound.  The
-    enumeration's orbit certificate calls it only after the involution it
-    propagates from (w u) first (enumeration._swap_taking) has failed: in
-    the census to n = 9 those involutions supply 11,582 of the 12,283
-    automorphisms the certificate finds besides twin transpositions, and
-    733 searches are made.  It is complete because
-    refine is label-invariant: an automorphism taking w to u maps every
-    partition on the w branch to one on the u side, cell by cell, and
-    the branch that follows it ends in that automorphism.
-    """
-
-    def match(pw: list[int], pu: list[int]) -> "tuple[int, ...] | None":
-        if len(pw) != len(pu) or any(
-                a.bit_count() != b.bit_count() for a, b in zip(pw, pu)):
-            return None
-        t = next((i for i, c in enumerate(pw) if c & (c - 1)), -1)
-        if t < 0:
-            perm = [0] * n
-            for a, b in zip(pw, pu):
-                perm[a.bit_length() - 1] = b.bit_length() - 1
-            return tuple(perm) if _is_automorphism(adj, perm) else None
-        pw = _individualize(adj, pw, t, pw[t] & -pw[t])
-        m = pu[t]
-        while m:
-            low = m & -m
-            m ^= low
-            perm = match(pw, _individualize(adj, pu, t, low))
-            if perm is not None:
-                return perm
-        return None
-
-    if w == u:
-        return tuple(range(n))
-    t = next(i for i, c in enumerate(stable) if c >> w & 1)
-    return match(_individualize(adj, stable, t, 1 << w),
-                 _individualize(adj, stable, t, 1 << u))
 
 
 def _transposition(n: int, a: int, b: int) -> tuple[int, ...]:

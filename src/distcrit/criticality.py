@@ -41,6 +41,7 @@ iff these sets cover every vertex.  No layers or distance rows are kept.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, NamedTuple
 
 # all_pairs_distances is not called here; it stays importable because
@@ -252,34 +253,29 @@ def is_distance_critical_direct(g: Graph) -> bool:
             and _distance_changers(g.adj, g.n) == (1 << g.n) - 1)
 
 
-_MASK_SETS: dict[int, tuple[list[int], list[int], list[int]]] = {}
-
-
+@functools.cache
 def _mask_sets(k: int) -> tuple[list[int], list[int], list[int]]:
     """Sets of vertex masks S of range(k) as 2^k-bit ints, bit S standing
     for S (S = 0 included): HAS[a] holds the S that contain a, NONE[X]
     the S disjoint from X, and GE[j], for j = 0..k + 2, the S with
     |S| >= j."""
-    t = _MASK_SETS.get(k)
-    if t is None:
-        size = 1 << k
-        has = []
-        for a in range(k):
-            half = 1 << a
-            # the upper half of every run of 2^(a + 1) masks contains a
-            repunit = ((1 << size) - 1) // ((1 << 2 * half) - 1)
-            has.append((((1 << half) - 1) << half) * repunit)
-        none = [(1 << size) - 1]
-        for x in range(1, size):
-            low = x & -x
-            none.append(none[x ^ low] & ~has[low.bit_length() - 1])
-        ge = [0] * (k + 3)
-        for s in range(size):
-            ge[s.bit_count()] |= 1 << s
-        for j in range(k, -1, -1):
-            ge[j] |= ge[j + 1]
-        _MASK_SETS[k] = t = (has, none, ge)
-    return t
+    size = 1 << k
+    has = []
+    for a in range(k):
+        half = 1 << a
+        # the upper half of every run of 2^(a + 1) masks contains a
+        repunit = ((1 << size) - 1) // ((1 << 2 * half) - 1)
+        has.append((((1 << half) - 1) << half) * repunit)
+    none = [(1 << size) - 1]
+    for x in range(1, size):
+        low = x & -x
+        none.append(none[x ^ low] & ~has[low.bit_length() - 1])
+    ge = [0] * (k + 3)
+    for s in range(size):
+        ge[s.bit_count()] |= 1 << s
+    for j in range(k, -1, -1):
+        ge[j] |= ge[j + 1]
+    return has, none, ge
 
 
 def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:

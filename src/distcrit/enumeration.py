@@ -97,14 +97,14 @@ one in each stable cell, until nothing breaks or the pairing is not
 determined.  An involution that comes out is an automorphism (the
 docstring of _swap_taking has the proof), a transposition when u is a
 twin of w (same neighbours apart from each other).  The certificate
-needs some automorphism that takes w to u, however it was found.  Only
-when the propagation gives up does canon._automorphism_taking look for
-one, and it finds one iff there is one.  Only when some u has none does
-the canonical search, started from the stable partition, decide.  In the census to n = 9,
-12,473 candidates reach a stable partition.  Their 13,506 checks find
-1,191 twins and 11,582 larger involutions (6,223 moving two pairs, 3,398
-three and 1,961 four) and make 733 automorphism searches, which find
-701, and 32 candidates go on to the canonical search.
+needs some automorphism that takes w to u, however it was found.  When
+the propagation gives up, the canonical search, started from the stable
+partition, decides rule (b) exactly, so the swap only saves searches and
+never changes a verdict.  In the census to n = 9, 12,473 candidates
+reach a stable partition.  Their 13,461 checks find 1,191 twins and
+11,560 larger involutions (6,210 moving two pairs, 3,392 three and 1,958
+four), and the propagation gives up on 710 candidates, which go on to
+the canonical search.
 
 Twin-cell groups: rule (a) needs the parent's automorphism group.  Every
 automorphism fixes each cell of the parent's stable partition, since
@@ -207,12 +207,12 @@ import os
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .canon import (_automorphism_taking, _find, _search, _twin_pairs,
-                    _union, degree_cells, refine)
+from .canon import (_find, _search, _twin_pairs, _union, degree_cells,
+                    refine)
 from .criticality import (_alive_set, _is_edge_maximal_fast, _mask_sets,
                           _pairless_sets, _table_of)
 # _articulation_mask and _is_critical_fast are no longer called here (the cut
-# sets and the extension table replace them) but stay module attributes:
+# sets and the criticality tables replace them) but stay module attributes:
 # bench/layers.py traces them by name.
 from .criticality import _is_critical_fast  # noqa: F401
 from .graph import Graph, _articulation_mask, _reach_mask, bits  # noqa: F401
@@ -402,10 +402,10 @@ def _swap_taking(adj: tuple[int, ...], w: int, u: int,
     of each: one of each is paired, and more are paired cell by cell of
     the stable partition (every automorphism fixes its cells), exactly one
     of a and one of b per cell.  Anything else gives up, and None sends
-    the caller to the complete search (canon._automorphism_taking).  The
-    pairs found are moved and checked in turn; only unmoved vertices are
-    paired, so each vertex is moved once at most and the loop makes at
-    most n checks.
+    the caller to the canonical search (canon._search), which decides
+    rule (b) itself.  The pairs found are moved and checked in turn; only
+    unmoved vertices are paired, so each vertex is moved once at most and
+    the loop makes at most n checks.
 
     A permutation that comes out is an automorphism, with no edge check:
     a moved vertex keeps its image, and once x is checked (and its pairs
@@ -547,7 +547,7 @@ def _child_states(
     # automorphisms preserve popcount, degrees and cut vertices.
     pairs = _twin_pairs(adj, cells)
     if pairs is None:
-        gens = _search(adj, k, cells, twins=False)[3]
+        gens = _search(adj, k, cells)[3]
         if gens:
             ok &= _subset_reps(k, gens)
     elif pairs:
@@ -614,7 +614,8 @@ def _child_states(
         # of T.  The canonically last vertex of T is in that cell, so rule
         # (b) holds if all its vertices of T are automorphic to the new
         # one (the orbit certificate of the module docstring).  Only when
-        # one of them is not does the canonical labeling decide.
+        # the propagated swap gives up on one of them does the canonical
+        # labeling decide.
         orbit = list(range(nch))
         for u in bits(next(c for c in reversed(stable) if c & top)
                       & top & ~newbit):
@@ -622,9 +623,7 @@ def _child_states(
                 continue
             perm = _swap_taking(child_adj, k, u, stable)
             if perm is None:
-                perm = _automorphism_taking(child_adj, nch, stable, k, u)
-                if perm is None:
-                    break
+                break
             for v, pv in enumerate(perm):
                 if v != pv:
                     _union(orbit, v, pv)

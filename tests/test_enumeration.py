@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import os
 
+import networkx as nx
 import pytest
 
 from distcrit import (
@@ -18,7 +19,6 @@ from distcrit import (
 )
 from distcrit import enumeration
 from distcrit.canon import (
-    _automorphism_taking,
     _find,
     _search,
     _twin_pairs,
@@ -244,7 +244,7 @@ class TestAugmentationSteps:
         # where every non-singleton cell of the stable partition is all
         # twins, _search reads the group without backtracking: its
         # generators are automorphisms, and the orbits they span are the
-        # ones _automorphism_taking, which searches, finds
+        # ones networkx's VF2 finds
         read = 0
         for n in range(1, 8):
             for g in connected_by_n[n]:
@@ -260,13 +260,8 @@ class TestAugmentationSteps:
                         for v in range(n))
                     for v, pv in enumerate(perm):
                         _union(orbit, v, pv)
-                cell_of = {v: c for c in stable for v in bits(c)}
-                searched = tuple(
-                    next(u for u in bits(cell_of[v]) if _automorphism_taking(
-                        g.adj, n, stable, v, u) is not None)
-                    for v in range(n))
                 assert tuple(_find(orbit, v) for v in range(n)) == \
-                    searched == automorphism_orbits(g)
+                    vf2_orbit_reps(g) == automorphism_orbits(g)
         assert read == 659
 
     def test_twin_cell_generators_by_hand(self):
@@ -314,6 +309,22 @@ class TestAugmentationSteps:
             assert 1 <= len(enumeration._SUBSET_REPS) <= 3
 
 
+def vf2_orbit_reps(g: Graph) -> tuple[int, ...]:
+    """Least vertex per automorphism orbit, by networkx's VF2: u is in
+    the orbit of v iff g with v marked is isomorphic to g with u marked."""
+    def marked(v: int) -> nx.Graph:
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        h.nodes[v]["mark"] = True
+        return h
+
+    def same(a: dict, b: dict) -> bool:
+        return a.get("mark") == b.get("mark")
+
+    return tuple(next(u for u in range(v + 1) if nx.is_isomorphic(
+        marked(v), marked(u), node_match=same)) for v in range(g.n))
+
+
 def parent_state(adj: tuple[int, ...]):
     """The augmentation node for the connected graph adj."""
     return adj, _articulation_mask(adj, len(adj))
@@ -326,12 +337,10 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     read from the parent), "early" (refine stopped early), and at a stable
     partition "twin" (only twins of the new vertex in its cell), "swap"
     (a propagated involution larger than a twin transposition, no
-    search), "automorphism" (an automorphism search but no canonical
     search) or "fallback" (the canonical search)."""
     by_key: dict[int, bool] = {}
     stopped: dict[tuple[int, ...], bool] = {}
     swapped: set[tuple[int, ...]] = set()
-    automorphism_searched: set[tuple[int, ...]] = set()
     searched: set[tuple[int, ...]] = set()
 
     def recording_key(adj, classes, sums, tris, s, cut):
@@ -353,19 +362,13 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
             swapped.add(adj)
         return perm
 
-    def recording_automorphism(adj, n, stable, w, u):
-        automorphism_searched.add(adj)
-        return _automorphism_taking(adj, n, stable, w, u)
-
-    def recording_search(adj, n, stable=None, twins=True):
+    def recording_search(adj, n, stable=None):
         searched.add(adj)
-        return _search(adj, n, stable, twins)
+        return _search(adj, n, stable)
 
     monkeypatch.setattr(enumeration, "_key_ties", recording_key)
     monkeypatch.setattr(enumeration, "refine", recording_refine)
     monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
-    monkeypatch.setattr(enumeration, "_automorphism_taking",
-                        recording_automorphism)
     monkeypatch.setattr(enumeration, "_search", recording_search)
     accepted = [_attach(state[0], s) for s, _ in _child_states(state, k)]
     monkeypatch.undo()
@@ -384,8 +387,6 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
             path = "early"
         elif child_adj in searched:
             path = "fallback"
-        elif child_adj in automorphism_searched:
-            path = "automorphism"
         elif child_adj in swapped:
             path = "swap"
         else:
@@ -520,11 +521,11 @@ class TestLeafDecision:
                 record["swap"].append(adj)
             return perm
 
-        def recording_search(adj, n, stable=None, twins=True):
+        def recording_search(adj, n, stable=None):
             record["search"].append(adj)
-            return _search(adj, n, stable, twins)
+            return _search(adj, n, stable)
 
-        swap_accepts = swaps = 0
+        swap_accepts = swaps = child_searches = 0
         for k, state in augmentation_nodes(8):
             for key in record:
                 record[key].clear()
@@ -533,14 +534,17 @@ class TestLeafDecision:
             accepted = {s for s, _ in _child_states(state, k)}
             monkeypatch.undo()
             swaps += len(record["swap"])
+            child_searches += sum(len(a) == k + 1 for a in record["search"])
             for child in set(record["swap"]) - set(record["search"]):
                 if child[-1] in accepted:
                     assert new_vertex_comes_last(list(child), k)
                     swap_accepts += 1
-        # the census to n = 9: the involutions found, and the children
-        # accepted with a swap and no canonical search
-        assert swaps == 12773
-        assert swap_accepts == 11806
+        # the census to n = 9: the involutions found, the children accepted
+        # with a swap and no canonical search, and the children that the
+        # swaps left to the canonical search
+        assert swaps == 12751
+        assert swap_accepts == 11763
+        assert child_searches == 710
 
     @staticmethod
     def child_path(monkeypatch, adj: tuple[int, ...], s: int):
@@ -624,16 +628,14 @@ class TestLeafDecision:
         # child is K3,3, one stable cell, and all six vertices tie on the
         # key.  The twin 0 of the new vertex 5 is swapped, but 1 is not:
         # propagating (5 1) must pair {0, 4} with {2, 3} inside the one
-        # cell, so it gives up, and only the automorphism search takes 5
-        # to 1
+        # cell, so it gives up, and the canonical search decides
         path, child = self.child_path(
             monkeypatch, (0b1110, 0b10001, 0b10001, 0b10001, 0b1110), 0b1110)
-        assert path == ("automorphism", True)
+        assert path == ("fallback", True)
         assert new_vertex_comes_last(list(child), 5)
         stable = refine(child, degree_cells(child, 6))
         assert stable == [0b111111]
         assert _swap_taking(child, 5, 1, stable) is None
-        assert _automorphism_taking(child, 6, stable, 5, 1) is not None
 
     # The cubic graph on 8 vertices made of two triangles joined by one
     # edge (the link), with two more vertices x and y joined to each other:
