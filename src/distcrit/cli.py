@@ -106,10 +106,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_pairs(args) -> int:
     graphs = _input_graphs(args)
-    if args.vertex is not None:
-        for g in graphs:
-            if not 0 <= args.vertex < g.n:
-                return _fail(f"vertex {args.vertex} out of range for n={g.n}")
     out = []
     for g in graphs:
         if args.vertex is not None:

@@ -9,14 +9,15 @@ input; a graph with no vertices is not distance critical by convention.
 
 The pairs method is the workhorse: it needs no distance recomputation and
 reports, per vertex, the lexicographically least witness pair.  It rests
-on one primitive, _layer(adj, mask): the vertices with at least one, and
-with at least two, neighbours in mask.  For mask = N(a), twice holds the
-vertices with two or more common neighbours with a, and the determining
-pairs (a, b) of v are the b > a of N(v) outside N(a) and outside that
-mask (_partners); a caller that needs one witness only tests those
-candidates against the other neighbours of a.  The same layer gives
-_girth_table its girth > 4 test, and the layer of a BFS frontier gives
-the direct method's sole parents.
+on one primitive, graph._layer(adj, mask): the vertices with at least
+one, and with at least two, neighbours in mask.  For mask = N(a), twice
+holds the vertices with two or more common neighbours with a, and the
+determining pairs (a, b) of v are the b > a of N(v) outside N(a) and
+outside that mask (_partners); a caller that needs one witness only
+tests those candidates against the other neighbours of a.  The same
+layer gives _girth_table its girth > 4 test, and the layer of a BFS
+frontier gives the direct method's sole parents.  graph.py steps its
+girth, distance rows and reachability masks with it too.
 
 The enumeration decides criticality for every child of a node at once.
 Its primitive is _pairless_sets(adj, k): for a new vertex x attached to
@@ -46,21 +47,7 @@ from typing import Iterator, NamedTuple
 
 # all_pairs_distances is not called here; it stays importable because
 # bench/layers.py patches it in this module by name
-from .graph import Graph, all_pairs_distances, bits  # noqa: F401
-
-
-def _layer(adj, mask: int) -> tuple[int, int]:
-    """(once, twice): the vertices adjacent to at least one, and to at
-    least two, vertices of mask.  twice holds the bits that two or more
-    of the rows adj[x], x in mask, share."""
-    once = twice = 0
-    while mask:
-        low = mask & -mask
-        row = adj[low.bit_length() - 1]
-        twice |= once & row
-        once |= row
-        mask ^= low
-    return once, twice
+from .graph import Graph, _layer, all_pairs_distances, bits  # noqa: F401
 
 
 def _partners(adj, v: int, twice=None) -> Iterator[tuple[int, int]]:

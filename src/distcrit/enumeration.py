@@ -203,9 +203,10 @@ merge back into the order of the single-job run.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .canon import (_find, _search, _twin_pairs, _union, degree_cells,
                     refine)
@@ -215,16 +216,14 @@ from .criticality import (_alive_set, _is_edge_maximal_fast, _mask_sets,
 # sets and the criticality tables replace them) but stay module attributes:
 # bench/layers.py traces them by name.
 from .criticality import _is_critical_fast  # noqa: F401
-from .graph import Graph, _articulation_mask, _reach_mask, bits  # noqa: F401
+from .graph import _articulation_mask  # noqa: F401
+from .graph import Graph, _reach_mask, bits, disjoint_union
 
 MAX_ENUM_N = 11
 
-# _subset_reps results by (k, generators); cleared when it reaches the bound
-_SUBSET_REPS: dict[tuple[int, tuple[tuple[int, ...], ...]], int] = {}
-_SUBSET_REPS_MAX = 1 << 16
 
-
-def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> int:
+@functools.lru_cache(maxsize=1 << 16)
+def _subset_reps(k: int, gens: tuple[tuple[int, ...], ...]) -> int:
     """Bit S (1 <= S < 2^k) is set iff the mask S is the least member of
     its orbit under the group generated by gens.
 
@@ -234,11 +233,7 @@ def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> int:
     jumping (least[S] = least[least[S]]), repeated until stable.  Parents
     share generator sets (1,024 distinct ones for the 2,968 calls at n = 9;
     twin-cell parents read theirs from _twin_cell_reps instead), so
-    results are cached by (k, gens), at most _SUBSET_REPS_MAX of them."""
-    key = (k, tuple(gens))
-    reps = _SUBSET_REPS.get(key)
-    if reps is not None:
-        return reps
+    results are cached by (k, gens), which must be a tuple."""
     images = []
     for g in gens:
         img = [0]
@@ -256,11 +251,7 @@ def _subset_reps(k: int, gens: Sequence[tuple[int, ...]]) -> int:
         if least == prev:
             break
     bitstr = "".join(["1" if m == s else "0" for s, m in enumerate(least)])
-    reps = int(bitstr[::-1], 2) & ~1
-    if len(_SUBSET_REPS) >= _SUBSET_REPS_MAX:
-        _SUBSET_REPS.clear()
-    _SUBSET_REPS[key] = reps
-    return reps
+    return int(bitstr[::-1], 2) & ~1
 
 
 def _components_without(adj: tuple[int, ...], k: int, u: int) -> list[int]:
@@ -549,7 +540,7 @@ def _child_states(
     if pairs is None:
         gens = _search(adj, k, cells)[3]
         if gens:
-            ok &= _subset_reps(k, gens)
+            ok &= _subset_reps(k, tuple(gens))
     elif pairs:
         ok &= _twin_cell_reps(k, pairs)
     if ok & ~lead:
@@ -873,19 +864,15 @@ def _iter_unions(catalogs: dict[int, list[Graph]], n: int) -> Iterator[Graph]:
 
     Components are drawn with sizes nonincreasing and, within one size,
     catalog indices nondecreasing, so every multiset appears exactly once.
-    Catalog members must be pairwise non-isomorphic per size.
+    Catalog members must be pairwise non-isomorphic per size.  Each
+    union is folded from its components by graph.disjoint_union, which
+    refuses one above the vertex limit.
     """
 
     def rec(remaining: int, size_cap: int, idx_min: int,
             acc: list[Graph]) -> Iterator[Graph]:
         if remaining == 0:
-            total = sum(g.n for g in acc)
-            adj: list[int] = []
-            off = 0
-            for g in acc:
-                adj.extend(row << off for row in g.adj)
-                off += g.n
-            yield Graph(total, adj, check=False)
+            yield functools.reduce(disjoint_union, acc)
             return
         for size in range(min(size_cap, remaining), 0, -1):
             cat = catalogs.get(size, [])

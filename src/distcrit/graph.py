@@ -161,8 +161,28 @@ class Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertices are shifted up by g.n."""
+    _check_vertex_count(g.n + h.n)
     adj = list(g.adj) + [row << g.n for row in h.adj]
     return Graph(g.n + h.n, adj, check=False)
+
+
+def _layer(adj, mask: int) -> tuple[int, int]:
+    """(once, twice): the vertices adjacent to at least one, and to at
+    least two, vertices of mask.  twice holds the bits that two or more
+    of the rows adj[x], x in mask, share.
+
+    Every BFS in the package steps with this.  For a BFS layer mask,
+    once & ~seen is the next layer, once & mask is nonzero iff an edge
+    lies inside the layer, and twice & ~seen holds the vertices of the
+    next layer with two neighbours in this one."""
+    once = twice = 0
+    while mask:
+        low = mask & -mask
+        row = adj[low.bit_length() - 1]
+        twice |= once & row
+        once |= row
+        mask ^= low
+    return once, twice
 
 
 def _bfs_row(adj: tuple[int, ...], n: int, src: int) -> list[int]:
@@ -171,21 +191,11 @@ def _bfs_row(adj: tuple[int, ...], n: int, src: int) -> list[int]:
     seen = frontier = 1 << src
     d = 0
     while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        nxt &= ~seen
+        frontier = _layer(adj, frontier)[0] & ~seen
+        seen |= frontier
         d += 1
-        m = nxt
-        while m:
-            low = m & -m
-            dist[low.bit_length() - 1] = d
-            m ^= low
-        seen |= nxt
-        frontier = nxt
+        for v in bits(frontier):
+            dist[v] = d
     return dist
 
 
@@ -200,13 +210,7 @@ def _reach_mask(adj, start_mask: int, within: int = -1) -> int:
     (every vertex by default)."""
     seen = frontier = start_mask
     while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & within & ~seen
+        frontier = _layer(adj, frontier)[0] & within & ~seen
         seen |= frontier
     return seen
 
@@ -220,25 +224,19 @@ def is_connected(g: Graph) -> bool:
 
 def _cycle_from(adj, src: int, best: int | None) -> int | None:
     """2d + 1 or 2d + 2 for the first BFS layer d from src that closes a
-    walk of that length, if one does before 2d + 1 reaches best."""
+    walk of that length, if one does before 2d + 1 reaches best: an edge
+    inside the layer (once & layer) closes 2d + 1, and a vertex outside
+    it with two neighbours in it (twice & ~seen) closes 2d + 2."""
     seen = frontier = 1 << src
     d = 0
     while frontier and (best is None or 2 * d + 1 < best):
-        nxt = twice = 0
-        m = frontier
-        while m:
-            low = m & -m
-            row = adj[low.bit_length() - 1]
-            if row & frontier:
-                return 2 * d + 1
-            row &= ~seen
-            twice |= nxt & row
-            nxt |= row
-            m ^= low
-        if twice:
+        once, twice = _layer(adj, frontier)
+        if once & frontier:
+            return 2 * d + 1
+        if twice & ~seen:
             return 2 * d + 2
-        seen |= nxt
-        frontier = nxt
+        frontier = once & ~seen
+        seen |= frontier
         d += 1
     return None
 

@@ -282,11 +282,7 @@ def _check_nonedge_s(uni: _Universe):
             s = 0
             for v in involved_set(g):
                 s |= 1 << v
-            yield g, all(
-                s >> x & 1 or s >> y & 1
-                for x in range(k) for y in range(x + 1, k)
-                if not g.has_edge(x, y)
-            )
+            yield g, all(s >> x & 1 or s >> y & 1 for x, y in g.non_edges())
 
 
 def _check_t_clique(uni: _Universe):

@@ -133,6 +133,16 @@ class TestPairs:
         assert code == 2
         assert out == ""
 
+    def test_vertex_out_of_range_for_a_later_graph(self, capsys,
+                                                   monkeypatch):
+        # vertex 6 is in C8 but not in C5: nothing is printed for C8
+        code, out, err = invoke(capsys, ["pairs", "--vertex", "6"],
+                                stdin=f"{C8}\n{C5}\n",
+                                monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "vertex 6 outside 0..4" in err
+
 
 class TestStats:
     def test_shape(self, capsys, schema):

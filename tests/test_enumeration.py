@@ -190,14 +190,14 @@ class TestAugmentationSteps:
             # group, twin-cell ones included (the census reads theirs
             # from _twin_cell_reps, checked against this table below)
             stable = refine(adj, degree_cells(adj, k))
-            gens = _search(adj, k, stable)[3]
+            gens = tuple(_search(adj, k, stable)[3])
             if not gens:
                 continue
             got = _subset_reps(k, gens)
             assert isinstance(got, int)
             assert got == subset_reps_dfs(k, gens)
             checked += 1
-            keys.add((k, tuple(gens)))
+            keys.add((k, gens))
         # every generator set of the parents of the n = 9 census, and the
         # distinct (k, generators) keys among them (which depend on the
         # labels the engine gives its nodes)
@@ -214,7 +214,7 @@ class TestAugmentationSteps:
             pairs = _twin_pairs(adj, stable)
             if pairs is None:
                 continue
-            gens = _search(adj, k, stable)[3]
+            gens = tuple(_search(adj, k, stable)[3])
             assert _twin_cell_reps(k, pairs) == _subset_reps(k, gens)
             twin += 1
             discrete += not pairs
@@ -285,28 +285,30 @@ class TestAugmentationSteps:
                   complete_bipartite(5, 5), complete_bipartite(1, 9),
                   petersen]
         for g in graphs:
-            gens = _search(g.adj, g.n)[3]
+            gens = tuple(_search(g.adj, g.n)[3])
             assert gens
             assert _subset_reps(g.n, gens) == subset_reps_dfs(g.n, gens)
 
-    def test_subset_reps_cache(self, monkeypatch, petersen):
-        monkeypatch.setattr(enumeration, "_SUBSET_REPS", {})
-        gens = _search(petersen.adj, 10)[3]
+    def test_subset_reps_cache(self, petersen):
+        assert _subset_reps.cache_info().maxsize == 1 << 16
+        gens = tuple(_search(petersen.adj, 10)[3])
+        _subset_reps.cache_clear()
         fresh = _subset_reps(10, gens)
-        assert len(enumeration._SUBSET_REPS) == 1
-        assert _subset_reps(10, list(gens)) is fresh
-        monkeypatch.setattr(enumeration, "_SUBSET_REPS", {})
-        assert _subset_reps(10, gens) == fresh
+        assert _subset_reps(10, gens) is fresh
+        info = _subset_reps.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
-        # past the bound the cache is cleared, never grown
-        monkeypatch.setattr(enumeration, "_SUBSET_REPS_MAX", 3)
-        nodes = [(k, _search(adj, k)[3]) for k, (adj, _) in
+        # after a clear each result is computed again and still equals
+        # the orbit DFS
+        nodes = [(k, tuple(_search(adj, k)[3])) for k, (adj, _) in
                  augmentation_nodes(6)]
-        nodes = [(k, gens) for k, gens in nodes if gens]
-        assert len({(k, tuple(gens)) for k, gens in nodes}) > 3
-        for k, gens in nodes:
+        keys = {(k, gens) for k, gens in nodes if gens}
+        assert len(keys) > 3
+        _subset_reps.cache_clear()
+        for k, gens in keys:
             assert _subset_reps(k, gens) == subset_reps_dfs(k, gens)
-            assert 1 <= len(enumeration._SUBSET_REPS) <= 3
+        info = _subset_reps.cache_info()
+        assert (info.hits, info.misses) == (0, len(keys))
 
 
 def vf2_orbit_reps(g: Graph) -> tuple[int, ...]:

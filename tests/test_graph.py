@@ -221,3 +221,11 @@ def test_disjoint_union_offsets():
                        Graph.from_edges(3, [(0, 2)]))
     assert g.n == 5
     assert set(g.edges()) == {(0, 1), (2, 4)}
+
+
+def test_disjoint_union_keeps_the_vertex_limit():
+    # a larger union would encode to graph6 that decode_graph6 refuses
+    half = Graph.empty(512)
+    assert disjoint_union(half, half).n == 1024
+    with pytest.raises(ValueError, match="vertex count 1025"):
+        disjoint_union(Graph.empty(1024), Graph.empty(1))
