@@ -23,22 +23,27 @@ def _color_order(adj, cand: int) -> list[tuple[int, int]]:
     return order
 
 
-def _mc_size(adj, cand: int, size: int, best: int) -> int:
-    # branch on high color bounds first; a vertex in color class k caps
-    # any clique inside cand at k, which prunes most of the tree
-    for v, bound in reversed(_color_order(adj, cand)):
-        if size + bound <= best:
-            return best
+def max_clique_size(g: Graph) -> int:
+    """Branch and bound on an explicit stack of [colour order, candidates,
+    size] frames, so no clique size meets the recursion limit.  A vertex
+    in colour class k caps any clique among the candidates left at k, so
+    each order is read from its end, highest colour first, and a frame is
+    dropped once its highest colour left cannot beat the best clique."""
+    adj = g.adj
+    best = 0
+    full = (1 << g.n) - 1
+    stack = [[_color_order(adj, full), full, 0]]
+    while stack:
+        frame = stack[-1]
+        order, cand, size = frame
+        if not order or size + order[-1][1] <= best:
+            stack.pop()
+            continue
+        v = order.pop()[0]
+        frame[1] = cand ^ 1 << v
         sub = cand & adj[v]
         if sub:
-            best = _mc_size(adj, sub, size + 1, best)
+            stack.append([_color_order(adj, sub), sub, size + 1])
         elif size + 1 > best:
             best = size + 1
-        cand ^= 1 << v
     return best
-
-
-def max_clique_size(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return _mc_size(g.adj, (1 << g.n) - 1, 0, 0)

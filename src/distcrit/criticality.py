@@ -13,8 +13,8 @@ on one primitive, graph._layer(adj, mask): the vertices with at least
 one, and with at least two, neighbours in mask.  For mask = N(a), twice
 holds the vertices with two or more common neighbours with a, and the
 determining pairs (a, b) of v are the b > a of N(v) outside N(a) and
-outside that mask (_partners); a caller that needs one witness only
-tests those candidates against the other neighbours of a.  The same
+outside that mask (_partners).  Its callers share one list of these
+masks over the vertices of a graph, filled on first use.  The same
 layer gives _girth_table its girth > 4 test, and the layer of a BFS
 frontier gives the direct method's sole parents.  graph.py steps its
 girth, distance rows and reachability masks with it too.
@@ -47,25 +47,23 @@ from typing import Iterator, NamedTuple
 
 # all_pairs_distances is not called here; it stays importable because
 # bench/layers.py patches it in this module by name
-from .graph import Graph, _layer, all_pairs_distances, bits  # noqa: F401
+from .graph import (  # noqa: F401
+    Graph, _layer, _with_each_non_edge, all_pairs_distances, bits)
 
 
-def _partners(adj, v: int, twice=None) -> Iterator[tuple[int, int]]:
+def _partners(adj, v: int, twice: list) -> Iterator[tuple[int, int]]:
     """(a, B) for each neighbour a of v, ascending, whose mask B is not
     empty: B holds the b > a such that (a, b) is a determining pair of v.
 
     Such a b is a neighbour of v above a, not adjacent to a, and shares no
-    neighbour with a but v, which they share: it is outside the twice
-    mask of _layer(adj, adj[a]).  twice[a], that mask, may be given for
-    every a.  Otherwise only the candidates are tested: since each of them
-    shares v with a, the ones to drop are those adjacent to some other
-    neighbour c of a, gathered from the rows adj[c] & rest until they
-    cover rest.  A nonadjacent pair whose unique common neighbour is c is
-    met for v = c and for no other v, so a sweep over all v meets each
-    determining pair once.
+    neighbour with a but v, which they share: it is outside twice[a], the
+    twice mask of _layer(adj, adj[a]).  An entry of twice that is None is
+    computed on first use and stored, so callers that share one list over
+    the vertices of a graph compute each mask at most once.  A nonadjacent
+    pair whose unique common neighbour is c is met for v = c and for no
+    other v, so a sweep over all v meets each determining pair once.
     """
     later = adj[v]
-    others = ~(1 << v)
     while later:
         low = later & -later
         later ^= low
@@ -73,16 +71,10 @@ def _partners(adj, v: int, twice=None) -> Iterator[tuple[int, int]]:
         rest = later & ~adj[a]
         if not rest:
             continue
-        if twice is None:
-            covered = 0
-            m = adj[a] & others
-            while m and covered != rest:
-                c = m & -m
-                m ^= c
-                covered |= adj[c.bit_length() - 1] & rest
-            rest ^= covered
-        else:
-            rest &= ~twice[a]
+        mask = twice[a]
+        if mask is None:
+            mask = twice[a] = _layer(adj, adj[a])[1]
+        rest &= ~mask
         if rest:
             yield a, rest
 
@@ -95,12 +87,14 @@ def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    return [(a, b) for a, rest in _partners(g.adj, v) for b in bits(rest)]
+    return [(a, b) for a, rest in _partners(g.adj, v, [None] * g.n)
+            for b in bits(rest)]
 
 
-def _witness_for(adj, v: int) -> tuple[int, int] | None:
-    """The lexicographically least determining pair of v, or None."""
-    for a, rest in _partners(adj, v):
+def _witness_for(adj, v: int, twice: list) -> tuple[int, int] | None:
+    """The lexicographically least determining pair of v, or None;
+    twice is the list that _partners reads and fills."""
+    for a, rest in _partners(adj, v, twice):
         return a, (rest & -rest).bit_length() - 1
     return None
 
@@ -111,7 +105,7 @@ def _pair_scan(
     """Least determining pair of every vertex (or None), and the involved
     set, from one sweep over the partner masks: O(m) big-int operations,
     the twice masks of every vertex included."""
-    twice = [_layer(adj, adj[a])[1] for a in range(n)]
+    twice = [None] * n
     witnesses = []
     involved = 0
     for v in range(n):
@@ -446,8 +440,9 @@ def _is_critical_fast(adj, n: int) -> bool:
     checked vertex by vertex until one has none."""
     if not n:
         return False
+    twice = [None] * n
     for v in range(n):
-        if _witness_for(adj, v) is None:
+        if _witness_for(adj, v, twice) is None:
             return False
     return True
 
@@ -460,15 +455,8 @@ def is_distance_critical(g: Graph) -> bool:
 
 def _is_edge_maximal_fast(adj, n: int) -> bool:
     """No single added edge keeps the graph critical (assumes it is)."""
-    for x in range(n):
-        absent = ~(adj[x] | ((1 << (x + 1)) - 1)) & ((1 << n) - 1)
-        for y in bits(absent):
-            trial = list(adj)
-            trial[x] |= 1 << y
-            trial[y] |= 1 << x
-            if _is_critical_fast(trial, n):
-                return False
-    return True
+    return not any(_is_critical_fast(rows, n)
+                   for _, _, rows in _with_each_non_edge(adj))
 
 
 def is_edge_maximal_critical(g: Graph) -> bool:

@@ -35,6 +35,24 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _with_each_non_edge(adj) -> Iterator[tuple[int, int, list[int]]]:
+    """(x, y, rows) for each non-edge x < y of the rows adj, in
+    lexicographic order, rows being adj plus the edge xy.
+
+    rows is one private list, edited in place: each item is valid only
+    until the next one is drawn.  adj itself is never changed, also when
+    the generator is abandoned early."""
+    n = len(adj)
+    rows = list(adj)
+    for x in range(n):
+        for y in bits(~adj[x] & ((1 << n) - (2 << x))):
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+            yield x, y, rows
+            rows[x] = adj[x]
+            rows[y] = adj[y]
+
+
 class Graph:
     """Undirected simple graph; ``adj[v]`` is the neighbor bitset of v."""
 
@@ -111,11 +129,7 @@ class Graph:
         return out
 
     def non_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            absent = ~(self.adj[v] | ((1 << (v + 1)) - 1)) & ((1 << self.n) - 1)
-            out.extend((v, u) for u in bits(absent))
-        return out
+        return [(x, y) for x, y, _ in _with_each_non_edge(self.adj)]
 
     def is_regular(self) -> bool:
         degs = {row.bit_count() for row in self.adj}

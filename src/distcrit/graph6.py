@@ -6,7 +6,8 @@ ASCII character 63 + value.  The size header is chr(63 + n) for n <= 62,
 '~' plus three 6-bit digits for n <= 258047, and '~~' plus six digits
 beyond.  Encoding always emits the minimal-length header and zero padding
 bits, so equal graphs map to equal strings byte for byte; decoding
-accepts only that header.
+accepts only that header.  Both directions refuse more than MAX_VERTICES
+vertices, so every string the encoder writes decodes.
 """
 
 from __future__ import annotations
@@ -95,13 +96,13 @@ def encode_graph6(g: Graph) -> str:
     mask of j's neighbours below j, lowest first, as one slice.
     """
     n = g.n
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"vertex count {n} exceeds supported {MAX_VERTICES}")
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
+    else:
         head = "~" + "".join(chr((n >> shift & 63) + 63)
                              for shift in (12, 6, 0))
-    else:
-        raise Graph6Error(f"vertex count {n} exceeds supported {MAX_VERTICES}")
     adj = g.adj
     stream = "".join(format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
                      for j in range(1, n))

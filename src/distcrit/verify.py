@@ -49,6 +49,7 @@ from .enumeration import _attach, _iter_leaves, _iter_unions, iter_connected
 from .graph import (
     Graph,
     UNREACHABLE,
+    _with_each_non_edge,
     all_pairs_distances,
     bits,
     girth,
@@ -93,10 +94,11 @@ class _Universe:
     minimum degree >= 2 and girth > 4, the hypothesis set of GIRTH, by
     order and then in generation order.  The walk is the census's
     (enumeration._iter_leaves), which interleaves the orders 1..n_cap:
-    each graph's critical verdict is read from its parent's table, each
-    node yields only the children that table or the girth > 4 table
-    admits (and still expands them all), and the last level tries only
-    those.
+    each graph's critical verdict is read from its parent's table, and
+    each node yields only the children that table or the girth > 4 table
+    admits.  Below level n_cap - 2 a node still expands all its children;
+    at level n_cap - 2 it opens only those it yields or whose own children
+    may be critical, and the last level tries only the children it yields.
     GIRTH checks that girth > 4 implies criticality: its universe comes
     from the girth table, not from the critical one, and its verdict is the
     determining-pair test, which assumes nothing about girth.
@@ -191,13 +193,10 @@ def _check_no_dom(uni: _Universe):
 def _check_edge_add(uni: _Universe):
     for g in uni.iter_criticals():
         dist = all_pairs_distances(g)
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                d = dist[x][y]
-                if d != UNREACHABLE and d <= 3:
-                    continue
-                h = g.add_edge(x, y)
-                yield g, _is_critical_fast(h.adj, h.n)
+        for x, y, rows in _with_each_non_edge(g.adj):
+            d = dist[x][y]
+            if d == UNREACHABLE or d > 3:
+                yield g, _is_critical_fast(rows, g.n)
 
 
 def _check_deg3(uni: _Universe):
@@ -225,20 +224,14 @@ def _check_dpstar(uni: _Universe):
         n = g.n
         # each vertex's pairs in g, listed on first use
         pairs: list = [None] * n
-        # h is g plus the non-edge xy, edited in place
-        h = list(g.adj)
-        for x in range(n):
-            for y in bits(~h[x] & ((1 << n) - (2 << x))):
-                h[x] |= 1 << y
-                h[y] |= 1 << x
-                for z in range(n):
-                    if _witness_for(h, z) is not None:
-                        continue
-                    if pairs[z] is None:
-                        pairs[z] = determining_pairs_of(g, z)
-                    yield g, all(x in p or y in p for p in pairs[z])
-                h[x] ^= 1 << y
-                h[y] ^= 1 << x
+        for x, y, rows in _with_each_non_edge(g.adj):
+            twice = [None] * n
+            for z in range(n):
+                if _witness_for(rows, z, twice) is not None:
+                    continue
+                if pairs[z] is None:
+                    pairs[z] = determining_pairs_of(g, z)
+                yield g, all(x in p or y in p for p in pairs[z])
 
 
 def _check_antichain(uni: _Universe):

@@ -34,3 +34,11 @@ def test_known_values(petersen):
     for m in (3, 4, 5):
         g, _ = gamma(m)
         assert max_clique_size(g) == m * (m - 1) // 2
+
+
+def test_clique_deeper_than_the_recursion_limit():
+    # the search keeps one frame per clique vertex; at K_1000 a recursive
+    # search would pass the interpreter's default limit of 1000 frames
+    k = Graph(1000, [((1 << 1000) - 1) ^ 1 << v for v in range(1000)],
+              check=False)
+    assert max_clique_size(k) == 1000

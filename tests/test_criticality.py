@@ -22,7 +22,7 @@ from distcrit import (
 from distcrit.constructions import cycle
 from distcrit import criticality
 from distcrit.verify import pendant_deletion_check
-from distcrit.graph import UNREACHABLE, _reach_mask, girth
+from distcrit.graph import UNREACHABLE, _layer, _reach_mask, girth
 from distcrit.criticality import (
     _alive_set,
     _distance_changers,
@@ -32,6 +32,7 @@ from distcrit.criticality import (
     _pair_scan,
     _pairless_of,
     _pairless_sets,
+    _partners,
     _sole_parents,
     _table_of,
     _witness_for,
@@ -392,27 +393,44 @@ class TestWitnesses:
         assert _pair_scan(g.adj, n) == (witnesses, involved)
         for v in range(n):
             assert determining_pairs_of(g, v) == pairs[v]
-            assert criticality._witness_for(g.adj, v) == witnesses[v]
+            assert criticality._witness_for(g.adj, v, [None] * n) == \
+                witnesses[v]
 
     def test_pair_scan_against_oracle(self, all_graphs_by_n):
         for n in range(1, 8):
             for g in all_graphs_by_n[n]:
                 self.assert_matches_oracle(g)
 
-    def test_pair_scan_on_dense_graphs(self):
+    @staticmethod
+    def dense_graphs() -> list[Graph]:
         # at n = 20..60 a vertex has up to about 50 neighbours; from
         # density 0.4 on most pairs share several of them, so the twice
         # masks decide nearly every candidate, and below it many pairs
         # are determining
         rng = random.Random(59)
+        return [random_graph(rng.randint(20, 60),
+                             rng.choice((0.15, 0.25, 0.4, 0.6, 0.8)), rng)
+                for _ in range(30)]
+
+    def test_pair_scan_on_dense_graphs(self):
         witnessed = 0
-        for _ in range(30):
-            n = rng.randint(20, 60)
-            g = random_graph(n, rng.choice((0.15, 0.25, 0.4, 0.6, 0.8)), rng)
+        for g in self.dense_graphs():
             self.assert_matches_oracle(g)
             witnessed += sum(w is not None
                              for w in is_distance_critical_pairs(g).witnesses)
         assert witnessed >= 100
+
+    def test_partners_share_one_twice_list(self, all_graphs_by_n):
+        # one list filled over all vertices gives the pairs a fresh list
+        # gives each call, and what it holds are the twice masks
+        graphs = [g for n in range(1, 8) for g in all_graphs_by_n[n]]
+        for g in graphs + self.dense_graphs():
+            shared = [None] * g.n
+            for v in range(g.n):
+                assert list(_partners(g.adj, v, shared)) == \
+                    list(_partners(g.adj, v, [None] * g.n))
+            assert all(t is None or t == _layer(g.adj, g.adj[a])[1]
+                       for a, t in enumerate(shared))
 
     def test_involved_set_on_cycles(self):
         assert involved_set(cycle(5)) == (0, 1, 2, 3, 4)
@@ -482,7 +500,8 @@ class TestExtensionTables:
             for s, child in child_adjacencies(adj, k):
                 q = _pairless_of(*sets, s)
                 assert q == sum(1 << v for v in range(k + 1)
-                                if _witness_for(child, v) is None)
+                                if _witness_for(child, v, [None] * (k + 1))
+                                is None)
                 children += 1
                 pairless += q.bit_count()
         assert (children, pairless) == (7815, 40242)

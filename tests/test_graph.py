@@ -20,6 +20,7 @@ from distcrit import (
     is_two_connected,
 )
 from distcrit.constructions import cycle
+from distcrit.graph import _with_each_non_edge, bits
 from conftest import random_graph, random_tree
 
 
@@ -87,6 +88,37 @@ class TestConstruction:
             g.add_edge(0, 1)
         with pytest.raises(ValueError):
             g.add_edge(2, 2)
+
+    def test_non_edge_trials_add_each_non_edge(self, all_graphs_by_n):
+        # the rows per non-edge against add_edge, in the order of the
+        # masks the former non_edges read row by row
+        for n in range(8):
+            for g in all_graphs_by_n.get(n, [Graph.empty(n)]):
+                want = []
+                for v in range(n):
+                    absent = ~(g.adj[v] | ((1 << (v + 1)) - 1)) & \
+                        ((1 << n) - 1)
+                    want.extend((v, u) for u in bits(absent))
+                got = []
+                for x, y, rows in _with_each_non_edge(g.adj):
+                    assert tuple(rows) == g.add_edge(x, y).adj
+                    got.append((x, y))
+                assert got == want == g.non_edges()
+
+    def test_non_edge_trials_leave_their_input(self):
+        rng = random.Random(30)
+        for _ in range(50):
+            g = random_graph(rng.randint(2, 12), 0.4, rng)
+            rows = list(g.adj)
+            trials = _with_each_non_edge(rows)
+            # abandoned after a few trials, and run to the end
+            for _, (x, y, trial) in zip(range(rng.randint(1, 3)), trials):
+                assert trial is not rows and rows == list(g.adj)
+            trials.close()
+            assert rows == list(g.adj)
+            for _ in _with_each_non_edge(rows):
+                pass
+            assert rows == list(g.adj)
 
     def test_delete_vertex_induces_subgraph(self):
         rng = random.Random(11)

@@ -244,3 +244,13 @@ class TestErrors:
         tampered = text[:-1] + chr(((ord(text[-1]) - 63) | 1) + 63)
         with pytest.raises(Graph6Error):
             decode_graph6(tampered)
+
+    def test_encoder_keeps_the_vertex_limit(self):
+        # the encoder refuses what the decoder would refuse, with its
+        # message; a Graph can exceed the limit only when built unchecked
+        big = Graph(MAX_VERTICES + 1, (0,) * (MAX_VERTICES + 1), check=False)
+        with pytest.raises(Graph6Error,
+                           match=f"vertex count {MAX_VERTICES + 1} exceeds"):
+            encode_graph6(big)
+        g = random_graph(MAX_VERTICES, 0.01, random.Random(1024))
+        assert decode_graph6(encode_graph6(g)) == g

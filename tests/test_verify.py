@@ -154,7 +154,8 @@ class TestLemmaHarness:
         # with no vertex ever finding a determining pair, every instance
         # whose verdict is "this graph is critical" must fail: no girth
         # test may stand in for the pairs
-        monkeypatch.setattr(criticality, "_witness_for", lambda adj, v: None)
+        monkeypatch.setattr(criticality, "_witness_for",
+                            lambda adj, v, twice: None)
         checks = {lid: run_lemma(lid, 8)
                   for lid in ("GIRTH", "MIN_EDGES", "REG_BOUND")}
         assert {lid: (len(c.violations), c.checked)
