@@ -26,13 +26,11 @@ determining pair, as 2^k-bit sets over all A (bit A standing for A, as
 in _mask_sets).  The criticality table (_table_of) is the A in none of
 them.  A pairless vertex gains a pair in a later child only through the
 next new vertex, so a graph's pairless set can prove that it has no
-critical child at all (_no_critical_child).  The same sets decide this
-for every child at once, before any child is built: bit A of
-_alive_set is clear iff _no_critical_child holds for the child with
-neighbourhood A.
-_pairless_of, which reads one child's pairless set, and
-_no_critical_child are not called by the enumeration; they are the
-tests' per-child oracle for _alive_set.
+critical child at all: some pairless vertex has no rescuer, a neighbour
+that could pair it with the next vertex (see _alive_set).  The same sets
+decide this for every child at once, before any child is built: bit A
+of _alive_set is clear iff some pairless vertex of the child with
+neighbourhood A has no rescuer.
 
 The direct method is an independent check of the same predicate, from
 BFS alone: one pass per source x finds every vertex whose deletion
@@ -310,16 +308,23 @@ def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:
 def _alive_set(adj, k: int, px: int, pl: list[int]) -> int:
     """Which children of the graph adj on k vertices may have a critical
     child, for every neighbourhood A of the new vertex x at once, from
-    (px, pl) = _pairless_sets(adj, k): bit A is set iff
-    _no_critical_child(H, Q) is false, H being the child with
-    neighbourhood A and Q its pairless set (bit A of px and of each pl[v]).
+    (px, pl) = _pairless_sets(adj, k): bit A is clear iff some vertex v
+    of Q has no rescuer, H being the child with neighbourhood A, Q its
+    pairless set (bit A of px and of each pl[v]), and a rescuer of v a
+    neighbour a of v in H, outside Q, with N_H(a) & Q = {v}.
 
-    Proof.  _no_critical_child(H, Q) is false iff every v in Q has a
-    rescuer: a neighbour a of v in H, outside Q, with N_H(a) & Q = {v}.
-    Below ~P is the complement of P within the 2^k bits and N(.) is taken
-    in the parent, so that N_H(x) = A and N_H(u) is N(u), plus x when u is
-    in A (bit A of HAS[u]).  A parent vertex u is outside Q where ~pl[u]
-    holds, and x where ~px does.
+    Such an H has no critical child H + y, whatever the neighbourhood S of
+    y.  As in _pairless_sets, adding y makes no pair of H determining, so
+    a pairless v gains a pair in H + y only as (a, y): v is in S, and a is
+    a neighbour of v outside S with N_H(a) & S = {v}.  So in a critical
+    H + y all of Q lies in S, and each v in Q has such an a, outside S and
+    hence outside Q, with N_H(a) & Q inside N_H(a) & S = {v} and holding
+    v: a rescuer.
+
+    Proof of the sets.  Below ~P is the complement of P within the 2^k
+    bits and N(.) is taken in the parent, so that N_H(x) = A and N_H(u)
+    is N(u), plus x when u is in A (bit A of HAS[u]).  A parent vertex u
+    is outside Q where ~pl[u] holds, and x where ~px does.
     - v = x, in Q where px holds.  A rescuer is an a in A (HAS[a]), outside
       Q (~pl[a]), whose neighbours other than x are all outside Q:
         rescue_x = OR_a HAS[a] & ~pl[a] & AND_{u in N(a)} ~pl[u].
@@ -332,7 +337,7 @@ def _alive_set(adj, k: int, px: int, pl: list[int]) -> int:
         rescue[v] = OR_{a in N(v)} ~pl[a] & ~(HAS[a] & px)
                                    & AND_{u in N(a) - v} ~pl[u]
                   | HAS[v] & ~px & AND_{u != v} ~(HAS[u] & pl[u]).
-    So the A for which _no_critical_child(H, Q) holds are
+    So the A where some v in Q has no rescuer are
     dead = px & ~rescue_x | OR_v pl[v] & ~rescue[v], and the alive set is
     ~dead.  Each AND over N(a) - v comes from one prefix and one suffix
     pass over N(a), and each AND over u != v from one such pair of passes
@@ -376,44 +381,6 @@ def _table_of(px: int, pl: list[int]) -> int:
     for p in pl:
         some |= p
     return ((1 << (1 << len(pl))) - 1) & ~some
-
-
-def _pairless_of(px: int, pl: list[int], s: int) -> int:
-    """The vertex mask of the pairless vertices of G + x for A = s, read
-    from _pairless_sets; x is vertex len(pl)."""
-    q = (px >> s & 1) << len(pl)
-    for v, p in enumerate(pl):
-        if p >> s & 1:
-            q |= 1 << v
-    return q
-
-
-def _no_critical_child(adj, q: int) -> bool:
-    """Whether some v in q has no neighbour a outside q with
-    N(a) & q = {v}, q being the vertices of adj with no determining pair.
-    If so, no graph adj + y is critical, whatever the neighbourhood S of
-    its new vertex y.
-
-    Proof.  As in _pairless_sets, adding y makes no pair of adj
-    determining, so a pairless v gains a pair in adj + y only as (a, y):
-    v is in S, and a is a neighbour of v outside S with N(a) & S = {v}.
-    So in a critical adj + y all of q lies in S, and each v in q has such
-    an a, outside S and hence outside q, with N(a) & q inside
-    N(a) & S = {v} and holding v.
-    """
-    m = q
-    while m:
-        low = m & -m
-        m ^= low
-        out = adj[low.bit_length() - 1] & ~q
-        while out:
-            a = out & -out
-            if adj[a.bit_length() - 1] & q == low:
-                break
-            out ^= a
-        else:
-            return True
-    return False
 
 
 def _girth_table(adj, k: int) -> int:

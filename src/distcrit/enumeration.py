@@ -129,31 +129,29 @@ read: to refine it, to expand it, and for a leaf by a caller that reads
 them (iter_connected, the lemma universe, and the census for a collected
 or edge-maximal critical hit).  A plain census builds no leaf rows.
 
-Table-decided leaves: one generator, _iter_leaves, walks the tree and,
-when its caller passes a keep table (see below), gives every node its
-criticality table once.  Bit S of it says whether the child with
-neighbourhood S is critical, decided for all S at once: it is set iff S
-lies in none of the node's pairless sets (criticality._pairless_sets),
-which tell for every S the vertices of the child with no determining
-pair.  So a graph is critical iff bit S of its parent's table is set, S
-being the new vertex's row, and no graph is tested on its own.  Most
-tables at level n - 1 are empty, and the nodes at level n - 2 know which
-before any of them is built: each one's alive set
-(criticality._alive_set), read from its own pairless sets, has bit S set
-iff the child with neighbourhood S may have a critical child.  A child
-whose bit is clear has a pairless vertex that no later vertex can give
-a pair, so its table is 0, and it is neither built nor, unless its
+Table-decided leaves: one generator, _iter_leaves, walks the tree and
+gives every node its criticality table once.  Bit S of it says whether
+the child with neighbourhood S is critical, decided for all S at once:
+it is set iff S lies in none of the node's pairless sets
+(criticality._pairless_sets), which tell for every S the vertices of the
+child with no determining pair.  So a graph is critical iff bit S of its
+parent's table is set, S being the new vertex's row, and no graph is
+tested on its own.  Most tables at level n - 1 are empty, and the nodes
+at level n - 2 know which before any of them is built: each one's alive
+set (criticality._alive_set), read from its own pairless sets, has bit S
+set iff the child with neighbourhood S may have a critical child.  A
+child whose bit is clear has a pairless vertex that no later vertex can
+give a pair, so its table is 0, and it is neither built nor, unless its
 parent keeps it, opened.  In the census to n = 9, 373 of the 11,117
 level-8 nodes are alive and build a table, 307 of them nonempty; at
 n = 10, 5,967 of the 261,080 level-9 nodes, 4,261 of them nonempty.
 The census, iter_connected, iter_all_graphs and the lemma universe in
 verify all read their graphs from this generator; edge-maximality is
-then tested on the critical leaves.  Tables are built iff a keep is
-given: the full census passes one that keeps every child, so it still
-opens every node, while iter_connected and iter_all_graphs read no
-verdict and pass none, so their walks build no table, no pairless set
-and no alive set.  The walk starts at the root, the one-vertex graph
-K1, which is not critical: it has no parent table.
+then tested on the critical leaves.  Every walk builds its tables, and the
+default keep (see below) admits every child, so the full census,
+iter_connected and iter_all_graphs open every node.  The walk starts at
+the root, the one-vertex graph K1, which is not critical: it has no
+parent table.
 
 One walk for every order: _iter_leaves yields the graphs of every order
 1..n from one walk of the tree, as canonical augmentation visits every
@@ -504,7 +502,7 @@ def _attach(adj: tuple[int, ...], s: int) -> tuple[int, ...]:
 def _child_states(
     state: _State,
     k: int,
-    keep: "int | None" = None,
+    keep: int = -1,
 ) -> Iterator[tuple[int, int]]:
     """The accepted children of a node on k vertices, in generation order,
     each as (S, cut mask): its new vertex's neighbourhood and its
@@ -517,20 +515,19 @@ def _child_states(
     that is no twin of the new one, the refinement hook, the orbit
     certificate and the canonical search, each looking only at the tied
     vertices and the new one (T).  A child is yielded as soon as rule
-    (b) is decided for it.  keep, when
-    given, is an int whose bit S is set iff the child with neighbourhood S
-    may be yielded (as in a criticality table, criticality._table_of); the
-    other candidates are dropped before rules (a) and (b), and a parent
-    with no candidate left is neither refined nor searched."""
+    (b) is decided for it.  keep is an int whose bit S is set iff the
+    child with neighbourhood S may be yielded (as in a criticality table,
+    criticality._table_of); the other candidates are dropped before rules
+    (a) and (b), and a parent with no candidate left is neither refined
+    nor searched."""
     if keep == 0:
         return
     adj, cut_mask = state
     cuts = _cut_sets(adj, k, cut_mask)
     ok, lead = _degree_sets(adj, k, cuts)
-    if keep is not None:
-        ok &= keep
-        if not ok:
-            return
+    ok &= keep
+    if not ok:
+        return
 
     dcells = degree_cells(adj, k)
     cells = refine(adj, dcells)
@@ -630,7 +627,8 @@ def _child_states(
 def _iter_leaves(
     n: int,
     owner: "Callable[[int], bool] | None" = None,
-    keep: "Callable[[tuple[int, ...], int, int], int] | None" = None,
+    keep: Callable[[tuple[int, ...], int, int], int] = (
+        lambda adj, k, table: -1),
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Yield (parent, s, critical) for every accepted node on 1..n
     vertices, in one walk of the tree: the node is _attach(parent, s), of
@@ -640,25 +638,25 @@ def _iter_leaves(
     alone, in the same order; the orders interleave, as each node yields
     its children before its subtree is walked.
 
-    keep(parent, k, table), when given, is the keep table of each node on
-    k vertices (see _child_states), and only then are criticality tables
-    built: each node gets its table once, and critical is bit s of its
-    parent's, so it is the node's verdict (0 for K1, and for every node
-    when keep is None).  A node below level n - 2 yields its kept children
-    and still expands all of them.  A node at level n - 2 also computes
-    its alive set (criticality._alive_set), decides rules (a) and (b)
-    only for the children that are kept or alive, yields the kept ones
-    and opens only those.  A node at level n - 1 builds its table iff its
-    bit of its parent's alive set is set (otherwise the table is 0), and
-    its keep table prunes its children before they are built.
+    keep(parent, k, table) is the keep table of each node on k vertices
+    (see _child_states); the default keeps every child.  Each node gets its
+    criticality table once, and critical is bit s of its parent's, so it
+    is the node's verdict (0 for K1).  A node below level n - 2 yields its
+    kept children and still expands all of them.  A node at level n - 2
+    also computes its alive set (criticality._alive_set), decides rules
+    (a) and (b) only for the children that are kept or alive, yields the
+    kept ones and opens only those.  A node at level n - 1 builds its
+    table iff its bit of its parent's alive set is set (otherwise the
+    table is 0), and its keep table prunes its children before they are
+    built.
 
     So a level n - 1 node's keep may be nonzero only if the node is alive
     or kept by its parent: any other node is not opened, and its kept
     children would be lost.  Every caller's keep obeys this.  A
-    criticality table is nonzero only on alive nodes; the full census
-    keeps every child; the lemma universe's girth > 4 table is nonzero
-    only on a graph of girth > 4 or a tree, which its parent's girth
-    table, and so its parent's keep, admits.
+    criticality table is nonzero only on alive nodes; the default keeps
+    every child; the lemma universe's girth > 4 table is nonzero only on
+    a graph of girth > 4 or a tree, which its parent's girth table, and
+    so its parent's keep, admits.
 
     owner gates the frontier at level max(1, n - 2): a job walks only the
     frontier nodes it owns, so the graphs on up to max(1, n - 2) vertices
@@ -683,25 +681,20 @@ def _iter_leaves(
             if not owner(idx):
                 return
         adj = state[0]
-        kept = opened = None
         table = 0
-        if keep is not None:
-            if alive:
-                sets = _pairless_sets(adj, k)
-                table = _table_of(*sets)
-            kept = keep(adj, k, table)
+        if alive:
+            sets = _pairless_sets(adj, k)
+            table = _table_of(*sets)
+        kept = keep(adj, k, table)
         if k == n - 1:
             yield adj, table, _child_states(state, k, kept)
             return
-        if kept is not None and k == n - 2:
-            live = _alive_set(adj, k, *sets)
-            opened = kept | live
-        children = list(_child_states(state, k, opened))
-        yield adj, table, [c for c in children
-                           if kept is None or kept >> c[0] & 1]
+        # every node below level n - 1 is alive, so sets is bound
+        live = _alive_set(adj, k, *sets) if k == n - 2 else -1
+        children = list(_child_states(state, k, kept | live))
+        yield adj, table, [c for c in children if kept >> c[0] & 1]
         for s, cut in children:
-            yield from nodes((_attach(adj, s), cut), k + 1,
-                             1 if opened is None else live >> s & 1)
+            yield from nodes((_attach(adj, s), cut), k + 1, live >> s & 1)
 
     for adj, table, children in nodes(_ROOT, 1, 1):
         for s, _ in children:
@@ -772,12 +765,11 @@ def _tally_shard(
 
     connected = critical = maximal = 0
     hits: list[tuple[int, tuple[int, ...]]] = []
-    # the full census keeps every child (-1 has every bit set), so that the
-    # tables are built
-    keep = ((lambda adj, k, table: table) if critical_only
-            else (lambda adj, k, table: -1))
-    for adj, s, is_critical in _iter_leaves(
-            n, None if parts == 1 else owner, keep):
+    # the full census takes the default keep, which keeps every child
+    split = None if parts == 1 else owner
+    leaves = (_iter_leaves(n, split, lambda adj, k, table: table)
+              if critical_only else _iter_leaves(n, split))
+    for adj, s, is_critical in leaves:
         if len(adj) != n - 1:
             continue
         connected += 1

@@ -48,7 +48,7 @@ from .criticality import (
 from .enumeration import _attach, _iter_leaves, _iter_unions, iter_connected
 from .graph import (
     Graph,
-    UNREACHABLE,
+    _layer,
     _with_each_non_edge,
     all_pairs_distances,
     bits,
@@ -192,10 +192,15 @@ def _check_no_dom(uni: _Universe):
 
 def _check_edge_add(uni: _Universe):
     for g in uni.iter_criticals():
-        dist = all_pairs_distances(g)
-        for x, y, rows in _with_each_non_edge(g.adj):
-            d = dist[x][y]
-            if d == UNREACHABLE or d > 3:
+        adj = g.adj
+        # far[x]: the vertices outside x's radius-3 ball, those at distance
+        # > 3 from x or unreachable from it
+        far = []
+        for x in range(g.n):
+            near = _layer(adj, adj[x])[0] | adj[x] | 1 << x
+            far.append(~(_layer(adj, near)[0] | near))
+        for x, y, rows in _with_each_non_edge(adj):
+            if far[x] >> y & 1:
                 yield g, _is_critical_fast(rows, g.n)
 
 

@@ -124,3 +124,40 @@ class TestIsomorphismClasses:
         mutant = list(critical)
         mutant[j] = relabeled(critical[i], rng)
         assert len(mismatches(mutant, want)) == 2
+
+
+class TestExtremalProfile:
+    """The extremal profile of the critical classes on 5..10 vertices,
+    recomputed with networkx from the class data: the most edges and how
+    many graphs attain them, the largest clique number, maximum degree and
+    minimum degree, and the number of regular critical graphs."""
+
+    def test_profile_is_pinned(self):
+        by_n: dict[int, list[nx.Graph]] = defaultdict(list)
+        for g in load("critical_n1-10.g6"):
+            by_n[g.n].append(to_nx(g))
+        rows = []
+        for n in range(5, 11):
+            graphs = by_n[n]
+            edges = [h.number_of_edges() for h in graphs]
+            degrees = [sorted(d for _, d in h.degree) for h in graphs]
+            regular = [ds[0] for ds in degrees if ds[0] == ds[-1]]
+            rows.append((
+                max(edges),
+                edges.count(max(edges)),
+                max(max(map(len, nx.find_cliques(h))) for h in graphs),
+                max(ds[-1] for ds in degrees),
+                max(ds[0] for ds in degrees),
+                len(regular),
+            ))
+            # the largest degree of a regular critical graph meets the
+            # bound floor((n - 1) / 4) + floor(n / 4)
+            assert max(regular) == (n - 1) // 4 + n // 4
+        assert list(zip(*rows)) == [
+            (5, 6, 10, 12, 18, 21),  # most edges
+            (1, 1, 1, 3, 2, 4),  # graphs with the most edges
+            (2, 2, 3, 3, 4, 5),  # largest clique number
+            (2, 2, 3, 4, 5, 6),  # largest maximum degree
+            (2, 2, 2, 3, 4, 4),  # largest minimum degree
+            (1, 1, 1, 3, 2, 14),  # regular critical graphs
+        ]

@@ -28,9 +28,7 @@ from distcrit.criticality import (
     _distance_changers,
     _girth_table,
     _is_critical_fast,
-    _no_critical_child,
     _pair_scan,
-    _pairless_of,
     _pairless_sets,
     _partners,
     _sole_parents,
@@ -44,6 +42,44 @@ from conftest import (
     random_graph,
     random_tree,
 )
+
+
+def _pairless_of(px: int, pl: list[int], s: int) -> int:
+    """The vertex mask of the pairless vertices of G + x for A = s, read
+    from _pairless_sets; x is vertex len(pl)."""
+    q = (px >> s & 1) << len(pl)
+    for v, p in enumerate(pl):
+        if p >> s & 1:
+            q |= 1 << v
+    return q
+
+
+def _no_critical_child(adj, q: int) -> bool:
+    """Whether some v in q has no neighbour a outside q with
+    N(a) & q = {v}, q being the vertices of adj with no determining pair.
+    If so, no graph adj + y is critical, whatever the neighbourhood S of
+    its new vertex y.
+
+    Proof.  As in _pairless_sets, adding y makes no pair of adj
+    determining, so a pairless v gains a pair in adj + y only as (a, y):
+    v is in S, and a is a neighbour of v outside S with N(a) & S = {v}.
+    So in a critical adj + y all of q lies in S, and each v in q has such
+    an a, outside S and hence outside q, with N(a) & q inside
+    N(a) & S = {v} and holding v.
+    """
+    m = q
+    while m:
+        low = m & -m
+        m ^= low
+        out = adj[low.bit_length() - 1] & ~q
+        while out:
+            a = out & -out
+            if adj[a.bit_length() - 1] & q == low:
+                break
+            out ^= a
+        else:
+            return True
+    return False
 
 
 def deletion_changes_some_distance(g: Graph, v: int) -> bool:

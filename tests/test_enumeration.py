@@ -777,9 +777,9 @@ class TestCriticalFirst:
             built[k] = built.get(k, 0) + 1
             return sets(adj, k)
 
-        def counted_children(state, k, keep=None):
+        def counted_children(state, k, *args):
             opened[k] = opened.get(k, 0) + 1
-            return children(state, k, keep)
+            return children(state, k, *args)
 
         monkeypatch.setattr(enumeration, "_pairless_sets", counted)
         monkeypatch.setattr(enumeration, "_child_states", counted_children)
@@ -792,6 +792,13 @@ class TestCriticalFirst:
         built.clear()
         opened.clear()
         assert run_enumeration(8)[0].connected_count == CONNECTED_COUNTS[8]
+        assert opened == {k: CONNECTED_COUNTS[k] for k in range(1, 8)}
+        assert built == {**opened, 7: 41}
+        # iter_connected takes the same default keep, so it builds the
+        # same sets
+        built.clear()
+        opened.clear()
+        assert len(list(iter_connected(8))) == CONNECTED_COUNTS[8]
         assert opened == {k: CONNECTED_COUNTS[k] for k in range(1, 8)}
         assert built == {**opened, 7: 41}
 
@@ -948,11 +955,11 @@ class TestOneWalk:
         return orders
 
     def test_orders_match_their_own_walks(self):
-        # exhaustively to n = 8: with no keep (so no tables), and with the
-        # critical table as the keep (so most internal nodes keep nothing
-        # and must still be expanded).  The keep prunes the top order of
-        # a walk to k before its nodes are built, and filters the same
-        # order of the walk to 8 after they are built
+        # exhaustively to n = 8: with the default keep (every child), and
+        # with the critical table as the keep (so most internal nodes keep
+        # nothing and must still be expanded).  The keep prunes the top
+        # order of a walk to k before its nodes are built, and filters the
+        # same order of the walk to 8 after they are built
         critical = lambda adj, k, table: table  # noqa: E731
         counts = []
         for kwargs in ({}, {"keep": critical}):
@@ -965,6 +972,14 @@ class TestOneWalk:
         assert counts[0] == CONNECTED_COUNTS
         # K1, which has no parent table, and the critical graphs
         assert counts[1] == {1: 1, 5: 1, 6: 1, 7: 4, 8: 15}
+        # every walk builds its tables, so the default walk's verdict of
+        # each node is the determining-pair test's
+        nodes = list(_iter_leaves(8))
+        verdicts = [verdict for _, _, verdict in nodes]
+        assert verdicts == [_is_critical_fast(_attach(parent, s),
+                                              len(parent) + 1)
+                            for parent, s, _ in nodes]
+        assert (len(verdicts), sum(verdicts)) == (12113, 21)
 
 
 class TestAllGraphs:

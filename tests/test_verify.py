@@ -89,16 +89,16 @@ class TestLemmaHarness:
         walks = []
         real = verify._iter_leaves
 
-        def counting(n, owner=None, keep=None):
-            walks.append((n, owner, keep))
-            return real(n, owner, keep)
+        def counting(n, owner=None, **kwargs):
+            walks.append((n, owner, kwargs["keep"]))
+            return real(n, owner, **kwargs)
 
         expanded = []
         real_children = enumeration._child_states
 
-        def counting_children(state, k, keep=None):
+        def counting_children(state, k, *args):
             expanded.append(k)
-            return real_children(state, k, keep)
+            return real_children(state, k, *args)
 
         monkeypatch.setattr(verify, "_iter_leaves", counting)
         monkeypatch.setattr(enumeration, "_child_states", counting_children)
