@@ -9,15 +9,17 @@ input; a graph with no vertices is not distance critical by convention.
 
 The pairs method is the workhorse: it needs no distance recomputation and
 reports, per vertex, the lexicographically least witness pair.  It rests
-on one primitive, graph._layer(adj, mask): the vertices with at least
-one, and with at least two, neighbours in mask.  For mask = N(a), twice
-holds the vertices with two or more common neighbours with a, and the
-determining pairs (a, b) of v are the b > a of N(v) outside N(a) and
-outside that mask (_partners).  Its callers share one list of these
-masks over the vertices of a graph, filled on first use.  The same
-layer gives _girth_table its girth > 4 test, and the layer of a BFS
-frontier gives the direct method's sole parents.  graph.py steps its
-girth, distance rows and reachability masks with it too.
+on one primitive, graph._layer(adj, mask): the bits set in at least one,
+and in at least two, of the rows adj[x], x in mask.  Over adjacency rows
+these are the vertices with one, and with two or more, neighbours in
+mask.  For mask = N(a), twice holds the vertices with two or more common
+neighbours with a, and the determining pairs (a, b) of v are the b > a
+of N(v) outside N(a) and outside that mask (_partners).  Its callers
+share one list of these masks over the vertices of a graph, filled on
+first use.  The same layer gives _girth_table its girth > 4 test, and
+two layers per BFS frontier give the direct method's sole parents.
+graph.py steps its girth, distance rows and reachability masks with it
+too.
 
 The enumeration decides criticality for every child of a node at once.
 Its primitive is _pairless_sets(adj, k): for a new vertex x attached to
@@ -30,7 +32,9 @@ critical child at all: some pairless vertex has no rescuer, a neighbour
 that could pair it with the next vertex (see _alive_set).  The same sets
 decide this for every child at once, before any child is built: bit A
 of _alive_set is clear iff some pairless vertex of the child with
-neighbourhood A has no rescuer.
+neighbourhood A has no rescuer.  There _layer runs over the pairless
+sets as rows: its twice mask holds the A where two or more of the
+selected vertices are pairless.
 
 The direct method is an independent check of the same predicate, from
 BFS alone: one pass per source x finds every vertex whose deletion
@@ -182,7 +186,8 @@ def _sole_parents(adj, x: int, done: int) -> int:
 
     One pass: _layer of a BFS layer gives the next layer and the
     vertices reached twice from it, so the vertices of the next layer
-    with one parent only are next & ~twice.
+    with one parent only are next & ~twice.  The once mask of _layer of
+    those, within the layer, holds their parents: the sole parents.
     """
     whole = (1 << len(adj)) - 1
     seen = 1 << x | adj[x]
@@ -192,14 +197,7 @@ def _sole_parents(adj, x: int, done: int) -> int:
     while frontier and seen != whole:
         once, twice = _layer(adj, frontier)
         nxt = once & ~seen
-        single = nxt & ~twice
-        if single:
-            m = frontier & ~done
-            while m:
-                low = m & -m
-                if adj[low.bit_length() - 1] & single:
-                    found |= low
-                m ^= low
+        found |= _layer(adj, nxt & ~twice)[0] & frontier & ~done
         seen |= nxt
         frontier = nxt
     return found
@@ -339,39 +337,27 @@ def _alive_set(adj, k: int, px: int, pl: list[int]) -> int:
                   | HAS[v] & ~px & AND_{u != v} ~(HAS[u] & pl[u]).
     So the A where some v in Q has no rescuer are
     dead = px & ~rescue_x | OR_v pl[v] & ~rescue[v], and the alive set is
-    ~dead.  Each AND over N(a) - v comes from one prefix and one suffix
-    pass over N(a), and each AND over u != v from one such pair of passes
-    over all u."""
+    ~dead.  Each AND is read from a _layer mask.  For rescue_x, the AND
+    over N(a) is ~once of _layer(pl, N(a)).
+    Only the bits of rescue[v] inside pl[v] count, and there pl[v] is one
+    of the rows, so the AND over N(a) - v holds exactly where no second
+    row is set: outside the twice mask of the same layer.  Likewise,
+    inside HAS[v] & pl[v], the AND over u != v holds exactly outside
+    crowded, the twice mask of the rows HAS[u] & pl[u] over all u."""
     has = _mask_sets(k)[0]
-    every = (1 << (1 << k)) - 1
-    free = [every & ~p for p in pl]
-    rescue = [0] * k
+    crowded = _layer([h & p for h, p in zip(has, pl)], (1 << k) - 1)[1]
+    rescue = [h & ~px & ~crowded for h in has]
     rescue_x = 0
     for a in range(k):
-        nbrs = list(bits(adj[a]))
-        pre = [every]
-        for u in nbrs:
-            pre.append(pre[-1] & free[u])
-        rescue_x |= has[a] & free[a] & pre[-1]
-        # the suffix pass starts from a's own terms, so that each step
-        # gives the whole rescue of v by a
-        suf = free[a] & ~(has[a] & px)
-        for i in range(len(nbrs) - 1, -1, -1):
-            v = nbrs[i]
-            rescue[v] |= pre[i] & suf
-            suf &= free[v]
-    clear = [every & ~(h & p) for h, p in zip(has, pl)]
-    pre = [every & ~px]
-    for c in clear:
-        pre.append(pre[-1] & c)
-    suf = every
-    for v in range(k - 1, -1, -1):
-        rescue[v] |= has[v] & pre[v] & suf
-        suf &= clear[v]
+        once, twice = _layer(pl, adj[a])
+        rescue_x |= has[a] & ~pl[a] & ~once
+        by_a = ~pl[a] & ~(has[a] & px) & ~twice
+        for v in bits(adj[a]):
+            rescue[v] |= by_a
     dead = px & ~rescue_x
     for p, r in zip(pl, rescue):
         dead |= p & ~r
-    return every & ~dead
+    return ((1 << (1 << k)) - 1) & ~dead
 
 
 def _table_of(px: int, pl: list[int]) -> int:

@@ -181,14 +181,17 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 def _layer(adj, mask: int) -> tuple[int, int]:
-    """(once, twice): the vertices adjacent to at least one, and to at
-    least two, vertices of mask.  twice holds the bits that two or more
-    of the rows adj[x], x in mask, share.
+    """(once, twice): the bits set in at least one, and in at least two,
+    of the rows adj[x], x in mask.  This is the package's "at least one
+    / at least two" primitive, over any list of ints as rows.
 
-    Every BFS in the package steps with this.  For a BFS layer mask,
-    once & ~seen is the next layer, once & mask is nonzero iff an edge
-    lies inside the layer, and twice & ~seen holds the vertices of the
-    next layer with two neighbours in this one."""
+    Over adjacency rows, once and twice are the vertices adjacent to at
+    least one, and to at least two, vertices of mask, and every BFS in
+    the package steps with this.  For a BFS layer mask, once & ~seen is
+    the next layer, once & mask is nonzero iff an edge lies inside the
+    layer, and twice & ~seen holds the vertices of the next layer with
+    two neighbours in this one.  criticality._alive_set also runs it
+    over 2^k-bit pairless sets, one row per vertex."""
     once = twice = 0
     while mask:
         low = mask & -mask

@@ -35,7 +35,7 @@ from distcrit.criticality import (
     _table_of,
     _witness_for,
 )
-from distcrit.enumeration import _attach, _child_states
+from distcrit.enumeration import _ROOT, _attach, _child_states
 from conftest import (
     augmentation_nodes,
     child_adjacencies,
@@ -505,6 +505,14 @@ def girth_above_4(adj) -> bool:
     return found is None or found > 4
 
 
+def _alive_by_oracle(adj, k: int, sets) -> int:
+    """_alive_set read child by child: bit A is set iff
+    _no_critical_child fails on the child with neighbourhood A."""
+    return sum(1 << s for s in range(1 << k)
+               if not _no_critical_child(_attach(adj, s),
+                                         _pairless_of(*sets, s)))
+
+
 class TestExtensionTables:
     """The per-parent tables against the per-child predicates they
     replace, on every child of every connected graph up to 7 vertices."""
@@ -550,15 +558,21 @@ class TestExtensionTables:
             g = random_graph(10, rng.choice((0.2, 0.3, 0.45)), rng)
             if is_connected(g):
                 parents.append(g)
-        critical = 0
+        critical = alive = 0
         for g in parents:
-            crit = _table_of(*_pairless_sets(g.adj, 10))
+            sets = _pairless_sets(g.adj, 10)
+            crit = _table_of(*sets)
+            live = _alive_set(g.adj, 10, *sets)
             free = _girth_table(g.adj, 10)
             for s, child in child_adjacencies(g.adj, 10):
                 assert crit >> s & 1 == _is_critical_fast(child, 11)
                 assert free >> s & 1 == girth_above_4(child)
+            assert live == _alive_by_oracle(g.adj, 10, sets)
+            # a critical child has nothing pairless, so it is alive
+            assert not crit & ~live
             critical += crit.bit_count()
-        assert critical > 0
+            alive += live.bit_count()
+        assert 0 < critical < alive < 60 << 10
         # Petersen has girth 5 and diameter 2: no new vertex has a pair at
         # distance 3, and only a pendant keeps the girth above 4
         assert _table_of(*_pairless_sets(petersen.adj, 10)) == 0
@@ -632,3 +646,30 @@ class TestAliveSets:
             nodes += 1
             children += 1 << k
         assert (nodes, children, alive) == (996, 117142, 3883)
+
+    def test_alive_set_on_nine_vertex_nodes(self):
+        # the n = 11 walk computes alive sets on its 9-vertex nodes: a
+        # seeded sample of them, each reached by a random path down the
+        # augmentation tree.  A uniform child at each step reaches K9 on
+        # most paths, so each step draws among the children whose
+        # neighbourhood is at most 0-2 vertices above the least.
+        rng = random.Random(909)
+        nodes = set()
+        while len(nodes) < 300:
+            state = _ROOT
+            for k in range(1, 9):
+                kids = list(_child_states(state, k))
+                d = min(s.bit_count() for s, _ in kids) + rng.randrange(3)
+                s, cut = rng.choice(
+                    [kid for kid in kids if kid[0].bit_count() <= d])
+                state = (_attach(state[0], s), cut)
+            nodes.add(state[0])
+        alive = some = 0
+        for adj in nodes:
+            sets = _pairless_sets(adj, 9)
+            live = _alive_set(adj, 9, *sets)
+            assert live == _alive_by_oracle(adj, 9, sets)
+            alive += live.bit_count()
+            some += live != 0
+        # 20 of the 300 nodes have a nonempty alive set
+        assert (some, alive) == (20, 649)

@@ -20,7 +20,7 @@ from distcrit import (
     is_two_connected,
 )
 from distcrit.constructions import cycle
-from distcrit.graph import _with_each_non_edge, bits
+from distcrit.graph import _layer, _with_each_non_edge, bits
 from conftest import random_graph, random_tree
 
 
@@ -246,6 +246,38 @@ class TestGirth:
             assert got == self.nx_girth(g)
             found.add(got if got is None or got < 7 else 7)
         assert found == {None, 3, 4, 5, 6, 7}
+
+
+class TestLayer:
+    """_layer over rows that are no adjacency rows, as criticality's alive
+    set runs it: one 2^k-bit int per vertex, against a plain count."""
+
+    def test_once_and_twice_count_the_selected_rows(self):
+        rng = random.Random(3210)
+        partial = 0
+        for k in range(11):
+            for _ in range(20):
+                # AND-ing draws makes some rows sparse, so that two rows
+                # need not share a bit
+                rows = []
+                for _ in range(k):
+                    row = -1
+                    for _ in range(rng.randint(1, 4)):
+                        row &= rng.getrandbits(1 << k)
+                    rows.append(row)
+                masks = {0, (1 << k) - 1}
+                if k:
+                    masks.add(1 << rng.randrange(k))
+                for mask in masks:
+                    once, twice = _layer(rows, mask)
+                    for b in range(1 << k):
+                        count = sum(rows[x] >> b & 1 for x in range(k)
+                                    if mask >> x & 1)
+                        assert once >> b & 1 == (count >= 1)
+                        assert twice >> b & 1 == (count >= 2)
+                    assert once >> (1 << k) == twice >> (1 << k) == 0
+                    partial += 0 != twice != once
+        assert partial > 0
 
 
 def test_disjoint_union_offsets():
