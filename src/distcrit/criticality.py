@@ -168,10 +168,10 @@ def is_distance_critical_pairs(g: Graph) -> CriticalityReport:
     )
 
 
-def _sole_parents(adj, x: int, done: int) -> int:
-    """The vertices v != x outside done whose deletion changes a distance
-    from x: those that are the only neighbour, in the previous BFS layer
-    from x, of some vertex in the next layer.
+def _sole_parents(adj, x: int) -> int:
+    """The vertices v != x whose deletion changes a distance from x:
+    those that are the only neighbour, in the previous BFS layer from x,
+    of some vertex in the next layer.
 
     Proof.  Let v lie in layer d >= 1 (layer 0 is x alone).  If a vertex
     w of layer d + 1 has no neighbour in layer d but v, every path of
@@ -197,7 +197,7 @@ def _sole_parents(adj, x: int, done: int) -> int:
     while frontier and seen != whole:
         once, twice = _layer(adj, frontier)
         nxt = once & ~seen
-        found |= _layer(adj, nxt & ~twice)[0] & frontier & ~done
+        found |= _layer(adj, nxt & ~twice)[0] & frontier
         seen |= nxt
         frontier = nxt
     return found
@@ -206,13 +206,13 @@ def _sole_parents(adj, x: int, done: int) -> int:
 def _distance_changers(adj, n: int) -> int:
     """The vertices whose deletion changes a distance between two other
     vertices: the union of _sole_parents over the sources, which stops
-    once it holds every vertex and skips the vertices already in it."""
+    once it holds every vertex."""
     full = (1 << n) - 1
     found = 0
     for x in range(n):
         if found == full:
             break
-        found |= _sole_parents(adj, x, found)
+        found |= _sole_parents(adj, x)
     return found
 
 

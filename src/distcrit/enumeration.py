@@ -164,10 +164,10 @@ keep table, pruned before they are built.
 Each order's graphs therefore come in generation order, and equal those
 of the walk for that order alone.  The lemma universe and
 iter_all_graphs read every order; the census and iter_connected keep
-order n, the graphs whose parent has n - 1 vertices.  A job of a split
-run (see below) walks every level above the frontier, so the orders up
-to the frontier's come from every job, and each higher order from the
-job that owns the graph's frontier node.
+order n, the graphs whose parent has n - 1 vertices.  Each item carries
+the frontier node f it descends from (see below), or -1 if its order is
+at most the frontier's; every part of a divided run yields those, and
+each other item comes from the part that walks its f.
 
 Critical-first leaves: a walk that only needs some leaves passes a keep
 table, computed from the parent and its criticality table, to the
@@ -188,20 +188,21 @@ n = 10 only 4,261 of the 261,080 level-9 nodes have a critical child,
 and only the 5,967 alive ones are built.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
-frontier (for n <= 3 that is K1 alone, node 0; for n = 1 K1 is also
-the one leaf, yielded by the job that owns node 0 alone).  Job j of J within shard
-s of S owns frontier node f (in deterministic generation order) iff
-f mod (S * J) = s + S * j, which is f mod S = s and (f div S) mod J = j:
-S * J parts with one modulus rule.  The union over any partition layout
-reproduces the unsharded run, so J is capped at the CPU count, one
-worker process per job.  A job yields its leaves in ascending f, and the
-jobs own disjoint sets of f, so the collected hits, tagged with their f,
-merge back into the order of the single-job run.
+frontier, numbered f = 0, 1, ... in generation order (for n <= 3 that is
+K1 alone, node 0; for n = 1 K1 is also the one leaf, which part 0 alone
+yields).  _iter_leaves(n, parts, part) walks the frontier nodes with
+f mod parts = part.  Job j of J within shard s of S is part s + S * j of
+S * J, which walks f mod S = s and (f div S) mod J = j.  The union over
+any partition layout reproduces the unsharded run, so J is capped at the
+CPU count, one worker process per job.  A job yields its leaves in
+ascending f, and the jobs walk disjoint sets of f, so the collected
+hits, which keep their f, merge on it back into the single-job order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import time
 from typing import Callable, Iterator, NamedTuple
@@ -626,11 +627,12 @@ def _child_states(
 
 def _iter_leaves(
     n: int,
-    owner: "Callable[[int], bool] | None" = None,
+    parts: int = 1,
+    part: int = 0,
     keep: Callable[[tuple[int, ...], int, int], int] = (
         lambda adj, k, table: -1),
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield (parent, s, critical) for every accepted node on 1..n
+) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
+    """Yield (f, parent, s, critical) for every accepted node on 1..n
     vertices, in one walk of the tree: the node is _attach(parent, s), of
     order len(parent) + 1, and its rows are built only by a caller that
     reads them.  The root K1 is given as the empty parent with s = 0.
@@ -658,27 +660,27 @@ def _iter_leaves(
     a graph of girth > 4 or a tree, which its parent's girth table, and
     so its parent's keep, admits.
 
-    owner gates the frontier at level max(1, n - 2): a job walks only the
-    frontier nodes it owns, so the graphs on up to max(1, n - 2) vertices
-    come from every owner, and the larger ones from the owner of their
-    frontier node.  For n = 1 the root is frontier node 0 and the one
-    item, given by its owner alone."""
-    if n > 1 or owner is None or owner(0):
-        yield (), 0, 0
+    The frontier is the nodes at level max(1, n - 2), numbered f = 0, 1,
+    ... in generation order.  The walk opens only those with f mod parts
+    == part, and f is the frontier node an item descends from.  The items
+    of orders up to the frontier's come from every part and carry -1; for
+    n = 1, K1 is frontier node 0 and the one item, which part 0 alone
+    yields, with f = 0."""
     if n == 1:
+        if part == 0:
+            yield 0, (), 0, 0
         return
+    yield -1, (), 0, 0
     frontier = max(1, n - 2)
-    counter = 0
+    numbers = itertools.count()
 
-    def nodes(state: _State, k: int, alive: int) -> Iterator[tuple]:
-        # one record (rows, table, children to yield) per node opened;
+    def nodes(state: _State, k: int, alive: int, f: int) -> Iterator[tuple]:
+        # one record (f, rows, table, children to yield) per node opened;
         # alive is 0 only for a node at level n - 1 whose bit of its
         # parent's alive set is clear, and such a node builds no table
-        nonlocal counter
-        if owner is not None and k == frontier:
-            idx = counter
-            counter += 1
-            if not owner(idx):
+        if k == frontier:
+            f = next(numbers)
+            if f % parts != part:
                 return
         adj = state[0]
         table = 0
@@ -687,18 +689,18 @@ def _iter_leaves(
             table = _table_of(*sets)
         kept = keep(adj, k, table)
         if k == n - 1:
-            yield adj, table, _child_states(state, k, kept)
+            yield f, adj, table, _child_states(state, k, kept)
             return
         # every node below level n - 1 is alive, so sets is bound
         live = _alive_set(adj, k, *sets) if k == n - 2 else -1
         children = list(_child_states(state, k, kept | live))
-        yield adj, table, [c for c in children if kept >> c[0] & 1]
+        yield f, adj, table, [c for c in children if kept >> c[0] & 1]
         for s, cut in children:
-            yield from nodes((_attach(adj, s), cut), k + 1, live >> s & 1)
+            yield from nodes((_attach(adj, s), cut), k + 1, live >> s & 1, f)
 
-    for adj, table, children in nodes(_ROOT, 1, 1):
+    for f, adj, table, children in nodes(_ROOT, 1, 1, -1):
         for s, _ in children:
-            yield adj, s, table >> s & 1
+            yield f, adj, s, table >> s & 1
 
 
 def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
@@ -713,7 +715,7 @@ def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
 def iter_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
     _check_args(n, 1, 0)
-    for adj, s, _ in _iter_leaves(n):
+    for _, adj, s, _ in _iter_leaves(n):
         if len(adj) == n - 1:
             yield Graph(n, _attach(adj, s), check=False)
 
@@ -755,21 +757,14 @@ def _tally_shard(
     critical_only: bool,
 ) -> tuple[int, int, int, list[tuple[int, tuple[int, ...]]]]:
     """The census of the frontier nodes f with f mod parts == part; each
-    collected hit comes as (f, adjacency), f its frontier node."""
-    f_now = 0
-
-    def owner(f: int) -> bool:
-        nonlocal f_now
-        f_now = f
-        return f % parts == part
-
+    collected hit comes as (f, adjacency), f the frontier node that
+    _iter_leaves tags it with."""
     connected = critical = maximal = 0
     hits: list[tuple[int, tuple[int, ...]]] = []
     # the full census takes the default keep, which keeps every child
-    split = None if parts == 1 else owner
-    leaves = (_iter_leaves(n, split, lambda adj, k, table: table)
-              if critical_only else _iter_leaves(n, split))
-    for adj, s, is_critical in leaves:
+    leaves = (_iter_leaves(n, parts, part, lambda adj, k, table: table)
+              if critical_only else _iter_leaves(n, parts, part))
+    for f, adj, s, is_critical in leaves:
         if len(adj) != n - 1:
             continue
         connected += 1
@@ -784,7 +779,7 @@ def _tally_shard(
                 continue
             maximal += 1
         if collect:
-            hits.append((f_now, child))
+            hits.append((f, child))
     return connected, critical, maximal, hits
 
 
@@ -881,7 +876,7 @@ def iter_all_graphs(n: int) -> Iterator[Graph]:
     """Every graph on n vertices up to isomorphism, connected or not."""
     _check_args(n, 1, 0)
     catalogs: dict[int, list[Graph]] = {k: [] for k in range(1, n + 1)}
-    for adj, s, _ in _iter_leaves(n):
+    for _, adj, s, _ in _iter_leaves(n):
         k = len(adj) + 1
         catalogs[k].append(Graph(k, _attach(adj, s), check=False))
     return _iter_unions(catalogs, n)

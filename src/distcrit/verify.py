@@ -113,7 +113,7 @@ class _Universe:
         girth5: dict[int, list[Graph]] = {k: [] for k in orders}
         leaves = _iter_leaves(n_cap, keep=lambda parent, j, table:
                               table | _girth_table(parent, j))
-        for parent, s, critical in leaves:
+        for _, parent, s, critical in leaves:
             k = len(parent) + 1
             g = Graph(k, _attach(parent, s), check=False)
             if critical:

@@ -234,12 +234,7 @@ class TestDirectMethod:
         """Check every (deletion, source) pair of g; return the masks of
         row_changers."""
         rows = row_changers(g)
-        assert [_sole_parents(g.adj, x, 0) for x in range(g.n)] == rows
-        # with done, as _distance_changers passes it: the same set minus
-        # the vertices already found
-        for x in range(g.n):
-            done = union(rows[:x])
-            assert _sole_parents(g.adj, x, done) == rows[x] & ~done
+        assert [_sole_parents(g.adj, x) for x in range(g.n)] == rows
         changers = union(rows)
         assert _distance_changers(g.adj, g.n) == changers
         assert [changers >> v & 1 == 1 for v in range(g.n)] == \
@@ -270,14 +265,14 @@ class TestDirectMethod:
         g = disjoint_union(disjoint_union(cycle(5), cycle(5)),
                            Graph.empty(1))
         for x in range(5, 10):
-            assert _sole_parents(g.adj, x, 0) == g.adj[x]
-        assert _sole_parents(g.adj, 10, 0) == 0
+            assert _sole_parents(g.adj, x) == g.adj[x]
+        assert _sole_parents(g.adj, 10) == 0
         rng = random.Random(43)
         for _ in range(40):
             g = random_graph(rng.randint(2, 12), 0.15, rng)
             for x in range(g.n):
                 comp = _reach_mask(g.adj, 1 << x)
-                assert _sole_parents(g.adj, x, 0) & ~comp == 0
+                assert _sole_parents(g.adj, x) & ~comp == 0
 
     def test_first_changed_row_past_row_0(self, petersen):
         # in C5 + C5 no row of the first cycle changes when a vertex of
@@ -328,7 +323,7 @@ class TestDirectMethod:
         # layer from some source is exactly {v}, so v is the only parent
         # of the next layer
         p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert _sole_parents(p3.adj, 0, 0) == 1 << 1
+        assert _sole_parents(p3.adj, 0) == 1 << 1
         assert self.assert_agrees(p3) == [1 << 1, 0, 1 << 1]
         # C5 on 0..4 with the pendant path 0-5-6-7
         g = Graph.from_edges(8, [(i, (i + 1) % 5) for i in range(5)]
@@ -363,9 +358,9 @@ class TestDirectMethod:
         # vertices still gets the definition's verdict
         sole_parents = criticality._sole_parents
 
-        def guarded(adj, x, done):
+        def guarded(adj, x):
             assert all(row & (row - 1) for row in adj)
-            return sole_parents(adj, x, done)
+            return sole_parents(adj, x)
 
         monkeypatch.setattr(criticality, "_sole_parents", guarded)
         low = 0

@@ -715,11 +715,11 @@ class TestCriticalFirst:
                     for g in connected_by_n[n]]
             every = _iter_leaves(n, keep=lambda adj, k, table: -1)
             assert [(_attach(adj, s), critical)
-                    for adj, s, critical in every
+                    for _, adj, s, critical in every
                     if len(adj) == n - 1] == full
             kept = _iter_leaves(n, keep=lambda adj, k, table: table)
             assert [(_attach(adj, s), critical)
-                    for adj, s, critical in kept
+                    for _, adj, s, critical in kept
                     if len(adj) == n - 1] == \
                 [leaf for leaf in full if leaf[1]]
         for n in range(1, 9):
@@ -829,23 +829,57 @@ class TestCriticalFirst:
 
 class TestSharding:
     def test_shards_partition_the_space(self):
-        # job j of shard s owns frontier node f iff f mod (shards * jobs)
+        # job j of shard s walks frontier node f iff f mod (shards * jobs)
         # is s + shards * j, as in run_enumeration; the orders below 7
         # above the frontier come from every part, so order 7 is kept
-        def order7(owner=None):
-            return [item for item in _iter_leaves(7, owner)
-                    if len(item[0]) == 6]
+        def order7(parts=1, part=0):
+            return [item for item in _iter_leaves(7, parts, part)
+                    if len(item[1]) == 6]
 
         full = order7()
         assert len(full) == 853
         for shards, jobs in ((4, 1), (2, 2)):
             parts = shards * jobs
-            pieces = [order7(lambda f: f % parts == part)
-                      for part in range(parts)]
+            pieces = [order7(parts, part) for part in range(parts)]
             assert len(pieces) == 4
             assert all(pieces)
             merged = list(itertools.chain.from_iterable(pieces))
             assert sorted(merged) == sorted(full)
+            # each piece comes in serial order, so a stable sort on f
+            # gives the serial walk
+            assert sorted(merged, key=lambda item: item[0]) == full
+
+    def test_items_carry_their_frontier_node(self):
+        # the frontier is level n - 2: 21 nodes at n = 7 and 112 at n = 8,
+        # each tagging at least one order-n item.  Serial order-n tags
+        # never decrease.  Part p of P yields the items tagged -1, those of
+        # the orders up to the frontier's, and, in the serial order, the
+        # items whose f is p mod P.  The critical-only walk to 9 splits
+        # its 168 order-9 items the same way
+        critical = lambda adj, k, table: table  # noqa: E731
+        for n, keep, top in ((7, None, 853), (8, None, 11117),
+                             (9, critical, 168)):
+            kwargs = {} if keep is None else {"keep": keep}
+            serial = list(_iter_leaves(n, **kwargs))
+            assert all((f == -1) == (len(parent) + 1 <= n - 2)
+                       for f, parent, _, _ in serial)
+            tags = [f for f, parent, _, _ in serial if len(parent) == n - 1]
+            assert len(tags) == top
+            assert tags == sorted(tags)
+            if keep is None:
+                assert set(tags) == set(range(CONNECTED_COUNTS[n - 2]))
+            for parts in (2, 3, 4):
+                for part in range(parts):
+                    assert list(_iter_leaves(n, parts, part, **kwargs)) == \
+                        [item for item in serial
+                         if item[0] == -1 or item[0] % parts == part]
+        assert CONNECTED_COUNTS[5] == 21 and CONNECTED_COUNTS[6] == 112
+        # for n = 1, K1 is frontier node 0 and the one item; for n = 2 and
+        # 3 it is the frontier and every part yields it
+        assert list(_iter_leaves(1)) == [(0, (), 0, 0)]
+        assert list(_iter_leaves(1, 2, 1)) == []
+        assert list(_iter_leaves(3, 2, 1)) == [(-1, (), 0, 0)]
+        assert [f for f, *_ in _iter_leaves(3)] == [-1, 0, 0, 0]
 
     def test_jobs_split_a_shard_into_parts(self):
         # job j of shard s of 3 is part s + 3 * j of 6, counter by counter
@@ -951,7 +985,7 @@ class TestOneWalk:
     def by_order(items) -> dict[int, list]:
         orders: dict[int, list] = {}
         for item in items:
-            orders.setdefault(len(item[0]) + 1, []).append(item)
+            orders.setdefault(len(item[1]) + 1, []).append(item)
         return orders
 
     def test_orders_match_their_own_walks(self):
@@ -965,9 +999,11 @@ class TestOneWalk:
         for kwargs in ({}, {"keep": critical}):
             walk = self.by_order(_iter_leaves(8, **kwargs))
             assert set(walk) <= set(range(1, 9))
+            # the walk to k has its own frontier, so f is not compared
             for k in range(1, 9):
-                assert walk.get(k, []) == \
-                    self.by_order(_iter_leaves(k, **kwargs)).get(k, [])
+                assert [item[1:] for item in walk.get(k, [])] == \
+                    [item[1:] for item in
+                     self.by_order(_iter_leaves(k, **kwargs)).get(k, [])]
             counts.append({k: len(items) for k, items in walk.items()})
         assert counts[0] == CONNECTED_COUNTS
         # K1, which has no parent table, and the critical graphs
@@ -975,10 +1011,10 @@ class TestOneWalk:
         # every walk builds its tables, so the default walk's verdict of
         # each node is the determining-pair test's
         nodes = list(_iter_leaves(8))
-        verdicts = [verdict for _, _, verdict in nodes]
+        verdicts = [verdict for _, _, _, verdict in nodes]
         assert verdicts == [_is_critical_fast(_attach(parent, s),
                                               len(parent) + 1)
-                            for parent, s, _ in nodes]
+                            for _, parent, s, _ in nodes]
         assert (len(verdicts), sum(verdicts)) == (12113, 21)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
 
@@ -89,9 +90,11 @@ class TestLemmaHarness:
         walks = []
         real = verify._iter_leaves
 
-        def counting(n, owner=None, **kwargs):
-            walks.append((n, owner, kwargs["keep"]))
-            return real(n, owner, **kwargs)
+        def counting(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            walks.append(bound.arguments)
+            return real(*args, **kwargs)
 
         expanded = []
         real_children = enumeration._child_states
@@ -106,7 +109,8 @@ class TestLemmaHarness:
         # one walk over the orders 1..7, which expands every node on 1..5
         # vertices once, and opens only the 12 of the 112 nodes on 6
         # vertices that its alive sets or its keep admit
-        assert [(n, owner) for n, owner, _ in walks] == [(7, None)]
+        assert [(w["n"], w["parts"], w["part"]) for w in walks] == \
+            [(7, 1, 0)]
         assert [expanded.count(k) for k in range(1, 7)] == \
             [1, 1, 2, 6, 21, 12]
         assert len(expanded) == 43
@@ -116,7 +120,7 @@ class TestLemmaHarness:
         path = (0b10, 0b101, 0b1010, 0b100)
         wide = sum(1 << s for s in (0b1, 0b10, 0b100, 0b1000, 0b1001))
         assert _girth_table(path, 4) == wide
-        keep = walks[0][2]
+        keep = walks[0]["keep"]
         assert keep(path, 4, 0) == wide
         assert keep(path, 4, 1 << 0b110) == wide | 1 << 0b110
 
