@@ -12,14 +12,14 @@ reports, per vertex, the lexicographically least witness pair.  It rests
 on one primitive, graph._layer(adj, mask): the bits set in at least one,
 and in at least two, of the rows adj[x], x in mask.  Over adjacency rows
 these are the vertices with one, and with two or more, neighbours in
-mask.  For mask = N(a), twice holds the vertices with two or more common
-neighbours with a, and the determining pairs (a, b) of v are the b > a
-of N(v) outside N(a) and outside that mask (_partners).  Its callers
-share one list of these masks over the vertices of a graph, filled on
-first use.  The same layer gives _girth_table its girth > 4 test, and
-two layers per BFS frontier give the direct method's sole parents.
-graph.py steps its girth, distance rows and reachability masks with it
-too.
+mask.  For mask = N(a), once & ~twice outside N(a) and a holds a's sole
+partners, the nonadjacent b with exactly one common neighbour with a
+(_sole_partners).  The relation is symmetric, and (a, b) is a
+determining pair of that neighbour.  Every pair query reads these masks;
+the witness readers share one list of them per graph.  The same layer
+gives _girth_table its girth > 4 test, and two layers per BFS frontier
+give the direct method's sole parents.  graph.py steps its girth,
+distance rows and reachability masks with it too.
 
 The enumeration decides criticality for every child of a node at once.
 Its primitive is _pairless_sets(adj, k): for a new vertex x attached to
@@ -45,7 +45,7 @@ iff these sets cover every vertex.  No layers or distance rows are kept.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 # all_pairs_distances is not called here; it stays importable because
 # bench/layers.py patches it in this module by name
@@ -53,32 +53,14 @@ from .graph import (  # noqa: F401
     Graph, _layer, _with_each_non_edge, all_pairs_distances, bits)
 
 
-def _partners(adj, v: int, twice: list) -> Iterator[tuple[int, int]]:
-    """(a, B) for each neighbour a of v, ascending, whose mask B is not
-    empty: B holds the b > a such that (a, b) is a determining pair of v.
-
-    Such a b is a neighbour of v above a, not adjacent to a, and shares no
-    neighbour with a but v, which they share: it is outside twice[a], the
-    twice mask of _layer(adj, adj[a]).  An entry of twice that is None is
-    computed on first use and stored, so callers that share one list over
-    the vertices of a graph compute each mask at most once.  A nonadjacent
-    pair whose unique common neighbour is c is met for v = c and for no
-    other v, so a sweep over all v meets each determining pair once.
-    """
-    later = adj[v]
-    while later:
-        low = later & -later
-        later ^= low
-        a = low.bit_length() - 1
-        rest = later & ~adj[a]
-        if not rest:
-            continue
-        mask = twice[a]
-        if mask is None:
-            mask = twice[a] = _layer(adj, adj[a])[1]
-        rest &= ~mask
-        if rest:
-            yield a, rest
+def _sole_partners(adj, a: int) -> int:
+    """The b that are not adjacent to a and share exactly one neighbour
+    with a: the once mask of _layer(adj, N(a)) outside its twice mask,
+    N(a) and a itself.  The relation is symmetric, and (a, b) is a
+    determining pair of their one common neighbour."""
+    row = adj[a]
+    once, twice = _layer(adj, row)
+    return once & ~twice & ~row & ~(1 << a)
 
 
 def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
@@ -89,15 +71,26 @@ def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    return [(a, b) for a, rest in _partners(g.adj, v, [None] * g.n)
-            for b in bits(rest)]
+    row = g.adj[v]
+    return [(a, b) for a in bits(row)
+            for b in bits(_sole_partners(g.adj, a) & row) if b > a]
 
 
-def _witness_for(adj, v: int, twice: list) -> tuple[int, int] | None:
-    """The lexicographically least determining pair of v, or None;
-    twice is the list that _partners reads and fills."""
-    for a, rest in _partners(adj, v, twice):
-        return a, (rest & -rest).bit_length() - 1
+def _witness_for(adj, v: int, masks: list) -> tuple[int, int] | None:
+    """The lexicographically least determining pair of v, or None: (a, b)
+    for the least a in N(v) whose sole-partner mask holds a b > a in N(v),
+    and the least such b.  masks[a] is that mask; an entry that is None is
+    computed on first use and stored there, for the next caller."""
+    later = adj[v]
+    while later:
+        low = later & -later
+        later ^= low
+        a = low.bit_length() - 1
+        if masks[a] is None:
+            masks[a] = _sole_partners(adj, a)
+        rest = later & masks[a]
+        if rest:
+            return a, (rest & -rest).bit_length() - 1
     return None
 
 
@@ -105,17 +98,23 @@ def _pair_scan(
     adj, n: int
 ) -> tuple[tuple[tuple[int, int] | None, ...], tuple[int, ...]]:
     """Least determining pair of every vertex (or None), and the involved
-    set, from one sweep over the partner masks: O(m) big-int operations,
-    the twice masks of every vertex included."""
-    twice = [None] * n
+    set: the vertices whose sole-partner mask is not empty.  The witness
+    of v is (a, b) for the least involved a in N(v) whose mask meets N(v),
+    and the least b in that meet, above a by symmetry."""
+    masks = [_sole_partners(adj, a) for a in range(n)]
+    involved = sum(1 << a for a, mask in enumerate(masks) if mask)
     witnesses = []
-    involved = 0
-    for v in range(n):
+    for row in adj:
         first = None
-        for a, rest in _partners(adj, v, twice):
-            if first is None:
-                first = (a, (rest & -rest).bit_length() - 1)
-            involved |= rest | 1 << a
+        later = row & involved
+        while later:
+            low = later & -later
+            a = low.bit_length() - 1
+            rest = masks[a] & row
+            if rest:
+                first = a, (rest & -rest).bit_length() - 1
+                break
+            later ^= low
         witnesses.append(first)
     return tuple(witnesses), tuple(bits(involved))
 
@@ -269,26 +268,26 @@ def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:
     the parent does not have both ends in A, or v is in A and some
     neighbour a of v outside A has N(a) & A = {v} (then (a, x) is a pair
     of v).  Each condition is a few big-int operations on the HAS and NONE
-    sets of _mask_sets.  One _layer of each neighbourhood gives both every
-    vertex's distance-2 ball and the twice masks that _partners reads the
-    parent's pairs from.
+    sets of _mask_sets.  One _layer of each N(a) gives both a's distance-2
+    ball and its _sole_partners mask.  The ends of the pairs of v are the
+    once mask of _layer over the masks as rows, within N(v).
     """
     has, none, _ = _mask_sets(k)
     full = (1 << k) - 1
     every = (1 << (1 << k)) - 1
     far = 0
-    twice = []
+    masks = []
     for a in range(k):
-        once, twice_a = _layer(adj, adj[a])
-        twice.append(twice_a)
-        ball = once | adj[a] | 1 << a
+        once, twice = _layer(adj, adj[a])
+        near = adj[a] | 1 << a
+        masks.append(once & ~twice & ~near)
+        ball = once | near
         if ball != full:
             far |= has[a] & ~none[full & ~ball]
     pl = []
     for v in range(k):
-        ends = 0
-        for a, rest in _partners(adj, v, twice):
-            ends |= rest | 1 << a
+        row = adj[v]
+        ends = _layer(masks, row)[0] & row
         # the A that hold both ends of every pair of v
         stuck = every
         while ends:
@@ -297,7 +296,7 @@ def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:
             ends ^= low
         rescue = 0
         bit_v = 1 << v
-        for a in bits(adj[v]):
+        for a in bits(row):
             rescue |= ~has[a] & none[adj[a] & ~bit_v]
         pl.append(stuck & ~(has[v] & rescue))
     return every & ~far, pl
@@ -393,9 +392,9 @@ def _is_critical_fast(adj, n: int) -> bool:
     checked vertex by vertex until one has none."""
     if not n:
         return False
-    twice = [None] * n
+    masks = [None] * n
     for v in range(n):
-        if _witness_for(adj, v, twice) is None:
+        if _witness_for(adj, v, masks) is None:
             return False
     return True
 

@@ -230,9 +230,9 @@ def _check_dpstar(uni: _Universe):
         # each vertex's pairs in g, listed on first use
         pairs: list = [None] * n
         for x, y, rows in _with_each_non_edge(g.adj):
-            twice = [None] * n
+            masks = [None] * n
             for z in range(n):
-                if _witness_for(rows, z, twice) is not None:
+                if _witness_for(rows, z, masks) is not None:
                     continue
                 if pairs[z] is None:
                     pairs[z] = determining_pairs_of(g, z)

@@ -20,7 +20,9 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from distcrit import Graph, all_pairs_distances, decode_graph6
+from distcrit import (Graph, all_pairs_distances, decode_graph6,
+                      is_distance_critical)
+from distcrit.constructions import max_degree_extremal, regular_extremal
 from distcrit.criticality import _is_edge_maximal_fast
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -126,38 +128,84 @@ class TestIsomorphismClasses:
         assert len(mismatches(mutant, want)) == 2
 
 
-class TestExtremalProfile:
-    """The extremal profile of the critical classes on 5..10 vertices,
-    recomputed with networkx from the class data: the most edges and how
-    many graphs attain them, the largest clique number, maximum degree and
-    minimum degree, and the number of regular critical graphs."""
+def profile(graphs: list[nx.Graph]) -> tuple:
+    """(graphs, fewest edges, most edges, graphs with the most edges,
+    largest clique number, largest maximum degree, largest minimum
+    degree, regular graphs, largest degree of a regular graph) of a
+    nonempty list of graphs."""
+    edges = [h.number_of_edges() for h in graphs]
+    degrees = [sorted(d for _, d in h.degree) for h in graphs]
+    regular = [ds[0] for ds in degrees if ds[0] == ds[-1]]
+    return (
+        len(graphs),
+        min(edges),
+        max(edges),
+        edges.count(max(edges)),
+        max(max(map(len, nx.find_cliques(h))) for h in graphs),
+        max(ds[-1] for ds in degrees),
+        max(ds[0] for ds in degrees),
+        len(regular),
+        max(regular, default=0),
+    )
 
-    def test_profile_is_pinned(self):
+
+@pytest.fixture(scope="module")
+def profiles() -> dict[str, list[tuple]]:
+    """The columns of the profiles of orders 5..10 of the critical and of
+    the edge-maximal class data."""
+    out = {}
+    for name in ("critical_n1-10.g6", "maximal_n1-10.g6"):
         by_n: dict[int, list[nx.Graph]] = defaultdict(list)
-        for g in load("critical_n1-10.g6"):
+        for g in load(name):
             by_n[g.n].append(to_nx(g))
-        rows = []
-        for n in range(5, 11):
-            graphs = by_n[n]
-            edges = [h.number_of_edges() for h in graphs]
-            degrees = [sorted(d for _, d in h.degree) for h in graphs]
-            regular = [ds[0] for ds in degrees if ds[0] == ds[-1]]
-            rows.append((
-                max(edges),
-                edges.count(max(edges)),
-                max(max(map(len, nx.find_cliques(h))) for h in graphs),
-                max(ds[-1] for ds in degrees),
-                max(ds[0] for ds in degrees),
-                len(regular),
-            ))
-            # the largest degree of a regular critical graph meets the
-            # bound floor((n - 1) / 4) + floor(n / 4)
-            assert max(regular) == (n - 1) // 4 + n // 4
-        assert list(zip(*rows)) == [
+        out[name] = list(zip(*(profile(by_n[n]) for n in range(5, 11))))
+    return out
+
+
+class TestExtremalProfile:
+    """The extremal profile of the critical and edge-maximal classes on
+    5..10 vertices, recomputed with networkx from the class data, and the
+    extremal families against it."""
+
+    def test_profile_is_pinned(self, profiles):
+        assert profiles["critical_n1-10.g6"] == [
+            (1, 1, 4, 15, 168, 2252),  # graphs
+            (5, 6, 7, 8, 9, 10),  # fewest edges: the cycles
             (5, 6, 10, 12, 18, 21),  # most edges
             (1, 1, 1, 3, 2, 4),  # graphs with the most edges
             (2, 2, 3, 3, 4, 5),  # largest clique number
             (2, 2, 3, 4, 5, 6),  # largest maximum degree
             (2, 2, 2, 3, 4, 4),  # largest minimum degree
             (1, 1, 1, 3, 2, 14),  # regular critical graphs
+            (2, 2, 2, 3, 4, 4),  # their largest degree
         ]
+        # which meets the bound floor((n - 1) / 4) + floor(n / 4)
+        assert profiles["critical_n1-10.g6"][8] == tuple(
+            (n - 1) // 4 + n // 4 for n in range(5, 11))
+
+    def test_edge_maximal_profile_is_pinned(self, profiles):
+        assert profiles["maximal_n1-10.g6"] == [
+            (1, 1, 2, 4, 14, 82),  # graphs
+            (5, 6, 7, 11, 12, 14),  # fewest edges
+            (5, 6, 10, 12, 18, 21),  # most edges
+            (1, 1, 1, 3, 2, 4),  # graphs with the most edges
+            (2, 2, 3, 3, 4, 5),  # largest clique number
+            (2, 2, 3, 4, 5, 6),  # largest maximum degree
+            (2, 2, 2, 3, 4, 4),  # largest minimum degree
+            (1, 1, 1, 2, 1, 1),  # regular edge-maximal graphs
+            (2, 2, 2, 3, 4, 4),  # their largest degree
+        ]
+
+    def test_families_meet_the_census(self, profiles):
+        # max_degree_extremal(n) (n >= 6) attains the census's largest
+        # maximum degree, and regular_extremal(n) its largest regular
+        # degree
+        census = profiles["critical_n1-10.g6"]
+        for i, n in enumerate(range(5, 11)):
+            if n >= 6:
+                g = max_degree_extremal(n)
+                assert is_distance_critical(g)
+                assert g.max_degree() == census[5][i]
+            g = regular_extremal(n)
+            assert is_distance_critical(g)
+            assert g.min_degree() == g.max_degree() == census[8][i]

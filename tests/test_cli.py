@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,9 @@ import pytest
 
 from distcrit import is_distance_critical_pairs
 from distcrit.cli import run
-from distcrit.graph6 import decode_graph6
-from conftest import run_capped
+from distcrit.constructions import cycle, gamma
+from distcrit.graph6 import decode_graph6, encode_graph6
+from conftest import random_graph, run_capped
 
 SCHEMA_PATH = "schemas/cli_output.schema.json"
 
@@ -454,6 +456,41 @@ class TestDeterminism:
     def test_elapsed_not_in_stdout(self, capsys):
         _, out, _ = invoke(capsys, ["enumerate", "-n", "6", "--count-only"])
         assert "elapsed" not in out
+
+
+class TestPairOutputPins:
+    """The stdout bytes of every pairs-method command on a fixed batch:
+    sparse and dense G(n, p) with n = 16..96, cycles and gamma graphs.
+    The hashes were taken before the pair queries moved onto one
+    sole-partner mask per vertex."""
+
+    @staticmethod
+    def batch() -> str:
+        rng = random.Random(34)
+        graphs = []
+        for _ in range(12):
+            n = rng.randint(16, 96)
+            graphs.append(random_graph(
+                n, rng.choice((2.5 / n, 5 / n, 0.3, 0.6)), rng))
+        graphs += [cycle(n) for n in (5, 8, 13)]
+        graphs += [gamma(m)[0] for m in (3, 4)]
+        return "".join(encode_graph6(g) + "\n" for g in graphs)
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["check", "--method", "both"], 1,
+         "fbd58a9fdb552d1d8c57d880b66e70cc0a7beb00750dbd650332c28a0db50c81"),
+        (["pairs"], 0,
+         "f1c1de1eec4bdf91f647c8a87024589365438441a8a3c255d4b8cf34f4c4668e"),
+        (["pairs", "--vertex", "3"], 0,
+         "39d88fb36c483cc23d879a50b9a65d849ab41e9ac40e6883abaaea103a5ca4e0"),
+        (["stats"], 0,
+         "816a0b4be75167b29fd15465efd8e67e6ee151efb8cb48e3a29d8439438ecda1"),
+    ])
+    def test_stdout_is_pinned(self, capsys, monkeypatch, argv, code, digest):
+        got = invoke(capsys, argv, stdin=self.batch(),
+                     monkeypatch=monkeypatch)
+        assert got[0] == code
+        assert hashlib.sha256(got[1].encode()).hexdigest() == digest
 
 
 def fresh_run(argv, env):

@@ -22,7 +22,7 @@ from distcrit import (
 from distcrit.constructions import cycle
 from distcrit import criticality
 from distcrit.verify import pendant_deletion_check
-from distcrit.graph import UNREACHABLE, _layer, _reach_mask, girth
+from distcrit.graph import UNREACHABLE, _reach_mask, bits, girth
 from distcrit.criticality import (
     _alive_set,
     _distance_changers,
@@ -30,8 +30,8 @@ from distcrit.criticality import (
     _is_critical_fast,
     _pair_scan,
     _pairless_sets,
-    _partners,
     _sole_parents,
+    _sole_partners,
     _table_of,
     _witness_for,
 )
@@ -435,9 +435,9 @@ class TestWitnesses:
     @staticmethod
     def dense_graphs() -> list[Graph]:
         # at n = 20..60 a vertex has up to about 50 neighbours; from
-        # density 0.4 on most pairs share several of them, so the twice
-        # masks decide nearly every candidate, and below it many pairs
-        # are determining
+        # density 0.4 on most pairs share several of them, so most
+        # sole-partner masks are empty, and below it many pairs are
+        # determining
         rng = random.Random(59)
         return [random_graph(rng.randint(20, 60),
                              rng.choice((0.15, 0.25, 0.4, 0.6, 0.8)), rng)
@@ -451,17 +451,27 @@ class TestWitnesses:
                              for w in is_distance_critical_pairs(g).witnesses)
         assert witnessed >= 100
 
-    def test_partners_share_one_twice_list(self, all_graphs_by_n):
-        # one list filled over all vertices gives the pairs a fresh list
-        # gives each call, and what it holds are the twice masks
+    def test_sole_partner_masks(self, all_graphs_by_n):
+        # the mask of a holds every b != a that is not adjacent to a and
+        # shares exactly one neighbour with it, so the masks are symmetric;
+        # one list filled over all vertices gives the witnesses a fresh
+        # list gives each call, and what it holds are the masks
         graphs = [g for n in range(1, 8) for g in all_graphs_by_n[n]]
         for g in graphs + self.dense_graphs():
-            shared = [None] * g.n
-            for v in range(g.n):
-                assert list(_partners(g.adj, v, shared)) == \
-                    list(_partners(g.adj, v, [None] * g.n))
-            assert all(t is None or t == _layer(g.adj, g.adj[a])[1]
-                       for a, t in enumerate(shared))
+            adj, n = g.adj, g.n
+            masks = [_sole_partners(adj, a) for a in range(n)]
+            for a in range(n):
+                assert masks[a] == sum(
+                    1 << b for b in range(n)
+                    if b != a and not g.has_edge(a, b)
+                    and (adj[a] & adj[b]).bit_count() == 1)
+                assert all(masks[b] >> a & 1 for b in bits(masks[a]))
+            shared = [None] * n
+            for v in range(n):
+                assert _witness_for(adj, v, shared) == \
+                    _witness_for(adj, v, [None] * n)
+            assert all(m is None or m == masks[a]
+                       for a, m in enumerate(shared))
 
     def test_involved_set_on_cycles(self):
         assert involved_set(cycle(5)) == (0, 1, 2, 3, 4)

@@ -159,7 +159,7 @@ class TestLemmaHarness:
         # whose verdict is "this graph is critical" must fail: no girth
         # test may stand in for the pairs
         monkeypatch.setattr(criticality, "_witness_for",
-                            lambda adj, v, twice: None)
+                            lambda adj, v, masks: None)
         checks = {lid: run_lemma(lid, 8)
                   for lid in ("GIRTH", "MIN_EDGES", "REG_BOUND")}
         assert {lid: (len(c.violations), c.checked)
