@@ -10,10 +10,17 @@ Distances are computed by breadth-first search from every source.  A pair
 with no connecting path gets the sentinel UNREACHABLE, which is never a
 valid hop count, so "the distance changed" comparisons (including the
 finite -> unreachable transition) are plain ``!=`` checks.
+
+Mirroring a bit matrix (the symmetry check, the graph6 decoder) and
+finding cut vertices cost a fixed number of whole-row int operations
+per row, not one Python step per edge.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 1024
@@ -33,6 +40,55 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@functools.cache
+def _block_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) for each of the log2(w) block swaps that transpose a
+    w x w bit matrix packed into one int, bit c of row r at r * w + c.
+
+    The swap for j = w/2, w/4, ..., 1 exchanges bit c of row r with bit
+    c - j of row r + j wherever r & j == 0 and c & j != 0, a distance of
+    j * (w - 1); mask holds the lower end of each exchanged pair.  After
+    every j, bit c of row r has moved to bit r of row c."""
+    size = w // 8
+    swaps = []
+    j = w // 2
+    while j:
+        # the columns c with c & j: bits j..2j-1 of every 2j
+        high = ((1 << w) - 1) // ((1 << 2 * j) - 1) * ((1 << 2 * j) - (1 << j))
+        block = (high.to_bytes(size, "little") * j + bytes(size * j)) * (w // (2 * j))
+        swaps.append((j * (w - 1), int.from_bytes(block, "little")))
+        j //= 2
+    return tuple(swaps)
+
+
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The transposed bit matrix: bit u of row v of the result is bit v
+    of rows[u].  No row may mention a bit at or above len(rows).
+
+    The rows are packed into one w x w int, w the least power of two
+    that is at least len(rows) and 8, so each row is whole bytes; the
+    log2(w) block swaps of _block_swaps transpose it, and the first
+    len(rows) rows are unpacked.  Rows of up to 64 bits go through one
+    struct call each way, wider ones through one bytes object per row."""
+    n = len(rows)
+    w = 1 << max(n - 1, 7).bit_length()
+    size = w // 8
+    if w <= 64:
+        fmt = f"<{n}{'BHIQ'[size.bit_length() - 1]}"
+        x = int.from_bytes(struct.pack(fmt, *rows), "little")
+    else:
+        x = int.from_bytes(b"".join(map(int.to_bytes, rows, repeat(size),
+                                        repeat("little"))), "little")
+    for shift, mask in _block_swaps(w):
+        t = (x ^ x >> shift) & mask
+        x ^= t | t << shift
+    packed = x.to_bytes(size * w, "little")
+    if w <= 64:
+        return list(struct.unpack_from(fmt, packed))
+    return list(map(int.from_bytes, struct.unpack_from(f"{size}s" * n, packed),
+                    repeat("little")))
 
 
 def _with_each_non_edge(adj) -> Iterator[tuple[int, int, list[int]]]:
@@ -70,10 +126,13 @@ class Graph:
                     raise ValueError(f"adjacency row {v} mentions vertices >= {n}")
                 if row >> v & 1:
                     raise ValueError(f"loop at vertex {v}")
-            for v, row in enumerate(adj):
-                for u in bits(row):
-                    if not adj[u] >> v & 1:
-                        raise ValueError(f"edge {v}-{u} is not symmetric")
+            mirror = _transpose(adj)
+            if list(adj) != mirror:
+                # bit u of row v without bit v of row u, least v then u
+                v, odd = next((v, row & ~col) for v, (row, col)
+                              in enumerate(zip(adj, mirror)) if row & ~col)
+                u = (odd & -odd).bit_length() - 1
+                raise ValueError(f"edge {v}-{u} is not symmetric")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
@@ -266,64 +325,89 @@ def girth(g: Graph) -> int | None:
     of layer d + 1 with two neighbours in layer d one of length 2d + 2.
     Each such walk holds a cycle at most that long, and the BFS from a
     vertex of a shortest cycle finds that cycle's length, so the minimum
-    over all sources is exact.
+    over all sources is exact.  A triangle ends the scan: no cycle is
+    shorter.
     """
     best = None
     for src in range(g.n):
         found = _cycle_from(g.adj, src, best)
         if found is not None and (best is None or found < best):
             best = found
+            if best == 3:
+                break
     return best
 
 
 def articulation_points(g: Graph) -> tuple[int, ...]:
-    """Cut vertices, via an iterative Tarjan lowpoint DFS."""
+    """Cut vertices, from one bitset depth-first search."""
     mask = _articulation_mask(g.adj, g.n)
     return tuple(bits(mask))
 
 
 def _articulation_mask(adj: Sequence[int], n: int) -> int:
-    """Bitmask of cut vertices (iterative Tarjan lowpoint DFS)."""
-    disc = [-1] * n
-    low = [0] * n
-    is_cut = [False] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        root_children = 0
-        disc[root] = low[root] = timer
-        timer += 1
-        # stack entries: (vertex, parent, remaining-neighbor mask)
-        stack = [(root, -1, adj[root])]
-        while stack:
-            v, par, rest = stack[-1]
-            if rest:
-                lowbit = rest & -rest
-                u = lowbit.bit_length() - 1
-                stack[-1] = (v, par, rest ^ lowbit)
-                if disc[u] < 0:
-                    if v == root:
-                        root_children += 1
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, v, adj[u]))
-                elif u != par and disc[u] < low[v]:
-                    low[v] = disc[u]
-            else:
-                stack.pop()
-                if par >= 0:
-                    if low[v] < low[par]:
-                        low[par] = low[v]
-                    if par != root and low[v] >= disc[par]:
-                        is_cut[par] = True
-        if root_children >= 2:
-            is_cut[root] = True
-    out = 0
-    for v in range(n):
-        if is_cut[v]:
-            out |= 1 << v
-    return out
+    """Bitmask of the cut vertices of the graph with rows adj[0..n-1].
+
+    An iterative depth-first search (Hopcroft and Tarjan, CACM 16, 1973)
+    that moves whole rows.  Each vertex on the path from the root keeps
+    reach, the OR of the rows of its subtree so far; the next child of
+    the top vertex is the lowest bit of reach & unseen, which equals
+    adj[top] & unseen because a finished subtree has no unseen
+    neighbour.  When a child's subtree S is finished, the cut test for
+    its parent p reads S's reach once.
+
+    Why that test is exact.  An undirected DFS has no cross edges.  When
+    S is finished, a neighbour x of S outside S was seen before S was
+    entered (an unseen one would have joined S), and x was not finished
+    then (S would have been entered from x), so x is on the path: every
+    neighbour of S lies in S, is p, or is a path vertex strictly above
+    p.  A non-root p is therefore a cut vertex iff some child subtree S
+    has reach & (path above p) == 0: deleting p cuts such an S off from
+    the root, and when every child subtree reaches above p, each one
+    hangs on the path from the root to p's parent, which stays
+    connected, as does the tree without p's subtree.  The root is a cut
+    vertex iff it has two or more children, as no edge joins two of its
+    child subtrees.
+
+    Each vertex is pushed and popped once, with a fixed number of
+    n-bit int operations each, so a component costs O(n) big-int steps
+    whatever its edge count."""
+    cut = 0
+    unseen = (1 << n) - 1
+    while unseen:
+        root = unseen & -unseen
+        unseen ^= root
+        row = adj[root.bit_length() - 1]
+        children = 0
+        nxt = row & unseen
+        while nxt:
+            # one child subtree of the root; verts and reach are the
+            # path below the root, path its vertex mask with the root
+            children += 1
+            low = nxt & -nxt
+            unseen ^= low
+            path = root | low
+            verts = [low]
+            reach = [adj[low.bit_length() - 1]]
+            while verts:
+                nxt = reach[-1] & unseen
+                if nxt:
+                    low = nxt & -nxt
+                    unseen ^= low
+                    path |= low
+                    verts.append(low)
+                    reach.append(adj[low.bit_length() - 1])
+                    continue
+                path ^= verts.pop()
+                done = reach.pop()
+                if verts:
+                    parent = verts[-1]
+                    if not done & (path ^ parent):
+                        cut |= parent
+                    reach[-1] |= done
+            nxt = row & unseen
+        if children > 1:
+            cut |= root
+    return cut
 
 
 def is_two_connected(g: Graph) -> bool:

@@ -23,6 +23,11 @@ from distcrit.constructions import regular_extremal
 from distcrit.enumeration import _ROOT, _attach, _child_states
 
 
+# graph._transpose packs n rows into the next power of two at or above n,
+# so its width changes just past each of these
+WIDTH_BOUNDARIES = (127, 128, 129, 255, 256, 257, 511, 512, 513, 1023)
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]

@@ -20,8 +20,8 @@ from distcrit import (
     is_two_connected,
 )
 from distcrit.constructions import cycle
-from distcrit.graph import _layer, _with_each_non_edge, bits
-from conftest import random_graph, random_tree
+from distcrit.graph import _layer, _transpose, _with_each_non_edge, bits
+from conftest import WIDTH_BOUNDARIES, random_graph, random_tree
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -74,6 +74,34 @@ class TestConstruction:
             Graph(2, (0b10, 0b00))
         with pytest.raises(ValueError):
             Graph(1, (0b1,))
+
+        def first_asymmetric_edge(rows) -> "str | None":
+            # the per-edge scan: the least v, then the least u with u in
+            # rows[v] and v not in rows[u]
+            for v, row in enumerate(rows):
+                for u in bits(row):
+                    if not rows[u] >> v & 1:
+                        return f"edge {v}-{u} is not symmetric"
+            return None
+
+        rng = random.Random(61)
+        named = 0
+        for n in (2, 3, 5, 8, 9, 16, 17, 64, 65, 200, MAX_VERTICES):
+            g = random_graph(n, min(0.5, 8 / n), rng)
+            for flips in (1, 2, 5):
+                rows = list(g.adj)
+                for _ in range(flips):
+                    x, y = rng.sample(range(n), 2)
+                    rows[x] ^= 1 << y
+                want = first_asymmetric_edge(rows)
+                if want is None:
+                    assert Graph(n, rows).adj == tuple(rows)
+                    continue
+                with pytest.raises(ValueError) as err:
+                    Graph(n, rows)
+                assert str(err.value) == want
+                named += 1
+        assert named >= 25
 
     def test_immutable(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -183,14 +211,36 @@ class TestDistances:
 class TestConnectivity:
     def test_against_networkx(self):
         rng = random.Random(23)
-        for _ in range(200):
-            g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
+        graphs = [random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
+                  for _ in range(200)]
+        for _ in range(60):
+            n = rng.randint(9, 200)
+            # average degree from below 1 (a forest) to about 8
+            graphs.append(random_graph(n, rng.choice([0.5, 1, 2, 4, 8]) / n, rng))
+        graphs += [random_tree(rng.randint(2, 200), rng) for _ in range(20)]
+        for _ in range(40):
+            # several components, each its own DFS root, with isolated
+            # vertices between them
+            g = Graph.empty(rng.randint(0, 3))
+            for _ in range(rng.randint(2, 4)):
+                part = rng.choice([random_tree(rng.randint(1, 30), rng),
+                                   random_graph(rng.randint(1, 30), 0.15, rng),
+                                   cycle(rng.randint(3, 12))])
+                g = disjoint_union(disjoint_union(g, part),
+                                   Graph.empty(rng.randint(0, 2)))
+            graphs.append(g)
+        # P_1024, where the DFS path holds every vertex, and G(1024, 1/2)
+        path = Graph.from_edges(MAX_VERTICES,
+                                [(v, v + 1) for v in range(MAX_VERTICES - 1)])
+        assert articulation_points(path) == tuple(range(1, MAX_VERTICES - 1))
+        graphs += [path, random_graph(MAX_VERTICES, 0.5, rng)]
+        for g in graphs:
             h = to_nx(g)
             assert is_connected(g) == nx.is_connected(h)
-            assert set(articulation_points(g)) == set(nx.articulation_points(h))
+            cuts = sorted(nx.articulation_points(h))
+            assert articulation_points(g) == tuple(cuts)
             if g.n >= 3:
-                cut_free = not list(nx.articulation_points(h))
-                assert is_two_connected(g) == (nx.is_connected(h) and cut_free)
+                assert is_two_connected(g) == (nx.is_connected(h) and not cuts)
 
     def test_empty_and_single(self):
         assert is_connected(Graph.empty(1))
@@ -246,6 +296,24 @@ class TestGirth:
             assert got == self.nx_girth(g)
             found.add(got if got is None or got < 7 else 7)
         assert found == {None, 3, 4, 5, 6, 7}
+
+
+class TestTranspose:
+    def test_random_rows(self):
+        rng = random.Random(37)
+        for n in (*range(18), 63, 64, 65, *WIDTH_BOUNDARIES, MAX_VERTICES):
+            for draws in (1, 5):
+                # each bit set with probability 1/2, or 1/32
+                rows = [-1] * n
+                for _ in range(draws):
+                    rows = [row & rng.getrandbits(n) for row in rows]
+                want = [0] * n
+                for u, row in enumerate(rows):
+                    for v in bits(row):
+                        want[v] |= 1 << u
+                got = _transpose(rows)
+                assert got == want
+                assert _transpose(got) == rows
 
 
 class TestLayer:

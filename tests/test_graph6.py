@@ -12,7 +12,7 @@ from distcrit import Graph, Graph6Error, decode_graph6, encode_graph6
 from distcrit.constructions import regular_extremal
 from distcrit.graph import MAX_VERTICES
 from distcrit.graph6 import _data_len
-from conftest import random_graph
+from conftest import WIDTH_BOUNDARIES, random_graph
 
 
 def nx_encode(g: Graph) -> str:
@@ -151,7 +151,7 @@ def outcome(decode, text: str):
 def test_encoder_matches_per_bit_encoder():
     rng = random.Random(29)
     graphs = [random_graph(n, p, rng)
-              for n in list(range(71)) + [100, 300, 1024]
+              for n in [*range(71), 100, 300, 1024, *WIDTH_BOUNDARIES]
               for p in ((0.0, 0.5, 1.0) if n <= 70 else (0.01, 0.5))]
     graphs.append(regular_extremal(1024))
     for g in graphs:
@@ -159,7 +159,7 @@ def test_encoder_matches_per_bit_encoder():
 
 
 class TestAgainstPerBitDecoder:
-    SIZES = list(range(71)) + [200, 1024]
+    SIZES = [*range(71), 200, 1024, *WIDTH_BOUNDARIES]
 
     def test_random_graphs(self):
         rng = random.Random(23)
