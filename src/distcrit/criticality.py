@@ -8,18 +8,24 @@ equivalence holds componentwise, so both tests below accept disconnected
 input; a graph with no vertices is not distance critical by convention.
 
 The pairs method is the workhorse: it needs no distance recomputation and
-reports, per vertex, the lexicographically least witness pair.  It rests
-on one primitive, graph._layer(adj, mask): the bits set in at least one,
-and in at least two, of the rows adj[x], x in mask.  Over adjacency rows
-these are the vertices with one, and with two or more, neighbours in
-mask.  For mask = N(a), once & ~twice outside N(a) and a holds a's sole
-partners, the nonadjacent b with exactly one common neighbour with a
-(_sole_partners).  The relation is symmetric, and (a, b) is a
-determining pair of that neighbour.  Every pair query reads these masks;
-the witness readers share one list of them per graph.  The same layer
-gives _girth_table its girth > 4 test, and two layers per BFS frontier
-give the direct method's sole parents.  graph.py steps its girth,
-distance rows and reachability masks with it too.
+reports, per vertex, the lexicographically least witness pair.  Every
+pair query reads one mask per vertex a, its sole partners: the
+nonadjacent b with exactly one common neighbour with a.  The relation is
+symmetric, and (a, b) is a determining pair of that neighbour.  The masks
+are built two ways.  One vertex at a time, _sole_partners reads them
+from graph._layer(adj, mask): the bits set in at least one, and in at
+least two, of the rows adj[x], x in mask.  Over adjacency rows these are
+the vertices with one, and with two or more, neighbours in mask, so for
+mask = N(a), once & ~twice outside N(a) and a is a's mask.  All at once,
+_all_sole_partners reads them from one packed bit matrix of the graph:
+the cells covered by exactly one of the outer products N(c) x N(c).
+_pair_scan (the reports, involved_set) takes whichever its cost rule
+picks from the order and the edge count; the lazy witness readers and
+determining_pairs_of stay per vertex.  The same layer gives _girth_table
+its girth > 4 test, and two layers per BFS frontier give the direct
+method's sole parents, so the direct method never reads the kernel.
+graph.py steps its girth, distance rows and reachability masks with
+_layer too.
 
 The enumeration decides criticality for every child of a node at once.
 Its primitive is _pairless_sets(adj, k): for a new vertex x attached to
@@ -50,7 +56,11 @@ from typing import NamedTuple
 # all_pairs_distances is not called here; it stays importable because
 # bench/layers.py patches it in this module by name
 from .graph import (  # noqa: F401
-    Graph, _layer, _with_each_non_edge, all_pairs_distances, bits)
+    Graph, _layer, _outside, _pack, _unpack, _width, _with_each_non_edge,
+    all_pairs_distances, bits)
+
+# the cost rule of _pair_scan; see there
+_KERNEL_BREAK_EVEN = 100_000
 
 
 def _sole_partners(adj, a: int) -> int:
@@ -63,6 +73,40 @@ def _sole_partners(adj, a: int) -> int:
     return once & ~twice & ~row & ~(1 << a)
 
 
+@functools.cache
+def _unit_matrices(w: int) -> tuple[int, int]:
+    """(col0, diag) for w x w bit matrices packed as by graph._pack: bit 0
+    of every row, and bit r of every row r."""
+    col0 = ((1 << w * w) - 1) // ((1 << w) - 1)
+    diag = ((1 << w * (w + 1)) - 1) // ((1 << w + 1) - 1)
+    return col0, diag
+
+
+def _all_sole_partners(adj) -> list[int]:
+    """[_sole_partners(adj, a) for a in range(len(adj))], from one packed
+    bit matrix M of the rows (graph._pack, row a at offset a * w).
+
+    The pairs with common neighbour c are the cells of N(c) x N(c), whose
+    row a is adj[c] for a in N(c) and 0 elsewhere.  As M is symmetric,
+    M >> c & col0 holds bit 0 of row a for a in N(c), so multiplying it
+    by adj[c] < 2^w writes that outer product with no carries.  Over the
+    c of degree >= 2 (a vertex of degree < 2 is no common neighbour of
+    two others), once and twice keep the cells covered at least once and
+    at least twice, and once & ~twice off M and off the diagonal holds
+    every sole-partner mask.  Each product costs about n w^2 / 900
+    multiplications of 30-bit digits, so the kernel grows as n^2 w^2;
+    see _pair_scan for when it pays."""
+    m, w = _pack(adj)
+    col0, diag = _unit_matrices(w)
+    once = twice = 0
+    for c, row in enumerate(adj):
+        if row & (row - 1):
+            cross = (m >> c & col0) * row
+            twice |= once & cross
+            once |= cross
+    return _unpack(once & ~(twice | m | diag), w, len(adj))
+
+
 def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
     """All determining pairs of v, sorted lexicographically.
 
@@ -70,7 +114,7 @@ def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
     common neighbor is v; both endpoints necessarily lie in N(v).
     """
     if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+        raise _outside(f"vertex {v}", g.n)
     row = g.adj[v]
     return [(a, b) for a in bits(row)
             for b in bits(_sole_partners(g.adj, a) & row) if b > a]
@@ -100,8 +144,31 @@ def _pair_scan(
     """Least determining pair of every vertex (or None), and the involved
     set: the vertices whose sole-partner mask is not empty.  The witness
     of v is (a, b) for the least involved a in N(v) whose mask meets N(v),
-    and the least b in that meet, above a by symmetry."""
-    masks = [_sole_partners(adj, a) for a in range(n)]
+    and the least b in that meet, above a by symmetry.
+
+    The masks come from _all_sole_partners iff
+    (n w)^2 <= _KERNEL_BREAK_EVEN * 2m, w = graph._width(n) and 2m the
+    sum of the degrees, and else from _sole_partners, vertex by vertex.
+    The per-vertex list costs about one Python step per edge end.  The
+    kernel costs n products of about n w^2 / 900 digit multiplications
+    each, so w, not n, sets its price: n = 65 pays for w = 128.  The
+    break-even (n w)^2 / 2m measured about 0.9-3.3 x 10^5 over
+    n = 40..512, lowest for n <= 64, so the constant is 10^5.  No graph on 1024
+    vertices takes the kernel: (n w)^2 = 2^40 > 10^5 * 1024 * 1023.
+    Min of 21 interleaved rounds in one process, 2-core x86 VM, Python
+    3.11, in us, kernel against per-vertex list:
+        G(48, 1/2)      34      270     C_16             7       9
+        G(64, 1/2)      68      511     G(96, 3/96)    345     174
+        G(96, 1/2)     277    1,131     C_96           190      73
+        gamma(8)        38      234     C_256        2,658     211
+        G(256, 1/2)  5,231    7,400     G(512, 3/512) 43,879    850
+    G(256, 1/2), at (n w)^2 / 2m = 1.3 x 10^5, would gain 1.4x but
+    stays per vertex."""
+    ends = sum(map(int.bit_count, adj))
+    if (n * _width(n)) ** 2 <= _KERNEL_BREAK_EVEN * ends:
+        masks = _all_sole_partners(adj)
+    else:
+        masks = [_sole_partners(adj, a) for a in range(n)]
     involved = sum(1 << a for a, mask in enumerate(masks) if mask)
     witnesses = []
     for row in adj:

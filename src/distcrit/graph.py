@@ -34,6 +34,14 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
+def _outside(what: str, n: int) -> ValueError:
+    """The error for a vertex or an edge, named by what, that is not in a
+    graph on n vertices."""
+    if not n:
+        return ValueError(f"{what} outside the graph, which has no vertices")
+    return ValueError(f"{what} outside 0..{n - 1}")
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in increasing order."""
     while mask:
@@ -63,32 +71,56 @@ def _block_swaps(w: int) -> tuple[tuple[int, int], ...]:
     return tuple(swaps)
 
 
+def _row_format(n: int, size: int) -> str:
+    """The struct format of n little-endian rows of size <= 8 bytes."""
+    return f"<{n}{'BHIQ'[size.bit_length() - 1]}"
+
+
+def _width(n: int) -> int:
+    """The row width of n rows packed by _pack: the least power of two
+    that is at least n and 8, so that each row is whole bytes."""
+    return 1 << max(n - 1, 7).bit_length()
+
+
+def _pack(rows: Sequence[int]) -> tuple[int, int]:
+    """(x, w): the rows packed into one w x w bit matrix, bit c of row r
+    at r * w + c, w = _width(len(rows)).  No row may mention a bit at or
+    above w.  Rows of up to 64 bits go through one struct call, wider
+    ones through one bytes object per row."""
+    n = len(rows)
+    w = _width(n)
+    size = w // 8
+    if w <= 64:
+        packed = struct.pack(_row_format(n, size), *rows)
+    else:
+        packed = b"".join(map(int.to_bytes, rows, repeat(size),
+                              repeat("little")))
+    return int.from_bytes(packed, "little"), w
+
+
+def _unpack(x: int, w: int, n: int) -> list[int]:
+    """The first n rows of the w x w bit matrix x packed as by _pack;
+    x may mention no bit past row n - 1."""
+    size = w // 8
+    packed = x.to_bytes(size * n, "little")
+    if w <= 64:
+        return list(struct.unpack(_row_format(n, size), packed))
+    return list(map(int.from_bytes, struct.unpack(f"{size}s" * n, packed),
+                    repeat("little")))
+
+
 def _transpose(rows: Sequence[int]) -> list[int]:
     """The transposed bit matrix: bit u of row v of the result is bit v
     of rows[u].  No row may mention a bit at or above len(rows).
 
-    The rows are packed into one w x w int, w the least power of two
-    that is at least len(rows) and 8, so each row is whole bytes; the
-    log2(w) block swaps of _block_swaps transpose it, and the first
-    len(rows) rows are unpacked.  Rows of up to 64 bits go through one
-    struct call each way, wider ones through one bytes object per row."""
-    n = len(rows)
-    w = 1 << max(n - 1, 7).bit_length()
-    size = w // 8
-    if w <= 64:
-        fmt = f"<{n}{'BHIQ'[size.bit_length() - 1]}"
-        x = int.from_bytes(struct.pack(fmt, *rows), "little")
-    else:
-        x = int.from_bytes(b"".join(map(int.to_bytes, rows, repeat(size),
-                                        repeat("little"))), "little")
+    The rows are packed into one w x w int by _pack, the log2(w) block
+    swaps of _block_swaps transpose it, and the first len(rows) rows are
+    unpacked: no bit lies past them, as no row mentions one."""
+    x, w = _pack(rows)
     for shift, mask in _block_swaps(w):
         t = (x ^ x >> shift) & mask
         x ^= t | t << shift
-    packed = x.to_bytes(size * w, "little")
-    if w <= 64:
-        return list(struct.unpack_from(fmt, packed))
-    return list(map(int.from_bytes, struct.unpack_from(f"{size}s" * n, packed),
-                    repeat("little")))
+    return _unpack(x, w, len(rows))
 
 
 def _with_each_non_edge(adj) -> Iterator[tuple[int, int, list[int]]]:
@@ -152,7 +184,7 @@ class Graph:
             if x == y:
                 raise ValueError(f"loop at vertex {x}")
             if not (0 <= x < n and 0 <= y < n):
-                raise ValueError(f"edge {x}-{y} outside 0..{n - 1}")
+                raise _outside(f"edge {x}-{y}", n)
             adj[x] |= 1 << y
             adj[y] |= 1 << x
         return cls(n, adj, check=False)
@@ -200,7 +232,7 @@ class Graph:
         if x == y:
             raise ValueError(f"loop at vertex {x}")
         if not (0 <= x < self.n and 0 <= y < self.n):
-            raise ValueError(f"edge {x}-{y} outside 0..{self.n - 1}")
+            raise _outside(f"edge {x}-{y}", self.n)
         if self.adj[x] >> y & 1:
             raise ValueError(f"edge {x}-{y} already present")
         adj = list(self.adj)
@@ -211,7 +243,7 @@ class Graph:
     def delete_vertex(self, v: int) -> "Graph":
         """Remove v; vertices above v shift down by one to stay 0..n-2."""
         if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+            raise _outside(f"vertex {v}", self.n)
         low = (1 << v) - 1
         adj = []
         for u, row in enumerate(self.adj):

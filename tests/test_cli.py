@@ -145,6 +145,15 @@ class TestPairs:
         assert out == ""
         assert "vertex 6 outside 0..4" in err
 
+    def test_vertex_of_the_null_graph(self, capsys):
+        # not a range 0..-1: the graph has no vertex at all
+        code, out, err = invoke(capsys, ["pairs", "--graph", "?",
+                                         "--vertex", "0"])
+        assert code == 2
+        assert out == ""
+        assert "vertex 0 outside the graph, which has no vertices" in err
+        assert "0..-1" not in err
+
 
 class TestStats:
     def test_shape(self, capsys, schema):

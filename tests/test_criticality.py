@@ -19,12 +19,14 @@ from distcrit import (
     is_connected,
     is_edge_maximal_critical,
 )
-from distcrit.constructions import cycle
+from distcrit.constructions import cycle, gamma
 from distcrit import criticality
 from distcrit.verify import pendant_deletion_check
-from distcrit.graph import UNREACHABLE, _reach_mask, bits, girth
+from distcrit.graph import UNREACHABLE, _reach_mask, _width, bits, girth
 from distcrit.criticality import (
+    _KERNEL_BREAK_EVEN,
     _alive_set,
+    _all_sole_partners,
     _distance_changers,
     _girth_table,
     _is_critical_fast,
@@ -451,15 +453,37 @@ class TestWitnesses:
                              for w in is_distance_critical_pairs(g).witnesses)
         assert witnessed >= 100
 
+    @staticmethod
+    def kernel_graphs() -> list[Graph]:
+        # complete graphs, stars, isolated vertices before and after the
+        # edges, and G(n, 3/n) and G(n, 1/2) on each side of the packed
+        # widths 8, 64, 128 and 256
+        rng = random.Random(36)
+        graphs = [Graph.from_edges(n, [(a, b) for a in range(n)
+                                       for b in range(a + 1, n)])
+                  for n in (1, 2, 3, 4, 9, 17, 64, 65)]
+        graphs += [Graph.from_edges(n, [(0, b) for b in range(1, n)])
+                   for n in (1, 2, 3, 4, 9, 64, 65, 129)]
+        for n, k in ((5, 1), (9, 3), (30, 7), (62, 3)):
+            g = random_graph(n, 0.4, rng)
+            graphs += [disjoint_union(Graph.empty(k), g),
+                       disjoint_union(g, Graph.empty(k))]
+        for n in [*range(18), 63, 64, 65, 127, 128, 129, 255, 256, 257]:
+            graphs += [random_graph(n, 3 / max(n, 1), rng),
+                       random_graph(n, 0.5, rng)]
+        return graphs
+
     def test_sole_partner_masks(self, all_graphs_by_n):
         # the mask of a holds every b != a that is not adjacent to a and
         # shares exactly one neighbour with it, so the masks are symmetric;
-        # one list filled over all vertices gives the witnesses a fresh
-        # list gives each call, and what it holds are the masks
+        # the packed kernel builds the same list at once; one list filled
+        # over all vertices gives the witnesses a fresh list gives each
+        # call, and what it holds are the masks
         graphs = [g for n in range(1, 8) for g in all_graphs_by_n[n]]
-        for g in graphs + self.dense_graphs():
+        for g in graphs + self.dense_graphs() + self.kernel_graphs():
             adj, n = g.adj, g.n
             masks = [_sole_partners(adj, a) for a in range(n)]
+            assert _all_sole_partners(adj) == masks
             for a in range(n):
                 assert masks[a] == sum(
                     1 << b for b in range(n)
@@ -472,6 +496,55 @@ class TestWitnesses:
                     _witness_for(adj, v, [None] * n)
             assert all(m is None or m == masks[a]
                        for a, m in enumerate(shared))
+
+    @staticmethod
+    def scan_path(monkeypatch, g: Graph) -> str:
+        """Which way _pair_scan builds the masks of g, with both ways
+        stubbed so that nothing is computed."""
+        paths = set()
+        monkeypatch.setattr(criticality, "_all_sole_partners",
+                            lambda adj: paths.add("kernel") or [0] * g.n)
+        monkeypatch.setattr(criticality, "_sole_partners",
+                            lambda adj, a: paths.add("per-vertex") or 0)
+        _pair_scan(g.adj, g.n)
+        monkeypatch.undo()
+        (path,) = paths
+        return path
+
+    def test_pair_scan_rule(self, monkeypatch):
+        # dense graphs of up to a hundred vertices pay for the kernel; at
+        # n = 1024 no graph does, not even the complete one
+        rng = random.Random(96)
+        full = (1 << 1024) - 1
+        for g, path in [
+                (random_graph(96, 0.5, rng), "kernel"),
+                (gamma(8)[0], "kernel"),
+                (cycle(1024), "per-vertex"),
+                (random_graph(1024, 3 / 1024, rng), "per-vertex"),
+                (random_graph(1024, 0.5, rng), "per-vertex"),
+                (Graph(1024, [full ^ 1 << v for v in range(1024)],
+                       check=False), "per-vertex")]:
+            assert self.scan_path(monkeypatch, g) == path
+
+    def test_pair_scan_across_the_threshold(self, monkeypatch):
+        # the least edge count that takes the kernel, and one edge less;
+        # on both sides the scan equals the scan through either way
+        rng = random.Random(37)
+        for n in (40, 96, 129):
+            ends = -(-(n * _width(n)) ** 2 // _KERNEL_BREAK_EVEN)
+            m = (ends + 1) // 2
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            rng.shuffle(edges)
+            for k, path in ((m - 1, "per-vertex"), (m, "kernel")):
+                g = Graph.from_edges(n, edges[:k])
+                assert self.scan_path(monkeypatch, g) == path
+                got = _pair_scan(g.adj, n)
+                for forced in (0, float("inf")):
+                    monkeypatch.setattr(criticality, "_KERNEL_BREAK_EVEN",
+                                        forced)
+                    assert _pair_scan(g.adj, n) == got
+                    monkeypatch.undo()
+                self.assert_matches_oracle(g)
 
     def test_involved_set_on_cycles(self):
         assert involved_set(cycle(5)) == (0, 1, 2, 3, 4)

@@ -14,6 +14,7 @@ from distcrit import (
     Graph,
     all_pairs_distances,
     articulation_points,
+    determining_pairs_of,
     disjoint_union,
     girth,
     is_connected,
@@ -68,6 +69,33 @@ class TestConstruction:
             with pytest.raises(ValueError, match="vertex count"):
                 Graph.empty(n)
         assert Graph.empty(MAX_VERTICES).edge_count() == 0
+
+    def test_out_of_range_messages(self):
+        # a graph on n vertices names its range 0..n-1; the null graph
+        # has none to name
+        null = Graph.empty(0)
+        cases = [
+            (lambda: Graph.from_edges(0, [(0, 1)]), "edge 0-1"),
+            (lambda: null.add_edge(0, 1), "edge 0-1"),
+            (lambda: null.delete_vertex(0), "vertex 0"),
+            (lambda: determining_pairs_of(null, 0), "vertex 0"),
+        ]
+        for call, what in cases:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == \
+                f"{what} outside the graph, which has no vertices"
+        g = Graph.empty(3)
+        for call, message in [
+                (lambda: Graph.from_edges(3, [(0, 3)]),
+                 "edge 0-3 outside 0..2"),
+                (lambda: g.add_edge(0, 5), "edge 0-5 outside 0..2"),
+                (lambda: g.delete_vertex(3), "vertex 3 outside 0..2"),
+                (lambda: determining_pairs_of(g, -1),
+                 "vertex -1 outside 0..2")]:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
