@@ -17,15 +17,18 @@ from graph._layer(adj, mask): the bits set in at least one, and in at
 least two, of the rows adj[x], x in mask.  Over adjacency rows these are
 the vertices with one, and with two or more, neighbours in mask, so for
 mask = N(a), once & ~twice outside N(a) and a is a's mask.  All at once,
-_all_sole_partners reads them from one packed bit matrix of the graph:
+_all_sole_partners reads them from one packed bit matrix M of the graph:
 the cells covered by exactly one of the outer products N(c) x N(c).
+_packed_layer, the form of _layer for every row of a packed matrix at
+once, writes each product with one multiplication.
 _pair_scan (the reports, involved_set) takes whichever its cost rule
 picks from the order and the edge count; the lazy witness readers and
 determining_pairs_of stay per vertex.  The same layer gives _girth_table
 its girth > 4 test, and two layers per BFS frontier give the direct
-method's sole parents, so the direct method never reads the kernel.
-graph.py steps its girth, distance rows and reachability masks with
-_layer too.
+method's sole parents.  So the direct method shares _layer and
+_packed_layer with the pairs method, and no more: it reads no
+sole-partner mask.  graph.py steps its girth, distance rows and
+reachability masks with _layer too.
 
 The enumeration decides criticality for every child of a node at once.
 Its primitive is _pairless_sets(adj, k): for a new vertex x attached to
@@ -46,6 +49,9 @@ The direct method is an independent check of the same predicate, from
 BFS alone: one pass per source x finds every vertex whose deletion
 lengthens a distance from x (_sole_parents), and the graph is critical
 iff these sets cover every vertex.  No layers or distance rows are kept.
+On dense graphs the sources go in blocks of 32 instead, each block one
+BFS on packed matrices (_block_changers, a multi-source BFS after Then
+et al., "The More the Merrier", PVLDB 8(4), 2014).
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ from .graph import (  # noqa: F401
 
 # the cost rule of _pair_scan; see there
 _KERNEL_BREAK_EVEN = 100_000
+# the block size and the cost rule of _distance_changers; see there
+_BLOCK = 32
+_BLOCK_BREAK_EVEN = 150_000
 
 
 def _sole_partners(adj, a: int) -> int:
@@ -82,29 +91,55 @@ def _unit_matrices(w: int) -> tuple[int, int]:
     return col0, diag
 
 
+def _packed_layer(adj, f: int, cols, w: int) -> tuple[int, int]:
+    """graph._layer for every row of the packed bit matrix f at once, over
+    the columns in the iterable cols only: (once, twice), packed as f, row
+    r of each being _layer(adj, mask) for mask the bits of row r of f in
+    cols.  f holds at most w rows of width w (graph._pack's layout, row r
+    at offset r * w) and every adj[c] < 2^w.
+
+    f >> c & col0 holds bit 0 of row r iff row r of f holds c, so
+    multiplying it by adj[c] < 2^w writes adj[c] into those rows with no
+    carries: the outer product of column c of f and row c of adj.  Each
+    product costs about (rows of f) w n / 900 multiplications of 30-bit
+    digits, n = len(adj)."""
+    col0 = _unit_matrices(w)[0]
+    once = twice = 0
+    for c in cols:
+        cross = (f >> c & col0) * adj[c]
+        twice |= once & cross
+        once |= cross
+    return once, twice
+
+
+def _row_union(x: int, w: int) -> int:
+    """The OR of the rows of the packed bit matrix x of row width w, from
+    log2(rows) foldings of the upper rows onto the lower ones."""
+    rows = -(-x.bit_length() // w)
+    while rows > 1:
+        rows = (rows + 1) // 2
+        x = x & (1 << rows * w) - 1 | x >> rows * w
+    return x
+
+
 def _all_sole_partners(adj) -> list[int]:
     """[_sole_partners(adj, a) for a in range(len(adj))], from one packed
     bit matrix M of the rows (graph._pack, row a at offset a * w).
 
     The pairs with common neighbour c are the cells of N(c) x N(c), whose
     row a is adj[c] for a in N(c) and 0 elsewhere.  As M is symmetric,
-    M >> c & col0 holds bit 0 of row a for a in N(c), so multiplying it
-    by adj[c] < 2^w writes that outer product with no carries.  Over the
-    c of degree >= 2 (a vertex of degree < 2 is no common neighbour of
-    two others), once and twice keep the cells covered at least once and
-    at least twice, and once & ~twice off M and off the diagonal holds
-    every sole-partner mask.  Each product costs about n w^2 / 900
-    multiplications of 30-bit digits, so the kernel grows as n^2 w^2;
-    see _pair_scan for when it pays."""
+    column c of M is N(c), so _packed_layer(adj, M, cols, w) writes that
+    outer product for each column c.  Its once and twice keep the cells
+    covered at least once and at least twice, and once & ~twice off M and
+    off the diagonal holds every sole-partner mask.  The columns are every
+    vertex: one of degree < 2 is no common neighbour of two others, and
+    writes at most the diagonal cell of its neighbour, which is masked
+    out.  The n products grow as n^2 w^2; see _pair_scan for when they
+    pay."""
     m, w = _pack(adj)
-    col0, diag = _unit_matrices(w)
-    once = twice = 0
-    for c, row in enumerate(adj):
-        if row & (row - 1):
-            cross = (m >> c & col0) * row
-            twice |= once & cross
-            once |= cross
-    return _unpack(once & ~(twice | m | diag), w, len(adj))
+    n = len(adj)
+    once, twice = _packed_layer(adj, m, range(n), w)
+    return _unpack(once & ~(twice | m | _unit_matrices(w)[1]), w, n)
 
 
 def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
@@ -269,10 +304,86 @@ def _sole_parents(adj, x: int) -> int:
     return found
 
 
+def _block_changers(adj, n: int) -> int:
+    """_distance_changers from packed BFS: the sources in blocks of
+    _BLOCK, each block one BFS over packed matrices, row i for source
+    lo + i, stopping after the first block whose union holds every vertex.
+
+    Each step is _sole_parents for every row at once.  Row i starts as
+    frontier N(x) and seen N[x], x = lo + i.  _packed_layer of the
+    frontier, over the columns some frontier row holds, gives once and
+    twice; nxt = once & ~seen is the next layer and only = nxt & ~twice
+    its vertices with one parent.  The once mask of _packed_layer of only,
+    over the columns some row of only holds, within the frontier, holds
+    the sole parents.  A row whose seen is complete gets an empty next
+    layer, and the block ends when every row's frontier is empty or every
+    seen is complete."""
+    m, w = _pack(adj)
+    col0, diag = _unit_matrices(w)
+    full = (1 << n) - 1
+    found = 0
+    for lo in range(0, n, _BLOCK):
+        cut = (1 << min(_BLOCK, n - lo) * w) - 1
+        frontier = m >> lo * w & cut
+        seen = frontier | diag >> lo * w & cut
+        whole = full * (col0 & cut)
+        rows = 0
+        while frontier and seen != whole:
+            once, twice = _packed_layer(
+                adj, frontier, bits(_row_union(frontier, w)), w)
+            nxt = once & ~seen
+            only = nxt & ~twice
+            rows |= _packed_layer(
+                adj, only, bits(_row_union(only, w)), w)[0] & frontier
+            seen |= nxt
+            frontier = nxt
+        found |= _row_union(rows, w)
+        if found == full:
+            break
+    return found
+
+
 def _distance_changers(adj, n: int) -> int:
     """The vertices whose deletion changes a distance between two other
     vertices: the union of _sole_parents over the sources, which stops
-    once it holds every vertex."""
+    once it holds every vertex.
+
+    The sources go in packed blocks (_block_changers) iff n >= 32,
+    4 * 2m >= n^2 and (n w)^2 <= _BLOCK_BREAK_EVEN * 2m, w = graph._width(n)
+    and 2m the sum of the degrees, and else one by one.  A source's BFS
+    costs about one Python step per vertex, and on a critical graph the
+    loop often stops after a fraction of the sources.  A block costs one
+    product of about _BLOCK w n / 900 digit multiplications per column
+    that its frontiers touch, summed over its layers.  So it pays when
+    the frontiers of a block overlap in few layers, which an average
+    degree of n / 4 or more keeps (the cycle power C_64^6, of degree
+    12 < 64 / 4, has 6 layers and loses 1.14x), and when w is small.  Below 32 vertices a block costs
+    about as much as the loop that stops early.  The blocks' time over the
+    loop's was 0.92 on G(256, 1/2), at (n w)^2 / 2m = 1.3 x 10^5, 0.98 on
+    G(256, 0.45) at 1.5 x 10^5 and 1.04 on G(400, 0.9) at 2.9 x 10^5, so
+    the constant is 1.5 x 10^5.  No graph of width 512 or more (n > 256)
+    takes the blocks: (n w)^2 >= 2^18 n^2 > 1.5 x 10^5 * 2m.
+    Min of 21 interleaved rounds in one process, 2-core x86 VM, Python
+    3.11, in us, per source against blocks, * on the rule's path:
+        G(32, 1/2)      119     *23     gamma(3)        *13      17
+        G(64, 1/2)      455     *84     gamma(6)        137     *84
+        G(96, 1/2)      983    *311     gamma(8)        405    *201
+        G(128, 1/2)   1,739    *594     gamma(12)     1,676    *756
+        G(256, 1/2)   6,710  *6,145     gamma(20)    10,265  *7,897
+        G(512, 1/2) *31,136  69,448     gamma(28)   *42,683  60,108
+        G(16, 0.9)      *31       9     regular(16)     *19      21
+        G(64, 0.9)      753     *80     regular(32)      77     *58
+        G(256, 0.9)  11,910  *6,041     regular(64)     312    *110
+        G(512, 0.9) *52,827  70,865     regular(512) *14,520 20,171
+        C_64           *136   1,564     C_64^6         *237     270
+    Through the rule no G(n, 1/2), G(n, 0.9), gamma(m) or regular(n) up
+    to n = 512 took more than 1.03x the loop's time.  It leaves G(16, 0.9)
+    and G(96, 3/96) (3,160 against 2,545) per source, where blocks would
+    gain."""
+    ends = sum(map(int.bit_count, adj))
+    if (n >= 32 and 4 * ends >= n * n
+            and (n * _width(n)) ** 2 <= _BLOCK_BREAK_EVEN * ends):
+        return _block_changers(adj, n)
     full = (1 << n) - 1
     found = 0
     for x in range(n):

@@ -42,6 +42,13 @@ def random_tree(n: int, rng: random.Random) -> Graph:
         n, [(perm[i], perm[rng.randrange(i)]) for i in range(1, n)])
 
 
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
 def run_capped(args: list[str], cap_mb: int = 400):
     """Run python with args in a new process whose address space is capped
     at cap_mb, with this distcrit importable; returns the CompletedProcess.

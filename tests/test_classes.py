@@ -24,6 +24,7 @@ from distcrit import (Graph, all_pairs_distances, decode_graph6,
                       is_distance_critical)
 from distcrit.constructions import max_degree_extremal, regular_extremal
 from distcrit.criticality import _is_edge_maximal_fast
+from conftest import relabeled
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -66,12 +67,6 @@ def mismatches(got: list[Graph], want: list[Graph]) -> list[str]:
         out += [f"missing: a class with n={key[0]}, {key[1]} edges"
                 ] * len(bucket)
     return out
-
-
-def relabeled(g: Graph, rng: random.Random) -> Graph:
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -19,14 +20,18 @@ from distcrit import (
     is_connected,
     is_edge_maximal_critical,
 )
-from distcrit.constructions import cycle, gamma
+from distcrit.cli import run
+from distcrit.constructions import cycle, gamma, regular_extremal
 from distcrit import criticality
+from distcrit.graph6 import encode_graph6
 from distcrit.verify import pendant_deletion_check
 from distcrit.graph import UNREACHABLE, _reach_mask, _width, bits, girth
 from distcrit.criticality import (
+    _BLOCK_BREAK_EVEN,
     _KERNEL_BREAK_EVEN,
     _alive_set,
     _all_sole_partners,
+    _block_changers,
     _distance_changers,
     _girth_table,
     _is_critical_fast,
@@ -43,6 +48,7 @@ from conftest import (
     child_adjacencies,
     random_graph,
     random_tree,
+    relabeled,
 )
 
 
@@ -245,16 +251,19 @@ class TestDirectMethod:
             (g.n > 0 and changers == (1 << g.n) - 1)
         return rows
 
-    def test_disconnected_graphs(self):
+    @staticmethod
+    def disconnected_graphs() -> list[Graph]:
         rng = random.Random(29)
         graphs = [disjoint_union(cycle(5), Graph.empty(1)),
                   disjoint_union(Graph.empty(2), cycle(6)),
                   disjoint_union(cycle(5), cycle(3)),
                   disjoint_union(cycle(5), cycle(5))]
-        graphs += [random_graph(rng.randint(2, 9), 0.2, rng)
-                   for _ in range(60)]
+        return graphs + [random_graph(rng.randint(2, 9), 0.2, rng)
+                         for _ in range(60)]
+
+    def test_disconnected_graphs(self):
         disconnected = 0
-        for g in graphs:
+        for g in self.disconnected_graphs():
             if any(UNREACHABLE in row for row in all_pairs_distances(g)):
                 disconnected += 1
             self.assert_agrees(g)
@@ -373,6 +382,160 @@ class TestDirectMethod:
                 assert is_distance_critical_direct(g) == want
                 low += min(g.degree(v) for v in range(g.n)) < 2
         assert low == 665
+
+
+def per_source(g: Graph) -> int:
+    """The union of _sole_parents over every source of g."""
+    return union(_sole_parents(g.adj, x) for x in range(g.n))
+
+
+def stream_graphs() -> list[Graph]:
+    """The graphs that the check items of the benchmark's graph stream
+    draw: G(n, 3/n), G(n, 1/2), cycles and gamma graphs, relabelled."""
+    rng = random.Random(11)
+    graphs = [random_graph(n, 3 / n, rng) for n in (16, 24, 32, 48, 64, 96)]
+    graphs += [random_graph(n, 0.5, rng) for n in (16, 32, 48, 64, 96)]
+    graphs += [cycle(n) for n in (16, 32, 64, 96)]
+    return graphs + [relabeled(gamma(m)[0], rng) for m in range(3, 9)]
+
+
+class TestBlocks:
+    """The packed path of the direct method, _block_changers, forced
+    against the union of _sole_parents over every source, and the rule
+    that picks it."""
+
+    @staticmethod
+    def assert_blocks_agree(monkeypatch, graphs, blocks=(32,)) -> int:
+        """Check every graph in blocks of each size; return how many are
+        critical."""
+        critical = 0
+        for g in graphs:
+            want = per_source(g)
+            for block in blocks:
+                monkeypatch.setattr(criticality, "_BLOCK", block)
+                assert _block_changers(g.adj, g.n) == want
+            monkeypatch.undo()
+            critical += g.n > 0 and want == (1 << g.n) - 1
+        return critical
+
+    def test_small_and_disconnected_graphs(self, monkeypatch,
+                                           all_graphs_by_n):
+        # one block of every source, and blocks of 2 and 3, with which
+        # the seven critical graphs (C5, C6, C7 and C5 + C5 among them)
+        # stop after a block that completes the union
+        graphs = [g for n in range(1, 8) for g in all_graphs_by_n[n]]
+        graphs += TestDirectMethod.disconnected_graphs()
+        assert self.assert_blocks_agree(monkeypatch, graphs,
+                                        (32, 3, 2)) == 7
+
+    def test_random_graphs_at_block_edges(self, monkeypatch):
+        # one source more and one less than a whole number of blocks, at
+        # the packed widths 32, 64 and 128 and the first width past each
+        rng = random.Random(37)
+        graphs = [random_graph(n, p, rng)
+                  for n in (31, 32, 33, 63, 64, 65, 127, 128, 129)
+                  for p in (3 / n, 0.1, 0.3, 0.5, 0.9)]
+        self.assert_blocks_agree(monkeypatch, graphs)
+
+    def test_families(self, monkeypatch):
+        rng = random.Random(38)
+        graphs = [gamma(m)[0] for m in range(3, 10)]
+        graphs += [relabeled(gamma(m)[0], rng) for m in (4, 6, 8)]
+        graphs += [regular_extremal(n) for n in (*range(5, 41), 64, 96)]
+        graphs += [cycle(n) for n in (*range(3, 12), 31, 32, 33, 64, 65)]
+        critical = self.assert_blocks_agree(monkeypatch, graphs)
+        # all but the triangle and C4
+        assert critical == len(graphs) - 2
+
+    @staticmethod
+    def direct_path(monkeypatch, g: Graph, check=None) -> str:
+        """Which way _distance_changers takes on g, through check (by
+        default _distance_changers itself), with both ways stubbed so
+        that nothing is computed."""
+        paths = set()
+        monkeypatch.setattr(criticality, "_block_changers",
+                            lambda adj, n: paths.add("blocks") or 0)
+        monkeypatch.setattr(criticality, "_sole_parents",
+                            lambda adj, x: paths.add("per-source") or 0)
+        if check is None:
+            _distance_changers(g.adj, g.n)
+        else:
+            check(g)
+        monkeypatch.undo()
+        (path,) = paths
+        return path
+
+    def test_block_rule(self, monkeypatch):
+        # dense graphs of up to a few hundred vertices take the blocks;
+        # cycles, sparse graphs, trees and every graph on 1024 vertices
+        # stay per source
+        rng = random.Random(97)
+        full = (1 << 1024) - 1
+        for g, path in [
+                (random_graph(96, 0.5, rng), "blocks"),
+                (gamma(8)[0], "blocks"),
+                (regular_extremal(64), "blocks"),
+                (cycle(64), "per-source"),
+                (cycle(1024), "per-source"),
+                (random_graph(96, 3 / 96, rng), "per-source"),
+                (random_graph(1024, 3 / 1024, rng), "per-source"),
+                (random_graph(1024, 0.5, rng), "per-source"),
+                (regular_extremal(1024), "per-source"),
+                (Graph(1024, [full ^ 1 << v for v in range(1024)],
+                       check=False), "per-source")]:
+            assert self.direct_path(monkeypatch, g) == path
+        for n in (40, 100, 300):
+            tree = random_tree(n, rng)
+            assert self.direct_path(monkeypatch, tree,
+                                    pendant_deletion_check) == "per-source"
+
+    def test_block_rule_across_the_threshold(self, monkeypatch):
+        # the least edge count that takes the blocks, and one edge less:
+        # at n = 32 and 40 the average degree n / 4 binds, at n = 129 the
+        # width; on both sides the blocks equal every source's union
+        rng = random.Random(38)
+        complete = Graph.from_edges(31, [(a, b) for a in range(31)
+                                         for b in range(a + 1, 31)])
+        assert self.direct_path(monkeypatch, complete) == "per-source"
+        for n in (32, 40, 129):
+            need = max(-(-n * n // 4),
+                       -(-(n * _width(n)) ** 2 // _BLOCK_BREAK_EVEN))
+            m = (need + 1) // 2
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            rng.shuffle(edges)
+            for k, path in ((m - 1, "per-source"), (m, "blocks")):
+                g = Graph.from_edges(n, edges[:k])
+                assert self.direct_path(monkeypatch, g) == path
+                assert _block_changers(g.adj, n) == per_source(g) == \
+                    _distance_changers(g.adj, n)
+
+    def test_direct_method_reads_no_sole_partner_mask(self, monkeypatch,
+                                                      capsys):
+        # the direct method decides the stream's graphs with both mask
+        # builders refusing, the blocks taken on some; check --method both
+        # then finds the pairs method agreeing
+        def refuse(*args):
+            raise AssertionError("a sole-partner mask was read")
+
+        graphs = stream_graphs()
+        blocks = []
+        block_changers = criticality._block_changers
+        monkeypatch.setattr(criticality, "_sole_partners", refuse)
+        monkeypatch.setattr(criticality, "_all_sole_partners", refuse)
+        monkeypatch.setattr(criticality, "_block_changers",
+                            lambda adj, n: blocks.append(n)
+                            or block_changers(adj, n))
+        direct = [is_distance_critical_direct(g) for g in graphs]
+        monkeypatch.undo()
+        # the G(n, 1/2) with n >= 32 and gamma(6), gamma(7), gamma(8)
+        assert sorted(blocks) == [32, 33, 42, 48, 52, 64, 96]
+        assert 0 < sum(direct) < len(graphs)
+        for g, verdict in zip(graphs, direct):
+            code = run(["check", "--method", "both",
+                        "--graph", encode_graph6(g)])
+            d = json.loads(capsys.readouterr().out)
+            assert d["agree"] and d["direct"] == verdict
+            assert code == (0 if verdict else 1)
 
 
 class TestWitnesses:
