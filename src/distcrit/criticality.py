@@ -62,7 +62,7 @@ from typing import NamedTuple
 # all_pairs_distances is not called here; it stays importable because
 # bench/layers.py patches it in this module by name
 from .graph import (  # noqa: F401
-    Graph, _layer, _outside, _pack, _unpack, _width, _with_each_non_edge,
+    Graph, _check_vertex, _layer, _pack, _unpack, _width, _with_each_non_edge,
     all_pairs_distances, bits)
 
 # the cost rule of _pair_scan; see there
@@ -148,8 +148,7 @@ def determining_pairs_of(g: Graph, v: int) -> list[tuple[int, int]]:
     A determining pair of v is a nonadjacent pair a < b whose unique
     common neighbor is v; both endpoints necessarily lie in N(v).
     """
-    if not 0 <= v < g.n:
-        raise _outside(f"vertex {v}", g.n)
+    _check_vertex(v, g.n)
     row = g.adj[v]
     return [(a, b) for a in bits(row)
             for b in bits(_sole_partners(g.adj, a) & row) if b > a]
@@ -308,6 +307,7 @@ def _block_changers(adj, n: int) -> int:
     """_distance_changers from packed BFS: the sources in blocks of
     _BLOCK, each block one BFS over packed matrices, row i for source
     lo + i, stopping after the first block whose union holds every vertex.
+    As there, the sources are 0..n - 2.
 
     Each step is _sole_parents for every row at once.  Row i starts as
     frontier N(x) and seen N[x], x = lo + i.  _packed_layer of the
@@ -322,8 +322,8 @@ def _block_changers(adj, n: int) -> int:
     col0, diag = _unit_matrices(w)
     full = (1 << n) - 1
     found = 0
-    for lo in range(0, n, _BLOCK):
-        cut = (1 << min(_BLOCK, n - lo) * w) - 1
+    for lo in range(0, n - 1, _BLOCK):
+        cut = (1 << min(_BLOCK, n - 1 - lo) * w) - 1
         frontier = m >> lo * w & cut
         seen = frontier | diag >> lo * w & cut
         whole = full * (col0 & cut)
@@ -347,6 +347,10 @@ def _distance_changers(adj, n: int) -> int:
     """The vertices whose deletion changes a distance between two other
     vertices: the union of _sole_parents over the sources, which stops
     once it holds every vertex.
+
+    The sources are 0..n - 2: source n - 1 adds nothing.  A vertex v
+    whose deletion changes d(n - 1, y) changes d(y, n - 1) too, and
+    y != n - 1, so source y finds v.
 
     The sources go in packed blocks (_block_changers) iff n >= 32,
     4 * 2m >= n^2 and (n w)^2 <= _BLOCK_BREAK_EVEN * 2m, w = graph._width(n)
@@ -386,7 +390,7 @@ def _distance_changers(adj, n: int) -> int:
         return _block_changers(adj, n)
     full = (1 << n) - 1
     found = 0
-    for x in range(n):
+    for x in range(n - 1):
         if found == full:
             break
         found |= _sole_parents(adj, x)
@@ -408,11 +412,13 @@ def is_distance_critical_direct(g: Graph) -> bool:
 
 
 @functools.cache
-def _mask_sets(k: int) -> tuple[list[int], list[int], list[int]]:
+def _mask_sets(k: int) -> tuple[list[int], ...]:
     """Sets of vertex masks S of range(k) as 2^k-bit ints, bit S standing
     for S (S = 0 included): HAS[a] holds the S that contain a, NONE[X]
-    the S disjoint from X, and GE[j], for j = 0..k + 2, the S with
-    |S| >= j."""
+    the S disjoint from X, SUP[X] the S that contain X, and GE[j], for
+    j = 0..k + 2, the S with |S| >= j.  NONE[X] and SUP[X] are the AND of
+    ~HAS[a] and of HAS[a] over the a in X, so ~HAS[a] & NONE[X] is
+    NONE[X | a]."""
     size = 1 << k
     has = []
     for a in range(k):
@@ -421,15 +427,18 @@ def _mask_sets(k: int) -> tuple[list[int], list[int], list[int]]:
         repunit = ((1 << size) - 1) // ((1 << 2 * half) - 1)
         has.append((((1 << half) - 1) << half) * repunit)
     none = [(1 << size) - 1]
+    sup = [(1 << size) - 1]
     for x in range(1, size):
         low = x & -x
-        none.append(none[x ^ low] & ~has[low.bit_length() - 1])
+        h = has[low.bit_length() - 1]
+        none.append(none[x ^ low] & ~h)
+        sup.append(sup[x ^ low] & h)
     ge = [0] * (k + 3)
     for s in range(size):
         ge[s.bit_count()] |= 1 << s
     for j in range(k, -1, -1):
         ge[j] |= ge[j + 1]
-    return has, none, ge
+    return has, none, sup, ge
 
 
 def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:
@@ -445,12 +454,13 @@ def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:
     distance >= 3, and v keeps one iff some determining pair (a, b) of v in
     the parent does not have both ends in A, or v is in A and some
     neighbour a of v outside A has N(a) & A = {v} (then (a, x) is a pair
-    of v).  Each condition is a few big-int operations on the HAS and NONE
-    sets of _mask_sets.  One _layer of each N(a) gives both a's distance-2
-    ball and its _sole_partners mask.  The ends of the pairs of v are the
-    once mask of _layer over the masks as rows, within N(v).
+    of v).  Both are lookups in the sets of _mask_sets.  One _layer of
+    each N(a) gives both a's distance-2 ball and its _sole_partners mask.
+    The ends of the pairs of v are the once mask of _layer over the masks
+    as rows, within N(v), and the A that hold them all are SUP[ends].  The
+    A that hold v and miss a and N(a) - v are HAS[v] & NONE[N[a] - v].
     """
-    has, none, _ = _mask_sets(k)
+    has, none, sup, _ = _mask_sets(k)
     full = (1 << k) - 1
     every = (1 << (1 << k)) - 1
     far = 0
@@ -465,17 +475,10 @@ def _pairless_sets(adj, k: int) -> tuple[int, list[int]]:
     pl = []
     for v in range(k):
         row = adj[v]
-        ends = _layer(masks, row)[0] & row
-        # the A that hold both ends of every pair of v
-        stuck = every
-        while ends:
-            low = ends & -ends
-            stuck &= has[low.bit_length() - 1]
-            ends ^= low
+        stuck = sup[_layer(masks, row)[0] & row]
         rescue = 0
-        bit_v = 1 << v
         for a in bits(row):
-            rescue |= ~has[a] & none[adj[a] & ~bit_v]
+            rescue |= none[(adj[a] | 1 << a) & ~(1 << v)]
         pl.append(stuck & ~(has[v] & rescue))
     return every & ~far, pl
 
@@ -554,7 +557,7 @@ def _girth_table(adj, k: int) -> int:
     vertex closes over two of them).  One _layer of each neighbourhood
     gives both the parent's girth test and the vertices within distance 2
     of a."""
-    has, none, _ = _mask_sets(k)
+    has, none, _, _ = _mask_sets(k)
     table = (1 << (1 << k)) - 2
     for a in range(k):
         once, twice = _layer(adj, adj[a])

@@ -295,7 +295,7 @@ def _degree_sets(adj: tuple[int, ...], k: int,
     those where |S| is strictly above all of them.  Per u that is: u is a
     cut vertex of the child, or u is in S and |S| >= d_u + 1 (+ 1 for
     lead), or u is not in S and |S| >= d_u (+ 1 for lead)."""
-    has, none, ge = _mask_sets(k)
+    has, none, _, ge = _mask_sets(k)
     ok = lead = (1 << (1 << k)) - 2
     for u, cut in enumerate(cuts):
         d = adj[u].bit_count()

@@ -42,6 +42,13 @@ def _outside(what: str, n: int) -> ValueError:
     return ValueError(f"{what} outside 0..{n - 1}")
 
 
+def _check_vertex(v: int, n: int) -> None:
+    """Refuse a vertex v that is not in a graph on n vertices, a negative
+    one included: a row index would read -1 as n - 1."""
+    if not 0 <= v < n:
+        raise _outside(f"vertex {v}", n)
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in increasing order."""
     while mask:
@@ -192,12 +199,16 @@ class Graph:
     # structural queries ------------------------------------------------
 
     def has_edge(self, x: int, y: int) -> bool:
+        _check_vertex(x, self.n)
+        _check_vertex(y, self.n)
         return bool(self.adj[x] >> y & 1)
 
     def degree(self, v: int) -> int:
+        _check_vertex(v, self.n)
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        _check_vertex(v, self.n)
         return tuple(bits(self.adj[v]))
 
     def degree_sequence(self) -> tuple[int, ...]:
@@ -242,8 +253,7 @@ class Graph:
 
     def delete_vertex(self, v: int) -> "Graph":
         """Remove v; vertices above v shift down by one to stay 0..n-2."""
-        if not 0 <= v < self.n:
-            raise _outside(f"vertex {v}", self.n)
+        _check_vertex(v, self.n)
         low = (1 << v) - 1
         adj = []
         for u, row in enumerate(self.adj):

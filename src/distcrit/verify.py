@@ -131,15 +131,6 @@ class _Universe:
         for k in range(lo, self.n_cap + 1):
             yield from self.criticals[k]
 
-    def iter_criticals_with_disconnected(self, k: int):
-        """Every critical class on exactly k vertices, connected or not.
-
-        A graph is critical iff all its components are, so the
-        disconnected classes are multiset unions of smaller critical
-        classes (none exist below 10 vertices: the smallest component
-        is the 5-cycle)."""
-        return _iter_unions(self.criticals, k)
-
 
 class _Factors:
     """The factors the product laws range over: every connected graph on
@@ -294,7 +285,11 @@ def _check_t_clique(uni: _Universe):
 
 def _check_maxl_conn(uni: _Universe):
     for k in range(1, uni.n_cap + 1):
-        for g in uni.iter_criticals_with_disconnected(k):
+        # every critical class on k vertices, connected or not: a graph is
+        # critical iff all its components are, so the disconnected ones
+        # are multiset unions of smaller critical classes (none below 10
+        # vertices: the smallest component is the 5-cycle)
+        for g in _iter_unions(uni.criticals, k):
             yield g, is_connected(g) or not _is_edge_maximal_fast(g.adj, g.n)
 
 

@@ -35,6 +35,7 @@ from distcrit.criticality import (
     _distance_changers,
     _girth_table,
     _is_critical_fast,
+    _mask_sets,
     _pair_scan,
     _pairless_sets,
     _sole_parents,
@@ -509,6 +510,49 @@ class TestBlocks:
                 assert _block_changers(g.adj, n) == per_source(g) == \
                     _distance_changers(g.adj, n)
 
+    def test_no_bfs_from_the_last_source(self, monkeypatch):
+        # on non-critical graphs with minimum degree 2 the union never
+        # completes, so every source that runs is seen: per source, each
+        # of 0..n - 2 runs once; in blocks, the blocks start at multiples
+        # of 32 and none at n - 1 for n = 33 and 65, where it would hold
+        # that one source alone.  A block's first frontier is the packed
+        # rows of its sources.
+        rng = random.Random(3365)
+        graphs = [random_graph(n, 0.5, rng) for n in (33, 65)]
+        graphs += [random_graph(n, 0.3, rng) for n in (12, 40)]
+        packed_layer = criticality._packed_layer
+        sole_parents = criticality._sole_parents
+        for g in graphs:
+            n = g.n
+            assert min(map(int.bit_count, g.adj)) >= 2
+            want = per_source(g)
+            assert want != (1 << n) - 1
+            m, w = criticality._pack(g.adj)
+            starts = []
+
+            def first_frontiers(adj, f, cols, w):
+                rows = -(-f.bit_length() // w)
+                for lo in range(0, n, 32):
+                    if f and f == m >> lo * w & (1 << rows * w) - 1:
+                        starts.append((lo, rows))
+                return packed_layer(adj, f, cols, w)
+
+            monkeypatch.setattr(criticality, "_packed_layer",
+                                first_frontiers)
+            assert _block_changers(g.adj, n) == want
+            last = (n - 2) // 32 * 32
+            assert starts == [(lo, 32) for lo in range(0, last, 32)] + \
+                [(last, n - 1 - last)]
+            sources = []
+            monkeypatch.setattr(criticality, "_sole_parents",
+                                lambda adj, x: sources.append(x)
+                                or sole_parents(adj, x))
+            monkeypatch.setattr(criticality, "_BLOCK_BREAK_EVEN", 0)
+            assert _distance_changers(g.adj, n) == want
+            assert sources == list(range(n - 1))
+            monkeypatch.undo()
+        assert self.direct_path(monkeypatch, graphs[0]) == "blocks"
+
     def test_direct_method_reads_no_sole_partner_mask(self, monkeypatch,
                                                       capsys):
         # the direct method decides the stream's graphs with both mask
@@ -752,6 +796,28 @@ def _alive_by_oracle(adj, k: int, sets) -> int:
     return sum(1 << s for s in range(1 << k)
                if not _no_critical_child(_attach(adj, s),
                                          _pairless_of(*sets, s)))
+
+
+class TestMaskSets:
+    def test_sets_against_their_definitions(self):
+        # every X and A for k <= 6: SUP[X] holds the A that contain X,
+        # NONE[X] those disjoint from X, and each is the AND of one
+        # HAS[a] (or ~HAS[a]) per a in X, SUP[{a}] being HAS[a]
+        for k in range(7):
+            has, none, sup, ge = _mask_sets(k)
+            every = (1 << (1 << k)) - 1
+            assert [(1 << s) & h != 0 for h in has for s in range(1 << k)] \
+                == [s >> a & 1 == 1 for a in range(k) for s in range(1 << k)]
+            for x in range(1 << k):
+                assert sup[x] == sum(1 << s for s in range(1 << k)
+                                     if s & x == x)
+                assert none[x] == sum(1 << s for s in range(1 << k)
+                                      if not s & x)
+                for a in range(k):
+                    assert every & ~has[a] & none[x] == none[x | 1 << a]
+                    assert has[a] & sup[x] == sup[x | 1 << a]
+            assert [sup[1 << a] for a in range(k)] == has
+            assert ge[0] == every and ge[k + 1] == ge[k + 2] == 0
 
 
 class TestExtensionTables:

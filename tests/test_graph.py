@@ -97,6 +97,34 @@ class TestConstruction:
                 call()
             assert str(err.value) == message
 
+    def test_vertex_queries_refuse_vertices_outside(self):
+        # -1 is no alias of the last vertex, and n is refused with the
+        # same message, not an IndexError or a negative shift; has_edge
+        # checks both ends, against u, the other end (in the graph, but
+        # for the null graph, which has no vertex to pair v with)
+        def queries(g, v):
+            u = 0 if g.n else v
+            return [lambda: g.degree(v), lambda: g.neighbors(v),
+                    lambda: g.has_edge(v, u), lambda: g.has_edge(u, v),
+                    lambda: g.delete_vertex(v),
+                    lambda: determining_pairs_of(g, v)]
+
+        null = Graph.empty(0)
+        for v in (-1, 0):
+            for call in queries(null, v):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == \
+                    f"vertex {v} outside the graph, which has no vertices"
+        g = cycle(5)
+        for v in (-1, 5):
+            for call in queries(g, v):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == f"vertex {v} outside 0..4"
+        assert [g.degree(4), g.neighbors(4), g.has_edge(4, 0),
+                g.has_edge(0, 4)] == [2, (0, 3), True, True]
+
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
