@@ -15,9 +15,12 @@ Exit codes: 0 success (and, for assertive subcommands, positive verdict);
 1 negative verdict or property violation; 2 usage, parse or input errors.
 A reader that closes stdout early ends the run quietly with exit 1.
 
-The argument parser is built once per process and reused by every run
-call: parse_args makes a fresh namespace each time, and help and usage
-are formatted when printed.
+The argument parsers are built once per process and reused by every run
+call, which parses with the parser of the command path argv names (the
+top parser, a command's, or a construct family's) rather than walking
+the subparser tree from the top; arguments that parser leaves over are
+refused by the top parser, as parse_args refuses them.  Each parse makes
+a fresh namespace, and help and usage are formatted when printed.
 
 Output discipline: results go to stdout and are byte-deterministic for
 identical invocations (fixed key order, no timestamps, no timings);
@@ -234,52 +237,67 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+def _parser_table() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """The parser of every command path: () is the top parser, ("check",)
+    a command's and ("construct", "gamma") a family's.  Built once per
+    process."""
+    table = {}
+    ap = table[()] = argparse.ArgumentParser(
         prog="distcrit",
         description="Distance-critical graph toolkit",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="criticality verdict")
+    def add(group, path, **kwargs):
+        table[path] = group.add_parser(path[-1], **kwargs)
+        return table[path]
+
+    p = add(sub, ("check",), help="criticality verdict")
     _add_graph_source(p)
     p.add_argument("--method", choices=("pairs", "direct", "both"),
                    default="pairs")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("pairs", help="determining-pair witnesses")
+    p = add(sub, ("pairs",), help="determining-pair witnesses")
     _add_graph_source(p)
     p.add_argument("--vertex", type=int, default=None,
                    help="list every determining pair of this vertex")
     p.set_defaults(func=_cmd_pairs)
 
-    p = sub.add_parser("product", help="graph product")
+    p = add(sub, ("product",), help="graph product")
     p.add_argument("--kind", choices=("cartesian", "tensor", "strong"),
                    required=True)
     p.add_argument("g", metavar="G6")
     p.add_argument("h", metavar="G6")
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("construct", help="explicit families")
+    p = add(sub, ("construct",), help="explicit families")
     fam = p.add_subparsers(dest="family", required=True)
-    q = fam.add_parser("cycle-power")
+
+    def family(name):
+        # run parses with the family's parser alone, so the family's own
+        # defaults name it; construct's subparser action would not
+        q = add(fam, ("construct", name))
+        q.set_defaults(func=_cmd_construct, family=name)
+        return q
+
+    q = family("cycle-power")
     q.add_argument("-n", type=int, required=True, dest="n")
     q.add_argument("-k", type=int, required=True, dest="k")
-    q = fam.add_parser("gamma")
+    q = family("gamma")
     q.add_argument("-m", type=int, required=True, dest="m")
     q.add_argument("--layout", action="store_true",
                    help="also print the vertex-class layout as JSON")
-    q = fam.add_parser("embed")
+    q = family("embed")
     _add_graph_source(q)
     q.add_argument("--layout", action="store_true",
                    help="also print the injection map as JSON")
-    q = fam.add_parser("max-degree")
+    q = family("max-degree")
     q.add_argument("-n", type=int, required=True, dest="n")
-    q = fam.add_parser("regular")
+    q = family("regular")
     q.add_argument("-n", type=int, required=True, dest="n")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("enumerate", help="connected-graph census")
+    p = add(sub, ("enumerate",), help="connected-graph census")
     p.add_argument("-n", type=int, required=True, dest="n")
     p.add_argument("--edge-maximal", action="store_true")
     p.add_argument("--count-only", action="store_true")
@@ -292,24 +310,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-long-run", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify", help="lemma harness")
+    p = add(sub, ("verify",), help="lemma harness")
     p.add_argument("--lemma", required=True,
                    choices=LEMMA_IDS + ("all",))
     p.add_argument("--n-cap", type=int, required=True, dest="n_cap")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("stats", help="numeric summary")
+    p = add(sub, ("stats",), help="numeric summary")
     _add_graph_source(p)
     p.set_defaults(func=_cmd_stats)
 
-    return ap
+    return table
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parser_table()[()]
 
 
 def run(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parsers = _parser_table()
+    # The top parser would hand argv past a command (and family) name to
+    # that name's parser; starting there skips a parse per level.  What
+    # the leaf leaves over is refused as parse_args refuses it.
+    path = next(p for p in (tuple(argv[:2]), tuple(argv[:1]), ())
+                if p in parsers)
     try:
-        args = parser.parse_args(argv)
+        args, extra = parsers[path].parse_known_args(argv[len(path):])
+        if extra:
+            parsers[()].error("unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -23,6 +23,10 @@ from distcrit.constructions import regular_extremal
 from distcrit.enumeration import _ROOT, _attach, _child_states
 
 
+# the directory this distcrit is imported from, for the PYTHONPATH of a
+# new python process, so the process runs the code under test
+SRC = str(Path(distcrit.__file__).resolve().parents[1])
+
 # graph._transpose packs n rows into the next power of two at or above n,
 # so its width changes just past each of these
 WIDTH_BOUNDARIES = (127, 128, 129, 255, 256, 257, 511, 512, 513, 1023)
@@ -60,9 +64,9 @@ def run_capped(args: list[str], cap_mb: int = 400):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    env = {"PYTHONPATH": str(Path(distcrit.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, preexec_fn=limit, timeout=120)
+                          text=True, env={"PYTHONPATH": SRC},
+                          preexec_fn=limit, timeout=120)
 
 
 def augmentation_nodes(max_k: int, state=_ROOT, k: int = 1):

@@ -10,16 +10,15 @@ import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import pytest
 
-from distcrit import is_distance_critical_pairs
+from distcrit import cli, is_distance_critical_pairs
 from distcrit.cli import run
 from distcrit.constructions import cycle, gamma
 from distcrit.graph6 import decode_graph6, encode_graph6
-from conftest import random_graph, run_capped
+from conftest import SRC, random_graph, run_capped
 
 SCHEMA_PATH = "schemas/cli_output.schema.json"
 
@@ -502,11 +501,18 @@ class TestPairOutputPins:
         assert hashlib.sha256(got[1].encode()).hexdigest() == digest
 
 
+def src_env() -> dict:
+    """The caller's environment with this distcrit on PYTHONPATH, so a new
+    process runs the code under test."""
+    return {**os.environ, "PYTHONPATH": SRC}
+
+
 def fresh_run(argv, env):
-    """Exit code and stdout of python -m distcrit in a new process."""
+    """Exit code, stdout and stderr of python -m distcrit in a new
+    process."""
     proc = subprocess.run([sys.executable, "-m", "distcrit", *argv],
                           capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestParserPerProcess:
@@ -516,10 +522,8 @@ class TestParserPerProcess:
     @pytest.fixture
     def env(self, monkeypatch):
         # help is wrapped to the terminal width, so pin it on both sides
-        import distcrit
         monkeypatch.setenv("COLUMNS", "80")
-        return {**os.environ, "PYTHONPATH": str(
-            Path(distcrit.__file__).resolve().parents[1])}
+        return src_env()
 
     def test_calls_in_one_process_match_fresh_runs(self, capsys, env):
         sequence = [
@@ -528,20 +532,25 @@ class TestParserPerProcess:
             ["stats", "--graph", C8],
             ["check", "--graph", C5, "--method", "bogus"],
             ["check", "--graph", K4],
+            ["construct", "gamma", "-m", "3", "extra"],
         ]
         codes = []
         for argv in sequence:
-            code, out, _ = invoke(capsys, argv)
-            assert (code, out) == fresh_run(argv, env)
-            codes.append(code)
-        assert codes == [0, 0, 0, 2, 1]
+            got = invoke(capsys, argv)
+            fresh = fresh_run(argv, env)
+            # stderr is compared on the usage errors, where argparse wrote it
+            assert got[:2] == fresh[:2]
+            if got[0] == 2:
+                assert got[2] == fresh[2]
+            codes.append(got[0])
+        assert codes == [0, 0, 0, 2, 1, 2]
 
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"],
                                       ["construct", "regular", "--help"]])
     def test_help_is_unchanged(self, capsys, env, argv):
-        first = invoke(capsys, argv)[:2]
+        first = invoke(capsys, argv)
         invoke(capsys, ["stats", "--graph", C5])
-        assert invoke(capsys, argv)[:2] == first == fresh_run(argv, env)
+        assert invoke(capsys, argv) == first == fresh_run(argv, env)
         assert first[0] == 0 and first[1].startswith("usage: distcrit")
 
     def test_second_run_builds_no_parser(self, capsys, monkeypatch):
@@ -557,13 +566,121 @@ class TestParserPerProcess:
                             counting_init)
         assert invoke(capsys, ["stats", "--graph", C8])[0] == 0
         assert invoke(capsys, ["check", "--graph", K4])[0] == 1
+        assert invoke(capsys, ["construct", "gamma", "-m", "3"])[0] == 0
+        assert invoke(capsys, ["product", "--kind", "strong", C5, C4])[0] == 0
         assert built == []
+
+    def test_path_table_holds_every_command_path(self):
+        assert set(cli._parser_table()) == {
+            (), ("check",), ("pairs",), ("product",), ("construct",),
+            ("enumerate",), ("verify",), ("stats",),
+            ("construct", "cycle-power"), ("construct", "gamma"),
+            ("construct", "embed"), ("construct", "max-degree"),
+            ("construct", "regular")}
+        assert cli._parser_table()[()] is cli.build_parser()
+
+
+def reference_run(argv) -> int:
+    """run as it was when the top parser parsed every argv: parse_args
+    walks the whole subparser tree, then the command is dispatched."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        return cli._fail(str(exc))
+
+
+# every command and family, option spellings and positions, help at each
+# level, bad values, leftovers at each level, "--", unknown commands
+PARSE_CORPUS = [
+    ["check", "--graph", C5],
+    ["pairs", "--graph", C5],
+    ["product", "--kind", "strong", C5, C4],
+    ["enumerate", "-n", "4", "--count-only"],
+    ["verify", "--lemma", "GIRTH", "--n-cap", "5"],
+    ["stats", "--graph", K4],
+    ["construct", "cycle-power", "-n", "7", "-k", "2"],
+    ["construct", "gamma", "-m", "3", "--layout"],
+    ["construct", "embed", "--graph", C4, "--layout"],
+    ["construct", "max-degree", "-n", "8"],
+    ["construct", "regular", "-n", "10"],
+    ["check"],
+    ["check", f"--graph={C8}", "--method=direct"],
+    ["check", "--graph", C8, "--meth", "both"],
+    ["check", "--gr", C5, "--method", "pa"],
+    ["pairs", "--vertex=2", "--graph", C5],
+    ["construct", "gamma", "-m3"],
+    ["construct", "cycle-power", "-k2", "-n", "8"],
+    ["construct", "regular", "-n=10"],
+    ["construct", "gamma", "--lay", "-m", "3"],
+    ["product", C5, "--kind", "tensor", C4],
+    ["product", C5, C4, "--kind=cartesian"],
+    ["enumerate", "--count", "-n4", "--edge-max"],
+    ["-h"],
+    ["--help"],
+    ["--he", "check"],
+    ["check", "-h"],
+    ["stats", "--graph", C5, "--help"],
+    ["construct", "-h"],
+    ["construct", "gamma", "-h"],
+    ["construct", "regular", "-n", "10", "--help"],
+    ["check", "--graph"],
+    ["construct"],
+    ["construct", "gamma"],
+    ["construct", "cycle-power", "-n", "5"],
+    ["product", "--kind", "strong", C5],
+    ["verify", "--n-cap", "5"],
+    ["enumerate"],
+    ["check", "--graph", C5, "--method", "bogus"],
+    ["product", "--kind", "lexicographic", C5, C5],
+    ["verify", "--lemma", "BOGUS", "--n-cap", "5"],
+    ["construct", "hexagon", "-n", "5"],
+    ["construct", "regular", "-n", "ten"],
+    ["pairs", "--graph", C5, "--vertex", "x"],
+    ["enumerate", "-n", "4.5"],
+    ["verify", "--lemma", "GIRTH", "--n-cap", "five"],
+    ["--bogus"],
+    ["--bogus", "check", "--graph", C5],
+    ["check", "--graph", C5, "extra"],
+    ["check", "--graph", C5, "--bogus"],
+    ["stats", "--graph", C5, "--bogus", "x", "y"],
+    ["construct", "--bogus", "gamma", "-m", "3"],
+    ["construct", "gamma", "-m", "3", "extra"],
+    ["construct", "regular", "-n", "10", "--bogus=1"],
+    ["construct", "embed", "--graph", C5, "-x", "--layout"],
+    ["product", "--kind", "strong", C5, C4, C8],
+    ["enumerate", "-n", "4", "--emit", "graph6"],
+    ["--"],
+    ["--", "check", "--graph", C5],
+    ["check", "--", "--graph", C5],
+    ["product", "--kind", "strong", "--", C5, C4],
+    ["construct", "gamma", "--", "-m", "3"],
+    ["bogus"],
+    ["checks", "--graph", C5],
+    ["gamma", "-m", "3"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_run_matches_the_whole_tree_parse(capsys, monkeypatch, argv):
+    # the leaf parser and the top parser's walk print the same bytes and
+    # exit with the same code, errors and help included
+    results = []
+    for entry in (run, reference_run):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        code = entry(list(argv))
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
 
 
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "distcrit", "check", "--graph", C5],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["critical"] is True
 
@@ -574,7 +691,7 @@ def test_closed_stdout_exits_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "distcrit", "construct", "regular", "-n",
          "1023"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
     assert proc.stdout.read(10) == b"~?N~~~~~~~"
     proc.stdout.close()
     err = proc.stderr.read()
@@ -609,14 +726,12 @@ def test_public_surface_is_pinned():
 def test_startup_imports_neither_numpy_nor_multiprocessing():
     # the library has no runtime dependency, and only a process pool
     # (enumerate --jobs > 1) loads multiprocessing
-    import distcrit
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import distcrit, distcrit.cli\n"
             "print(sorted(m for m in ('numpy', 'multiprocessing')"
             " if m in sys.modules))\n")
     proc = subprocess.run(
-        [sys.executable, "-c", code,
-         str(Path(distcrit.__file__).resolve().parents[1])],
+        [sys.executable, "-c", code, SRC],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
