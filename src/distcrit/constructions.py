@@ -15,8 +15,9 @@ Provided families:
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .graph import MAX_VERTICES, Graph
 
@@ -31,8 +32,7 @@ def _check_order(n: int) -> None:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    _check_order(n)
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return cycle_power(n, 1)
 
 
 def cycle_power(n: int, k: int) -> Graph:
@@ -66,18 +66,18 @@ class GammaLayout(NamedTuple):
     c: tuple[int, ...]
 
 
-def _gamma_on(m: int, pair_labels: list[tuple[int, int]]) -> tuple[Graph, GammaLayout]:
-    """Shared builder: clique part labelled by the given pairs over range(m)."""
+def _gamma_on(m: int, pair_labels: list[tuple[int, int]],
+              part_edges: Iterable[tuple[int, int]],
+              ) -> tuple[Graph, GammaLayout]:
+    """Shared builder: the part labelled by the given pairs over range(m),
+    vertices 0..len(pair_labels) - 1, with the edges part_edges."""
     na = len(pair_labels)
     n = na + 3 * m
     _check_order(n)
     a = {pq: idx for idx, pq in enumerate(pair_labels)}
     b = tuple(na + i for i in range(m))
     c = tuple(na + m + t for t in range(2 * m))
-    edges = []
-    for idx in range(na):
-        for jdx in range(idx + 1, na):
-            edges.append((idx, jdx))
+    edges = list(part_edges)
     for (i, j), idx in a.items():
         edges.append((idx, b[i]))
         edges.append((idx, b[j]))
@@ -103,7 +103,7 @@ def gamma(m: int) -> tuple[Graph, GammaLayout]:
         raise ValueError("gamma needs m >= 3")
     _check_order(m * (m + 5) // 2)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    return _gamma_on(m, pairs)
+    return _gamma_on(m, pairs, itertools.combinations(range(len(pairs)), 2))
 
 
 def embed_host(g: Graph) -> tuple[Graph, dict[int, int]]:
@@ -123,15 +123,7 @@ def embed_host(g: Graph) -> tuple[Graph, dict[int, int]]:
     while m * (m - 1) // 2 < g.n:
         m += 1
     all_pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    pair_labels = all_pairs[: g.n]
-    host, layout = _gamma_on(m, pair_labels)
-    # _gamma_on built a full clique on the labelled part; rebuild adjacency
-    # keeping only the edges of g there.
-    adj = list(host.adj)
-    part_mask = (1 << g.n) - 1
-    for v in range(g.n):
-        adj[v] = (adj[v] & ~part_mask) | g.adj[v]
-    host = Graph(host.n, adj, check=False)
+    host, _ = _gamma_on(m, all_pairs[: g.n], g.edges())
     return host, {v: v for v in range(g.n)}
 
 

@@ -71,13 +71,15 @@ by the key is never built.  In the census to n = 9, 283,839 candidates
 reach the key: 102,146 are accepted (23,487 of them twin ties), 145,336
 rejected, and 36,357 go on.
 
-The child's degree partition is then refined with an abort hook that
-looks at the last cell holding a vertex of T.  Every leaf of the
-canonical search refines the partitions on the way in cell order
-(refinement and individualization only split cells in place), so the
-canonically last vertex of T lies in that cell: the hook rejects as soon
-as w is not in it, and accepts as soon as w is its only vertex of T.  In
-the census to n = 9 the hook decides 23,884 of the 36,357.
+The rest of rule (b) is one function, _decide_tie, which takes the
+child's rows and degree cells and returns the verdict.  It refines the
+child's degree partition with an abort hook that looks at the last cell
+holding a vertex of T.  Every leaf of the canonical search refines the
+partitions on the way in cell order (refinement and individualization
+only split cells in place), so the canonically last vertex of T lies in
+that cell: the hook rejects as soon as w is not in it, and accepts as
+soon as w is its only vertex of T.  In the census to n = 9 the hook
+decides 23,884 of the 36,357.
 
 A candidate that reaches refine starts from its degree cells, built from
 the parent's degree classes (_child_degree_cells): a parent vertex moves
@@ -178,14 +180,13 @@ refinement and automorphism search; otherwise the table is ANDed into
 the candidates before rules (a) and (b).  A node at level n - 2 passes
 its keep table ORed with its alive set, so its dead children, which it
 neither yields nor opens, are never decided.  Both rules are decided for
-each candidate on its own (the union-find and the abort hook start
+each candidate on its own (_decide_tie's union-find and abort hook start
 afresh per candidate, and the parent's key values are the same whichever
 candidate asks for them first), so dropping candidates changes no other
-verdict:
-the stream is the full stream filtered by the table, in the same order,
-and the frontier, and with it the shard and job split, is unchanged.  At
-n = 10 only 4,261 of the 261,080 level-9 nodes have a critical child,
-and only the 5,967 alive ones are built.
+verdict: the stream is the full stream filtered by the table, in the
+same order, and the frontier, and with it the shard and job split, is
+unchanged.  At n = 10 only 4,261 of the 261,080 level-9 nodes have a
+critical child, and only the 5,967 alive ones are built.
 
 Work splitting: the nodes at augmentation level max(1, n - 2) form a
 frontier, numbered f = 0, 1, ... in generation order (for n <= 3 that is
@@ -500,6 +501,53 @@ def _attach(adj: tuple[int, ...], s: int) -> tuple[int, ...]:
     return tuple(child)
 
 
+def _decide_tie(adj: tuple[int, ...], k: int, top: int,
+                cells: list[int]) -> bool:
+    """Rule (b) for the child adj whose new vertex k ties in key with
+    another vertex of top (T: the tied parent vertices and k), from the
+    child's degree cells (see the module docstring).
+
+    refine's abort hook looks at the last cell holding a vertex of T: it
+    rejects if the new vertex is not in it and accepts if the new vertex
+    is its only vertex of T.  The hook saw every partition on the way, so
+    if refine stabilizes, the last stable cell that meets T holds the new
+    vertex and another vertex of T.  The canonically last vertex of T is
+    in that cell, so rule (b) holds if all its vertices of T are
+    automorphic to the new one (the orbit certificate).  Only when the
+    propagated swap gives up on one of them does the canonical labeling
+    decide."""
+    newbit = 1 << k
+    accepted = False
+
+    def decided(cs: list[int]) -> bool:
+        nonlocal accepted
+        for cell in reversed(cs):
+            if cell & top:
+                if cell & newbit and cell & top != newbit:
+                    return False
+                accepted = bool(cell & newbit)
+                return True
+        return False
+
+    stable = refine(adj, cells, decided)
+    if stable is None:
+        return accepted
+    orbit = list(range(k + 1))
+    for u in bits(next(c for c in reversed(stable) if c & top)
+                  & top & ~newbit):
+        if _find(orbit, u) == _find(orbit, k):
+            continue
+        perm = _swap_taking(adj, k, u, stable)
+        if perm is None:
+            _, lab, orep, _ = _search(adj, k + 1, stable)
+            wstar = next(v for v in reversed(lab) if top >> v & 1)
+            return orep[wstar] == orep[k]
+        for v, pv in enumerate(perm):
+            if v != pv:
+                _union(orbit, v, pv)
+    return True
+
+
 def _child_states(
     state: _State,
     k: int,
@@ -513,9 +561,9 @@ def _child_states(
     Rule (b) is decided by the first stage that can (see the module
     docstring): the degree filter and its lead set, then the vertex key
     (_key_ties), which needs no child rows, then, for a tie with a vertex
-    that is no twin of the new one, the refinement hook, the orbit
-    certificate and the canonical search, each looking only at the tied
-    vertices and the new one (T).  A child is yielded as soon as rule
+    that is no twin of the new one, _decide_tie: the refinement hook, the
+    orbit certificate and the canonical search, each looking only at the
+    tied vertices and the new one (T).  A child is yielded as soon as rule
     (b) is decided for it.  keep is an int whose bit S is set iff the
     child with neighbourhood S may be yielded (as in a criticality table,
     criticality._table_of); the other candidates are dropped before rules
@@ -554,25 +602,6 @@ def _child_states(
     parent_cuts = [(1 << u, cuts[u]) for u in bits(cut_mask)]
     singles = k >= 2
     newbit = 1 << k
-    nch = k + 1
-    top = 0
-    accepted = [False]
-
-    def decided(cs: list[int]) -> bool:
-        # The last cell holding a vertex of T decides rule (b) early:
-        # reject if the new vertex is not in it, accept if the new vertex
-        # is its only vertex of T.
-        for cell in reversed(cs):
-            if cell & top:
-                if not cell & newbit:
-                    accepted[0] = False
-                    return True
-                if cell & top == newbit:
-                    accepted[0] = True
-                    return True
-                return False
-        return False
-
     while ok:
         low = ok & -ok
         ok ^= low
@@ -581,48 +610,13 @@ def _child_states(
         for b, cut in parent_cuts:
             if cut & low:
                 ccut_s |= b
-        if lead & low:
-            yield s, ccut_s
-            continue
-        ties = _key_ties(adj, classes, sums, tris, s, ccut_s)
-        if ties is None:
-            continue
-        if not ties:
-            yield s, ccut_s
-            continue
-        top = ties | newbit
-        child_adj = _attach(adj, s)
-        stable = refine(child_adj, _child_degree_cells(span, s, newbit),
-                        decided)
-        if stable is None:
-            if accepted[0]:
-                yield s, ccut_s
-            continue
-        # The hook saw every partition on the way, so the last cell of the
-        # stable one that meets T holds the new vertex and another vertex
-        # of T.  The canonically last vertex of T is in that cell, so rule
-        # (b) holds if all its vertices of T are automorphic to the new
-        # one (the orbit certificate of the module docstring).  Only when
-        # the propagated swap gives up on one of them does the canonical
-        # labeling decide.
-        orbit = list(range(nch))
-        for u in bits(next(c for c in reversed(stable) if c & top)
-                      & top & ~newbit):
-            if _find(orbit, u) == _find(orbit, k):
+        if not lead & low:
+            ties = _key_ties(adj, classes, sums, tris, s, ccut_s)
+            if ties is None or ties and not _decide_tie(
+                    _attach(adj, s), k, ties | newbit,
+                    _child_degree_cells(span, s, newbit)):
                 continue
-            perm = _swap_taking(child_adj, k, u, stable)
-            if perm is None:
-                break
-            for v, pv in enumerate(perm):
-                if v != pv:
-                    _union(orbit, v, pv)
-        else:
-            yield s, ccut_s
-            continue
-        _, lab, orep, _ = _search(child_adj, nch, stable)
-        wstar = next(v for v in reversed(lab) if top >> v & 1)
-        if orep[wstar] == orep[k]:
-            yield s, ccut_s
+        yield s, ccut_s
 
 
 def _iter_leaves(

@@ -53,6 +53,48 @@ def relabeled(g: Graph, rng: random.Random) -> Graph:
     return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
 
 
+def to_nx(g: Graph):
+    """g as a networkx graph, for the networkx oracles."""
+    import networkx as nx
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def cofactor_determinant(matrix: list[list[int]]) -> int:
+    """Exact integer determinant by first-row Laplace expansion."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    if n == 1:
+        return matrix[0][0]
+    total = 0
+    for col in range(n):
+        if matrix[0][col] == 0:
+            continue
+        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
+        sign = 1 if col % 2 == 0 else -1
+        total += sign * matrix[0][col] * cofactor_determinant(minor)
+    return total
+
+
+def prufer_tree(seq: list[int], n: int) -> Graph:
+    """The labelled tree on n vertices with Pruefer sequence seq."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    last = [u for u in range(n) if degree[u] == 1]
+    edges.append((last[0], last[1]))
+    return Graph.from_edges(n, edges)
+
+
 def run_capped(args: list[str], cap_mb: int = 400):
     """Run python with args in a new process whose address space is capped
     at cap_mb, with this distcrit importable; returns the CompletedProcess.

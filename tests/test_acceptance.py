@@ -39,6 +39,7 @@ from distcrit.constructions import (
 )
 from distcrit.criticality import _is_edge_maximal_fast
 from distcrit.products import ProductKind, product
+from conftest import cofactor_determinant, prufer_tree
 
 TABLE_CRITICAL = {5: 1, 6: 1, 7: 4, 8: 15, 9: 168, 10: 2252}
 TABLE_MAXIMAL = {5: 1, 6: 1, 7: 2, 8: 4, 9: 14, 10: 82}
@@ -277,34 +278,6 @@ def test_criterion_7_lemma_suite(announce, capsys):
         failures.append(f"took {elapsed:.1f}s (budget 300s)")
     verdict(announce, "criterion 7, lemma suite at n-cap 8",
             failures, f"14 checks, {elapsed:.1f}s")
-
-
-def cofactor_determinant(matrix: list[list[int]]) -> int:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for col in range(n):
-        if matrix[0][col] == 0:
-            continue
-        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        total += (-1) ** col * matrix[0][col] * cofactor_determinant(minor)
-    return total
-
-
-def prufer_tree(seq: list[int], n: int) -> Graph:
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    for v in seq:
-        leaf = min(u for u in range(n) if degree[u] == 1)
-        edges.append((leaf, v))
-        degree[leaf] -= 1
-        degree[v] -= 1
-    last = [u for u in range(n) if degree[u] == 1]
-    edges.append((last[0], last[1]))
-    return Graph.from_edges(n, edges)
 
 
 def test_criterion_8_determinant(announce):

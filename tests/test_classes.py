@@ -24,7 +24,7 @@ from distcrit import (Graph, all_pairs_distances, decode_graph6,
                       is_distance_critical)
 from distcrit.constructions import max_degree_extremal, regular_extremal
 from distcrit.criticality import _is_edge_maximal_fast
-from conftest import relabeled
+from conftest import relabeled, to_nx
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -37,13 +37,6 @@ def load(name: str) -> list[Graph]:
 def invariant(g: Graph) -> tuple:
     rows = tuple(sorted(tuple(sorted(row)) for row in all_pairs_distances(g)))
     return g.n, g.edge_count(), tuple(sorted(g.degree_sequence())), rows
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
 
 
 def mismatches(got: list[Graph], want: list[Graph]) -> list[str]:

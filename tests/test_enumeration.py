@@ -512,6 +512,13 @@ class TestLeafDecision:
         # search keeps rule (b) by the definition, and every swap is an
         # involution and an automorphism by edge set that swaps w and u
         record: dict[str, list] = {"swap": [], "search": []}
+        hooked = {"early": 0, "stable": 0}
+
+        def recording_refine(adj, cells, abort=None):
+            out = refine(adj, cells, abort)
+            if abort is not None:
+                hooked["early" if out is None else "stable"] += 1
+            return out
 
         def recording_swap(adj, w, u, stable):
             perm = _swap_taking(adj, w, u, stable)
@@ -533,6 +540,7 @@ class TestLeafDecision:
                 record[key].clear()
             monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
             monkeypatch.setattr(enumeration, "_search", recording_search)
+            monkeypatch.setattr(enumeration, "refine", recording_refine)
             accepted = {s for s, _ in _child_states(state, k)}
             monkeypatch.undo()
             swaps += len(record["swap"])
@@ -547,6 +555,10 @@ class TestLeafDecision:
         assert swaps == 12751
         assert swap_accepts == 11763
         assert child_searches == 710
+        # the refine calls with an abort hook, all on children: of the
+        # 36,357 ties, the hook decides 23,884 early (the tracer's
+        # canon.refine.aborts) and 12,473 reach a stable partition
+        assert hooked == {"early": 23884, "stable": 12473}
 
     @staticmethod
     def child_path(monkeypatch, adj: tuple[int, ...], s: int):

@@ -22,14 +22,7 @@ from distcrit import (
 )
 from distcrit.constructions import cycle
 from distcrit.graph import _layer, _transpose, _with_each_non_edge, bits
-from conftest import WIDTH_BOUNDARIES, random_graph, random_tree
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
+from conftest import WIDTH_BOUNDARIES, random_graph, random_tree, to_nx
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:

@@ -26,6 +26,7 @@ from distcrit.constructions import cycle
 from distcrit.criticality import _girth_table
 from distcrit.graph6 import encode_graph6
 from distcrit.verify import pendant_deletion_check
+from conftest import cofactor_determinant, prufer_tree
 
 CHECKED_AT_7 = {
     "GIRTH": 4, "CYCLE5": 6, "NO_DOM": 6, "EDGE_ADD": 0, "DEG3": 1,
@@ -35,42 +36,9 @@ CHECKED_AT_7 = {
 }
 
 
-def cofactor_determinant(matrix: list[list[int]]) -> int:
-    """Exact integer determinant by first-row Laplace expansion."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for col in range(n):
-        if matrix[0][col] == 0:
-            continue
-        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        sign = 1 if col % 2 == 0 else -1
-        total += sign * matrix[0][col] * cofactor_determinant(minor)
-    return total
-
-
 def distance_matrix(g: Graph) -> list[list[int]]:
     rows = all_pairs_distances(g)
     return [list(r) for r in rows]
-
-
-def prufer_tree(seq: list[int], n: int) -> Graph:
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    seq = list(seq)
-    for v in seq:
-        leaf = min(u for u in range(n) if degree[u] == 1)
-        edges.append((leaf, v))
-        degree[leaf] -= 1
-        degree[v] -= 1
-    last = [u for u in range(n) if degree[u] == 1]
-    edges.append((last[0], last[1]))
-    return Graph.from_edges(n, edges)
 
 
 class TestLemmaHarness:
