@@ -340,43 +340,86 @@ def is_connected(g: Graph) -> bool:
     return _reach_mask(g.adj, 1) == (1 << g.n) - 1
 
 
-def _cycle_from(adj, src: int, best: int | None) -> int | None:
-    """2d + 1 or 2d + 2 for the first BFS layer d from src that closes a
-    walk of that length, if one does before 2d + 1 reaches best: an edge
-    inside the layer (once & layer) closes 2d + 1, and a vertex outside
-    it with two neighbours in it (twice & ~seen) closes 2d + 2."""
-    seen = frontier = 1 << src
+def _cycle_from(adj, src: int, best: int | None, alive: int) -> int | None:
+    """2d + 1 or 2d + 2 for the first BFS layer d from src, through the
+    vertices of alive, that closes a walk of that length, if one does
+    before 2d + 1 reaches best: an edge inside the layer (once & layer)
+    closes 2d + 1, and a vertex not yet reached with two neighbours in
+    it (twice & unseen) closes 2d + 2.  unseen starts as alive less src,
+    so no layer reaches a vertex outside alive."""
+    frontier = 1 << src
+    unseen = alive ^ frontier
     d = 0
     while frontier and (best is None or 2 * d + 1 < best):
         once, twice = _layer(adj, frontier)
         if once & frontier:
             return 2 * d + 1
-        if twice & ~seen:
+        if twice & unseen:
             return 2 * d + 2
-        frontier = once & ~seen
-        seen |= frontier
+        frontier = once & unseen
+        unseen ^= frontier
         d += 1
     return None
+
+
+def _peel(adj, alive: int, todo: int) -> int:
+    """alive less the vertices deleted by repeatedly deleting a vertex of
+    todo with fewer than two neighbours in alive, the neighbours of each
+    deleted vertex joining todo.  With todo = alive this leaves the
+    vertex set of the 2-core."""
+    todo &= alive
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        row = adj[low.bit_length() - 1] & alive
+        if not row & (row - 1):
+            alive ^= low
+            todo |= row
+    return alive
 
 
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for acyclic graphs.
 
-    Runs a BFS from every vertex, one layer (a vertex mask) at a time.
-    An edge inside layer d closes a walk of length 2d + 1, and a vertex
-    of layer d + 1 with two neighbours in layer d one of length 2d + 2.
-    Each such walk holds a cycle at most that long, and the BFS from a
-    vertex of a shortest cycle finds that cycle's length, so the minimum
-    over all sources is exact.  A triangle ends the scan: no cycle is
-    shorter.
+    Runs a BFS from each vertex in index order (Itai and Rodeh, SIAM J.
+    Comput. 7, 1978), one layer (a vertex mask) at a time, through the
+    vertices still alive.  An edge inside layer d closes a walk of
+    length 2d + 1, and a vertex of layer d + 1 with two neighbours in
+    layer d one of length 2d + 2.  Each such walk holds a cycle at most
+    that long, and the BFS from a vertex of a shortest cycle, while that
+    cycle is alive, finds its length.
+
+    After its BFS a source is deleted, and _peel then deletes, starting
+    from the source's neighbours, every vertex left with fewer than two
+    alive neighbours: such a vertex lies on no cycle of the alive graph.
+    The minimum stays exact.  Every walk a BFS closes lies in g, so none
+    is shorter than g's girth.  And take the first vertex v of a
+    shortest cycle C that the loop reaches: until then no vertex of C
+    was a source, and none was peeled, as the first one peeled would
+    still have had both of its neighbours on C alive.  So v is a source
+    while C is intact, and its BFS finds C's length.
+
+    A cycle longer than 6 thus takes one BFS, not one per vertex: C_1024
+    costs a few ms.  Once a cycle of length at most 6 is known, every
+    later BFS stops within three layers, and on sparse graphs a peel
+    then costs more than the BFS it saves, so only the source is
+    deleted.  A triangle ends the scan: no cycle is shorter.
     """
+    adj = g.adj
     best = None
-    for src in range(g.n):
-        found = _cycle_from(g.adj, src, best)
+    alive = (1 << g.n) - 1
+    while alive:
+        # every lower vertex is deleted, so this is the next in order
+        low = alive & -alive
+        src = low.bit_length() - 1
+        found = _cycle_from(adj, src, best, alive)
         if found is not None and (best is None or found < best):
             best = found
             if best == 3:
                 break
+        alive ^= low
+        if best is None or best > 6:
+            alive = _peel(adj, alive, adj[src])
     return best
 
 

@@ -18,7 +18,7 @@ from distcrit import cli, is_distance_critical_pairs
 from distcrit.cli import run
 from distcrit.constructions import cycle, gamma
 from distcrit.graph6 import decode_graph6, encode_graph6
-from conftest import SRC, random_graph, run_capped
+from conftest import SRC, random_graph, relabeled, run_capped
 
 SCHEMA_PATH = "schemas/cli_output.schema.json"
 
@@ -175,6 +175,28 @@ class TestStats:
             '"max_degree": null, "clique_number": 0, "connected": true, '
             '"two_connected": false, "critical": false, "involved_size": 0}\n')
         check_json_lines(out, schema)
+
+    @staticmethod
+    def corpus() -> str:
+        """Relabeled C_3..C_200, G(n, 3/n) and G(n, 1/2) for n = 1..64,
+        and gamma(3..6), as graph6 lines."""
+        rng = random.Random(4101)
+        graphs = [relabeled(cycle(n), rng) for n in range(3, 201)]
+        for n in range(1, 65):
+            graphs.append(random_graph(n, 3 / n, rng))
+            graphs.append(random_graph(n, 0.5, rng))
+        graphs += [gamma(m)[0] for m in range(3, 7)]
+        return "".join(encode_graph6(g) + "\n" for g in graphs)
+
+    def test_corpus_stdout_is_pinned(self, capsys, monkeypatch):
+        # taken before girth peeled its 2-core and the clique search
+        # listed only the colours that can still win
+        code, out, _ = invoke(capsys, ["stats"], stdin=self.corpus(),
+                              monkeypatch=monkeypatch)
+        assert code == 0
+        assert len(out.splitlines()) == 198 + 128 + 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "adf5717341b06ca8e41b6ecfa316b4c0da99ab6949bffbc6f06bbc780e1c70fe")
 
 
 class TestConstruct:

@@ -20,9 +20,11 @@ from distcrit import (
     is_connected,
     is_two_connected,
 )
+from distcrit import graph
 from distcrit.constructions import cycle
-from distcrit.graph import _layer, _transpose, _with_each_non_edge, bits
-from conftest import WIDTH_BOUNDARIES, random_graph, random_tree, to_nx
+from distcrit.graph import _layer, _peel, _transpose, _with_each_non_edge, bits
+from conftest import (WIDTH_BOUNDARIES, random_graph, random_tree, relabeled,
+                      to_nx)
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:
@@ -345,6 +347,75 @@ class TestGirth:
             assert got == self.nx_girth(g)
             found.add(got if got is None or got < 7 else 7)
         assert found == {None, 3, 4, 5, 6, 7}
+
+    def test_a_cycle_takes_one_source(self, monkeypatch):
+        # the first BFS finds the cycle, and the peel after it deletes
+        # every vertex: none is left to be a source.  C_4..C_6 are not
+        # peeled, as their girth is at most 6, so every vertex is one
+        rng = random.Random(4104)
+        sources = []
+        inner = graph._cycle_from
+
+        def counted(adj, src, best, alive):
+            sources.append(src)
+            return inner(adj, src, best, alive)
+
+        monkeypatch.setattr(graph, "_cycle_from", counted)
+        for n in (3, 4, 5, 6, 7, 8, 48, 1024):
+            sources.clear()
+            assert girth(relabeled(cycle(n), rng)) == n
+            assert sources == (list(range(n)) if 4 <= n <= 6 else [0])
+
+    @staticmethod
+    def cycles_with_trees(rng: random.Random, cap: int) -> Graph:
+        """One to three cycles of 3..cap/2 vertices, joined by paths,
+        with pendant trees hung on them and 0..3 chords, relabeled."""
+        edges = []
+        n = 0
+        for c in range(rng.randint(1, 3)):
+            length = rng.randint(3, cap // 2 // (c + 1))
+            edges += [(n + i, n + (i + 1) % length) for i in range(length)]
+            if n:
+                # a path from an earlier vertex to the new cycle
+                prev = rng.randrange(n)
+                path = list(range(n + length, n + length + rng.randint(0, 5)))
+                edges += list(zip([prev] + path, path + [n]))
+                n += len(path)
+            n += length
+        for v in range(n, rng.randint(n, cap)):
+            edges.append((v, rng.randrange(v)))
+            n = v + 1
+        for _ in range(rng.randint(0, 3)):
+            x, y = rng.sample(range(n), 2)
+            edges.append((x, y))
+        edges = {(min(e), max(e)) for e in edges}
+        return relabeled(Graph.from_edges(n, edges), rng)
+
+    def test_long_cycles_with_trees_against_networkx(self):
+        rng = random.Random(4105)
+        found = set()
+        for _ in range(150):
+            g = self.cycles_with_trees(rng, 300)
+            got = girth(g)
+            assert got == self.nx_girth(g)
+            found.add(got if got < 40 else 40)
+        assert {3, 4, 5, 6, 7, 40} <= found
+
+    def test_peel_of_everything_is_the_2_core(self):
+        rng = random.Random(4106)
+        graphs = [Graph.empty(0), Graph.empty(5), cycle(7)]
+        graphs += [self.cycles_with_trees(rng, 120) for _ in range(40)]
+        graphs += [random_tree(rng.randint(1, 80), rng) for _ in range(20)]
+        for _ in range(60):
+            n = rng.randint(1, 150)
+            graphs.append(random_graph(n, rng.uniform(0.5, 4) / n, rng))
+        cores = set()
+        for g in graphs:
+            full = (1 << g.n) - 1
+            want = sum(1 << v for v in nx.k_core(to_nx(g), 2))
+            assert _peel(g.adj, full, full) == want
+            cores.add(0 < want < full)
+        assert cores == {False, True}
 
 
 class TestTranspose:
