@@ -348,7 +348,7 @@ class TestGirth:
             found.add(got if got is None or got < 7 else 7)
         assert found == {None, 3, 4, 5, 6, 7}
 
-    def test_a_cycle_takes_one_source(self, monkeypatch):
+    def test_sources_taken_by_a_cycle(self, monkeypatch):
         # the first BFS finds the cycle, and the peel after it deletes
         # every vertex: none is left to be a source.  C_4..C_6 are not
         # peeled, as their girth is at most 6, so every vertex is one
