@@ -28,8 +28,8 @@ current best, the pair of labelings yields an automorphism, and the search
 jumps back to the deepest node shared with the best leaf's branch; at each
 node, sibling branch vertices lying in one orbit of the automorphisms that
 fix the node's individualized prefix are explored only once.  The
-search also returns its labeling and the discovered generators, which
-the enumeration engine reads, and the orbits they span.
+search also returns its labeling, its generators and their orbits; the
+enumeration engine reads them where its _swap_group gives up.
 """
 
 from __future__ import annotations

@@ -100,15 +100,16 @@ determined.  An involution that comes out is an automorphism (the
 docstring of _swap_taking has the proof), a transposition when u is a
 twin of w (same neighbours apart from each other).  The certificate
 needs some automorphism that takes w to u, however it was found.  When
-the propagation gives up, the canonical search, started from the stable
-partition, decides rule (b) exactly, so the swap only saves searches and
-never changes a verdict.  In the census to n = 9, 12,473 candidates
-reach a stable partition.  Their 13,461 checks find 1,191 twins and
-11,560 larger involutions (6,210 moving two pairs, 3,392 three and 1,958
-four), and the propagation gives up on 710 candidates, which go on to
-the canonical search.
+the propagation gives up, _swap_group's generators (below) join in, and
+the canonical search, started from the stable partition, decides rule
+(b) exactly only if some vertex of T in C is still not joined to w; so
+the swaps only save searches and never change a verdict.  In the census
+to n = 9, 12,473 candidates reach a stable partition.  Their 13,461
+checks find 1,191 twins and 11,560 larger involutions (6,210 moving two
+pairs, 3,392 three and 1,958 four), and the propagation gives up on 710
+candidates: _swap_group accepts 373, and 337 are searched.
 
-Twin-cell groups: rule (a) needs the parent's automorphism group.  Every
+Parent groups: rule (a) needs the parent's automorphism group.  Every
 automorphism fixes each cell of the parent's stable partition, since
 refinement is label-invariant, so the group lies in the product of the
 cells' symmetric groups.  When every non-singleton cell is a set of
@@ -117,10 +118,10 @@ transposition within a cell is an automorphism, so the group is that
 product, which canon._search reads without backtracking.  Its orbit
 minima need no orbit table either: S is the least of its orbit iff it
 meets each cell in a prefix of the cell's members (_twin_cell_reps), one
-AND per pair of consecutive members.  In the
-census to n = 9 this decides rule (a) for 5,440 of the 8,408 parents
-whose stable partition is not discrete; only the other 2,968 are
-searched and call _subset_reps.
+AND per pair of consecutive members.  In the census to n = 9 this
+decides rule (a) for 5,440 of the 8,408 parents whose stable partition
+is not discrete.  The other 2,968 call _subset_reps, with the whole
+group's generators from _swap_group (2,760) or canon._search (208).
 
 A node carries only its adjacency and cut-vertex mask.  Its stable
 partition and automorphism generators are computed when it is expanded,
@@ -208,8 +209,8 @@ import os
 import time
 from typing import Callable, Iterator, NamedTuple
 
-from .canon import (_find, _search, _twin_pairs, _union, degree_cells,
-                    refine)
+from .canon import (_find, _individualize, _search, _twin_pairs, _union,
+                    degree_cells, refine)
 from .criticality import (_alive_set, _is_edge_maximal_fast, _mask_sets,
                           _pairless_sets, _table_of)
 # _articulation_mask and _is_critical_fast are no longer called here (the cut
@@ -231,7 +232,7 @@ def _subset_reps(k: int, gens: tuple[tuple[int, ...], ...]) -> int:
     mask without its top bit.  Orbit minima follow by least[S] =
     min(least[S], least[image of S]) over the generators and pointer
     jumping (least[S] = least[least[S]]), repeated until stable.  Parents
-    share generator sets (1,024 distinct ones for the 2,968 calls at n = 9;
+    share generator sets (1,025 distinct ones for the 2,968 calls at n = 9;
     twin-cell parents read theirs from _twin_cell_reps instead), so
     results are cached by (k, gens), which must be a tuple."""
     images = []
@@ -392,11 +393,13 @@ def _swap_taking(adj: tuple[int, ...], w: int, u: int,
     neighbour of x maps to.  Both must hold unmoved vertices only, as many
     of each: one of each is paired, and more are paired cell by cell of
     the stable partition (every automorphism fixes its cells), exactly one
-    of a and one of b per cell.  Anything else gives up, and None sends
-    the caller to the canonical search (canon._search), which decides
-    rule (b) itself.  The pairs found are moved and checked in turn; only
-    unmoved vertices are paired, so each vertex is moved once at most and
-    the loop makes at most n checks.
+    of a and one of b per cell.  Anything else gives up.  The pairs found
+    are moved and checked in turn; only unmoved vertices are paired, so
+    each vertex is moved once at most and the loop makes at most n checks.
+    stable must be equitable, with w and u in one cell.  Then every pair
+    lies in one cell (by induction: y shares x's cell, so N(y) and the
+    images of N(x) meet each cell as often, and so do a and b), and a
+    vertex alone in its cell is never moved.
 
     A permutation that comes out is an automorphism, with no edge check:
     a moved vertex keeps its image, and once x is checked (and its pairs
@@ -437,6 +440,43 @@ def _swap_taking(adj: tuple[int, ...], w: int, u: int,
             todo += (i, j)
         moved |= a | b
     return perm
+
+
+def _swap_group(adj: tuple[int, ...], n: int,
+                cells: list[int]) -> "list[tuple[int, ...]] | None":
+    """Generators of Aut(adj) from swaps along the first path of the
+    canonical search tree, or None when a swap gives up.  cells is an
+    equitable partition that every automorphism keeps, such as the stable
+    one.  At each node the least vertex v of the first non-singleton cell
+    C is swapped (_swap_taking) with each u of C not yet joined to it by
+    that node's swaps, then individualized (canon._individualize).
+
+    That is all of Aut.  Let v_i and C_i be node i's v and C, and G_i the
+    automorphisms that fix v_1..v_(i-1).  They keep node i's partition,
+    so |G_i| <= |C_i| |G_(i+1)|, and the discrete leaf gives |Aut| <=
+    prod |C_i|.  The swaps at nodes i and on keep the cells of their
+    nodes, so fix v_1..v_(i-1), and generate H_i <= G_i.  H_i moves v_i
+    over C_i and H_(i+1) fixes v_i, so |H_i| >= |C_i| |H_(i+1)|, and
+    |H_1| >= prod |C_i| >= |Aut|."""
+    gens = []
+    while True:
+        t = next((i for i, c in enumerate(cells) if c & (c - 1)), -1)
+        if t < 0:
+            return gens
+        low = cells[t] & -cells[t]
+        v = low.bit_length() - 1
+        orbit = list(range(n))
+        for u in bits(cells[t] ^ low):
+            if _find(orbit, u) == v:
+                continue
+            perm = _swap_taking(adj, v, u, cells)
+            if perm is None:
+                return None
+            gens.append(tuple(perm))
+            for x, px in enumerate(perm):  # an involution: each pair once
+                if x < px:
+                    _union(orbit, x, px)
+        cells = _individualize(adj, cells, t, low)
 
 
 def _twin_cell_reps(k: int, pairs: list[tuple[int, int]]) -> int:
@@ -513,9 +553,9 @@ def _decide_tie(adj: tuple[int, ...], k: int, top: int,
     if refine stabilizes, the last stable cell that meets T holds the new
     vertex and another vertex of T.  The canonically last vertex of T is
     in that cell, so rule (b) holds if all its vertices of T are
-    automorphic to the new one (the orbit certificate).  Only when the
-    propagated swap gives up on one of them does the canonical labeling
-    decide."""
+    automorphic to the new one (the orbit certificate), found by swaps or
+    else by _swap_group's generators.  Only a vertex left unjoined needs
+    the canonical labeling, which then decides."""
     newbit = 1 << k
     accepted = False
 
@@ -538,13 +578,15 @@ def _decide_tie(adj: tuple[int, ...], k: int, top: int,
         if _find(orbit, u) == _find(orbit, k):
             continue
         perm = _swap_taking(adj, k, u, stable)
-        if perm is None:
+        gens = [perm] if perm else _swap_group(adj, k + 1, stable) or ()
+        for g in gens:
+            for v, pv in enumerate(g):  # an involution: each pair once
+                if v < pv:
+                    _union(orbit, v, pv)
+        if _find(orbit, u) != _find(orbit, k):
             _, lab, orep, _ = _search(adj, k + 1, stable)
             wstar = next(v for v in reversed(lab) if top >> v & 1)
             return orep[wstar] == orep[k]
-        for v, pv in enumerate(perm):
-            if v != pv:
-                _union(orbit, v, pv)
     return True
 
 
@@ -584,7 +626,9 @@ def _child_states(
     # automorphisms preserve popcount, degrees and cut vertices.
     pairs = _twin_pairs(adj, cells)
     if pairs is None:
-        gens = _search(adj, k, cells)[3]
+        gens = _swap_group(adj, k, cells)
+        if gens is None:
+            gens = _search(adj, k, cells)[3]
         if gens:
             ok &= _subset_reps(k, tuple(gens))
     elif pairs:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import random
 
 import networkx as nx
 import pytest
@@ -45,6 +46,7 @@ from distcrit.enumeration import (
     _iter_leaves,
     _key_ties,
     _subset_reps,
+    _swap_group,
     _swap_taking,
     _twin_cell_reps,
 )
@@ -339,10 +341,12 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     read from the parent), "early" (refine stopped early), and at a stable
     partition "twin" (only twins of the new vertex in its cell), "swap"
     (a propagated involution larger than a twin transposition, no
-    search) or "fallback" (the canonical search)."""
+    search), "group" (a swap gave up, and _swap_group's generators
+    accepted) or "fallback" (the canonical search)."""
     by_key: dict[int, bool] = {}
     stopped: dict[tuple[int, ...], bool] = {}
     swapped: set[tuple[int, ...]] = set()
+    grouped: set[tuple[int, ...]] = set()
     searched: set[tuple[int, ...]] = set()
 
     def recording_key(adj, classes, sums, tris, s, cut):
@@ -368,10 +372,15 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
         searched.add(adj)
         return _search(adj, n, stable)
 
+    def recording_group(adj, n, stable):
+        grouped.add(adj)
+        return _swap_group(adj, n, stable)
+
     monkeypatch.setattr(enumeration, "_key_ties", recording_key)
     monkeypatch.setattr(enumeration, "refine", recording_refine)
     monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
     monkeypatch.setattr(enumeration, "_search", recording_search)
+    monkeypatch.setattr(enumeration, "_swap_group", recording_group)
     accepted = [_attach(state[0], s) for s, _ in _child_states(state, k)]
     monkeypatch.undo()
     paths = {}
@@ -389,12 +398,120 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
             path = "early"
         elif child_adj in searched:
             path = "fallback"
+        elif child_adj in grouped:
+            path = "group"
         elif child_adj in swapped:
             path = "swap"
         else:
             path = "twin"
         paths[child_adj] = path, child_adj in accepted
     return paths
+
+
+def group_of(n: int, gens) -> frozenset:
+    """Every element of the permutation group on n points that gens
+    generate, by closure from the identity."""
+    ident = tuple(range(n))
+    group = {ident}
+    todo = [ident]
+    while todo:
+        g = todo.pop()
+        for h in gens:
+            x = tuple([h[i] for i in g])
+            if x not in group:
+                group.add(x)
+                todo.append(x)
+    return frozenset(group)
+
+
+def from_nx(h: nx.Graph) -> Graph:
+    """h with its nodes numbered 0, 1, ... in sorted order."""
+    h = nx.convert_node_labels_to_integers(h, ordering="sorted")
+    return Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+
+
+def shrikhande() -> nx.Graph:
+    """The Cayley graph of Z4 x Z4 with connection set +-(1, 0), +-(0, 1)
+    and +-(1, 1)."""
+    steps = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    return nx.Graph([((a, b), ((a + x) % 4, (b + y) % 4))
+                     for a in range(4) for b in range(4) for x, y in steps])
+
+
+def rook(m: int) -> nx.Graph:
+    """The m x m rook's graph, K_m times K_m."""
+    return nx.cartesian_product(nx.complete_graph(m), nx.complete_graph(m))
+
+
+SYMMETRIC = {
+    "C8": lambda: nx.cycle_graph(8),
+    "Petersen": nx.petersen_graph,
+    "K3,3": lambda: nx.complete_bipartite_graph(3, 3),
+    "Q3": lambda: nx.hypercube_graph(3),
+    "Q4": lambda: nx.hypercube_graph(4),
+    "rook 3x3": lambda: rook(3),
+    "rook 4x4": lambda: rook(4),
+    "Paley(13)": lambda: nx.Graph(nx.paley_graph(13).to_undirected()),
+    "Shrikhande": shrikhande,
+    "Moebius-Kantor": lambda: nx.LCF_graph(16, [5, -5], 8),
+    "Desargues": nx.desargues_graph,
+}
+
+
+class TestSwapGroup:
+    """_swap_group's generators, where it gives any, span the whole group
+    that canon._search's generators span; where it gives None, nothing is
+    claimed and the caller searches."""
+
+    @staticmethod
+    def certified(adj: tuple[int, ...], n: int) -> "bool | None":
+        """Whether _swap_group certifies the group of adj (None if the
+        stable partition is all twins, which the engine reads directly),
+        after checking a certified group against the search's."""
+        stable = refine(adj, degree_cells(adj, n))
+        if _twin_pairs(adj, stable) is not None:
+            return None
+        gens = _swap_group(adj, n, stable)
+        if gens is None:
+            return False
+        assert group_of(n, gens) == group_of(n, _search(adj, n, stable)[3])
+        return True
+
+    def test_every_census_parent(self):
+        # every parent of the n = 9 census whose stable cells are not all
+        # twins, the ones rule (a) used to search
+        outcomes = [self.certified(adj, k)
+                    for k, (adj, _) in augmentation_nodes(8)]
+        assert (outcomes.count(True), outcomes.count(False)) == (2760, 208)
+
+    def test_symmetric_corpus(self):
+        # vertex-transitive graphs: the first path's cell is the whole
+        # vertex set, and a swap gives up on all of them but C8, whose
+        # reflections join it.  They keep the search fallback tested
+        outcomes = {}
+        for name, make in SYMMETRIC.items():
+            g = from_nx(make())
+            outcomes[name] = self.certified(g.adj, g.n)
+        assert outcomes == {name: name == "C8" for name in SYMMETRIC}
+
+    def test_two_copies_and_a_hub(self):
+        # two disjoint copies of a seeded connected graph on 3 to 6
+        # vertices, and a hub joined to all of their vertices: the group
+        # holds the swap of the copies and both copies' own groups.  A
+        # swap that pairs two vertices with two in one cell gives up, so
+        # most fall back
+        rng = random.Random(42)
+        outcomes = []
+        while len(outcomes) < 40:
+            m = rng.randrange(3, 7)
+            x = nx.gnp_random_graph(m, 0.5, seed=rng.randrange(1 << 30))
+            if not nx.is_connected(x):
+                continue
+            edges = list(x.edges()) + [(a + m, b + m) for a, b in x.edges()]
+            edges += [(2 * m, v) for v in range(2 * m)]
+            g = Graph.from_edges(2 * m + 1, edges)
+            outcomes.append(self.certified(g.adj, g.n))
+        assert (outcomes.count(True), outcomes.count(False)) == (14, 26)
 
 
 def least_in_orbit(s: int, gens) -> bool:
@@ -506,12 +623,15 @@ class TestLeafDecision:
                           "twin tie": 23487, "tie": 36357}
 
     def test_twin_ties_and_swaps_are_sound(self, monkeypatch):
-        # every node to k = 8, so every child on up to 9 vertices: a child
-        # that a swap (a transposition of twins of the new vertex, or a
-        # larger propagated involution) helped accept with no canonical
-        # search keeps rule (b) by the definition, and every swap is an
-        # involution and an automorphism by edge set that swaps w and u
-        record: dict[str, list] = {"swap": [], "search": []}
+        # every node to k = 8, so every child on up to 9 vertices.  Every
+        # swap, made on a parent (for rule (a), by _swap_group) or on a
+        # child (for rule (b)), is an involution and an automorphism by
+        # edge set that swaps w and u and keeps each cell of the partition
+        # it was given.  A child that swaps (a transposition of twins of
+        # the new vertex, or a larger propagated involution, alone or
+        # within _swap_group) helped accept with no canonical search keeps
+        # rule (b) by the definition
+        record: dict[str, list] = {"swap": [], "search": [], "group": []}
         hooked = {"early": 0, "stable": 0}
 
         def recording_refine(adj, cells, abort=None):
@@ -527,6 +647,8 @@ class TestLeafDecision:
                 assert {(perm[v], perm[x]) for v, x in edges} == edges
                 assert perm[w] == u and perm[u] == w
                 assert all(perm[perm[v]] == v for v in range(len(adj)))
+                assert all(sum(1 << perm[v] for v in bits(cell)) == cell
+                           for cell in stable)
                 record["swap"].append(adj)
             return perm
 
@@ -534,27 +656,58 @@ class TestLeafDecision:
             record["search"].append(adj)
             return _search(adj, n, stable)
 
-        swap_accepts = swaps = child_searches = 0
+        def recording_group(adj, n, stable):
+            gens = _swap_group(adj, n, stable)
+            record["group"].append((adj, gens is not None))
+            return gens
+
+        swap_accepts = swaps = parent_swaps = child_searches = 0
+        parents = {"certified": 0, "searched": 0}
+        ties = {"second tier": 0, "searched": 0}
         for k, state in augmentation_nodes(8):
             for key in record:
                 record[key].clear()
             monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
             monkeypatch.setattr(enumeration, "_search", recording_search)
+            monkeypatch.setattr(enumeration, "_swap_group", recording_group)
             monkeypatch.setattr(enumeration, "refine", recording_refine)
             accepted = {s for s, _ in _child_states(state, k)}
             monkeypatch.undo()
-            swaps += len(record["swap"])
-            child_searches += sum(len(a) == k + 1 for a in record["search"])
-            for child in set(record["swap"]) - set(record["search"]):
+            # a parent's rows have k entries and a child's k + 1
+            children = [a for a in record["swap"] if len(a) == k + 1]
+            swaps += len(children)
+            parent_swaps += len(record["swap"]) - len(children)
+            searched = [a for a in record["search"] if len(a) == k + 1]
+            child_searches += len(searched)
+            parent_groups = [ok for a, ok in record["group"] if len(a) == k]
+            assert len(record["search"]) - len(searched) == \
+                parent_groups.count(False)
+            parents["certified"] += parent_groups.count(True)
+            parents["searched"] += parent_groups.count(False)
+            for child, _ in record["group"]:
+                if len(child) == k + 1:
+                    tier = "searched" if child in searched else "second tier"
+                    ties[tier] += 1
+                    if tier == "second tier":
+                        assert child[-1] in accepted
+            for child in set(children) - set(searched):
                 if child[-1] in accepted:
                     assert new_vertex_comes_last(list(child), k)
                     swap_accepts += 1
-        # the census to n = 9: the involutions found, the children accepted
-        # with a swap and no canonical search, and the children that the
-        # swaps left to the canonical search
-        assert swaps == 12751
-        assert swap_accepts == 11763
-        assert child_searches == 710
+        # the census to n = 9: the involutions found on children (12,751
+        # by the direct swaps, 1,145 more within _swap_group) and on
+        # parents, the children accepted with a swap and no canonical
+        # search, and the children left to the canonical search
+        assert swaps == 13896
+        assert parent_swaps == 5005
+        assert swap_accepts == 12136
+        assert child_searches == 337
+        # rule (a): the parents whose stable cells are not all twins,
+        # with their group certified by _swap_group or searched; rule (b):
+        # the 710 ties on which a direct swap gave up, accepted by
+        # _swap_group's generators (the second tier) or searched
+        assert parents == {"certified": 2760, "searched": 208}
+        assert ties == {"second tier": 373, "searched": 337}
         # the refine calls with an abort hook, all on children: of the
         # 36,357 ties, the hook decides 23,884 early (the tracer's
         # canon.refine.aborts) and 12,473 reach a stable partition
@@ -642,7 +795,8 @@ class TestLeafDecision:
         # child is K3,3, one stable cell, and all six vertices tie on the
         # key.  The twin 0 of the new vertex 5 is swapped, but 1 is not:
         # propagating (5 1) must pair {0, 4} with {2, 3} inside the one
-        # cell, so it gives up, and the canonical search decides
+        # cell, so it gives up.  So does _swap_group, which must swap 0
+        # and 1 the same way, and the canonical search decides
         path, child = self.child_path(
             monkeypatch, (0b1110, 0b10001, 0b10001, 0b10001, 0b1110), 0b1110)
         assert path == ("fallback", True)
@@ -650,6 +804,24 @@ class TestLeafDecision:
         stable = refine(child, degree_cells(child, 6))
         assert stable == [0b111111]
         assert _swap_taking(child, 5, 1, stable) is None
+
+    def test_group_accept(self, monkeypatch):
+        # a hub 0 joined to two copies of a path on three vertices, the
+        # ends 1, 2 and the middle 5 of one and the ends 3, 4 and the new
+        # vertex 6 of the other; 6 ties 5 on the key (3, 10, 2).  Swapping
+        # them must pair {1, 2} with {3, 4} in one stable cell and gives
+        # up, but _swap_group swaps 1 with its twin 2 and then with 3,
+        # which swaps the copies, so 6 joins 5 with no search
+        path, child = self.child_path(
+            monkeypatch, (62, 33, 33, 1, 1, 7), 0b11001)
+        assert path == ("group", True)
+        assert new_vertex_comes_last(list(child), 6)
+        stable = refine(child, degree_cells(child, 7))
+        assert stable == [0b0011110, 0b1100000, 0b0000001]
+        assert _swap_taking(child, 6, 5, stable) is None
+        assert _swap_group(child, 7, stable) == [
+            (0, 2, 1, 3, 4, 5, 6), (0, 3, 4, 1, 2, 6, 5),
+            (0, 1, 2, 4, 3, 5, 6)]
 
     # The cubic graph on 8 vertices made of two triangles joined by one
     # edge (the link), with two more vertices x and y joined to each other:
