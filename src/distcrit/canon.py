@@ -20,16 +20,17 @@ ones.  The form is not in general the least over all relabelings: from
 six vertices on, the least relabeling may not be a leaf (edges 01 02 03
 14 25 35 get 000100101101001, although 000010110110001 is a relabeling).
 
-A stable partition whose non-singleton cells are all twins (same
-neighbours apart from each other) is read without backtracking (_search).
-
-Two classic prunings keep symmetric inputs feasible: when a leaf ties the
-current best, the pair of labelings yields an automorphism, and the search
-jumps back to the deepest node shared with the best leaf's branch; at each
-node, sibling branch vertices lying in one orbit of the automorphisms that
-fix the node's individualized prefix are explored only once.  The
-search also returns its labeling, its generators and their orbits; the
-enumeration engine reads them where its _swap_group gives up.
+The search first walks the first path of the tree (_swap_group), joining
+each node's branch vertex to the rest of its cell by propagated swaps.
+Where they certify the whole automorphism group, as nauty reads its
+generators off its first path (McKay and Piperno, J. Symb. Comput. 2014),
+the walk's leaf is the labeling.  Otherwise two classic prunings keep
+symmetric inputs feasible: when a leaf ties the current best, the pair of
+labelings yields an automorphism, and the search jumps back to the
+deepest node shared with the best leaf's branch; at each node, sibling
+branch vertices lying in one orbit of the automorphisms that fix the
+node's individualized prefix are explored only once.  The search returns
+its labeling, its generators and their orbits.
 """
 
 from __future__ import annotations
@@ -185,8 +186,20 @@ def _union(parent: list[int], a: int, b: int) -> None:
         parent[ra] = rb
 
 
+def _form_of(adj: tuple[int, ...], lab: tuple[int, ...]) -> int:
+    """The upper-triangle row-major adjacency bits of adj relabeled by
+    lab (lab[pos] is the vertex at position pos), first bit highest."""
+    n = len(lab)
+    f = 0
+    for i in range(n):
+        ai = adj[lab[i]]
+        for j in range(i + 1, n):
+            f = f << 1 | (ai >> lab[j] & 1)
+    return f
+
+
 def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
-    """Core backtracking search.
+    """Canonical labeling, automorphism orbits and generators of adj.
 
     Returns (form_int, labeling, orbit_rep, generators) where
     labeling[pos] is the original vertex at canonical position pos,
@@ -197,28 +210,23 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     of the search tree; a caller that already holds it saves that
     refinement.  The result is the same either way.
 
-    A stable partition whose non-singleton cells are all twins
-    (_twin_pairs) is read, not searched.  Every automorphism fixes each
-    cell (refine is label-invariant) and swapping two twins is one, so
-    the cells are the orbits and their transpositions generate the group.
-    Individualizing a twin splits nothing else, so the first leaf lists
-    each cell in ascending order; every other leaf is its image under an
-    automorphism, with the same form.  This covers K0, K1, complete and
-    empty graphs.
+    The search walks its first path before it backtracks (_swap_group).
+    Where the walk certifies Aut, its leaf is the labeling.  Let v_i be
+    the vertex the path individualizes at node i, the least of the cell
+    C_i branched on there.  The walk certifies |Aut| = prod |C_i|, so the
+    automorphisms fixing v_1..v_(i-1) move v_i over all of C_i.  Every
+    automorphism maps the tree onto itself (refine is label-invariant),
+    and by induction on depth every node is the image g(N) of the
+    first-path node N of its depth: its child by g(x), x in C_i, is
+    g(h(N')) for the next first-path node N' and an h that fixes N and
+    takes v_i to x.  So every leaf is an automorphic image of the first
+    one and has its form, and the backtracking, which keeps the first
+    least leaf it reaches, would keep the first leaf: the walk's.
     """
     best_form: int | None = None
     best_lab: tuple[int, ...] = ()
     best_path: tuple[int, ...] = ()
     gens: list[tuple[int, ...]] = []
-    orbit = list(range(n))
-
-    def form_of(lab: tuple[int, ...]) -> int:
-        f = 0
-        for i in range(n):
-            ai = adj[lab[i]]
-            for j in range(i + 1, n):
-                f = f << 1 | (ai >> lab[j] & 1)
-        return f
 
     def search(cells: list[int], path: tuple[int, ...]):
         nonlocal best_form, best_lab, best_path
@@ -229,7 +237,7 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
                 break
         if tgt < 0:
             lab = tuple(cell.bit_length() - 1 for cell in cells)
-            form = form_of(lab)
+            form = _form_of(adj, lab)
             if best_form is None or form < best_form:
                 best_form, best_lab, best_path = form, lab, path
                 return None
@@ -239,8 +247,6 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
                     perm[best_lab[pos]] = lab[pos]
                 if any(perm[v] != v for v in range(n)):
                     gens.append(tuple(perm))
-                    for v in range(n):
-                        _union(orbit, v, perm[v])
                 t = 0
                 limit = min(len(path), len(best_path))
                 while t < limit and path[t] == best_path[t]:
@@ -274,21 +280,136 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
 
     if stable is None:
         stable = refine(adj, degree_cells(adj, n))
-    pairs = _twin_pairs(adj, stable)
-    if pairs is None:
+    walk = _swap_group(adj, n, stable)
+    if walk is None:
         search(stable, ())
     else:
-        best_lab = tuple(v for cell in stable for v in bits(cell))
-        best_form = form_of(best_lab)
-        for a, b in pairs:
-            gens.append(_transposition(n, a, b))
-            _union(orbit, a, b)
+        best_lab, gens = walk
+        best_form = _form_of(adj, best_lab)
     # search reaches itself through its closure; dropping the name breaks
     # that cycle, so the call's lists are freed on return and not left to
     # the cyclic collector
     del search
+    orbit = list(range(n))
+    for g in gens:
+        for v in range(n):
+            _union(orbit, v, g[v])
     rep = tuple(_find(orbit, v) for v in range(n))
     return best_form, best_lab, rep, gens
+
+
+def _swap_taking(adj: tuple[int, ...], w: int, u: int,
+                 stable: list[int]) -> "list[int] | None":
+    """An automorphism of adj that swaps w and u, an involution found by
+    propagating the transposition (w u), or None when the propagation
+    gives up.
+
+    For each moved vertex x, the images of x's neighbours must be the
+    neighbours of x's image y.  Where they are not, let a be the images
+    that are no neighbours of y and b the neighbours of y that no
+    neighbour of x maps to.  Both must hold unmoved vertices only, as many
+    of each: one of each is paired, and more are paired cell by cell of
+    the stable partition (every automorphism fixes its cells), exactly one
+    of a and one of b per cell.  Anything else gives up.  The pairs found
+    are moved and checked in turn; only unmoved vertices are paired, so
+    each vertex is moved once at most and the loop makes at most n checks.
+    stable must be equitable, with w and u in one cell.  Then every pair
+    lies in one cell (by induction: y shares x's cell, so N(y) and the
+    images of N(x) meet each cell as often, and so do a and b), and a
+    vertex alone in its cell is never moved.
+
+    A permutation that comes out is an automorphism, with no edge check:
+    a moved vertex keeps its image, and once x is checked (and its pairs
+    made) x's neighbours map onto y's.  Take an edge xz with x moved.  If
+    z is unmoved at the end, or moved by the time x's check ends, that
+    check saw both final images; if z was moved later, z's own check
+    did.  So every edge maps to an edge, and a bijection of a finite
+    graph that does is an automorphism."""
+    perm = list(range(len(adj)))
+    perm[w], perm[u] = u, w
+    moved = 1 << w | 1 << u
+    todo = [w, u]
+    while todo:
+        x = todo.pop()
+        row = adj[x]
+        image = row & ~moved
+        m = row & moved
+        while m:
+            low = m & -m
+            m ^= low
+            image |= 1 << perm[low.bit_length() - 1]
+        target = adj[perm[x]]
+        if image == target:
+            continue
+        a, b = image & ~target, target & ~image
+        if (a | b) & moved or a.bit_count() != b.bit_count():
+            return None
+        pairs = [(a, b)]
+        if a & (a - 1):
+            pairs = [(a & cell, b & cell) for cell in stable
+                     if (a | b) & cell]
+            if any(pa & (pa - 1) or pb & (pb - 1) or not pa or not pb
+                   for pa, pb in pairs):
+                return None
+        for pa, pb in pairs:
+            i, j = pa.bit_length() - 1, pb.bit_length() - 1
+            perm[i], perm[j] = j, i
+            todo += (i, j)
+        moved |= a | b
+    return perm
+
+
+def _join(adj: tuple[int, ...], w: int, targets: int, stable: list[int],
+          gens: list[tuple[int, ...]]) -> bool:
+    """Join every vertex of the mask targets to w by propagated swaps
+    (_swap_taking), appending each involution found to gens; False as
+    soon as a swap gives up.  A target already joined to w by the swaps
+    made so far is not swapped again.  stable must be equitable, with w
+    and the targets in one cell."""
+    orbit = list(range(len(adj)))
+    for u in bits(targets):
+        if _find(orbit, u) == _find(orbit, w):
+            continue
+        perm = _swap_taking(adj, w, u, stable)
+        if perm is None:
+            return False
+        gens.append(tuple(perm))
+        for x, px in enumerate(perm):  # an involution: each pair once
+            if x < px:
+                _union(orbit, x, px)
+    return True
+
+
+def _swap_group(adj: tuple[int, ...], n: int, cells: list[int]):
+    """The first path of the search tree from the equitable partition
+    cells, as (labeling, generators of Aut), or None when a swap gives
+    up.  At each node the least vertex v of the first non-singleton cell
+    C is joined to the rest of C (_join), then individualized.  A node
+    whose non-singleton cells are all twins (_twin_pairs) ends the walk:
+    their transpositions are automorphisms, and individualizing a twin
+    splits nothing else, so the path's leaf lists each cell in ascending
+    order.
+
+    That is all of Aut.  Let v_i and C_i be node i's v and C, and G_i the
+    automorphisms that fix v_1..v_(i-1).  They keep node i's partition,
+    so |G_i| <= |C_i| |G_(i+1)|, and the discrete leaf gives |Aut| <=
+    prod |C_i|.  The swaps at nodes i and on keep the cells of their
+    nodes, so fix v_1..v_(i-1), and generate H_i <= G_i.  H_i moves v_i
+    over C_i and H_(i+1) fixes v_i, so |H_i| >= |C_i| |H_(i+1)|, and
+    |H_1| >= prod |C_i| >= |Aut|.  A twin node i ends both chains: its
+    transpositions generate the product of its cells' symmetric groups,
+    which holds G_i, so H_i = G_i."""
+    gens: list[tuple[int, ...]] = []
+    while True:
+        pairs = _twin_pairs(adj, cells)
+        if pairs is not None:
+            gens += [_transposition(n, a, b) for a, b in pairs]
+            return tuple(v for cell in cells for v in bits(cell)), gens
+        t = next(i for i, c in enumerate(cells) if c & (c - 1))
+        low = cells[t] & -cells[t]
+        if not _join(adj, low.bit_length() - 1, cells[t] ^ low, cells, gens):
+            return None
+        cells = _individualize(adj, cells, t, low)
 
 
 def _transposition(n: int, a: int, b: int) -> tuple[int, ...]:

@@ -90,38 +90,28 @@ certificate.  Let C be the last cell of the stable partition that holds a
 vertex of T; the canonically last vertex of T lies in C.  If every vertex
 of T in C is automorphic to the new vertex, so is the canonically last
 one, and rule (b) holds: the verdict is the canonical search's, without
-the search.  Each such u of C is checked in turn: u may already be joined
-to the new vertex w by the automorphisms found so far.  Otherwise
-_swap_taking propagates the transposition (w u): wherever the images of
-a moved vertex's neighbours are not the neighbours of its image, the
-unmoved vertices that break this are paired, one with one, or one with
-one in each stable cell, until nothing breaks or the pairing is not
-determined.  An involution that comes out is an automorphism (the
-docstring of _swap_taking has the proof), a transposition when u is a
-twin of w (same neighbours apart from each other).  The certificate
-needs some automorphism that takes w to u, however it was found.  When
-the propagation gives up, _swap_group's generators (below) join in, and
-the canonical search, started from the stable partition, decides rule
-(b) exactly only if some vertex of T in C is still not joined to w; so
+the search.  canon._join joins each such u of C to the new vertex w in
+turn, skipping a u already joined by the swaps made so far, by an
+involution propagated from the transposition (w u) (canon._swap_taking,
+whose docstring has the proof), a transposition when u is a twin of w.
+Where a propagation gives up, canon._search decides rule (b) exactly, so
 the swaps only save searches and never change a verdict.  In the census
 to n = 9, 12,473 candidates reach a stable partition.  Their 13,461
 checks find 1,191 twins and 11,560 larger involutions (6,210 moving two
 pairs, 3,392 three and 1,958 four), and the propagation gives up on 710
-candidates: _swap_group accepts 373, and 337 are searched.
+candidates: the search reads 373 off its certified first path (see
+canon._search) and backtracks on 337.
 
-Parent groups: rule (a) needs the parent's automorphism group.  Every
-automorphism fixes each cell of the parent's stable partition, since
-refinement is label-invariant, so the group lies in the product of the
-cells' symmetric groups.  When every non-singleton cell is a set of
-pairwise twins (same neighbours apart from each other), each
-transposition within a cell is an automorphism, so the group is that
-product, which canon._search reads without backtracking.  Its orbit
-minima need no orbit table either: S is the least of its orbit iff it
-meets each cell in a prefix of the cell's members (_twin_cell_reps), one
-AND per pair of consecutive members.  In the census to n = 9 this
-decides rule (a) for 5,440 of the 8,408 parents whose stable partition
-is not discrete.  The other 2,968 call _subset_reps, with the whole
-group's generators from _swap_group (2,760) or canon._search (208).
+Parent groups: rule (a) needs the parent's automorphism group.  When
+every non-singleton cell of the parent's stable partition is a set of
+pairwise twins (same neighbours apart from each other), the group is the
+product of the cells' symmetric groups, and S is the least of its orbit
+iff it meets each cell in a prefix of the cell's members
+(_twin_cell_reps), one AND per pair of consecutive members.  In the
+census to n = 9 this decides rule (a) for 5,440 of the 8,408 parents
+whose stable partition is not discrete.  The other 2,968 call
+_subset_reps with canon._search's generators, read off the certified
+first path for 2,760 of them and found by backtracking for 208.
 
 A node carries only its adjacency and cut-vertex mask.  Its stable
 partition and automorphism generators are computed when it is expanded,
@@ -181,7 +171,7 @@ refinement and automorphism search; otherwise the table is ANDed into
 the candidates before rules (a) and (b).  A node at level n - 2 passes
 its keep table ORed with its alive set, so its dead children, which it
 neither yields nor opens, are never decided.  Both rules are decided for
-each candidate on its own (_decide_tie's union-find and abort hook start
+each candidate on its own (_decide_tie's swaps and abort hook start
 afresh per candidate, and the parent's key values are the same whichever
 candidate asks for them first), so dropping candidates changes no other
 verdict: the stream is the full stream filtered by the table, in the
@@ -209,8 +199,7 @@ import os
 import time
 from typing import Callable, Iterator, NamedTuple
 
-from .canon import (_find, _individualize, _search, _twin_pairs, _union,
-                    degree_cells, refine)
+from .canon import _join, _search, _twin_pairs, degree_cells, refine
 from .criticality import (_alive_set, _is_edge_maximal_fast, _mask_sets,
                           _pairless_sets, _table_of)
 # _articulation_mask and _is_critical_fast are no longer called here (the cut
@@ -381,104 +370,6 @@ def _key_ties(adj: tuple[int, ...], classes: dict[int, int], sums: list,
     return 0 if twins_only else ties
 
 
-def _swap_taking(adj: tuple[int, ...], w: int, u: int,
-                 stable: list[int]) -> "list[int] | None":
-    """An automorphism of adj that swaps w and u, an involution found by
-    propagating the transposition (w u), or None when the propagation
-    gives up.
-
-    For each moved vertex x, the images of x's neighbours must be the
-    neighbours of x's image y.  Where they are not, let a be the images
-    that are no neighbours of y and b the neighbours of y that no
-    neighbour of x maps to.  Both must hold unmoved vertices only, as many
-    of each: one of each is paired, and more are paired cell by cell of
-    the stable partition (every automorphism fixes its cells), exactly one
-    of a and one of b per cell.  Anything else gives up.  The pairs found
-    are moved and checked in turn; only unmoved vertices are paired, so
-    each vertex is moved once at most and the loop makes at most n checks.
-    stable must be equitable, with w and u in one cell.  Then every pair
-    lies in one cell (by induction: y shares x's cell, so N(y) and the
-    images of N(x) meet each cell as often, and so do a and b), and a
-    vertex alone in its cell is never moved.
-
-    A permutation that comes out is an automorphism, with no edge check:
-    a moved vertex keeps its image, and once x is checked (and its pairs
-    made) x's neighbours map onto y's.  Take an edge xz with x moved.  If
-    z is unmoved at the end, or moved by the time x's check ends, that
-    check saw both final images; if z was moved later, z's own check
-    did.  So every edge maps to an edge, and a bijection of a finite
-    graph that does is an automorphism."""
-    perm = list(range(len(adj)))
-    perm[w], perm[u] = u, w
-    moved = 1 << w | 1 << u
-    todo = [w, u]
-    while todo:
-        x = todo.pop()
-        row = adj[x]
-        image = row & ~moved
-        m = row & moved
-        while m:
-            low = m & -m
-            m ^= low
-            image |= 1 << perm[low.bit_length() - 1]
-        target = adj[perm[x]]
-        if image == target:
-            continue
-        a, b = image & ~target, target & ~image
-        if (a | b) & moved or a.bit_count() != b.bit_count():
-            return None
-        pairs = [(a, b)]
-        if a & (a - 1):
-            pairs = [(a & cell, b & cell) for cell in stable
-                     if (a | b) & cell]
-            if any(pa & (pa - 1) or pb & (pb - 1) or not pa or not pb
-                   for pa, pb in pairs):
-                return None
-        for pa, pb in pairs:
-            i, j = pa.bit_length() - 1, pb.bit_length() - 1
-            perm[i], perm[j] = j, i
-            todo += (i, j)
-        moved |= a | b
-    return perm
-
-
-def _swap_group(adj: tuple[int, ...], n: int,
-                cells: list[int]) -> "list[tuple[int, ...]] | None":
-    """Generators of Aut(adj) from swaps along the first path of the
-    canonical search tree, or None when a swap gives up.  cells is an
-    equitable partition that every automorphism keeps, such as the stable
-    one.  At each node the least vertex v of the first non-singleton cell
-    C is swapped (_swap_taking) with each u of C not yet joined to it by
-    that node's swaps, then individualized (canon._individualize).
-
-    That is all of Aut.  Let v_i and C_i be node i's v and C, and G_i the
-    automorphisms that fix v_1..v_(i-1).  They keep node i's partition,
-    so |G_i| <= |C_i| |G_(i+1)|, and the discrete leaf gives |Aut| <=
-    prod |C_i|.  The swaps at nodes i and on keep the cells of their
-    nodes, so fix v_1..v_(i-1), and generate H_i <= G_i.  H_i moves v_i
-    over C_i and H_(i+1) fixes v_i, so |H_i| >= |C_i| |H_(i+1)|, and
-    |H_1| >= prod |C_i| >= |Aut|."""
-    gens = []
-    while True:
-        t = next((i for i, c in enumerate(cells) if c & (c - 1)), -1)
-        if t < 0:
-            return gens
-        low = cells[t] & -cells[t]
-        v = low.bit_length() - 1
-        orbit = list(range(n))
-        for u in bits(cells[t] ^ low):
-            if _find(orbit, u) == v:
-                continue
-            perm = _swap_taking(adj, v, u, cells)
-            if perm is None:
-                return None
-            gens.append(tuple(perm))
-            for x, px in enumerate(perm):  # an involution: each pair once
-                if x < px:
-                    _union(orbit, x, px)
-        cells = _individualize(adj, cells, t, low)
-
-
 def _twin_cell_reps(k: int, pairs: list[tuple[int, int]]) -> int:
     """_subset_reps for a parent on k vertices whose stable cells are all
     twins, from its canon._twin_pairs.
@@ -552,10 +443,9 @@ def _decide_tie(adj: tuple[int, ...], k: int, top: int,
     is its only vertex of T.  The hook saw every partition on the way, so
     if refine stabilizes, the last stable cell that meets T holds the new
     vertex and another vertex of T.  The canonically last vertex of T is
-    in that cell, so rule (b) holds if all its vertices of T are
-    automorphic to the new one (the orbit certificate), found by swaps or
-    else by _swap_group's generators.  Only a vertex left unjoined needs
-    the canonical labeling, which then decides."""
+    in that cell, so rule (b) holds if all its vertices of T are joined
+    to the new one by swaps (the orbit certificate, canon._join); where a
+    swap gives up, the canonical search decides."""
     newbit = 1 << k
     accepted = False
 
@@ -572,22 +462,12 @@ def _decide_tie(adj: tuple[int, ...], k: int, top: int,
     stable = refine(adj, cells, decided)
     if stable is None:
         return accepted
-    orbit = list(range(k + 1))
-    for u in bits(next(c for c in reversed(stable) if c & top)
-                  & top & ~newbit):
-        if _find(orbit, u) == _find(orbit, k):
-            continue
-        perm = _swap_taking(adj, k, u, stable)
-        gens = [perm] if perm else _swap_group(adj, k + 1, stable) or ()
-        for g in gens:
-            for v, pv in enumerate(g):  # an involution: each pair once
-                if v < pv:
-                    _union(orbit, v, pv)
-        if _find(orbit, u) != _find(orbit, k):
-            _, lab, orep, _ = _search(adj, k + 1, stable)
-            wstar = next(v for v in reversed(lab) if top >> v & 1)
-            return orep[wstar] == orep[k]
-    return True
+    last = next(c for c in reversed(stable) if c & top)
+    if _join(adj, k, last & top & ~newbit, stable, []):
+        return True
+    _, lab, orep, _ = _search(adj, k + 1, stable)
+    wstar = next(v for v in reversed(lab) if top >> v & 1)
+    return orep[wstar] == orep[k]
 
 
 def _child_states(
@@ -626,9 +506,7 @@ def _child_states(
     # automorphisms preserve popcount, degrees and cut vertices.
     pairs = _twin_pairs(adj, cells)
     if pairs is None:
-        gens = _swap_group(adj, k, cells)
-        if gens is None:
-            gens = _search(adj, k, cells)[3]
+        gens = _search(adj, k, cells)[3]
         if gens:
             ok &= _subset_reps(k, tuple(gens))
     elif pairs:

@@ -295,8 +295,9 @@ class TestSearchPin:
     # representatives, over K0 and then every graph on 1..7 vertices in
     # the order and with the labels of tests/data/all_n1-7.g6: 1,253
     # graphs.  Taken while _search still backtracked on twin partitions
-    # and special-cased K0, K1, complete and empty graphs, so reading twin
-    # partitions changed none of them.  The graphs are read from the file,
+    # and special-cased K0, K1, complete and empty graphs, so neither
+    # reading twin partitions nor reading the labeling off a certified
+    # first path changed any of them.  The graphs are read from the file,
     # which the enumeration engine wrote while it still chose the
     # deletion by cell order, so a change of the engine's labels leaves
     # this pin alone.

@@ -18,10 +18,12 @@ from distcrit import (
     iter_connected,
     run_enumeration,
 )
-from distcrit import enumeration
+from distcrit import canon, enumeration
 from distcrit.canon import (
     _find,
     _search,
+    _swap_group,
+    _swap_taking,
     _twin_pairs,
     _union,
     automorphism_orbits,
@@ -46,8 +48,6 @@ from distcrit.enumeration import (
     _iter_leaves,
     _key_ties,
     _subset_reps,
-    _swap_group,
-    _swap_taking,
     _twin_cell_reps,
 )
 from distcrit.graph import _articulation_mask, bits
@@ -202,9 +202,10 @@ class TestAugmentationSteps:
             keys.add((k, gens))
         # every generator set of the parents of the n = 9 census, and the
         # distinct (k, generators) keys among them (which depend on the
-        # labels the engine gives its nodes)
+        # labels the engine gives its nodes, and on whether _search reads
+        # the generators off its first path or finds them backtracking)
         assert checked == 8408
-        assert len(keys) == 1787
+        assert len(keys) == 1788
 
     def test_twin_cell_reps_match_the_orbit_table(self):
         # every augmentation node to k = 8 whose stable cells are all
@@ -341,12 +342,13 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     read from the parent), "early" (refine stopped early), and at a stable
     partition "twin" (only twins of the new vertex in its cell), "swap"
     (a propagated involution larger than a twin transposition, no
-    search), "group" (a swap gave up, and _swap_group's generators
-    accepted) or "fallback" (the canonical search)."""
+    search), "group" (a swap gave up, and the canonical search's first
+    path certified the group, with no backtracking) or "fallback" (the
+    canonical search backtracked)."""
     by_key: dict[int, bool] = {}
     stopped: dict[tuple[int, ...], bool] = {}
     swapped: set[tuple[int, ...]] = set()
-    grouped: set[tuple[int, ...]] = set()
+    certified: set[tuple[int, ...]] = set()
     searched: set[tuple[int, ...]] = set()
 
     def recording_key(adj, classes, sums, tris, s, cut):
@@ -372,15 +374,17 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
         searched.add(adj)
         return _search(adj, n, stable)
 
-    def recording_group(adj, n, stable):
-        grouped.add(adj)
-        return _swap_group(adj, n, stable)
+    def recording_walk(adj, n, stable):
+        walk = _swap_group(adj, n, stable)
+        if walk is not None:
+            certified.add(adj)
+        return walk
 
     monkeypatch.setattr(enumeration, "_key_ties", recording_key)
     monkeypatch.setattr(enumeration, "refine", recording_refine)
-    monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
+    monkeypatch.setattr(canon, "_swap_taking", recording_swap)
     monkeypatch.setattr(enumeration, "_search", recording_search)
-    monkeypatch.setattr(enumeration, "_swap_group", recording_group)
+    monkeypatch.setattr(canon, "_swap_group", recording_walk)
     accepted = [_attach(state[0], s) for s, _ in _child_states(state, k)]
     monkeypatch.undo()
     paths = {}
@@ -397,9 +401,7 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
         elif stopped[child_adj]:
             path = "early"
         elif child_adj in searched:
-            path = "fallback"
-        elif child_adj in grouped:
-            path = "group"
+            path = "group" if child_adj in certified else "fallback"
         elif child_adj in swapped:
             path = "swap"
         else:
@@ -458,48 +460,51 @@ SYMMETRIC = {
 }
 
 
-class TestSwapGroup:
-    """_swap_group's generators, where it gives any, span the whole group
-    that canon._search's generators span; where it gives None, nothing is
-    claimed and the caller searches."""
+class TestCertifiedRead:
+    """Where the first-path walk certifies the group, _search reads its
+    leaf without backtracking.  Against a search with the walk turned
+    off, which backtracks on every graph, it gives the same form,
+    labeling and orbit representatives, and generators of the same
+    group."""
 
     @staticmethod
-    def certified(adj: tuple[int, ...], n: int) -> "bool | None":
-        """Whether _swap_group certifies the group of adj (None if the
-        stable partition is all twins, which the engine reads directly),
-        after checking a certified group against the search's."""
+    def certified(monkeypatch, adj: tuple[int, ...], n: int) -> bool:
+        """Whether the walk certifies the group of adj, after checking
+        _search against the search with the walk turned off."""
+        got = _search(adj, n)
+        with monkeypatch.context() as m:
+            m.setattr(canon, "_swap_group", lambda *args: None)
+            want = _search(adj, n)
+        assert got[:3] == want[:3]
+        if got[3] != want[3]:
+            assert group_of(n, got[3]) == group_of(n, want[3])
         stable = refine(adj, degree_cells(adj, n))
-        if _twin_pairs(adj, stable) is not None:
-            return None
-        gens = _swap_group(adj, n, stable)
-        if gens is None:
-            return False
-        assert group_of(n, gens) == group_of(n, _search(adj, n, stable)[3])
-        return True
+        return _swap_group(adj, n, stable) is not None
 
-    def test_every_census_parent(self):
-        # every parent of the n = 9 census whose stable cells are not all
-        # twins, the ones rule (a) used to search
-        outcomes = [self.certified(adj, k)
+    def test_every_census_parent(self, monkeypatch):
+        # every node to 8 vertices, so every parent of the n = 9 census:
+        # those whose stable cells are all twins end the walk at the root
+        # (3,705 of them discrete), and only 208 backtrack
+        outcomes = [self.certified(monkeypatch, adj, k)
                     for k, (adj, _) in augmentation_nodes(8)]
-        assert (outcomes.count(True), outcomes.count(False)) == (2760, 208)
+        assert (outcomes.count(True), outcomes.count(False)) == (11905, 208)
 
-    def test_symmetric_corpus(self):
+    def test_symmetric_corpus(self, monkeypatch):
         # vertex-transitive graphs: the first path's cell is the whole
         # vertex set, and a swap gives up on all of them but C8, whose
-        # reflections join it.  They keep the search fallback tested
+        # reflections join it.  They keep the backtracking tested
         outcomes = {}
         for name, make in SYMMETRIC.items():
             g = from_nx(make())
-            outcomes[name] = self.certified(g.adj, g.n)
+            outcomes[name] = self.certified(monkeypatch, g.adj, g.n)
         assert outcomes == {name: name == "C8" for name in SYMMETRIC}
 
-    def test_two_copies_and_a_hub(self):
+    def test_two_copies_and_a_hub(self, monkeypatch):
         # two disjoint copies of a seeded connected graph on 3 to 6
         # vertices, and a hub joined to all of their vertices: the group
         # holds the swap of the copies and both copies' own groups.  A
         # swap that pairs two vertices with two in one cell gives up, so
-        # most fall back
+        # most backtrack
         rng = random.Random(42)
         outcomes = []
         while len(outcomes) < 40:
@@ -510,8 +515,50 @@ class TestSwapGroup:
             edges = list(x.edges()) + [(a + m, b + m) for a, b in x.edges()]
             edges += [(2 * m, v) for v in range(2 * m)]
             g = Graph.from_edges(2 * m + 1, edges)
-            outcomes.append(self.certified(g.adj, g.n))
+            outcomes.append(self.certified(monkeypatch, g.adj, g.n))
         assert (outcomes.count(True), outcomes.count(False)) == (14, 26)
+
+    def test_paths_cycles_bipartite_and_trees(self, monkeypatch):
+        # paths and cycles to 60 vertices, complete bipartite graphs and
+        # complete binary trees of depth 1 to 4.  K3,3 and K4,4 are one
+        # cell of non-twins, like K3,3 in test_automorphism_search_accept.
+        # From depth 3 on, swapping the least leaf with a leaf in the
+        # other half of the tree must pair two leaves with two in one cell
+        graphs = {}
+        for n in range(1, 61):
+            graphs[f"P{n}"] = from_nx(nx.path_graph(n))
+            if n >= 3:
+                graphs[f"C{n}"] = from_nx(nx.cycle_graph(n))
+        for a in range(1, 5):
+            for b in range(a, 5):
+                graphs[f"K{a},{b}"] = from_nx(
+                    nx.complete_bipartite_graph(a, b))
+        for depth in range(1, 5):
+            graphs[f"tree{depth}"] = from_nx(nx.balanced_tree(2, depth))
+        backtracked = [name for name, g in graphs.items()
+                       if not self.certified(monkeypatch, g.adj, g.n)]
+        assert backtracked == ["K3,3", "K4,4", "tree3", "tree4"]
+
+    def test_certified_read_computes_one_form(self, monkeypatch, petersen):
+        # a certified graph has the form of its walk's leaf computed and
+        # no other; the Petersen graph's walk gives up, and its search
+        # backtracks over four leaves
+        forms = 0
+        form_of = canon._form_of
+
+        def counting_form(adj, lab):
+            nonlocal forms
+            forms += 1
+            return form_of(adj, lab)
+
+        counts = {}
+        for name, g in (("C50", cycle(50)), ("Petersen", petersen)):
+            forms = 0
+            monkeypatch.setattr(canon, "_form_of", counting_form)
+            _search(g.adj, g.n)
+            monkeypatch.undo()
+            counts[name] = forms
+        assert counts == {"C50": 1, "Petersen": 4}
 
 
 def least_in_orbit(s: int, gens) -> bool:
@@ -624,15 +671,18 @@ class TestLeafDecision:
 
     def test_twin_ties_and_swaps_are_sound(self, monkeypatch):
         # every node to k = 8, so every child on up to 9 vertices.  Every
-        # swap, made on a parent (for rule (a), by _swap_group) or on a
-        # child (for rule (b)), is an involution and an automorphism by
-        # edge set that swaps w and u and keeps each cell of the partition
-        # it was given.  A child that swaps (a transposition of twins of
-        # the new vertex, or a larger propagated involution, alone or
-        # within _swap_group) helped accept with no canonical search keeps
-        # rule (b) by the definition
-        record: dict[str, list] = {"swap": [], "search": [], "group": []}
+        # swap, made on a parent (by the first-path walk of its canonical
+        # search, for rule (a)) or on a child (joining the tied vertices
+        # to the new one, or by the walk, for rule (b)), is an involution
+        # and an automorphism by edge set that swaps w and u and keeps
+        # each cell of the partition it was given.  A child that swaps (a
+        # transposition of twins of the new vertex, or a larger
+        # propagated involution) accepted with no canonical search keeps
+        # rule (b) by the definition, and so does a child whose search
+        # reads a certified walk
+        record: dict[str, list] = {"swap": [], "search": [], "walk": []}
         hooked = {"early": 0, "stable": 0}
+        swap_calls = 0
 
         def recording_refine(adj, cells, abort=None):
             out = refine(adj, cells, abort)
@@ -641,6 +691,8 @@ class TestLeafDecision:
             return out
 
         def recording_swap(adj, w, u, stable):
+            nonlocal swap_calls
+            swap_calls += 1
             perm = _swap_taking(adj, w, u, stable)
             if perm is not None:
                 edges = {(v, x) for v in range(len(adj)) for x in bits(adj[v])}
@@ -656,58 +708,57 @@ class TestLeafDecision:
             record["search"].append(adj)
             return _search(adj, n, stable)
 
-        def recording_group(adj, n, stable):
-            gens = _swap_group(adj, n, stable)
-            record["group"].append((adj, gens is not None))
-            return gens
+        def recording_walk(adj, n, stable):
+            walk = _swap_group(adj, n, stable)
+            record["walk"].append((adj, walk is not None))
+            return walk
 
-        swap_accepts = swaps = parent_swaps = child_searches = 0
-        parents = {"certified": 0, "searched": 0}
-        ties = {"second tier": 0, "searched": 0}
+        swap_accepts = swaps = parent_swaps = 0
+        searches = {(level, walk): 0 for level in ("parent", "child")
+                    for walk in ("certified", "backtracked")}
         for k, state in augmentation_nodes(8):
             for key in record:
                 record[key].clear()
-            monkeypatch.setattr(enumeration, "_swap_taking", recording_swap)
+            monkeypatch.setattr(canon, "_swap_taking", recording_swap)
             monkeypatch.setattr(enumeration, "_search", recording_search)
-            monkeypatch.setattr(enumeration, "_swap_group", recording_group)
+            monkeypatch.setattr(canon, "_swap_group", recording_walk)
             monkeypatch.setattr(enumeration, "refine", recording_refine)
             accepted = {s for s, _ in _child_states(state, k)}
             monkeypatch.undo()
-            # a parent's rows have k entries and a child's k + 1
+            # a parent's rows have k entries and a child's k + 1; each
+            # search walks its first path once
             children = [a for a in record["swap"] if len(a) == k + 1]
             swaps += len(children)
             parent_swaps += len(record["swap"]) - len(children)
-            searched = [a for a in record["search"] if len(a) == k + 1]
-            child_searches += len(searched)
-            parent_groups = [ok for a, ok in record["group"] if len(a) == k]
-            assert len(record["search"]) - len(searched) == \
-                parent_groups.count(False)
-            parents["certified"] += parent_groups.count(True)
-            parents["searched"] += parent_groups.count(False)
-            for child, _ in record["group"]:
-                if len(child) == k + 1:
-                    tier = "searched" if child in searched else "second tier"
-                    ties[tier] += 1
-                    if tier == "second tier":
-                        assert child[-1] in accepted
-            for child in set(children) - set(searched):
+            assert [a for a, _ in record["walk"]] == record["search"]
+            for adj, certified in record["walk"]:
+                level = "child" if len(adj) == k + 1 else "parent"
+                searches[level, "certified" if certified
+                         else "backtracked"] += 1
+                if level == "child" and certified:
+                    assert (adj[-1] in accepted) == \
+                        new_vertex_comes_last(list(adj), k)
+            for child in set(children) - set(record["search"]):
                 if child[-1] in accepted:
                     assert new_vertex_comes_last(list(child), k)
                     swap_accepts += 1
-        # the census to n = 9: the involutions found on children (12,751
-        # by the direct swaps, 1,145 more within _swap_group) and on
-        # parents, the children accepted with a swap and no canonical
-        # search, and the children left to the canonical search
-        assert swaps == 13896
-        assert parent_swaps == 5005
-        assert swap_accepts == 12136
-        assert child_searches == 337
-        # rule (a): the parents whose stable cells are not all twins,
-        # with their group certified by _swap_group or searched; rule (b):
-        # the 710 ties on which a direct swap gave up, accepted by
-        # _swap_group's generators (the second tier) or searched
-        assert parents == {"certified": 2760, "searched": 208}
-        assert ties == {"second tier": 373, "searched": 337}
+        # the census to n = 9: every _swap_taking call, given up or not,
+        # the involutions found on children and on parents (a walk that
+        # reaches a node of twins reads their transpositions and swaps
+        # no more), and the children accepted with a swap and no
+        # canonical search
+        assert swap_calls == 18688
+        assert swaps == 13656
+        assert parent_swaps == 3777
+        assert swap_accepts == 11763
+        # rule (a): the 2,968 parents whose stable cells are not all
+        # twins; rule (b): the 710 ties on which a direct swap gave up.
+        # Each is searched, and its walk certifies the group or the
+        # search backtracks
+        assert searches == {("parent", "certified"): 2760,
+                            ("parent", "backtracked"): 208,
+                            ("child", "certified"): 373,
+                            ("child", "backtracked"): 337}
         # the refine calls with an abort hook, all on children: of the
         # 36,357 ties, the hook decides 23,884 early (the tracer's
         # canon.refine.aborts) and 12,473 reach a stable partition
@@ -795,8 +846,9 @@ class TestLeafDecision:
         # child is K3,3, one stable cell, and all six vertices tie on the
         # key.  The twin 0 of the new vertex 5 is swapped, but 1 is not:
         # propagating (5 1) must pair {0, 4} with {2, 3} inside the one
-        # cell, so it gives up.  So does _swap_group, which must swap 0
-        # and 1 the same way, and the canonical search decides
+        # cell, so it gives up.  So does the canonical search's first-path
+        # walk, which must swap 0 and 1 the same way, and the search
+        # backtracks
         path, child = self.child_path(
             monkeypatch, (0b1110, 0b10001, 0b10001, 0b10001, 0b1110), 0b1110)
         assert path == ("fallback", True)
@@ -810,8 +862,11 @@ class TestLeafDecision:
         # ends 1, 2 and the middle 5 of one and the ends 3, 4 and the new
         # vertex 6 of the other; 6 ties 5 on the key (3, 10, 2).  Swapping
         # them must pair {1, 2} with {3, 4} in one stable cell and gives
-        # up, but _swap_group swaps 1 with its twin 2 and then with 3,
-        # which swaps the copies, so 6 joins 5 with no search
+        # up.  The canonical search's first path swaps 1 with its twin 2
+        # and then with 3, which swaps the copies, and individualizing 1
+        # leaves the twins 3 and 4 as the one non-singleton cell: the
+        # group is certified, and the walk's leaf is the labeling, with
+        # 6 in the orbit of 5, so no branch is backtracked
         path, child = self.child_path(
             monkeypatch, (62, 33, 33, 1, 1, 7), 0b11001)
         assert path == ("group", True)
@@ -819,9 +874,10 @@ class TestLeafDecision:
         stable = refine(child, degree_cells(child, 7))
         assert stable == [0b0011110, 0b1100000, 0b0000001]
         assert _swap_taking(child, 6, 5, stable) is None
-        assert _swap_group(child, 7, stable) == [
-            (0, 2, 1, 3, 4, 5, 6), (0, 3, 4, 1, 2, 6, 5),
-            (0, 1, 2, 4, 3, 5, 6)]
+        assert _swap_group(child, 7, stable) == (
+            (1, 2, 3, 4, 6, 5, 0),
+            [(0, 2, 1, 3, 4, 5, 6), (0, 3, 4, 1, 2, 6, 5),
+             (0, 1, 2, 4, 3, 5, 6)])
 
     # The cubic graph on 8 vertices made of two triangles joined by one
     # edge (the link), with two more vertices x and y joined to each other:
