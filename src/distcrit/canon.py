@@ -30,7 +30,8 @@ labelings yields an automorphism, and the search jumps back to the
 deepest node shared with the best leaf's branch; at each node, sibling
 branch vertices lying in one orbit of the automorphisms that fix the
 node's individualized prefix are explored only once.  The search returns
-its labeling, its generators and their orbits.
+its labeling and its generators; a caller builds the form (_form_of) or
+the orbits (_orbit_reps) from them where it reads them.
 """
 
 from __future__ import annotations
@@ -198,17 +199,27 @@ def _form_of(adj: tuple[int, ...], lab: tuple[int, ...]) -> int:
     return f
 
 
-def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
-    """Canonical labeling, automorphism orbits and generators of adj.
+def _orbit_reps(n: int, gens) -> tuple[int, ...]:
+    """The least vertex of each vertex's orbit under the group that the
+    permutations gens generate on 0..n-1."""
+    orbit = list(range(n))
+    for g in gens:
+        for v in range(n):
+            _union(orbit, v, g[v])
+    return tuple(_find(orbit, v) for v in range(n))
 
-    Returns (form_int, labeling, orbit_rep, generators) where
-    labeling[pos] is the original vertex at canonical position pos,
-    orbit_rep[v] is the least vertex in v's automorphism orbit, and
-    generators are permutation tuples generating the automorphism group.
 
-    stable, if given, must be refine(adj, degree_cells(adj, n)), the root
-    of the search tree; a caller that already holds it saves that
-    refinement.  The result is the same either way.
+def _search(adj: tuple[int, ...], stable: "list[int] | None" = None):
+    """Canonical labeling and automorphism group generators of adj.
+
+    Returns (labeling, generators) where labeling[pos] is the original
+    vertex at canonical position pos and generators are permutation
+    tuples generating the automorphism group.  The canonical form is
+    _form_of(adj, labeling), the orbits _orbit_reps(len(adj), generators).
+
+    stable, if given, must be refine(adj, degree_cells(adj, len(adj))),
+    the root of the search tree; a caller that already holds it saves
+    that refinement.  The result is the same either way.
 
     The search walks its first path before it backtracks (_swap_group).
     Where the walk certifies Aut, its leaf is the labeling.  Let v_i be
@@ -220,9 +231,21 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
     first-path node N of its depth: its child by g(x), x in C_i, is
     g(h(N')) for the next first-path node N' and an h that fixes N and
     takes v_i to x.  So every leaf is an automorphic image of the first
-    one and has its form, and the backtracking, which keeps the first
-    least leaf it reaches, would keep the first leaf: the walk's.
+    one and has its form, and the backtracking (_backtrack), which keeps
+    the first least leaf it reaches, would keep the first leaf: the
+    walk's.
     """
+    if stable is None:
+        stable = refine(adj, degree_cells(adj, len(adj)))
+    return _swap_group(adj, stable) or _backtrack(adj, stable)
+
+
+def _backtrack(adj: tuple[int, ...], stable: list[int]):
+    """(labeling, generators) of adj by backtracking over the search tree
+    rooted at its stable partition: the labeling of the least leaf form
+    (the first such leaf reached), and the automorphisms read off leaves
+    that tie it."""
+    n = len(adj)
     best_form: int | None = None
     best_lab: tuple[int, ...] = ()
     best_path: tuple[int, ...] = ()
@@ -256,7 +279,7 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
 
         tried: list[int] = []
         seen_gens = -1
-        lroot: list[int] = []
+        rep: tuple[int, ...] = ()
         m = cells[tgt]
         while m:
             low = m & -m
@@ -265,12 +288,9 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
             if tried:
                 if len(gens) != seen_gens:
                     seen_gens = len(gens)
-                    lroot = list(range(n))
-                    for g in gens:
-                        if all(g[p] == p for p in path):
-                            for u in range(n):
-                                _union(lroot, u, g[u])
-                if any(_find(lroot, v) == _find(lroot, u) for u in tried):
+                    rep = _orbit_reps(n, [g for g in gens
+                                          if all(g[p] == p for p in path)])
+                if any(rep[v] == rep[u] for u in tried):
                     continue
             tried.append(v)
             res = search(_individualize(adj, cells, tgt, low), path + (v,))
@@ -278,24 +298,12 @@ def _search(adj: tuple[int, ...], n: int, stable: "list[int] | None" = None):
                 return res
         return None
 
-    if stable is None:
-        stable = refine(adj, degree_cells(adj, n))
-    walk = _swap_group(adj, n, stable)
-    if walk is None:
-        search(stable, ())
-    else:
-        best_lab, gens = walk
-        best_form = _form_of(adj, best_lab)
+    search(stable, ())
     # search reaches itself through its closure; dropping the name breaks
     # that cycle, so the call's lists are freed on return and not left to
     # the cyclic collector
     del search
-    orbit = list(range(n))
-    for g in gens:
-        for v in range(n):
-            _union(orbit, v, g[v])
-    rep = tuple(_find(orbit, v) for v in range(n))
-    return best_form, best_lab, rep, gens
+    return best_lab, gens
 
 
 def _swap_taking(adj: tuple[int, ...], w: int, u: int,
@@ -380,7 +388,7 @@ def _join(adj: tuple[int, ...], w: int, targets: int, stable: list[int],
     return True
 
 
-def _swap_group(adj: tuple[int, ...], n: int, cells: list[int]):
+def _swap_group(adj: tuple[int, ...], cells: list[int]):
     """The first path of the search tree from the equitable partition
     cells, as (labeling, generators of Aut), or None when a swap gives
     up.  At each node the least vertex v of the first non-singleton cell
@@ -403,7 +411,7 @@ def _swap_group(adj: tuple[int, ...], n: int, cells: list[int]):
     while True:
         pairs = _twin_pairs(adj, cells)
         if pairs is not None:
-            gens += [_transposition(n, a, b) for a, b in pairs]
+            gens += [_transposition(len(adj), a, b) for a, b in pairs]
             return tuple(v for cell in cells for v in bits(cell)), gens
         t = next(i for i, c in enumerate(cells) if c & (c - 1))
         low = cells[t] & -cells[t]
@@ -452,11 +460,10 @@ def _pack_form(form_int: int, n: int) -> bytes:
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form; equal across isomorphic graphs, else distinct."""
-    form_int, _, _, _ = _search(g.adj, g.n)
-    return CanonicalForm(g.n, _pack_form(form_int, g.n))
+    lab, _ = _search(g.adj)
+    return CanonicalForm(g.n, _pack_form(_form_of(g.adj, lab), g.n))
 
 
 def automorphism_orbits(g: Graph) -> tuple[int, ...]:
     """Least orbit member per vertex under the full automorphism group."""
-    _, _, rep, _ = _search(g.adj, g.n)
-    return rep
+    return _orbit_reps(g.n, _search(g.adj)[1])

@@ -58,6 +58,10 @@ def test_tracer_counts_the_census():
     # 995 graphs on 2..7 vertices they accept
     assert (states[layers.CALLS], states[layers.HITS],
             states[layers.ITEMS]) == (143, 7815, 995)
+    # every canonical search the census makes goes through the name the
+    # tracer wraps, enumeration._search: 65 at n = 7.  A search routed
+    # around it would read 0 in the canon.search metrics
+    assert tracer.recs["canon.search"][layers.CALLS] == 65
     assert all(getattr(module, name) is before[module][name]
                for module, name in patched)
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from distcrit import (Graph, automorphism_orbits, canonical_form,
                       decode_graph6, iter_all_graphs)
-from distcrit.canon import _search, degree_cells, refine
+from distcrit.canon import (_form_of, _orbit_reps, _search, degree_cells,
+                            refine)
 from distcrit.graph import bits
 from conftest import augmentation_nodes, child_adjacencies, random_graph
 
@@ -151,7 +152,7 @@ class TestCanonicalForm:
         rng = random.Random(55)
         for _ in range(100):
             g = random_graph(rng.randint(1, 8), 0.5, rng)
-            _, lab, _, _ = _search(g.adj, g.n)
+            lab, _ = _search(g.adj)
             assert sorted(lab) == list(range(g.n))
             pos = {v: i for i, v in enumerate(lab)}
             h = relabel(g, [pos[v] for v in range(g.n)])
@@ -270,12 +271,12 @@ class TestRefine:
 
 class TestSearchFromStable:
     """_search started from a given stable root partition returns the same
-    form, labeling, orbit reps and generators as from the degree cells."""
+    labeling and generators as from the degree cells."""
 
     @staticmethod
     def assert_same_search(adj, n):
         stable = refine(adj, degree_cells(adj, n))
-        assert _search(adj, n, stable) == _search(adj, n)
+        assert _search(adj, stable) == _search(adj)
 
     def test_every_augmentation_child_to_seven(self):
         for k, (adj, _) in augmentation_nodes(6):
@@ -291,26 +292,33 @@ class TestSearchFromStable:
 
 
 class TestSearchPin:
-    # sha256 of repr(_search(adj, n)[:3]), the form, labeling and orbit
-    # representatives, over K0 and then every graph on 1..7 vertices in
-    # the order and with the labels of tests/data/all_n1-7.g6: 1,253
-    # graphs.  Taken while _search still backtracked on twin partitions
-    # and special-cased K0, K1, complete and empty graphs, so neither
-    # reading twin partitions nor reading the labeling off a certified
-    # first path changed any of them.  The graphs are read from the file,
-    # which the enumeration engine wrote while it still chose the
-    # deletion by cell order, so a change of the engine's labels leaves
-    # this pin alone.
+    # sha256 of the repr of (form, labeling, orbit representatives), each
+    # triple built from _search's labeling and generators as canonical_form
+    # and automorphism_orbits build them (_form_of, _orbit_reps), over K0
+    # and then every graph on 1..7 vertices in the order and with the
+    # labels of tests/data/all_n1-7.g6: 1,253 graphs.  Taken while _search
+    # still backtracked on twin partitions, special-cased K0, K1, complete
+    # and empty graphs and returned the triple itself, so neither reading
+    # twin partitions, nor reading the labeling off a certified first
+    # path, nor leaving the form and orbits to the callers changed any of
+    # them.  The graphs are read from the file, which the enumeration
+    # engine wrote while it still chose the deletion by cell order, so a
+    # change of the engine's labels leaves this pin alone.
     SEARCH_SHA256 = (
         "b9b60ee99f0dd252e92e17e0791287ad347652918b8e68d794eb5fe921ad18c1")
 
+    @staticmethod
+    def triple(adj: tuple[int, ...]):
+        lab, gens = _search(adj)
+        return _form_of(adj, lab), lab, _orbit_reps(len(adj), gens)
+
     def test_search_on_every_graph_to_seven(self):
         data = Path(__file__).resolve().parent / "data" / "all_n1-7.g6"
-        h = hashlib.sha256(repr(_search((), 0)[:3]).encode())
+        h = hashlib.sha256(repr(self.triple(())).encode())
         count = 1
         for line in data.read_text().splitlines():
             g = decode_graph6(line)
-            h.update(repr(_search(g.adj, g.n)[:3]).encode())
+            h.update(repr(self.triple(g.adj)).encode())
             count += 1
         assert count == 1253
         assert h.hexdigest() == self.SEARCH_SHA256
@@ -328,7 +336,7 @@ class TestAutomorphisms:
         for _ in range(120):
             g = random_graph(rng.randint(2, 8), 0.5, rng)
             edges = {frozenset(e) for e in g.edges()}
-            for p in _search(g.adj, g.n)[3]:
+            for p in _search(g.adj)[1]:
                 assert sorted(p) == list(range(g.n))
                 assert {frozenset((p[x], p[y])) for x, y in g.edges()} == edges
 
@@ -345,7 +353,7 @@ class TestAutomorphisms:
                     x = parent[x]
                 return x
 
-            for p in _search(g.adj, g.n)[3]:
+            for p in _search(g.adj)[1]:
                 for v in range(g.n):
                     a, b = find(v), find(p[v])
                     if a != b:
@@ -378,7 +386,7 @@ class TestAutomorphisms:
         gc.collect()
         gc.disable()
         try:
-            _search(petersen.adj, 10)
+            _search(petersen.adj)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -21,6 +21,8 @@ from distcrit import (
 from distcrit import canon, enumeration
 from distcrit.canon import (
     _find,
+    _form_of,
+    _orbit_reps,
     _search,
     _swap_group,
     _swap_taking,
@@ -192,7 +194,7 @@ class TestAugmentationSteps:
             # group, twin-cell ones included (the census reads theirs
             # from _twin_cell_reps, checked against this table below)
             stable = refine(adj, degree_cells(adj, k))
-            gens = tuple(_search(adj, k, stable)[3])
+            gens = tuple(_search(adj, stable)[1])
             if not gens:
                 continue
             got = _subset_reps(k, gens)
@@ -217,7 +219,7 @@ class TestAugmentationSteps:
             pairs = _twin_pairs(adj, stable)
             if pairs is None:
                 continue
-            gens = tuple(_search(adj, k, stable)[3])
+            gens = tuple(_search(adj, stable)[1])
             assert _twin_cell_reps(k, pairs) == _subset_reps(k, gens)
             twin += 1
             discrete += not pairs
@@ -255,7 +257,7 @@ class TestAugmentationSteps:
                 if _twin_pairs(g.adj, stable) is None:
                     continue
                 read += 1
-                gens = _search(g.adj, n, stable)[3]
+                gens = _search(g.adj, stable)[1]
                 orbit = list(range(n))
                 for perm in gens:
                     assert all(g.adj[perm[v]] == sum(
@@ -274,7 +276,8 @@ class TestAugmentationSteps:
         assert _twin_pairs(c6.adj, refine(
             c6.adj, degree_cells(c6.adj, 6))) is None
         star = (0b1110, 1, 1, 1)
-        assert _search(star, 4, refine(star, degree_cells(star, 4)))[1:] == \
+        lab, gens = _search(star, refine(star, degree_cells(star, 4)))
+        assert (lab, _orbit_reps(4, gens), gens) == \
             ((1, 2, 3, 0), (0, 1, 1, 1), [(0, 2, 1, 3), (0, 1, 3, 2)])
 
     def test_subset_reps_on_9_and_10_vertices(self, petersen):
@@ -288,13 +291,13 @@ class TestAugmentationSteps:
                   complete_bipartite(5, 5), complete_bipartite(1, 9),
                   petersen]
         for g in graphs:
-            gens = tuple(_search(g.adj, g.n)[3])
+            gens = tuple(_search(g.adj)[1])
             assert gens
             assert _subset_reps(g.n, gens) == subset_reps_dfs(g.n, gens)
 
     def test_subset_reps_cache(self, petersen):
         assert _subset_reps.cache_info().maxsize == 1 << 16
-        gens = tuple(_search(petersen.adj, 10)[3])
+        gens = tuple(_search(petersen.adj)[1])
         _subset_reps.cache_clear()
         fresh = _subset_reps(10, gens)
         assert _subset_reps(10, gens) is fresh
@@ -303,7 +306,7 @@ class TestAugmentationSteps:
 
         # after a clear each result is computed again and still equals
         # the orbit DFS
-        nodes = [(k, tuple(_search(adj, k)[3])) for k, (adj, _) in
+        nodes = [(k, tuple(_search(adj)[1])) for k, (adj, _) in
                  augmentation_nodes(6)]
         keys = {(k, gens) for k, gens in nodes if gens}
         assert len(keys) > 3
@@ -370,12 +373,12 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
             swapped.add(adj)
         return perm
 
-    def recording_search(adj, n, stable=None):
+    def recording_search(adj, stable=None):
         searched.add(adj)
-        return _search(adj, n, stable)
+        return _search(adj, stable)
 
-    def recording_walk(adj, n, stable):
-        walk = _swap_group(adj, n, stable)
+    def recording_walk(adj, stable):
+        walk = _swap_group(adj, stable)
         if walk is not None:
             certified.add(adj)
         return walk
@@ -471,15 +474,20 @@ class TestCertifiedRead:
     def certified(monkeypatch, adj: tuple[int, ...], n: int) -> bool:
         """Whether the walk certifies the group of adj, after checking
         _search against the search with the walk turned off."""
-        got = _search(adj, n)
+        got = _search(adj)
         with monkeypatch.context() as m:
             m.setattr(canon, "_swap_group", lambda *args: None)
-            want = _search(adj, n)
-        assert got[:3] == want[:3]
-        if got[3] != want[3]:
-            assert group_of(n, got[3]) == group_of(n, want[3])
+            want = _search(adj)
+
+        def triple(found):
+            lab, gens = found
+            return _form_of(adj, lab), lab, _orbit_reps(n, gens)
+
+        assert triple(got) == triple(want)
+        if got[1] != want[1]:
+            assert group_of(n, got[1]) == group_of(n, want[1])
         stable = refine(adj, degree_cells(adj, n))
-        return _swap_group(adj, n, stable) is not None
+        return _swap_group(adj, stable) is not None
 
     def test_every_census_parent(self, monkeypatch):
         # every node to 8 vertices, so every parent of the n = 9 census:
@@ -540,9 +548,10 @@ class TestCertifiedRead:
         assert backtracked == ["K3,3", "K4,4", "tree3", "tree4"]
 
     def test_certified_read_computes_one_form(self, monkeypatch, petersen):
-        # a certified graph has the form of its walk's leaf computed and
-        # no other; the Petersen graph's walk gives up, and its search
-        # backtracks over four leaves
+        # _search computes no form where the walk certifies the group, and
+        # one per leaf it backtracks over: none on C50, four on the
+        # Petersen graph, whose walk gives up.  canonical_form computes
+        # one more, of the labeling _search returns
         forms = 0
         form_of = canon._form_of
 
@@ -553,12 +562,46 @@ class TestCertifiedRead:
 
         counts = {}
         for name, g in (("C50", cycle(50)), ("Petersen", petersen)):
-            forms = 0
-            monkeypatch.setattr(canon, "_form_of", counting_form)
-            _search(g.adj, g.n)
-            monkeypatch.undo()
-            counts[name] = forms
-        assert counts == {"C50": 1, "Petersen": 4}
+            for call in (_search, canonical_form):
+                forms = 0
+                monkeypatch.setattr(canon, "_form_of", counting_form)
+                call(g.adj if call is _search else g)
+                monkeypatch.undo()
+                counts[name, call.__name__] = forms
+        assert counts == {("C50", "_search"): 0,
+                          ("C50", "canonical_form"): 1,
+                          ("Petersen", "_search"): 4,
+                          ("Petersen", "canonical_form"): 5}
+
+    def test_forms_only_inside_the_backtracking(self, monkeypatch):
+        # the census builds no form outside canon._backtrack, which
+        # compares its leaves by form: rule (a) reads only the generators
+        # and rule (b) the labeling and orbits
+        depth = 0
+        inside = outside = 0
+        form_of, backtrack = canon._form_of, canon._backtrack
+
+        def counting_form(adj, lab):
+            nonlocal inside, outside
+            if depth:
+                inside += 1
+            else:
+                outside += 1
+            return form_of(adj, lab)
+
+        def counting_backtrack(adj, stable):
+            nonlocal depth
+            depth += 1
+            try:
+                return backtrack(adj, stable)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(canon, "_form_of", counting_form)
+        monkeypatch.setattr(canon, "_backtrack", counting_backtrack)
+        run_enumeration(8)
+        monkeypatch.undo()
+        assert (inside, outside) == (391, 0)
 
 
 def least_in_orbit(s: int, gens) -> bool:
@@ -596,7 +639,8 @@ def new_vertex_comes_last(child: list[int], k: int) -> bool:
     of the deletable vertices of largest key."""
     keys = deletable_keys(child, k + 1)
     top = max(keys.values())
-    _, lab, orep, _ = _search(tuple(child), k + 1)
+    lab, gens = _search(tuple(child))
+    orep = _orbit_reps(k + 1, gens)
     last = next(v for v in reversed(lab) if keys.get(v) == top)
     return orep[last] == orep[k]
 
@@ -609,7 +653,7 @@ class TestLeafDecision:
         candidates = accepts = 0
         for k, state in augmentation_nodes(6):
             adj = state[0]
-            gens = _search(adj, k)[3]
+            gens = _search(adj)[1]
             want = [tuple(child) for s, child in child_adjacencies(adj, k)
                     if least_in_orbit(s, gens)
                     and new_vertex_comes_last(child, k)]
@@ -704,12 +748,12 @@ class TestLeafDecision:
                 record["swap"].append(adj)
             return perm
 
-        def recording_search(adj, n, stable=None):
+        def recording_search(adj, stable=None):
             record["search"].append(adj)
-            return _search(adj, n, stable)
+            return _search(adj, stable)
 
-        def recording_walk(adj, n, stable):
-            walk = _swap_group(adj, n, stable)
+        def recording_walk(adj, stable):
+            walk = _swap_group(adj, stable)
             record["walk"].append((adj, walk is not None))
             return walk
 
@@ -874,7 +918,7 @@ class TestLeafDecision:
         stable = refine(child, degree_cells(child, 7))
         assert stable == [0b0011110, 0b1100000, 0b0000001]
         assert _swap_taking(child, 6, 5, stable) is None
-        assert _swap_group(child, 7, stable) == (
+        assert _swap_group(child, stable) == (
             (1, 2, 3, 4, 6, 5, 0),
             [(0, 2, 1, 3, 4, 5, 6), (0, 3, 4, 1, 2, 6, 5),
              (0, 1, 2, 4, 3, 5, 6)])
