@@ -27,8 +27,12 @@ u.
 Every per-parent decision over the 2^k - 1 subsets is one big-int set
 operation: a 2^k-bit int whose bit S stands for the subset S, built from
 the cached HAS, NONE and GE sets of criticality._mask_sets.  Per parent
-vertex u one such int holds the S for which u is a cut vertex of the
-child, and a candidate's cut mask is read from them.
+vertex u one such int, cuts[u], holds the S for which u is a cut vertex
+of the child (_cut_sets).  No candidate gets a cut mask of its own: the
+key tests bit S of cuts[u] for the few u it compares, and a child the
+walk opens gets its mask, the u with bit S of cuts[u] set, only then
+(_child_cut_mask).  A node computes its cut sets only if it has a child
+to decide.
 
 Why rule (b) may use the key: McKay's rule (b) accepts a child iff the
 new vertex lies in one orbit m(G) of the child G chosen so that an
@@ -60,8 +64,12 @@ sum over x in S of d_x + 1, and its triangles are the edges inside S.  A
 parent vertex u gains |N(u) & S| in its sum (each of those neighbours
 gained w), and, when u is in S, |S| more (w, of degree |S|, is a new
 neighbour) and |N(u) & S| triangles (u, w and a common neighbour).  So
-each key is the parent's own sum and triangle count, computed once per
-parent vertex on first use, plus a few bit counts.  If some u has a
+each key is the parent's own sum and triangle count plus a few bit
+counts.  The sums over S and over each parent row are read from two
+tables of degree sums per parent (_sum_tables), one over the subsets of
+the low k // 2 vertices and one over the rest (16 + 16 entries at k =
+8), built by doubling when the first candidate reaches the key; a
+triangle count is computed on its first use.  If some u has a
 larger key than w, w is not in T: reject.  If none ties w, T = {w}:
 accept.  If every u that ties is a twin of w (its parent row is S minus
 u), T is w and twins of w, and each twin is swapped with w by a
@@ -121,11 +129,12 @@ n = 9, over the 208 parents and 337 children it searches).
 A node carries only its adjacency and cut-vertex mask.  Its stable
 partition and automorphism generators are computed when it is expanded,
 so children at the last level, which are never expanded, cost no more
-than their verdict.  A child is yielded as its neighbourhood S and its
-cut-vertex mask, and its rows (_attach) are built only where they are
-read: to refine it, to expand it, and for a leaf by a caller that reads
-them (iter_connected, the lemma universe, and the census for a collected
-or edge-maximal critical hit).  A plain census builds no leaf rows.
+than their verdict.  A child is yielded as its neighbourhood S alone;
+its cut-vertex mask is derived only if it is opened, and its rows
+(_attach) are built only where they are read: to refine it, to expand
+it, and for a leaf by a caller that reads them (iter_connected, the
+lemma universe, and the census for a collected or edge-maximal critical
+hit).  A plain census builds no leaf rows.
 
 Table-decided leaves: one generator, _iter_leaves, walks the tree and
 gives every node its criticality table once.  Bit S of it says whether
@@ -153,19 +162,21 @@ parent table.
 
 One walk for every order: _iter_leaves yields the graphs of every order
 1..n from one walk of the tree, as canonical augmentation visits every
-class once in one tree.  Each node the walk opens gives one record: its
-rows, its table and the children to yield.  Below level n - 1 those are
-its kept children, of the next order, in ascending S, given before its
-subtree is walked; it still expands all of them, or at level n - 2
-those kept or alive.  At level n - 1 they are its children under its
-keep table, pruned before they are built.
-Each order's graphs therefore come in generation order, and equal those
-of the walk for that order alone.  The lemma universe and
-iter_all_graphs read every order; the census and iter_connected keep
-order n, the graphs whose parent has n - 1 vertices.  Each item carries
-the frontier node f it descends from (see below), or -1 if its order is
-at most the frontier's; every part of a divided run yields those, and
-each other item comes from the part that walks its f.
+class once in one tree.  Each node the walk opens yields one record: its
+frontier node, its rows, its table and the S of the children to yield,
+and no item per child.  Below level n - 1 those are its kept children,
+of the next order, in ascending S, given before its subtree is walked;
+it still expands all of them, or at level n - 2 those kept or alive.  At
+level n - 1 they are its children under its keep table, pruned before
+they are built.  Each order's graphs therefore come in generation order,
+and equal those of the walk for that order alone.  The lemma universe
+and iter_all_graphs read every order; the census and iter_connected keep
+order n, the records whose parent has n - 1 vertices, and the census
+counts a record's leaves with one len and reads its table's bits only
+when the table is nonzero.  Each record carries the frontier node f it
+descends from (see below), or -1 if its children's order is at most the
+frontier's; every part of a divided run yields those, and each other
+record comes from the part that walks its f.
 
 Critical-first leaves: a walk that only needs some leaves passes a keep
 table, computed from the parent and its criticality table, to the
@@ -281,6 +292,16 @@ def _cut_sets(adj: tuple[int, ...], k: int, cut_mask: int) -> list[int]:
     return cuts
 
 
+def _child_cut_mask(cuts: list[int], s: int) -> int:
+    """The cut-vertex mask of the child with neighbourhood s, from its
+    parent's _cut_sets: the u with bit s of cuts[u] set."""
+    mask = 0
+    for u, cut in enumerate(cuts):
+        if cut >> s & 1:
+            mask |= 1 << u
+    return mask
+
+
 def _degree_sets(adj: tuple[int, ...], k: int,
                  cuts: list[int]) -> tuple[int, int]:
     """The degree filter of rule (b) for all S at once: (ok, lead) as
@@ -302,13 +323,22 @@ def _degree_sets(adj: tuple[int, ...], k: int,
     return ok, lead
 
 
-def _degree_sum(classes: dict[int, int], m: int) -> int:
-    """The sum of the degrees of the vertices in the mask m, classes
-    mapping each degree to its vertex mask."""
-    total = 0
-    for d, c in classes.items():
-        total += d * (c & m).bit_count()
-    return total
+def _sum_tables(adj: tuple[int, ...],
+                k: int) -> tuple[int, list[int], list[int], list[int]]:
+    """(h, lo, hi, sums): the sum of the parent degrees d_x over x in a
+    vertex mask S is lo[S & (1 << h) - 1] + hi[S >> h], lo holding the
+    sums over the subsets of the low h = k // 2 vertices and hi those over
+    the rest.  Each table is built by doubling: a vertex of degree d adds
+    to the table a copy of it with d added to every entry.  sums[u] is
+    that sum over row u, vertex u's sum of neighbour degrees."""
+    h = k >> 1
+    lo, hi = [0], [0]
+    for u, row in enumerate(adj):
+        d = row.bit_count()
+        half = lo if u < h else hi
+        half += [x + d for x in half]
+    low = (1 << h) - 1
+    return h, lo, hi, [lo[row & low] + hi[row >> h] for row in adj]
 
 
 def _edges_within(adj: tuple[int, ...], m: int) -> int:
@@ -323,8 +353,9 @@ def _edges_within(adj: tuple[int, ...], m: int) -> int:
     return twice >> 1
 
 
-def _key_ties(adj: tuple[int, ...], classes: dict[int, int], sums: list,
-              tris: list, s: int, cut: int) -> "int | None":
+def _key_ties(adj: tuple[int, ...], classes: list[int], cuts: list[int],
+              tables: tuple[int, list[int], list[int], list[int]],
+              tris: list, s: int) -> "int | None":
     """Rule (b) by the vertex key K(v) = (degree, sum of neighbour
     degrees, triangles at v) for the child with neighbourhood s (see the
     module docstring), read from the parent before the child is built.
@@ -334,14 +365,17 @@ def _key_ties(adj: tuple[int, ...], classes: dict[int, int], sums: list,
     twins of w only (accept); otherwise the mask of the deletable parent
     vertices whose key ties w's, for the refinement to decide.
 
-    classes maps each parent degree to its vertex mask; cut is the
-    child's cut-vertex mask.  s must pass the degree filter and not be a
-    lead accept, so w's degree cell holds a deletable parent vertex.  sums
-    and tris are the parent's sums of neighbour degrees and triangle
-    counts, filled in here on first use (None until then)."""
+    classes[d] is the mask of the parent vertices of degree d, for d =
+    0..k; cuts are the parent's _cut_sets, and a parent vertex u of w's
+    child degree is skipped as a cut vertex of the child iff bit s of
+    cuts[u] is set.  s must pass the degree filter and not be a lead
+    accept, so w's degree cell holds a deletable parent vertex.  tables
+    are the parent's _sum_tables; tris are its triangle counts, filled in
+    here on first use (None until then)."""
     d = s.bit_count()
-    m = (classes.get(d, 0) & ~s | classes.get(d - 1, 0) & s) & ~cut
-    sum_w = d + _degree_sum(classes, s)
+    m = classes[d] & ~s | classes[d - 1] & s
+    h, lo, hi, sums = tables
+    sum_w = d + lo[s & (1 << h) - 1] + hi[s >> h]
     tri_w = -1
     ties = 0
     twins_only = True
@@ -349,12 +383,11 @@ def _key_ties(adj: tuple[int, ...], classes: dict[int, int], sums: list,
         bit = m & -m
         m ^= bit
         u = bit.bit_length() - 1
+        if cuts[u] >> s & 1:
+            continue
         row = adj[u]
         common = (row & s).bit_count()
-        su = sums[u]
-        if su is None:
-            su = sums[u] = _degree_sum(classes, row)
-        su += common + d if bit & s else common
+        su = sums[u] + (common + d if bit & s else common)
         if su != sum_w:
             if su > sum_w:
                 return None
@@ -418,10 +451,9 @@ def _child_degree_cells(span: list[tuple[int, int, int]], s: int,
     return cells
 
 
-# A node of the augmentation tree: adjacency rows and cut-vertex mask.
-_State = tuple[tuple[int, ...], int]
-
-_ROOT: _State = ((0,), 0)
+# The root of the augmentation tree, K1, as (adjacency rows, cut-vertex
+# mask): what the walk carries for a node.
+_ROOT = ((0,), 0)
 
 
 def _attach(adj: tuple[int, ...], s: int) -> tuple[int, ...]:
@@ -478,30 +510,30 @@ def _decide_tie(adj: tuple[int, ...], k: int, top: int,
 
 
 def _child_states(
-    state: _State,
+    adj: tuple[int, ...],
     k: int,
+    cuts: "list[int] | None",
     keep: int = -1,
-) -> Iterator[tuple[int, int]]:
+) -> Iterator[int]:
     """The accepted children of a node on k vertices, in generation order,
-    each as (S, cut mask): its new vertex's neighbourhood and its
-    cut-vertex mask.  Its rows are _attach(adj, S), built here only for
-    the candidates that are refined.
+    each as S, its new vertex's neighbourhood.  Its rows are
+    _attach(adj, S), built here only for the candidates that are refined.
 
-    Rule (b) is decided by the first stage that can (see the module
-    docstring): the degree filter and its lead set, then the vertex key
-    (_key_ties), which needs no child rows, then, for a tie with a vertex
-    that is no twin of the new one, _decide_tie: the refinement hook, the
-    orbit certificate and the canonical search, each looking only at the
-    tied vertices and the new one (T).  A child is yielded as soon as rule
-    (b) is decided for it.  keep is an int whose bit S is set iff the
-    child with neighbourhood S may be yielded (as in a criticality table,
-    criticality._table_of); the other candidates are dropped before rules
-    (a) and (b), and a parent with no candidate left is neither refined
-    nor searched."""
+    cuts are the node's _cut_sets, read only when keep is nonzero (the
+    walk computes them only then); a child's cut-vertex mask is
+    _child_cut_mask(cuts, S).  Rule (b) is decided by the first stage
+    that can (see the module docstring): the degree filter and its lead
+    set, then the vertex key (_key_ties), which needs no child rows, then,
+    for a tie with a vertex that is no twin of the new one, _decide_tie:
+    the refinement hook, the orbit certificate and the canonical search,
+    each looking only at the tied vertices and the new one (T).  A child
+    is yielded as soon as rule (b) is decided for it.  keep is an int
+    whose bit S is set iff the child with neighbourhood S may be yielded
+    (as in a criticality table, criticality._table_of); the other
+    candidates are dropped before rules (a) and (b), and a parent with no
+    candidate left is neither refined nor searched."""
     if keep == 0:
         return
-    adj, cut_mask = state
-    cuts = _cut_sets(adj, k, cut_mask)
     ok, lead = _degree_sets(adj, k, cuts)
     ok &= keep
     if not ok:
@@ -519,33 +551,28 @@ def _child_states(
     elif pairs:
         ok &= _twin_cell_reps(k, pairs)
     if ok & ~lead:
-        classes = {adj[(c & -c).bit_length() - 1].bit_count(): c
-                   for c in dcells}
-        span = [(d, classes.get(d, 0), classes.get(d - 1, 0))
-                for d in sorted({*classes, *(d + 1 for d in classes)})]
-        sums: list = [None] * k
+        classes = [0] * (k + 1)
+        for c in dcells:
+            classes[adj[(c & -c).bit_length() - 1].bit_count()] = c
+        span = [(d, same, below) for d, (same, below)
+                in enumerate(zip(classes, [0, *classes])) if same | below]
+        tables = None
         tris: list = [None] * k
 
-    # the parent cut vertices, with the S for which they stay cut; every
-    # other parent vertex is cut only for the singleton S = {u}
-    parent_cuts = [(1 << u, cuts[u]) for u in bits(cut_mask)]
-    singles = k >= 2
     newbit = 1 << k
     while ok:
         low = ok & -ok
         ok ^= low
         s = low.bit_length() - 1
-        ccut_s = s if singles and not s & (s - 1) else 0
-        for b, cut in parent_cuts:
-            if cut & low:
-                ccut_s |= b
         if not lead & low:
-            ties = _key_ties(adj, classes, sums, tris, s, ccut_s)
+            if tables is None:
+                tables = _sum_tables(adj, k)
+            ties = _key_ties(adj, classes, cuts, tables, tris, s)
             if ties is None or ties and not _decide_tie(
                     _attach(adj, s), k, ties | newbit,
                     _child_degree_cells(span, s, newbit)):
                 continue
-        yield s, ccut_s
+        yield s
 
 
 def _iter_leaves(
@@ -554,26 +581,29 @@ def _iter_leaves(
     part: int = 0,
     keep: Callable[[tuple[int, ...], int, int], int] = (
         lambda adj, k, table: -1),
-) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
-    """Yield (f, parent, s, critical) for every accepted node on 1..n
-    vertices, in one walk of the tree: the node is _attach(parent, s), of
-    order len(parent) + 1, and its rows are built only by a caller that
-    reads them.  The root K1 is given as the empty parent with s = 0.
-    Within each order the items are those of the walk for that order
-    alone, in the same order; the orders interleave, as each node yields
-    its children before its subtree is walked.
+) -> Iterator[tuple[int, tuple[int, ...], int, list[int]]]:
+    """Yield one record (f, parent, table, children) for every node the
+    walk opens, on 0..n - 1 vertices, in one walk of the tree: children
+    holds the S of the accepted nodes _attach(parent, S) on len(parent) +
+    1 vertices that the walk yields, in generation order, and bit S of
+    table, the parent's criticality table, is such a node's verdict.  The
+    rows of a node are built only by a caller that reads them.  The root
+    K1 comes as the record of the empty parent, with table 0 and children
+    [0].  Within each order the nodes are those of the walk for that
+    order alone, in the same order; the orders interleave, as each node
+    gives its record before its subtree is walked.
 
     keep(parent, k, table) is the keep table of each node on k vertices
-    (see _child_states); the default keeps every child.  Each node gets its
-    criticality table once, and critical is bit s of its parent's, so it
-    is the node's verdict (0 for K1).  A node below level n - 2 yields its
-    kept children and still expands all of them.  A node at level n - 2
-    also computes its alive set (criticality._alive_set), decides rules
-    (a) and (b) only for the children that are kept or alive, yields the
-    kept ones and opens only those.  A node at level n - 1 builds its
-    table iff its bit of its parent's alive set is set (otherwise the
-    table is 0), and its keep table prunes its children before they are
-    built.
+    (see _child_states); the default keeps every child.  Each node gets
+    its criticality table once.  A node below level n - 2 yields its kept
+    children and still expands all of them.  A node at level n - 2 also
+    computes its alive set (criticality._alive_set), decides rules (a)
+    and (b) only for the children that are kept or alive, yields the kept
+    ones and opens only those.  A node at level n - 1 builds its table
+    iff its bit of its parent's alive set is set (otherwise the table is
+    0), and its keep table prunes its children before they are built.  A
+    node computes its cut sets only if it decides a child, and hands each
+    child it opens the child's cut-vertex mask (_child_cut_mask).
 
     So a level n - 1 node's keep may be nonzero only if the node is alive
     or kept by its parent: any other node is not opened, and its kept
@@ -585,45 +615,47 @@ def _iter_leaves(
 
     The frontier is the nodes at level max(1, n - 2), numbered f = 0, 1,
     ... in generation order.  The walk opens only those with f mod parts
-    == part, and f is the frontier node an item descends from.  The items
-    of orders up to the frontier's come from every part and carry -1; for
-    n = 1, K1 is frontier node 0 and the one item, which part 0 alone
-    yields, with f = 0."""
+    == part, and f is the frontier node a record descends from.  The
+    records of nodes above the frontier come from every part and carry
+    -1; for n = 1, K1 is frontier node 0 and the one node, whose record
+    part 0 alone yields, with f = 0."""
     if n == 1:
         if part == 0:
-            yield 0, (), 0, 0
+            yield 0, (), 0, [0]
         return
-    yield -1, (), 0, 0
+    yield -1, (), 0, [0]
     frontier = max(1, n - 2)
     numbers = itertools.count()
 
-    def nodes(state: _State, k: int, alive: int, f: int) -> Iterator[tuple]:
-        # one record (f, rows, table, children to yield) per node opened;
+    def nodes(adj: tuple[int, ...], cut_mask: int, k: int, alive: int,
+              f: int) -> Iterator[tuple]:
         # alive is 0 only for a node at level n - 1 whose bit of its
         # parent's alive set is clear, and such a node builds no table
         if k == frontier:
             f = next(numbers)
             if f % parts != part:
                 return
-        adj = state[0]
         table = 0
         if alive:
             sets = _pairless_sets(adj, k)
             table = _table_of(*sets)
         kept = keep(adj, k, table)
-        if k == n - 1:
-            yield f, adj, table, _child_states(state, k, kept)
-            return
-        # every node below level n - 1 is alive, so sets is bound
-        live = _alive_set(adj, k, *sets) if k == n - 2 else -1
-        children = list(_child_states(state, k, kept | live))
-        yield f, adj, table, [c for c in children if kept >> c[0] & 1]
-        for s, cut in children:
-            yield from nodes((_attach(adj, s), cut), k + 1, live >> s & 1, f)
+        # the children to decide: below level n - 2 all of them, at level
+        # n - 2 those kept or alive (every node below level n - 1 is
+        # alive, so sets is bound), at level n - 1 those kept
+        live = 0 if k == n - 1 else -1 if k < n - 2 else _alive_set(
+            adj, k, *sets)
+        decide = kept | live
+        cuts = _cut_sets(adj, k, cut_mask) if decide else None
+        children = list(_child_states(adj, k, cuts, decide))
+        yield f, adj, table, (children if decide == kept else
+                              [s for s in children if kept >> s & 1])
+        if k < n - 1:
+            for s in children:
+                yield from nodes(_attach(adj, s), _child_cut_mask(cuts, s),
+                                 k + 1, live >> s & 1, f)
 
-    for f, adj, table, children in nodes(_ROOT, 1, 1, -1):
-        for s, _ in children:
-            yield f, adj, s, table >> s & 1
+    yield from nodes(*_ROOT, 1, 1, -1)
 
 
 def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
@@ -638,9 +670,10 @@ def _check_args(n: int, shards: int, shard: int, jobs: int = 1) -> None:
 def iter_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
     _check_args(n, 1, 0)
-    for _, adj, s, _ in _iter_leaves(n):
+    for _, adj, _, children in _iter_leaves(n):
         if len(adj) == n - 1:
-            yield Graph(n, _attach(adj, s), check=False)
+            for s in children:
+                yield Graph(n, _attach(adj, s), check=False)
 
 
 class EnumerationTally(NamedTuple):
@@ -687,22 +720,25 @@ def _tally_shard(
     # the full census takes the default keep, which keeps every child
     leaves = (_iter_leaves(n, parts, part, lambda adj, k, table: table)
               if critical_only else _iter_leaves(n, parts, part))
-    for f, adj, s, is_critical in leaves:
+    for f, adj, table, children in leaves:
         if len(adj) != n - 1:
             continue
-        connected += 1
-        if not is_critical:
+        connected += len(children)
+        if not table:
             continue
-        critical += 1
-        if not (edge_maximal or collect):
-            continue
-        child = _attach(adj, s)
-        if edge_maximal:
-            if not _is_edge_maximal_fast(child, n):
+        for s in children:
+            if not table >> s & 1:
                 continue
-            maximal += 1
-        if collect:
-            hits.append((f, child))
+            critical += 1
+            if not (edge_maximal or collect):
+                continue
+            child = _attach(adj, s)
+            if edge_maximal:
+                if not _is_edge_maximal_fast(child, n):
+                    continue
+                maximal += 1
+            if collect:
+                hits.append((f, child))
     return connected, critical, maximal, hits
 
 
@@ -799,7 +835,8 @@ def iter_all_graphs(n: int) -> Iterator[Graph]:
     """Every graph on n vertices up to isomorphism, connected or not."""
     _check_args(n, 1, 0)
     catalogs: dict[int, list[Graph]] = {k: [] for k in range(1, n + 1)}
-    for _, adj, s, _ in _iter_leaves(n):
+    for _, adj, _, children in _iter_leaves(n):
         k = len(adj) + 1
-        catalogs[k].append(Graph(k, _attach(adj, s), check=False))
+        catalogs[k] += [Graph(k, _attach(adj, s), check=False)
+                        for s in children]
     return _iter_unions(catalogs, n)

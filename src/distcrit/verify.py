@@ -113,15 +113,16 @@ class _Universe:
         girth5: dict[int, list[Graph]] = {k: [] for k in orders}
         leaves = _iter_leaves(n_cap, keep=lambda parent, j, table:
                               table | _girth_table(parent, j))
-        for _, parent, s, critical in leaves:
+        for _, parent, table, children in leaves:
             k = len(parent) + 1
-            g = Graph(k, _attach(parent, s), check=False)
-            if critical:
-                self.criticals[k].append(g)
-            if g.min_degree() >= 2:
-                gg = girth(g)
-                if gg is not None and gg > 4:
-                    girth5[k].append(g)
+            for s in children:
+                g = Graph(k, _attach(parent, s), check=False)
+                if table >> s & 1:
+                    self.criticals[k].append(g)
+                if g.min_degree() >= 2:
+                    gg = girth(g)
+                    if gg is not None and gg > 4:
+                        girth5[k].append(g)
         self.girth5: list[Graph] = [g for k in orders for g in girth5[k]]
         self.maximal: dict[int, list[Graph]] = {
             k: [g for g in crit if _is_edge_maximal_fast(g.adj, k)]

@@ -20,7 +20,8 @@ import distcrit
 from distcrit import (Graph, is_distance_critical, iter_all_graphs,
                       iter_connected, run_enumeration)
 from distcrit.constructions import regular_extremal
-from distcrit.enumeration import _ROOT, _attach, _child_states
+from distcrit.enumeration import (_ROOT, _attach, _child_cut_mask,
+                                  _child_states, _cut_sets, _iter_leaves)
 
 
 # the directory this distcrit is imported from, for the PYTHONPATH of a
@@ -111,14 +112,35 @@ def run_capped(args: list[str], cap_mb: int = 400):
                           preexec_fn=limit, timeout=120)
 
 
+def child_sets(k: int, state, keep: int = -1) -> list[int]:
+    """The S of every accepted child of the node state on k vertices, in
+    generation order, with the node's cut sets computed as the walk
+    computes them."""
+    adj, cut_mask = state
+    return list(_child_states(adj, k, _cut_sets(adj, k, cut_mask), keep))
+
+
 def augmentation_nodes(max_k: int, state=_ROOT, k: int = 1):
     """(k, state) for every node of the augmentation tree with k <= max_k,
-    in generation order; state is (adjacency, cut-vertex mask)."""
+    in generation order; state is (adjacency, cut-vertex mask), each
+    child's mask derived from its parent's cut sets as the walk derives
+    it (enumeration._child_cut_mask)."""
     yield k, state
     if k < max_k:
-        for s, cut in _child_states(state, k):
+        adj, cut_mask = state
+        cuts = _cut_sets(adj, k, cut_mask)
+        for s in _child_states(adj, k, cuts):
             yield from augmentation_nodes(
-                max_k, (_attach(state[0], s), cut), k + 1)
+                max_k, (_attach(adj, s), _child_cut_mask(cuts, s)), k + 1)
+
+
+def leaf_items(*args, **kwargs):
+    """_iter_leaves(*args, **kwargs) flattened into one item (f, parent,
+    s, critical) per child S of each record, critical being bit S of the
+    record's table."""
+    for f, parent, table, children in _iter_leaves(*args, **kwargs):
+        for s in children:
+            yield f, parent, s, table >> s & 1
 
 
 def child_adjacencies(adj: tuple[int, ...], k: int):

@@ -43,9 +43,11 @@ from distcrit.criticality import (
     _table_of,
     _witness_for,
 )
-from distcrit.enumeration import _ROOT, _attach, _child_states
+from distcrit.enumeration import (_ROOT, _attach, _child_cut_mask,
+                                  _child_states, _cut_sets)
 from conftest import (
     augmentation_nodes,
+    child_sets,
     child_adjacencies,
     random_graph,
     random_tree,
@@ -898,7 +900,7 @@ class TestDeadChildren:
             adj = state[0]
             sets = _pairless_sets(adj, k)
             row = seen.setdefault(k + 1, [0, 0, 0])
-            for s, _ in _child_states(state, k):
+            for s in child_sets(k, state):
                 child = _attach(adj, s)
                 dead = _no_critical_child(child, _pairless_of(*sets, s))
                 table = _table_of(*_pairless_sets(child, k + 1))
@@ -963,14 +965,14 @@ class TestAliveSets:
         rng = random.Random(909)
         nodes = set()
         while len(nodes) < 300:
-            state = _ROOT
+            adj, cut_mask = _ROOT
             for k in range(1, 9):
-                kids = list(_child_states(state, k))
-                d = min(s.bit_count() for s, _ in kids) + rng.randrange(3)
-                s, cut = rng.choice(
-                    [kid for kid in kids if kid[0].bit_count() <= d])
-                state = (_attach(state[0], s), cut)
-            nodes.add(state[0])
+                cuts = _cut_sets(adj, k, cut_mask)
+                kids = list(_child_states(adj, k, cuts))
+                d = min(s.bit_count() for s in kids) + rng.randrange(3)
+                s = rng.choice([s for s in kids if s.bit_count() <= d])
+                adj, cut_mask = _attach(adj, s), _child_cut_mask(cuts, s)
+            nodes.add(adj)
         alive = some = 0
         for adj in nodes:
             sets = _pairless_sets(adj, 9)

@@ -44,17 +44,20 @@ from distcrit.criticality import (
 from distcrit.enumeration import (
     MAX_ENUM_N,
     _attach,
+    _child_cut_mask,
     _child_states,
     _cut_sets,
     _degree_sets,
     _iter_leaves,
     _key_ties,
     _subset_reps,
+    _sum_tables,
     _twin_cell_reps,
 )
 from distcrit.graph import _articulation_mask, bits
 from distcrit.graph6 import encode_graph6
-from conftest import augmentation_nodes, child_adjacencies
+from conftest import (augmentation_nodes, child_adjacencies, child_sets,
+                      leaf_items, random_graph)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -162,10 +165,62 @@ class TestAugmentationSteps:
             assert len(cuts) == k
             assert all(not c & 1 and not c >> (1 << k) for c in cuts)
             for s, child in child_adjacencies(adj, k):
-                got = sum(1 << u for u, c in enumerate(cuts) if c >> s & 1)
-                assert got == _articulation_mask(child, k + 1)
+                assert _child_cut_mask(cuts, s) == \
+                    _articulation_mask(child, k + 1)
                 children += 1
         assert children == 116146
+
+    def test_walk_hands_each_node_its_cut_mask(self, monkeypatch):
+        # the walk derives an opened child's cut mask from its parent's
+        # cut sets, and reads it when it computes the child's own cut
+        # sets: each mask read is the node's articulation mask.  The full
+        # walk to 9 reads the masks of every node on 1..8 vertices; the
+        # critical-only walk to 10 reads those of every node on 1..7
+        # vertices, of the level-8 nodes with a child kept or alive and
+        # of the level-9 nodes with a nonempty table
+        read: dict[int, int] = {}
+
+        def recording_cuts(adj, k, cut_mask):
+            assert cut_mask == _articulation_mask(adj, k)
+            read[k] = read.get(k, 0) + 1
+            return _cut_sets(adj, k, cut_mask)
+
+        monkeypatch.setattr(enumeration, "_cut_sets", recording_cuts)
+        for _ in _iter_leaves(9):
+            pass
+        assert read == CONNECTED_COUNTS
+        read.clear()
+        for _ in _iter_leaves(10, keep=lambda adj, k, table: table):
+            pass
+        assert read == {**{k: CONNECTED_COUNTS[k] for k in range(1, 8)},
+                        8: 3153, 9: 4261}
+
+    def test_sum_tables_match_the_degree_sums(self):
+        # every parent to k = 8, seeded parents at k = 9 and 10 (the
+        # widths of the n = 11 walk), and K1 and K2: the two half tables
+        # give the sum of the degrees over every vertex mask S, and
+        # sums[u] is that sum over row u
+        def check(adj: tuple[int, ...], k: int) -> None:
+            h, lo, hi, sums = _sum_tables(adj, k)
+            assert (h, len(lo), len(hi)) == (k // 2, 1 << h, 1 << k - h)
+            degrees = [row.bit_count() for row in adj]
+            want = [sum(degrees[x] for x in bits(s)) for s in range(1 << k)]
+            assert [lo[s & (1 << h) - 1] + hi[s >> h]
+                    for s in range(1 << k)] == want
+            assert sums == [want[row] for row in adj]
+
+        parents = 0
+        for k, (adj, _) in augmentation_nodes(8):
+            check(adj, k)
+            parents += 1
+        assert parents == 12113
+        rng = random.Random(911)
+        for k in (9, 10):
+            for _ in range(20):
+                g = random_graph(k, rng.choice((0.2, 0.4, 0.6)), rng)
+                check(g.adj, k)
+        check((0,), 1)
+        check((0b10, 0b1), 2)
 
     def test_degree_sets_match_child_degrees(self):
         # ok: |S| is at least the child degree of every parent vertex that
@@ -354,8 +409,8 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     certified: set[tuple[int, ...]] = set()
     searched: set[tuple[int, ...]] = set()
 
-    def recording_key(adj, classes, sums, tris, s, cut):
-        ties = _key_ties(adj, classes, sums, tris, s, cut)
+    def recording_key(adj, classes, cuts, tables, tris, s):
+        ties = _key_ties(adj, classes, cuts, tables, tris, s)
         if not ties:
             by_key[s] = ties == 0
         return ties
@@ -388,7 +443,7 @@ def children_by_path(monkeypatch, state, k: int) -> dict:
     monkeypatch.setattr(canon, "_swap_taking", recording_swap)
     monkeypatch.setattr(enumeration, "_search", recording_search)
     monkeypatch.setattr(canon, "_swap_group", recording_walk)
-    accepted = [_attach(state[0], s) for s, _ in _child_states(state, k)]
+    accepted = [_attach(state[0], s) for s in child_sets(k, state)]
     monkeypatch.undo()
     paths = {}
     # a key reject is never built; the parent is refined (and searched)
@@ -657,7 +712,7 @@ class TestLeafDecision:
             want = [tuple(child) for s, child in child_adjacencies(adj, k)
                     if least_in_orbit(s, gens)
                     and new_vertex_comes_last(child, k)]
-            got = [_attach(adj, s) for s, _ in _child_states(state, k)]
+            got = [_attach(adj, s) for s in child_sets(k, state)]
             assert got == want
             candidates += (1 << k) - 1
             accepts += len(want)
@@ -674,8 +729,8 @@ class TestLeafDecision:
         # tie is handed on with the tied vertices
         calls: list[tuple[int, "int | None"]] = []
 
-        def recording_key(adj, classes, sums, tris, s, cut):
-            ties = _key_ties(adj, classes, sums, tris, s, cut)
+        def recording_key(adj, classes, cuts, tables, tris, s):
+            ties = _key_ties(adj, classes, cuts, tables, tris, s)
             calls.append((s, ties))
             return ties
 
@@ -683,7 +738,7 @@ class TestLeafDecision:
         for k, state in augmentation_nodes(8):
             calls.clear()
             monkeypatch.setattr(enumeration, "_key_ties", recording_key)
-            accepted = {s for s, _ in _child_states(state, k)}
+            accepted = set(child_sets(k, state))
             monkeypatch.undo()
             adj = state[0]
             for s, ties in calls:
@@ -767,7 +822,7 @@ class TestLeafDecision:
             monkeypatch.setattr(enumeration, "_search", recording_search)
             monkeypatch.setattr(canon, "_swap_group", recording_walk)
             monkeypatch.setattr(enumeration, "refine", recording_refine)
-            accepted = {s for s, _ in _child_states(state, k)}
+            accepted = set(child_sets(k, state))
             monkeypatch.undo()
             # a parent's rows have k entries and a child's k + 1; each
             # search walks its first path once
@@ -997,11 +1052,11 @@ class TestCriticalFirst:
             # -1 admits every child and makes the walk build the tables
             full = [(g.adj, int(_is_critical_fast(g.adj, n)))
                     for g in connected_by_n[n]]
-            every = _iter_leaves(n, keep=lambda adj, k, table: -1)
+            every = leaf_items(n, keep=lambda adj, k, table: -1)
             assert [(_attach(adj, s), critical)
                     for _, adj, s, critical in every
                     if len(adj) == n - 1] == full
-            kept = _iter_leaves(n, keep=lambda adj, k, table: table)
+            kept = leaf_items(n, keep=lambda adj, k, table: table)
             assert [(_attach(adj, s), critical)
                     for _, adj, s, critical in kept
                     if len(adj) == n - 1] == \
@@ -1039,12 +1094,30 @@ class TestCriticalFirst:
 
         empty = [(k, state) for k, state in augmentation_nodes(7)
                  if not _table_of(*_pairless_sets(state[0], k))]
-        for name in ("refine", "_search", "_cut_sets"):
-            monkeypatch.setattr(enumeration, name, unreachable)
-        for k, state in empty:
-            assert list(_child_states(state, k, 0)) == []
+        with monkeypatch.context() as m:
+            for name in ("refine", "_search"):
+                m.setattr(enumeration, name, unreachable)
+            for k, (adj, _) in empty:
+                assert list(_child_states(adj, k, None, 0)) == []
         # 960 of the 996 connected graphs on up to 7 vertices
         assert len(empty) == 960
+        # the walk computes cut sets only for a node with a child to
+        # decide: in the critical-only walk to 8, for the 26 of the 41
+        # opened level-7 nodes whose table is not empty
+        given = set()
+
+        def recording_cuts(adj, k, cut_mask):
+            given.add(adj)
+            return _cut_sets(adj, k, cut_mask)
+
+        monkeypatch.setattr(enumeration, "_cut_sets", recording_cuts)
+        opened = [(adj, table) for _, adj, table, _ in
+                  _iter_leaves(8, keep=lambda adj, k, table: table)
+                  if len(adj) == 7]
+        assert [adj for adj, table in opened if table] == \
+            [adj for adj, _ in opened if adj in given]
+        assert (len(opened), sum(adj in given for adj, _ in opened)) == \
+            (41, 26)
 
 
     def test_dead_children_build_no_table(self, monkeypatch):
@@ -1061,9 +1134,9 @@ class TestCriticalFirst:
             built[k] = built.get(k, 0) + 1
             return sets(adj, k)
 
-        def counted_children(state, k, *args):
+        def counted_children(adj, k, *args):
             opened[k] = opened.get(k, 0) + 1
-            return children(state, k, *args)
+            return children(adj, k, *args)
 
         monkeypatch.setattr(enumeration, "_pairless_sets", counted)
         monkeypatch.setattr(enumeration, "_child_states", counted_children)
@@ -1100,7 +1173,7 @@ class TestCriticalFirst:
             sets = _pairless_sets(adj, k)
             table = _table_of(*sets)
             live = _alive_set(adj, k, *sets)
-            for s, _ in _child_states(state, k):
+            for s in child_sets(k, state):
                 child = _attach(adj, s)
                 child_table = _table_of(*_pairless_sets(child, k + 1))
                 for i, keep in enumerate(keeps):
@@ -1117,7 +1190,7 @@ class TestSharding:
         # is s + shards * j, as in run_enumeration; the orders below 7
         # above the frontier come from every part, so order 7 is kept
         def order7(parts=1, part=0):
-            return [item for item in _iter_leaves(7, parts, part)
+            return [item for item in leaf_items(7, parts, part)
                     if len(item[1]) == 6]
 
         full = order7()
@@ -1144,7 +1217,7 @@ class TestSharding:
         for n, keep, top in ((7, None, 853), (8, None, 11117),
                              (9, critical, 168)):
             kwargs = {} if keep is None else {"keep": keep}
-            serial = list(_iter_leaves(n, **kwargs))
+            serial = list(leaf_items(n, **kwargs))
             assert all((f == -1) == (len(parent) + 1 <= n - 2)
                        for f, parent, _, _ in serial)
             tags = [f for f, parent, _, _ in serial if len(parent) == n - 1]
@@ -1154,16 +1227,16 @@ class TestSharding:
                 assert set(tags) == set(range(CONNECTED_COUNTS[n - 2]))
             for parts in (2, 3, 4):
                 for part in range(parts):
-                    assert list(_iter_leaves(n, parts, part, **kwargs)) == \
+                    assert list(leaf_items(n, parts, part, **kwargs)) == \
                         [item for item in serial
                          if item[0] == -1 or item[0] % parts == part]
         assert CONNECTED_COUNTS[5] == 21 and CONNECTED_COUNTS[6] == 112
         # for n = 1, K1 is frontier node 0 and the one item; for n = 2 and
         # 3 it is the frontier and every part yields it
-        assert list(_iter_leaves(1)) == [(0, (), 0, 0)]
-        assert list(_iter_leaves(1, 2, 1)) == []
-        assert list(_iter_leaves(3, 2, 1)) == [(-1, (), 0, 0)]
-        assert [f for f, *_ in _iter_leaves(3)] == [-1, 0, 0, 0]
+        assert list(leaf_items(1)) == [(0, (), 0, 0)]
+        assert list(leaf_items(1, 2, 1)) == []
+        assert list(leaf_items(3, 2, 1)) == [(-1, (), 0, 0)]
+        assert [f for f, *_ in leaf_items(3)] == [-1, 0, 0, 0]
 
     def test_jobs_split_a_shard_into_parts(self):
         # job j of shard s of 3 is part s + 3 * j of 6, counter by counter
@@ -1281,25 +1354,42 @@ class TestOneWalk:
         critical = lambda adj, k, table: table  # noqa: E731
         counts = []
         for kwargs in ({}, {"keep": critical}):
-            walk = self.by_order(_iter_leaves(8, **kwargs))
+            walk = self.by_order(leaf_items(8, **kwargs))
             assert set(walk) <= set(range(1, 9))
             # the walk to k has its own frontier, so f is not compared
             for k in range(1, 9):
                 assert [item[1:] for item in walk.get(k, [])] == \
                     [item[1:] for item in
-                     self.by_order(_iter_leaves(k, **kwargs)).get(k, [])]
+                     self.by_order(leaf_items(k, **kwargs)).get(k, [])]
             counts.append({k: len(items) for k, items in walk.items()})
         assert counts[0] == CONNECTED_COUNTS
         # K1, which has no parent table, and the critical graphs
         assert counts[1] == {1: 1, 5: 1, 6: 1, 7: 4, 8: 15}
         # every walk builds its tables, so the default walk's verdict of
         # each node is the determining-pair test's
-        nodes = list(_iter_leaves(8))
+        nodes = list(leaf_items(8))
         verdicts = [verdict for _, _, _, verdict in nodes]
         assert verdicts == [_is_critical_fast(_attach(parent, s),
                                               len(parent) + 1)
                             for _, parent, s, _ in nodes]
         assert (len(verdicts), sum(verdicts)) == (12113, 21)
+
+
+    def test_flattened_stream_is_pinned(self):
+        # the walks to 1..9 with the default keep, each record flattened
+        # into one (f, parent, s, critical) item per child: taken when
+        # the walk gave one item per node, before it gave one record per
+        # opened node
+        digest = hashlib.sha256()
+        items = 0
+        for n in range(1, 10):
+            for f, parent, s, critical in leaf_items(n):
+                digest.update(f"{f} {' '.join(map(str, parent))} {s} "
+                              f"{critical}\n".encode())
+                items += 1
+        assert items == 286493
+        assert digest.hexdigest() == (
+            "588c3ee24b9a722497227495bb9103b369ae08d076d0457baa386bfbec1afef0")
 
 
 class TestAllGraphs:

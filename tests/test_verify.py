@@ -67,9 +67,9 @@ class TestLemmaHarness:
         expanded = []
         real_children = enumeration._child_states
 
-        def counting_children(state, k, *args):
+        def counting_children(adj, k, *args):
             expanded.append(k)
-            return real_children(state, k, *args)
+            return real_children(adj, k, *args)
 
         monkeypatch.setattr(verify, "_iter_leaves", counting)
         monkeypatch.setattr(enumeration, "_child_states", counting_children)
