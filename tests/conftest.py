@@ -112,12 +112,12 @@ def run_capped(args: list[str], cap_mb: int = 400):
                           preexec_fn=limit, timeout=120)
 
 
-def child_sets(k: int, state, keep: int = -1) -> list[int]:
+def child_sets(k: int, state) -> list[int]:
     """The S of every accepted child of the node state on k vertices, in
     generation order, with the node's cut sets computed as the walk
     computes them."""
     adj, cut_mask = state
-    return list(_child_states(adj, k, _cut_sets(adj, k, cut_mask), keep))
+    return list(_child_states(adj, k, _cut_sets(adj, k, cut_mask)))
 
 
 def augmentation_nodes(max_k: int, state=_ROOT, k: int = 1):
